@@ -84,14 +84,13 @@ def _read_depth(path) -> DepthMap:
     return DepthMap.from_values(arr.astype(np.float64))
 
 
-def _write_frame(out_dir, name, image, depth_values, mask):
+def _write_frame(out_dir, name, image, depth_values):
     write_ppm(image, os.path.join(out_dir, f"{name}.ppm"))
     # PGM needs finite values: background pixels take the far depth
     finite = depth_values[np.isfinite(depth_values)]
     far = float(finite.max()) if finite.size else 0.0
     filled = np.where(np.isfinite(depth_values), depth_values, far)
     write_pgm(filled, os.path.join(out_dir, f"{name}.pgm"))
-    del mask
 
 
 def _cmd_render(args) -> int:
@@ -122,12 +121,12 @@ def _cmd_render(args) -> int:
     light = LightingParams(k_a=0.35, k_d=0.65, l_dx=0.4, l_dy=0.25)
     source = shade(depth, albedo, light, K)
     canvas = make_canvas([pose], depth, K)
-    image, mask = warp_image(source, depth, pose, K, canvas, args.radius)
+    image, _ = warp_image(source, depth, pose, K, canvas, args.radius)
     pts = transform_pointcloud(depth_to_pointcloud(depth, K), pose)
     rendered = scatter_min_render(project_points(pts, K), canvas, args.radius)
     cropped = center_crop(rendered.values, h, w)
     write_ppm(source, os.path.join(args.out_dir, "canonical.ppm"))
-    _write_frame(args.out_dir, "frame", image, cropped, mask)
+    _write_frame(args.out_dir, "frame", image, cropped)
     print(f"wrote frame.ppm and frame.pgm to {args.out_dir}")
     return 0
 

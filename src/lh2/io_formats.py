@@ -16,6 +16,7 @@ a `# range <min> <max>` comment so the round trip is exact to
 from __future__ import annotations
 
 import dataclasses
+import math
 import struct
 
 import numpy as np
@@ -174,7 +175,8 @@ class RunConfig:
 
     Every key has the documented default below; a config file may override
     any subset with `key = value` lines (`#` starts a comment).  Unknown or
-    duplicate keys are rejected with the offending line number.
+    duplicate keys, non-finite floats and a batch_size or lr_halve_every
+    below 1 are rejected with the offending line number.
     """
 
     seed: int = 0
@@ -210,20 +212,10 @@ class RunConfig:
     cos_min: float = 0.5
     cos_max: float = 0.9
     mid_strict_mode: bool = False    # accumulate only the first positive cosine per batch
-    # composite loss weights
-    lambda_reco: float = 0.01
-    lambda_canon: float = 0.001
-    lambda_view: float = 0.001
-    lambda_flip: float = 0.5
-    lambda_perc: float = 1.0
-    lambda_smooth: float = 0.01
-    # view-variance thresholds (axis 2 spans frontal-to-profile, widest range)
-    view_v1: float = 0.01
-    view_v2: float = 0.04
-    view_v3: float = 0.01
 
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+_AT_LEAST_ONE = {"batch_size", "lr_halve_every"}
 _TRUE_WORDS = {"true", "1", "yes", "on"}
 _FALSE_WORDS = {"false", "0", "no", "off"}
 
@@ -258,9 +250,15 @@ def _convert(key, value, lineno):
     kind = _CONFIG_FIELDS[key]
     try:
         if kind in (int, "int"):
-            return int(value)
+            number = int(value)
+            if key in _AT_LEAST_ONE and number < 1:
+                raise ValueError(f"must be at least 1, got {number}")
+            return number
         if kind in (float, "float"):
-            return float(value)
+            number = float(value)
+            if not math.isfinite(number):
+                raise ValueError(f"must be finite, got {value!r}")
+            return number
         if kind in (bool, "bool"):
             low = value.lower()
             if low in _TRUE_WORDS:

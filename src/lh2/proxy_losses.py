@@ -23,6 +23,7 @@ import dataclasses
 import numpy as np
 
 from .errors import DomainError
+from .sphere_math import _divide_rows
 from .uamf import EmbeddingBatch, LossReport, ProxyMatrix
 
 
@@ -60,17 +61,9 @@ class EpochMidState:
         return EpochMidState(mid=cfg.cos_min)
 
 
-def _unit_rows(a: np.ndarray):
-    norms = np.linalg.norm(a, axis=1)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return a / safe[:, None], norms
-
-
 def positive_cosines(batch: EmbeddingBatch, proxies: ProxyMatrix) -> np.ndarray:
     """cos between each sample and its own class proxy."""
-    zhat, _ = _unit_rows(batch.z)
-    what, _ = _unit_rows(proxies.W)
-    return np.sum(zhat * what[batch.labels], axis=1)
+    return np.sum(batch.zhat * proxies.unit[batch.labels], axis=1)
 
 
 def observe_positive_cosines(state: EpochMidState, batch: EmbeddingBatch,
@@ -107,10 +100,7 @@ def pps_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, state: EpochMidState,
     only.  Zero when no sample sits below the mid.
     """
     N, _ = batch.z.shape
-    zhat, znorm = _unit_rows(batch.z)
-    what, wnorm = _unit_rows(proxies.W)
-    wy = what[batch.labels]
-    cos = np.sum(zhat * wy, axis=1)
+    cos = positive_cosines(batch, proxies)
     left = cos < state.mid
     n_left = int(np.sum(left))
     stats = {"below_frac": n_left / N, "n_left": n_left}
@@ -122,10 +112,12 @@ def pps_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, state: EpochMidState,
     dcos = np.zeros(N)
     dcos[left] = cfg.lambda_pps * 2.0 * resid / n_left
 
-    safe_z = np.where(znorm > 0.0, znorm, 1.0)
-    grad_z = dcos[:, None] * (wy - cos[:, None] * zhat) / safe_z[:, None]
+    zhat = batch.zhat
+    wy = proxies.unit[batch.labels]
+    grad_z = _divide_rows(dcos[:, None] * (wy - cos[:, None] * zhat), batch.norms)
     grad_W = np.zeros_like(proxies.W)
-    contrib = dcos[:, None] * (zhat - cos[:, None] * wy) / wnorm[batch.labels, None]
+    contrib = dcos[:, None] * (zhat - cos[:, None] * wy) \
+        / proxies.norms[batch.labels, None]
     np.add.at(grad_W, batch.labels, contrib)
     return LossReport(loss, {"pps": loss}, grad_z, grad_W, stats)
 
@@ -139,8 +131,7 @@ def pns_loss(batch: EmbeddingBatch, proxies: ProxyMatrix,
     if C < 2:
         return LossReport(0.0, {"pns": 0.0}, np.zeros_like(batch.z),
                           np.zeros_like(proxies.W), {"pns_degenerate_C": True})
-    zhat, znorm = _unit_rows(batch.z)
-    what, wnorm = _unit_rows(proxies.W)
+    zhat, what = batch.zhat, proxies.unit
     cos = zhat @ what.T
     negmask = np.ones_like(cos)
     negmask[np.arange(N), batch.labels] = 0.0
@@ -148,11 +139,10 @@ def pns_loss(batch: EmbeddingBatch, proxies: ProxyMatrix,
     loss = cfg.lambda_pns * float(np.sum((cos * negmask) ** 2)) / denom
 
     dcos = cfg.lambda_pns * 2.0 * cos * negmask / denom
-    safe_z = np.where(znorm > 0.0, znorm, 1.0)
-    grad_z = (dcos @ what - np.sum(dcos * cos, axis=1, keepdims=True) * zhat) \
-        / safe_z[:, None]
+    grad_z = _divide_rows(dcos @ what - np.sum(dcos * cos, axis=1, keepdims=True) * zhat,
+                          batch.norms)
     grad_W = (dcos.T @ zhat - np.sum(dcos * cos, axis=0)[:, None] * what) \
-        / wnorm[:, None]
+        / proxies.norms[:, None]
     return LossReport(loss, {"pns": loss}, grad_z, grad_W)
 
 
@@ -179,8 +169,7 @@ def pp_loss(batch_labels, proxies: ProxyMatrix, cfg: ProxyLossConfig,
     if k < 2:
         return LossReport(0.0, {"pp": 0.0}, None, np.zeros_like(proxies.W),
                           {"pp_selection_size": k, "pp_selection": sel})
-    what, wnorm = _unit_rows(proxies.W)
-    ws = what[sel]
+    ws = proxies.unit[sel]
     gram = ws @ ws.T
     iu = np.triu_indices(k, 1)
     npairs = k * (k - 1) // 2
@@ -189,7 +178,7 @@ def pp_loss(batch_labels, proxies: ProxyMatrix, cfg: ProxyLossConfig,
     dcos = cfg.lambda_pp * 2.0 * gram / npairs
     np.fill_diagonal(dcos, 0.0)
     grad_sel = (dcos @ ws - np.sum(dcos * gram, axis=1, keepdims=True) * ws) \
-        / wnorm[sel, None]
+        / proxies.norms[sel, None]
     grad_W = np.zeros_like(proxies.W)
     grad_W[sel] = grad_sel
     return LossReport(loss, {"pp": loss}, None, grad_W,
@@ -207,14 +196,13 @@ def sns_loss(batch: EmbeddingBatch, cfg: ProxyLossConfig) -> LossReport:
     if npairs == 0:
         return LossReport(0.0, {"sns": 0.0}, np.zeros_like(batch.z), None,
                           {"sns_pairs": 0})
-    zhat, znorm = _unit_rows(batch.z)
+    zhat = batch.zhat
     gram = zhat @ zhat.T
     loss = cfg.lambda_sns * float(np.sum(np.triu(gram * pair, 1))) / npairs
 
     dcos = cfg.lambda_sns * pair / npairs        # symmetric; each pair once in the loss
-    safe_z = np.where(znorm > 0.0, znorm, 1.0)
-    grad_z = (dcos @ zhat - np.sum(dcos * gram, axis=1, keepdims=True) * zhat) \
-        / safe_z[:, None]
+    grad_z = _divide_rows(dcos @ zhat - np.sum(dcos * gram, axis=1, keepdims=True) * zhat,
+                          batch.norms)
     return LossReport(loss, {"sns": loss}, grad_z, None, {"sns_pairs": npairs})
 
 

@@ -7,10 +7,17 @@ The Bessel function is evaluated through its ascending series in log domain,
     log t_m = (2m + alpha) * log(x/2) - log m! - log Gamma(m + alpha + 1)
     log I_alpha(x) = logsumexp_m(log t_m)
 
-summing until a term falls 1e-18 below the running maximum.  A naive
-evaluation of I_alpha underflows to 0 (hence log -inf) already for
-moderate orders at small arguments; the log-domain series removes that
-restriction.  Everything here runs in 64-bit floats.
+over one term grid per call: rows are the arguments, columns m = 0..M-1,
+with M fixed in advance by _series_length from the largest argument so the
+truncated tail is negligible.  The same terms give the ratio
+
+    I_{alpha+1}(x) / I_alpha(x) = sum_m t_m (x/2) / (m + alpha + 1) / sum_m t_m
+
+so the order alpha+1 series is never summed.  An M above _MAX_TERMS (10^6)
+raises DomainError instead of allocating the grid.  A naive evaluation of
+I_alpha underflows to 0 (hence log -inf) already for moderate orders at
+small arguments; the log-domain series removes that restriction.
+Everything here runs in 64-bit floats.
 """
 
 from __future__ import annotations
@@ -25,10 +32,10 @@ from .errors import DomainError
 
 KAPPA_MIN = 1e-6
 LOG_2PI = math.log(2.0 * math.pi)
-_LOG_CUTOFF = math.log(1e-18)
+_MAX_TERMS = 1_000_000
 
 # lgamma values over the series index grid are reused heavily inside the
-# training loop; cache them per order offset.
+# training loop; cache them per order.
 _lfact_cache = np.zeros(0)
 _lgamma_cache: dict[float, np.ndarray] = {}
 
@@ -53,19 +60,37 @@ def _lgamma_shift(alpha: float, m_count: int) -> np.ndarray:
 def _series_length(alpha: float, x_max: float) -> int:
     # the largest term sits near m* = (sqrt(alpha^2 + x^2) - alpha) / 2 and
     # the tail decays faster than a Gaussian of width sqrt(m*); the padding
-    # below leaves the truncated mass far under the 1e-18 cutoff
+    # below leaves the truncated mass below 1e-18 of the sum
     peak = 0.5 * (math.hypot(alpha, x_max) - alpha)
     return int(peak + 12.0 * math.sqrt(peak + 1.0) + 40.0)
 
 
+def _log_bessel_series(alpha: float, x: np.ndarray):
+    """(log I_alpha(x), I_{alpha+1}(x) / I_alpha(x)) over an array of
+    positive x, both from one term grid."""
+    m_count = _series_length(alpha, float(x.max()))
+    if m_count > _MAX_TERMS:
+        raise DomainError(f"Bessel series needs {m_count} terms for alpha={alpha}, "
+                          f"x={float(x.max())}; the limit is {_MAX_TERMS}")
+    m = np.arange(m_count)
+    half_x = 0.5 * x
+    # one N x M buffer: log terms, shifted by each row's top, then the terms
+    t = np.outer(np.log(half_x), 2 * m + alpha)
+    t -= _lfact(m_count) + _lgamma_shift(alpha, m_count)
+    top = t.max(axis=1)
+    t -= top[:, None]
+    np.exp(t, out=t)
+    total = t.sum(axis=1)
+    ratio = half_x * (t @ (1.0 / (m + alpha + 1.0))) / total
+    return top + np.log(total), ratio
+
+
 @dataclasses.dataclass(frozen=True)
 class BesselEval:
-    """log I_alpha(x), the ratio I_{alpha+1}(x)/I_alpha(x), and the number
-    of series terms summed for the order-alpha evaluation."""
+    """log I_alpha(x) and the ratio I_{alpha+1}(x)/I_alpha(x)."""
 
     log_value: float
     ratio_next: float
-    terms_used: int
 
 
 def log_bessel_i(alpha: float, x: float) -> BesselEval:
@@ -78,46 +103,15 @@ def log_bessel_i(alpha: float, x: float) -> BesselEval:
         raise DomainError(f"log_bessel_i requires alpha >= 0 and x >= 0, "
                           f"got alpha={alpha}, x={x}")
     if x == 0.0:
-        if alpha == 0.0:
-            return BesselEval(log_value=0.0, ratio_next=0.0, terms_used=1)
-        return BesselEval(log_value=-math.inf, ratio_next=0.0, terms_used=0)
-    log_value, terms = _log_series_scalar(alpha, x)
-    log_next, _ = _log_series_scalar(alpha + 1.0, x)
-    return BesselEval(log_value=log_value,
-                      ratio_next=math.exp(log_next - log_value),
-                      terms_used=terms)
+        return BesselEval(log_value=0.0 if alpha == 0.0 else -math.inf, ratio_next=0.0)
+    log_value, ratio = _log_bessel_series(float(alpha), np.array([float(x)]))
+    return BesselEval(log_value=float(log_value[0]), ratio_next=float(ratio[0]))
 
 
-def _log_series_scalar(alpha: float, x: float) -> tuple[float, int]:
-    log_half_x = math.log(0.5 * x)
-    log_terms = []
-    running_max = -math.inf
-    m = 0
-    while True:
-        log_t = (2 * m + alpha) * log_half_x - math.lgamma(m + 1.0) \
-            - math.lgamma(m + alpha + 1.0)
-        log_terms.append(log_t)
-        if log_t > running_max:
-            running_max = log_t
-        elif log_t < running_max + _LOG_CUTOFF:
-            break
-        m += 1
-        if m > 1_000_000:
-            raise DomainError(f"series did not converge for alpha={alpha}, x={x}")
-    terms = np.asarray(log_terms)
-    log_value = running_max + math.log(np.sum(np.exp(terms - running_max)))
-    return log_value, len(log_terms)
-
-
-def _log_series_vec(alpha: float, x: np.ndarray) -> np.ndarray:
-    """log I_alpha over an array of positive x, shared term grid."""
-    x = np.asarray(x, dtype=np.float64)
-    m_count = _series_length(alpha, float(x.max()))
-    m = np.arange(m_count)
-    denom = _lfact(m_count) + _lgamma_shift(float(alpha), m_count)
-    log_t = np.outer(np.log(0.5 * x), 2 * m + alpha) - denom
-    top = log_t.max(axis=1, keepdims=True)
-    return (top + np.log(np.sum(np.exp(log_t - top), axis=1, keepdims=True))).ravel()
+def _divide_rows(a: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Row i of a divided by norms[i]; a zero norm leaves its row as it is,
+    so zero rows of a matrix stay zero when it is scaled to unit rows."""
+    return a / np.where(norms > 0.0, norms, 1.0)[:, None]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -224,9 +218,7 @@ def vmf_similarity_batch(z: np.ndarray, proxies: np.ndarray, n: int):
     safe = np.where(norms > 0.0, norms, 1.0)
     scale = np.where(norms >= KAPPA_MIN, 1.0, np.where(norms > 0.0, kappa / safe, 0.0))
     nu = 0.5 * n - 1.0
-    lv0 = _log_series_vec(nu, kappa)
-    lv1 = _log_series_vec(nu + 1.0, kappa)
-    g = nu * np.log(kappa) - 0.5 * n * LOG_2PI - lv0
-    ratio = np.exp(lv1 - lv0)
+    log_i, ratio = _log_bessel_series(nu, kappa)
+    g = nu * np.log(kappa) - 0.5 * n * LOG_2PI - log_i
     sims = (z @ proxies.T) * scale[:, None] + g[:, None]
     return sims, kappa, ratio, scale

@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, RangeError
+from .sphere_math import _divide_rows
 
 _MAX_MC_SCALARS = int(1e8)
 
@@ -121,11 +122,14 @@ def proxy_spread_trackers(proxies, C: int, d: int, batch_selection) -> dict:
 
     std_mean only charges pairs closer than the expected minimum angle.
     """
-    W = np.asarray(proxies.W if hasattr(proxies, "W") else proxies, dtype=np.float64)
     sel = np.asarray(batch_selection, dtype=np.int64)
     if len(sel) < 2:
         return {"std": 0.0, "std_mean": 0.0}
-    ws = W[sel] / np.linalg.norm(W[sel], axis=1, keepdims=True)
+    if hasattr(proxies, "unit"):
+        ws = proxies.unit[sel]
+    else:
+        w = np.asarray(proxies, dtype=np.float64)[sel]
+        ws = _divide_rows(w, np.linalg.norm(w, axis=1))
     gram = ws @ ws.T
     cos = gram[np.triu_indices(len(sel), 1)]
     thr = math.sqrt(min(2.0 * math.log(C) / d, 1.0))
@@ -135,12 +139,9 @@ def proxy_spread_trackers(proxies, C: int, d: int, batch_selection) -> dict:
 
 
 def sns_tracker(batch) -> float:
-    """sqrt(mean cos^2) over distinct-label sample pairs; 0 when the batch
-    has fewer than two labels."""
-    z = np.asarray(batch.z, dtype=np.float64)
-    labels = np.asarray(batch.labels, dtype=np.int64)
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    zhat = z / np.where(norms > 0.0, norms, 1.0)
+    """sqrt(mean cos^2) over distinct-label sample pairs of an
+    EmbeddingBatch; 0 when the batch has fewer than two labels."""
+    zhat, labels = batch.zhat, batch.labels
     pair = labels[:, None] != labels[None, :]
     iu = np.triu_indices(len(labels), 1)
     keep = pair[iu]

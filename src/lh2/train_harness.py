@@ -21,13 +21,13 @@ import numpy as np
 from .errors import DomainError
 from .io_formats import RunConfig, emit_metrics, read_tensor, write_tensor
 from .proxy_losses import (EpochMidState, ProxyLossConfig, end_epoch,
-                           observe_positive_cosines, pp_loss, pns_loss, pps_loss,
-                           proxy_based_total, sns_loss)
+                           observe_positive_cosines, positive_cosines, pp_loss,
+                           pns_loss, pps_loss, proxy_based_total, sns_loss)
 from .recon_losses import (PerceptualExtractor, laplace_nll, laplace_nll_grad,
                            perceptual_nll, perceptual_nll_grad, smoothness_grad,
                            smoothness_loss, view_variance_grad, view_variance_loss)
 from .depth_renderer import DepthMap
-from .sphere_math import vmf_similarity, vmf_similarity_grad
+from .sphere_math import _divide_rows, vmf_similarity, vmf_similarity_grad
 from .sphere_stats import proxy_spread_trackers, sns_tracker
 from .uamf import (EmbeddingBatch, NormTracker, ProxyMatrix, uamf_loss,
                    update_norm_tracker)
@@ -140,8 +140,7 @@ def proxy_config(cfg: RunConfig) -> ProxyLossConfig:
 def train_accuracy(X, labels, embedder, proxies: ProxyMatrix) -> float:
     """Fraction of samples whose nearest proxy by cosine is their class."""
     z = X @ embedder
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    zhat = z / np.where(norms > 0.0, norms, 1.0)
+    zhat = _divide_rows(z, np.linalg.norm(z, axis=1))
     pred = np.argmax(zhat @ proxies.W.T, axis=1)
     return float(np.mean(pred == labels))
 
@@ -273,9 +272,7 @@ def histogram_dump(state, X, labels, bins: int = 64):
     else:
         embedder, proxies = state
     z = X @ embedder
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    zhat = z / np.where(norms > 0.0, norms, 1.0)
-    cos = zhat @ proxies.W.T
+    cos = _divide_rows(z, np.linalg.norm(z, axis=1)) @ proxies.W.T
     n = len(labels)
     rows = np.arange(n)
     pad = cos[rows, labels]
@@ -368,35 +365,34 @@ def _gradcheck_cases(rng: np.random.Generator):
     # pps: keep every cosine away from the mid kink
     mid = 0.5
     state = EpochMidState(mid=mid)
+    proxies = ProxyMatrix(W)
     while True:
         z = rng.standard_normal((N, d)) * rng.uniform(2.0, 20.0, (N, 1))
         y = rng.integers(0, C, N)
-        cos = np.sum((z / np.linalg.norm(z, axis=1, keepdims=True)) * W[y], axis=1)
-        if _away_from(cos, [mid], margin):
+        batch = EmbeddingBatch(z, y)
+        if _away_from(positive_cosines(batch, proxies), [mid], margin):
             break
-    batch = EmbeddingBatch(z, y)
-    rep = pps_loss(batch, ProxyMatrix(W), state, plcfg)
+    rep = pps_loss(batch, proxies, state, plcfg)
     cases.append(("pps_loss", [
         (rep.grad_z, _central_diff(
-            lambda zz: pps_loss(EmbeddingBatch(zz, y), ProxyMatrix(W), state,
-                                plcfg).total, z, h)),
+            lambda zz: pps_loss(EmbeddingBatch(zz, y), proxies, state, plcfg).total,
+            z, h)),
         (rep.grad_W, _central_diff(
             lambda ww: pps_loss(batch, _raw_proxies(ww), state, plcfg).total, W, h)),
     ]))
 
     # pns: smooth everywhere
-    rep = pns_loss(batch, ProxyMatrix(W), plcfg)
+    rep = pns_loss(batch, proxies, plcfg)
     cases.append(("pns_loss", [
         (rep.grad_z, _central_diff(
-            lambda zz: pns_loss(EmbeddingBatch(zz, y), ProxyMatrix(W), plcfg).total,
-            z, h)),
+            lambda zz: pns_loss(EmbeddingBatch(zz, y), proxies, plcfg).total, z, h)),
         (rep.grad_W, _central_diff(
             lambda ww: pns_loss(batch, _raw_proxies(ww), plcfg).total, W, h)),
     ]))
 
     # pp: freeze the random selection by reseeding per evaluation
     sel_seed = int(rng.integers(0, 2 ** 31))
-    rep = pp_loss(y, ProxyMatrix(W), plcfg, np.random.default_rng(sel_seed))
+    rep = pp_loss(y, proxies, plcfg, np.random.default_rng(sel_seed))
     cases.append(("pp_loss", [
         (rep.grad_W, _central_diff(
             lambda ww: pp_loss(y, _raw_proxies(ww), plcfg,

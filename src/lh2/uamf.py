@@ -16,17 +16,19 @@ is still assembled with them in place.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError
-from .sphere_math import vmf_similarity_batch
+from .sphere_math import _divide_rows, vmf_similarity_batch
 
 
 @dataclasses.dataclass
 class EmbeddingBatch:
-    """N unnormalized feature vectors with integer class labels."""
+    """N unnormalized feature vectors with integer class labels; norms and
+    zhat are computed on first use and kept (z is never changed)."""
 
     z: np.ndarray
     labels: np.ndarray
@@ -45,10 +47,20 @@ class EmbeddingBatch:
         self.z = z
         self.labels = labels
 
+    @functools.cached_property
+    def norms(self) -> np.ndarray:
+        return np.linalg.norm(self.z, axis=1)
+
+    @functools.cached_property
+    def zhat(self) -> np.ndarray:
+        """z scaled to unit rows; zero rows stay zero."""
+        return _divide_rows(self.z, self.norms)
+
 
 @dataclasses.dataclass
 class ProxyMatrix:
-    """C unit-norm class proxies, one row per class."""
+    """C unit-norm class proxies, one row per class; norms and unit are
+    computed on first use, also for unvalidated finite-difference probes."""
 
     W: np.ndarray
 
@@ -56,11 +68,19 @@ class ProxyMatrix:
         W = np.asarray(self.W, dtype=np.float64)
         if W.ndim != 2 or W.shape[0] < 1:
             raise DomainError(f"W must be a nonempty C x d matrix, got shape {W.shape}")
-        norms = np.linalg.norm(W, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
-            raise DomainError(f"proxy rows must be unit norm, worst deviation "
-                              f"{np.abs(norms - 1.0).max():.3e}")
         self.W = W
+        if np.any(np.abs(self.norms - 1.0) > 1e-6):
+            raise DomainError(f"proxy rows must be unit norm, worst deviation "
+                              f"{np.abs(self.norms - 1.0).max():.3e}")
+
+    @functools.cached_property
+    def norms(self) -> np.ndarray:
+        return np.linalg.norm(self.W, axis=1)
+
+    @functools.cached_property
+    def unit(self) -> np.ndarray:
+        """W scaled to unit rows; zero rows stay zero."""
+        return _divide_rows(self.W, self.norms)
 
     @staticmethod
     def from_rows(rows) -> "ProxyMatrix":
@@ -105,7 +125,7 @@ class LossReport:
 def update_norm_tracker(tracker: NormTracker, batch: EmbeddingBatch,
                         margin_coeff: float = 0.35):
     """One EMA step on the mean feature norm; returns (tracker, margin)."""
-    batch_mean = float(np.mean(np.linalg.norm(batch.z, axis=1)))
+    batch_mean = float(np.mean(batch.norms))
     mu = tracker.alpha * batch_mean + (1.0 - tracker.alpha) * tracker.mu_norm
     new = NormTracker(mu_norm=mu, alpha=tracker.alpha)
     return new, margin_coeff * mu
@@ -133,7 +153,7 @@ def uamf_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, margin: float,
     N = batch.z.shape[0]
     rows = np.arange(N)
 
-    sims, kappa, ratio, scale = vmf_similarity_batch(batch.z, W, n)
+    sims, _, ratio, scale = vmf_similarity_batch(batch.z, W, n)
     logits = sims / tau
     logits[rows, batch.labels] -= margin / tau
     logits += _logit_shift
@@ -155,8 +175,8 @@ def uamf_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, margin: float,
         # shared-normalizer term: coefficient sums are ~0 so this cancels,
         # kept for the exact per-sample chain rule through kappa = ||z||
         row_sum = coeff.sum(axis=1)
-        zhat = batch.z[unclamped] / kappa[unclamped, None]
-        grad_z[unclamped] -= (row_sum[unclamped] * ratio[unclamped])[:, None] * zhat
+        grad_z[unclamped] -= (row_sum[unclamped] * ratio[unclamped])[:, None] \
+            * batch.zhat[unclamped]
 
     return LossReport(total=loss, terms={"uamf": loss}, grad_z=grad_z, grad_W=grad_W,
                       stats={"clamped_rows": int(np.sum(~unclamped)),

@@ -86,6 +86,19 @@ def test_train_unknown_config_key(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("key, value", [("lr_halve_every", "0"), ("batch_size", "0"),
+                                        ("lr", "nan"), ("tau", "inf")])
+def test_train_rejects_out_of_range_value(tmp_path, capsys, key, value):
+    lines = [line for line in TINY_CONFIG.splitlines() if not line.startswith(key + " ")]
+    lines.append(f"{key} = {value}")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    rc = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
+    assert rc == 3
+    assert f"line {len(lines)}: bad value for {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def _parse_stats(stdout):
     rows = {}
     for line in stdout.strip().splitlines():

@@ -168,8 +168,7 @@ def test_ppm_shape_error(tmp_path):
 def test_config_defaults():
     cfg = RunConfig()
     assert (cfg.seed, cfg.C, cfg.d, cfg.n) == (0, 64, 512, 256)
-    assert cfg.tau == 1.0 and cfg.lambda_reco == 0.01
-    assert cfg.lambda_canon == 0.001 and cfg.lambda_view == 0.001
+    assert cfg.tau == 1.0
     assert cfg.margin_coeff == 0.35 and cfg.mu_norm_init == 20.0
     assert not cfg.sns_enabled
 

@@ -13,8 +13,11 @@ from lh2.sphere_math import (KAPPA_MIN, VmfParams, log_bessel_i, vmf_log_pdf,
 
 import oracles
 
-ALPHAS = [0.0, 0.5, 1.0, 63.0, 127.0, 255.0]
+ALPHAS = [0.0, 0.5, 1.0, 15.0, 63.0, 127.0, 255.0]
 X_GRID = np.geomspace(1e-3, 500.0, 25)
+# orders of the n = 32 and n = 256 similarities at large kappa; training
+# with norm_logmean = 5 reaches about 1e4
+LARGE_KAPPA = [(nu, x) for nu in (15.0, 127.0) for x in (1e3, 1.1e4, 2e4)]
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +46,7 @@ def test_bessel_frozen_points():
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_bessel_grid_vs_oracle(alpha):
-    for x in X_GRID:
+    for x in list(X_GRID) + [x for nu, x in LARGE_KAPPA if nu == alpha]:
         want = oracles.log_bessel_oracle(alpha, float(x))
         got = log_bessel_i(alpha, float(x)).log_value
         assert abs(got - want) <= 1e-10 * abs(want) + 1e-12
@@ -57,10 +60,10 @@ def test_bessel_ratio_in_unit_interval_and_monotone(alpha):
 
 
 def test_bessel_ratio_vs_oracle():
-    for alpha in (0.0, 1.0, 63.0):
-        for x in (0.01, 1.0, 20.0, 300.0):
-            assert log_bessel_i(alpha, x).ratio_next == pytest.approx(
-                oracles.bessel_ratio_oracle(alpha, x), rel=1e-10)
+    points = [(alpha, x) for alpha in (0.0, 1.0, 63.0) for x in (0.01, 1.0, 20.0, 300.0)]
+    for alpha, x in points + LARGE_KAPPA:
+        assert log_bessel_i(alpha, x).ratio_next == pytest.approx(
+            oracles.bessel_ratio_oracle(alpha, x), rel=1e-10)
 
 
 def test_bessel_rejects_negative_inputs():
@@ -262,3 +265,10 @@ def test_batch_matches_scalar():
     for i in (0, 3):
         assert ratio[i] == pytest.approx(
             oracles.bessel_ratio_oracle(nu, float(kappa[i])), rel=1e-10)
+
+
+def test_batch_rejects_kappa_beyond_the_term_cap():
+    z = np.zeros((1, 4))
+    z[0, 0] = 3e6                                      # needs about 1.5e6 terms
+    with pytest.raises(DomainError):
+        vmf_similarity_batch(z, np.eye(4), 32)
