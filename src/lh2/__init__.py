@@ -9,7 +9,7 @@ uamf            margin softmax over vMF similarities with EMA-adaptive margin
 proxy_losses    pps / pns / pp / sns regularizers and the epoch-mid schedule
 sphere_stats    extreme-value estimates for uniform unit vectors, MC checks, spread trackers
 depth_renderer  depth back-projection, rigid transform, scatter-min reprojection, shading
-recon_losses    Laplace / perceptual NLLs, depth smoothness, view variance, composites
+recon_losses    Laplace / perceptual NLLs, depth smoothness, view variance
 train_harness   synthetic data generation, SGD training loop, gradient checks, histograms
 """
 

@@ -51,7 +51,7 @@ def _cmd_train(args) -> int:
     cfg = _load_config(args)
     result = train(cfg, args.out_dir)
     if result.status == 2:
-        print("training diverged: non-finite loss; last finite state saved",
+        print(f"training diverged: {result.reason}; last finite state saved",
               file=sys.stderr)
         return 2
     print(f"epochs {result.epochs_run}  final train accuracy "

@@ -175,8 +175,9 @@ class RunConfig:
 
     Every key has the documented default below; a config file may override
     any subset with `key = value` lines (`#` starts a comment).  Unknown or
-    duplicate keys, non-finite floats and a batch_size or lr_halve_every
-    below 1 are rejected with the offending line number.
+    duplicate keys, non-finite floats and values out of range are rejected
+    with the offending line number.  The ranges: n >= 2, epochs, batch_size
+    and lr_halve_every >= 1, 0 <= momentum < 1, tau > 0, margin_coeff >= 0.
     """
 
     seed: int = 0
@@ -189,9 +190,6 @@ class RunConfig:
     noise_angle_deg: float = 10.0    # angular noise around each class direction
     norm_logmean: float = 3.0        # log-normal feature-norm model (quality signal)
     norm_logstd: float = 0.25
-    # structural stand-in for reconstruction-aware inputs: append this many
-    # constant summary channels of the rendered demo scene to every sample
-    render_channels: int = 0
     # optimizer
     epochs: int = 20
     batch_size: int = 128
@@ -215,7 +213,16 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-_AT_LEAST_ONE = {"batch_size", "lr_halve_every"}
+# key -> (the range in words, the test a parsed value must pass)
+_RANGES = {
+    "n": ("at least 2", lambda v: v >= 2),
+    "epochs": ("at least 1", lambda v: v >= 1),
+    "batch_size": ("at least 1", lambda v: v >= 1),
+    "lr_halve_every": ("at least 1", lambda v: v >= 1),
+    "momentum": ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    "tau": ("positive", lambda v: v > 0.0),
+    "margin_coeff": ("non-negative", lambda v: v >= 0.0),
+}
 _TRUE_WORDS = {"true", "1", "yes", "on"}
 _FALSE_WORDS = {"false", "0", "no", "off"}
 
@@ -249,16 +256,6 @@ def parse_config_text(text) -> RunConfig:
 def _convert(key, value, lineno):
     kind = _CONFIG_FIELDS[key]
     try:
-        if kind in (int, "int"):
-            number = int(value)
-            if key in _AT_LEAST_ONE and number < 1:
-                raise ValueError(f"must be at least 1, got {number}")
-            return number
-        if kind in (float, "float"):
-            number = float(value)
-            if not math.isfinite(number):
-                raise ValueError(f"must be finite, got {value!r}")
-            return number
         if kind in (bool, "bool"):
             low = value.lower()
             if low in _TRUE_WORDS:
@@ -266,7 +263,17 @@ def _convert(key, value, lineno):
             if low in _FALSE_WORDS:
                 return False
             raise ValueError(f"not a boolean: {value!r}")
-        return value
+        if kind in (int, "int"):
+            number = int(value)
+        else:
+            number = float(value)
+            if not math.isfinite(number):
+                raise ValueError(f"must be finite, got {value!r}")
+        if key in _RANGES:
+            words, ok = _RANGES[key]
+            if not ok(number):
+                raise ValueError(f"must be {words}, got {value}")
+        return number
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}", line=lineno) from exc
 

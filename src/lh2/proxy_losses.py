@@ -13,7 +13,8 @@ use the full quotient rule on both sides, so they hold even when inputs
 drift slightly off the sphere.
 
 The epoch mid is the clipped mean positive cosine of the previous epoch,
-accumulated with observe_positive_cosines and rolled with end_epoch.
+accumulated with observe_positive_cosines from the cosines pps_loss reports
+and rolled with end_epoch.
 """
 
 from __future__ import annotations
@@ -66,16 +67,15 @@ def positive_cosines(batch: EmbeddingBatch, proxies: ProxyMatrix) -> np.ndarray:
     return np.sum(batch.zhat * proxies.unit[batch.labels], axis=1)
 
 
-def observe_positive_cosines(state: EpochMidState, batch: EmbeddingBatch,
-                             proxies: ProxyMatrix,
+def observe_positive_cosines(state: EpochMidState, cos: np.ndarray,
                              strict: bool = False) -> EpochMidState:
-    """Accumulate positive cosines for the next epoch-mid update.
+    """Accumulate a batch's positive cosines (pps_loss reports them as
+    stats["positive_cos"]) for the next epoch-mid update.
 
     Default tracks every sample in the batch; strict mode tracks only the
     batch's first sample (the literal low-variance-unfriendly reading of
     the schedule).
     """
-    cos = positive_cosines(batch, proxies)
     if strict:
         cos = cos[:1]
     return EpochMidState(mid=state.mid,
@@ -97,13 +97,14 @@ def pps_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, state: EpochMidState,
     """lambda_pps * mean over samples with cos < mid of (cos - mid)^2.
 
     The mid is a constant of the epoch; gradients flow through the cosines
-    only.  Zero when no sample sits below the mid.
+    only.  Zero when no sample sits below the mid.  stats["positive_cos"]
+    holds the batch's positive cosines for the epoch-mid accumulator.
     """
     N, _ = batch.z.shape
     cos = positive_cosines(batch, proxies)
     left = cos < state.mid
     n_left = int(np.sum(left))
-    stats = {"below_frac": n_left / N, "n_left": n_left}
+    stats = {"below_frac": n_left / N, "n_left": n_left, "positive_cos": cos}
     if n_left == 0:
         return LossReport(0.0, {"pps": 0.0}, np.zeros_like(batch.z),
                           np.zeros_like(proxies.W), stats)

@@ -1,6 +1,6 @@
 """Reconstruction loss family: Laplace NLL on masked residuals, a
-perceptual Gaussian-form NLL over extracted features, depth smoothness,
-view variance, and the weighted composites.
+perceptual Gaussian-form NLL over extracted features, depth smoothness
+and view variance.
 
 Note on the perceptual term: the formula pairs an absolute difference in
 the exponent numerator with a 2 sigma^2 denominator and a Gaussian
@@ -164,53 +164,3 @@ def view_variance_grad(view_batch, thresholds):
     grad = np.where(active[None, :], -2.0 * (views - views.mean(axis=0)) / b, 0.0)
     return value, grad
 
-
-@dataclasses.dataclass
-class ReconInputs:
-    """Everything the composite reconstruction loss consumes."""
-
-    I: np.ndarray
-    I_hat: np.ndarray
-    I_hat_flip: np.ndarray
-    mask: np.ndarray
-    sigma: np.ndarray
-    depth: DepthMap
-    feature_sigma: np.ndarray
-    # rotation angles of the views behind I_hat; carried for bookkeeping,
-    # the view-consistency penalty takes embeddings, not angles
-    views: np.ndarray | None = None
-
-
-def reco_total(inputs: ReconInputs, extractor: PerceptualExtractor,
-               lambda_flip: float = 0.5, lambda_perc: float = 1.0,
-               lambda_smooth: float = 0.01):
-    """L(I_hat) + lambda_flip L(I_hat_flip) + lambda_perc (P + lambda_flip
-    P_flip) + lambda_smooth L_smooth; returns (total, term map)."""
-    terms = {
-        "laplace": laplace_nll(inputs.I_hat, inputs.I, inputs.sigma, inputs.mask),
-        "laplace_flip": laplace_nll(inputs.I_hat_flip, inputs.I, inputs.sigma,
-                                    inputs.mask),
-        "perceptual": perceptual_nll(inputs.I_hat, inputs.I, extractor,
-                                     inputs.feature_sigma),
-        "perceptual_flip": perceptual_nll(inputs.I_hat_flip, inputs.I, extractor,
-                                          inputs.feature_sigma),
-        "smooth": smoothness_loss(inputs.depth),
-    }
-    total = (terms["laplace"] + lambda_flip * terms["laplace_flip"]
-             + lambda_perc * (terms["perceptual"] + lambda_flip * terms["perceptual_flip"])
-             + lambda_smooth * terms["smooth"])
-    return float(total), terms
-
-
-def train_total(fr_loss: float, reco: float, canon_fr: float, view: float,
-                lambda_reco: float = 0.01, lambda_canon: float = 0.001,
-                lambda_view: float = 0.001):
-    """L_FR + lambda_reco L_reco + lambda_canon L_FR_canon + lambda_view
-    L_view; the canonical term is the recognition loss evaluated on
-    features of the reconstructed canonical image.  Returns (total, term
-    map of the weighted contributions)."""
-    terms = {"fr": fr_loss,
-             "reco": lambda_reco * reco,
-             "canon_fr": lambda_canon * canon_fr,
-             "view": lambda_view * view}
-    return float(sum(terms.values())), terms

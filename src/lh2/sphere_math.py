@@ -14,9 +14,10 @@ truncated tail is negligible.  The same terms give the ratio
     I_{alpha+1}(x) / I_alpha(x) = sum_m t_m (x/2) / (m + alpha + 1) / sum_m t_m
 
 so the order alpha+1 series is never summed.  An M above _MAX_TERMS (10^6)
-raises DomainError instead of allocating the grid.  A naive evaluation of
-I_alpha underflows to 0 (hence log -inf) already for moderate orders at
-small arguments; the log-domain series removes that restriction.
+raises TermCapError (a DomainError) instead of allocating the grid.  A
+naive evaluation of I_alpha underflows to 0 (hence log -inf) already for
+moderate orders at small arguments; the log-domain series removes that
+restriction.
 Everything here runs in 64-bit floats.
 """
 
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, TermCapError
 
 KAPPA_MIN = 1e-6
 LOG_2PI = math.log(2.0 * math.pi)
@@ -62,16 +63,18 @@ def _series_length(alpha: float, x_max: float) -> int:
     # the tail decays faster than a Gaussian of width sqrt(m*); the padding
     # below leaves the truncated mass below 1e-18 of the sum
     peak = 0.5 * (math.hypot(alpha, x_max) - alpha)
-    return int(peak + 12.0 * math.sqrt(peak + 1.0) + 40.0)
+    length = peak + 12.0 * math.sqrt(peak + 1.0) + 40.0
+    # the negated test also rejects an infinite (overflowed) or nan argument
+    if not length < _MAX_TERMS + 1:
+        raise TermCapError(f"Bessel series needs {length:.0f} terms for "
+                           f"alpha={alpha}, x={x_max}; the limit is {_MAX_TERMS}")
+    return int(length)
 
 
 def _log_bessel_series(alpha: float, x: np.ndarray):
     """(log I_alpha(x), I_{alpha+1}(x) / I_alpha(x)) over an array of
     positive x, both from one term grid."""
     m_count = _series_length(alpha, float(x.max()))
-    if m_count > _MAX_TERMS:
-        raise DomainError(f"Bessel series needs {m_count} terms for alpha={alpha}, "
-                          f"x={float(x.max())}; the limit is {_MAX_TERMS}")
     m = np.arange(m_count)
     half_x = 0.5 * x
     # one N x M buffer: log terms, shifted by each row's top, then the terms

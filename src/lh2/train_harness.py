@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, TermCapError
 from .io_formats import RunConfig, emit_metrics, read_tensor, write_tensor
 from .proxy_losses import (EpochMidState, ProxyLossConfig, end_epoch,
                            observe_positive_cosines, positive_cosines, pp_loss,
@@ -93,34 +93,15 @@ class TrainState:
     rng: np.random.Generator
 
 
-def render_summary_channels(k: int) -> np.ndarray:
-    """k constant summary channels of the rendered demo scene (row means of
-    the shaded canonical image, centered).  A structural stand-in for
-    reconstruction-aware inputs: the channels carry no class signal, they
-    only exercise the input-concatenation plumbing."""
-    from .depth_renderer import hemisphere_scene, shade
-    size = max(8, k)
-    depth, albedo, K, light = hemisphere_scene(size)
-    gray = shade(depth, albedo, light, K).mean(axis=2)
-    bands = np.array_split(gray.mean(axis=1), k)
-    chans = np.array([b.mean() for b in bands])
-    return chans - chans.mean()
-
-
 def dataset_inputs(cfg: RunConfig):
-    """(X, labels) with any configured render channels appended."""
-    X, labels = generate_dataset(SyntheticSpec.from_config(cfg))
-    if cfg.render_channels > 0:
-        chans = render_summary_channels(cfg.render_channels)
-        X = np.hstack([X, np.tile(chans, (X.shape[0], 1))])
-    return X, labels
+    """(X, labels) of the configured synthetic dataset."""
+    return generate_dataset(SyntheticSpec.from_config(cfg))
 
 
 def init_state(cfg: RunConfig) -> TrainState:
     plcfg = proxy_config(cfg)
-    d_in = cfg.d_in + max(cfg.render_channels, 0)
     rng_init = np.random.default_rng([cfg.seed, 1])
-    emb = rng_init.standard_normal((d_in, cfg.d)) / np.sqrt(d_in)
+    emb = rng_init.standard_normal((cfg.d_in, cfg.d)) / np.sqrt(cfg.d_in)
     proxies = ProxyMatrix.from_rows(rng_init.standard_normal((cfg.C, cfg.d)))
     return TrainState(embedder=emb, proxies=proxies,
                       tracker=NormTracker(mu_norm=cfg.mu_norm_init, alpha=cfg.ema_alpha),
@@ -171,13 +152,25 @@ class TrainResult:
     epochs_run: int
     metrics_path: str
     last_record: Optional[dict] = None
+    reason: Optional[str] = None    # the check that stopped a diverged run
+
+
+class _Diverged(Exception):
+    """A training step failed a check; the message names the check."""
+
+
+def _require(ok, reason: str) -> None:
+    if not ok:
+        raise _Diverged(reason)
 
 
 def train(cfg: RunConfig, out_dir: str) -> TrainResult:
     """Mini-batch SGD with momentum on the margin softmax plus the proxy
     regularizers; per-step metrics, per-epoch mid/accuracy updates, and
-    checkpoints under out_dir.  Non-finite loss aborts with the last
-    finite state saved and status 2."""
+    checkpoints under out_dir.  Non-finite features, loss or update, or a
+    Bessel series beyond its term cap, abort with status 2, the failed
+    check as the reason and the newest state whose loss evaluated finite
+    saved."""
     os.makedirs(out_dir, exist_ok=True)
     X, labels = dataset_inputs(cfg)
     m = len(labels)
@@ -187,79 +180,76 @@ def train(cfg: RunConfig, out_dir: str) -> TrainResult:
 
     records = []
     acc = train_accuracy(X, labels, state.embedder, state.proxies)
-    status = 0
+    reason = None
     epochs_run = 0
-    # rolling copy of the newest state whose loss evaluated finite, so a
-    # divergence abort can checkpoint that state rather than the broken one
-    good_emb, good_W = state.embedder.copy(), state.proxies
-    for epoch in range(1, cfg.epochs + 1):
-        lr = cfg.lr * 0.5 ** ((epoch - 1) // cfg.lr_halve_every)
-        perm = state.rng.permutation(m)
-        for lo in range(0, m, cfg.batch_size):
-            idx = perm[lo:lo + cfg.batch_size]
-            zb = X[idx] @ state.embedder
-            if not np.all(np.isfinite(zb)):
-                status = 2
-                state.embedder = good_emb
-                state.proxies = good_W
-                break
-            batch = EmbeddingBatch(zb, labels[idx])
-            state.tracker, margin = update_norm_tracker(state.tracker, batch,
-                                                        cfg.margin_coeff)
-            rep_u = uamf_loss(batch, state.proxies, margin, cfg.tau, cfg.n)
-            rep_p = proxy_based_total(batch, state.proxies, state.mid_state,
-                                      plcfg, state.rng)
-            state.mid_state = observe_positive_cosines(state.mid_state, batch,
-                                                       state.proxies,
-                                                       cfg.mid_strict_mode)
-            total = rep_u.total + rep_p.total
-            if not np.isfinite(total):
-                status = 2
-                state.embedder = good_emb
-                state.proxies = good_W
-                break
-            good_emb, good_W = state.embedder.copy(), state.proxies
+    # the newest parameters whose loss evaluated finite; updates build new
+    # arrays rather than writing into these, so no copy is needed
+    good = state.embedder, state.proxies
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            lr = cfg.lr * 0.5 ** ((epoch - 1) // cfg.lr_halve_every)
+            perm = state.rng.permutation(m)
+            for lo in range(0, m, cfg.batch_size):
+                idx = perm[lo:lo + cfg.batch_size]
+                zb = X[idx] @ state.embedder
+                _require(np.all(np.isfinite(zb)), "non-finite features")
+                batch = EmbeddingBatch(zb, labels[idx])
+                state.tracker, margin = update_norm_tracker(state.tracker, batch,
+                                                            cfg.margin_coeff)
+                try:
+                    rep_u = uamf_loss(batch, state.proxies, margin, cfg.tau, cfg.n)
+                except TermCapError as exc:
+                    raise _Diverged("Bessel term cap") from exc
+                rep_p = proxy_based_total(batch, state.proxies, state.mid_state,
+                                          plcfg, state.rng)
+                state.mid_state = observe_positive_cosines(
+                    state.mid_state, rep_p.stats["positive_cos"], cfg.mid_strict_mode)
+                total = rep_u.total + rep_p.total
+                _require(np.isfinite(total), "non-finite loss")
+                good = state.embedder, state.proxies
 
-            grad_z = rep_u.grad_z + rep_p.grad_z
-            grad_W = rep_u.grad_W + rep_p.grad_W
-            state.vel_emb = cfg.momentum * state.vel_emb - lr * (X[idx].T @ grad_z)
-            state.embedder += state.vel_emb
-            state.vel_W = cfg.momentum * state.vel_W - lr * grad_W
-            w = state.proxies.W + state.vel_W
-            if not (np.all(np.isfinite(state.embedder)) and np.all(np.isfinite(w))):
-                status = 2
-                state.embedder = good_emb
-                state.proxies = good_W
-                break
-            state.proxies = ProxyMatrix.from_rows(w)
-            state.step += 1
+                grad_z = rep_u.grad_z + rep_p.grad_z
+                grad_W = rep_u.grad_W + rep_p.grad_W
+                state.vel_emb = cfg.momentum * state.vel_emb - lr * (X[idx].T @ grad_z)
+                emb = state.embedder + state.vel_emb
+                state.vel_W = cfg.momentum * state.vel_W - lr * grad_W
+                w = state.proxies.W + state.vel_W
+                # a proxy row norm that overflows fails like a non-finite entry
+                _require(np.all(np.isfinite(emb))
+                         and np.all(np.isfinite(np.linalg.norm(w, axis=1))),
+                         "non-finite update")
+                state.embedder = emb
+                state.proxies = ProxyMatrix.from_rows(w)
+                state.step += 1
 
-            spread = proxy_spread_trackers(state.proxies, cfg.C, cfg.d,
-                                           rep_p.stats["pp_selection"])
-            records.append({
-                "step": state.step, "epoch": epoch, "lr": lr,
-                "loss_total": total, "uamf": rep_u.terms["uamf"],
-                "pps": rep_p.terms["pps"], "pns": rep_p.terms["pns"],
-                "pp": rep_p.terms["pp"], "sns": rep_p.terms.get("sns", 0.0),
-                "margin": margin, "mu_norm": state.tracker.mu_norm,
-                "mid": state.mid_state.mid,
-                "below_mid_frac": rep_p.stats["below_frac"],
-                "std": spread["std"], "std_mean": spread["std_mean"],
-                "std_sns": sns_tracker(batch), "train_acc": acc,
-            })
-        if status == 2:
-            break
-        state.mid_state = end_epoch(state.mid_state, plcfg)
-        acc = train_accuracy(X, labels, state.embedder, state.proxies)
-        epochs_run = epoch
-        _checkpoint(out_dir, f"epoch_{epoch:03d}", state)
+                spread = proxy_spread_trackers(state.proxies, cfg.C, cfg.d,
+                                               rep_p.stats["pp_selection"])
+                records.append({
+                    "step": state.step, "epoch": epoch, "lr": lr,
+                    "loss_total": total, "uamf": rep_u.terms["uamf"],
+                    "pps": rep_p.terms["pps"], "pns": rep_p.terms["pns"],
+                    "pp": rep_p.terms["pp"], "sns": rep_p.terms.get("sns", 0.0),
+                    "margin": margin, "mu_norm": state.tracker.mu_norm,
+                    "mid": state.mid_state.mid,
+                    "below_mid_frac": rep_p.stats["below_frac"],
+                    "std": spread["std"], "std_mean": spread["std_mean"],
+                    "std_sns": sns_tracker(batch), "train_acc": acc,
+                })
+            state.mid_state = end_epoch(state.mid_state, plcfg)
+            acc = train_accuracy(X, labels, state.embedder, state.proxies)
+            epochs_run = epoch
+            _checkpoint(out_dir, f"epoch_{epoch:03d}", state)
+    except _Diverged as exc:
+        reason = str(exc)
+        state.embedder, state.proxies = good
 
     _checkpoint(out_dir, "final", state)
     metrics_path = os.path.join(out_dir, "metrics.csv")
     emit_metrics(records, metrics_path)
-    return TrainResult(status=status, final_accuracy=acc, epochs_run=epochs_run,
-                       metrics_path=metrics_path,
-                       last_record=records[-1] if records else None)
+    return TrainResult(status=0 if reason is None else 2, final_accuracy=acc,
+                       epochs_run=epochs_run, metrics_path=metrics_path,
+                       last_record=records[-1] if records else None,
+                       reason=reason)
 
 
 def histogram_dump(state, X, labels, bins: int = 64):

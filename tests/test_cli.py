@@ -1,13 +1,17 @@
 """End-to-end command-line behavior through main(), in process."""
 
 import csv
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lh2.cli import main
 from lh2.io_formats import read_pgm, read_ppm, write_ppm, write_tensor
 from lh2.sphere_stats import evt_estimate
+from lh2.train_harness import load_checkpoint
 
 TINY_CONFIG = """\
 seed = 1
@@ -61,12 +65,25 @@ def test_train_seed_override_changes_run(tiny_config, tmp_path):
 
 
 def test_train_divergence_exit_code(tmp_path, capsys):
-    cfg = tmp_path / "div.cfg"
-    cfg.write_text(TINY_CONFIG.replace("lr = 0.05", "lr = 1e308"))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["train", "--config", str(cfg), "--out-dir",
-                     str(tmp_path / "run")]) == 2
-    assert "diverged" in capsys.readouterr().err
+    # at lr 1e160 the updated proxies are finite but their row norms overflow
+    for lr in ("1e308", "1e160"):
+        cfg = tmp_path / f"div{lr}.cfg"
+        cfg.write_text(TINY_CONFIG.replace("lr = 0.05", f"lr = {lr}"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", "--config", str(cfg), "--out-dir",
+                         str(tmp_path / f"run{lr}")]) == 2
+        assert "diverged: non-finite update" in capsys.readouterr().err
+
+
+def test_train_bessel_term_cap_is_a_divergence(tmp_path, capsys):
+    cfg = tmp_path / "cap.cfg"
+    # kappa near 9e6 needs more series terms than the cap at the first step
+    cfg.write_text(TINY_CONFIG + "norm_logmean = 16\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "diverged: Bessel term cap" in capsys.readouterr().err
+    emb, proxies = load_checkpoint(str(out / "checkpoints" / "final"))
+    assert np.isfinite(emb).all() and np.isfinite(proxies.W).all()
 
 
 def test_train_missing_config_file(tmp_path, capsys):
@@ -87,7 +104,9 @@ def test_train_unknown_config_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("lr_halve_every", "0"), ("batch_size", "0"),
-                                        ("lr", "nan"), ("tau", "inf")])
+                                        ("lr", "nan"), ("tau", "inf"), ("n", "1"),
+                                        ("epochs", "-1"), ("momentum", "-5"),
+                                        ("tau", "-1"), ("margin_coeff", "-1")])
 def test_train_rejects_out_of_range_value(tmp_path, capsys, key, value):
     lines = [line for line in TINY_CONFIG.splitlines() if not line.startswith(key + " ")]
     lines.append(f"{key} = {value}")
@@ -97,6 +116,53 @@ def test_train_rejects_out_of_range_value(tmp_path, capsys, key, value):
     assert rc == 3
     assert f"line {len(lines)}: bad value for {key!r}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+# tiny sizes are always drawn (the defaults are a full-size run), the other
+# keys may be left out; norm_logmean stays at most 8 (a cheap Bessel grid) or
+# reaches 16 (over the term cap at the first step)
+_SIZES = {
+    "C": st.integers(1, 4), "d": st.integers(1, 4), "n": st.integers(2, 6),
+    "d_in": st.integers(1, 4), "samples_per_class": st.integers(1, 4),
+    "epochs": st.integers(1, 2), "batch_size": st.integers(1, 6),
+}
+_IN_RANGE = {
+    "seed": st.integers(0, 3), "lr_halve_every": st.integers(1, 2),
+    "lr": st.sampled_from(["0.05", "-1", "1e100", "1e308"]),
+    "momentum": st.floats(0.0, 0.99), "tau": st.floats(0.01, 10.0),
+    "margin_coeff": st.floats(0.0, 2.0),
+    "norm_logmean": st.one_of(st.floats(-8.0, 8.0), st.floats(16.0, 1e3)),
+    "norm_logstd": st.floats(0.0, 2.0), "noise_angle_deg": st.floats(0.0, 180.0),
+    "ema_alpha": st.floats(0.0, 1.0), "mu_norm_init": st.floats(0.1, 50.0),
+    "lambda_pps": st.floats(0.0, 10.0), "lambda_pns": st.floats(0.0, 30.0),
+    "lambda_pp": st.floats(0.0, 200.0), "lambda_sns": st.floats(0.0, 200.0),
+    "sns_enabled": st.booleans(), "cos_min": st.floats(0.0, 0.5),
+    "cos_max": st.floats(0.5, 1.0), "mid_strict_mode": st.booleans(),
+}
+# one value that no other drawn value can make valid
+_OUT_OF_RANGE = [
+    ("C", "0"), ("d", "-1"), ("n", "1"), ("d_in", "0"), ("samples_per_class", "0"),
+    ("epochs", "-1"), ("batch_size", "0"), ("lr_halve_every", "0"), ("seed", "-1"),
+    ("lr", "nan"), ("momentum", "1"), ("tau", "0"), ("margin_coeff", "-1"),
+    ("norm_logstd", "-1"), ("noise_angle_deg", "-1"), ("ema_alpha", "1.5"),
+    ("mu_norm_init", "0"), ("lambda_pp", "-1"), ("cos_min", "1.5"),
+    ("cos_max", "-0.5"),
+]
+
+
+@settings(max_examples=100)
+@given(st.fixed_dictionaries(_SIZES, optional=_IN_RANGE),
+       st.none() | st.sampled_from(_OUT_OF_RANGE))
+def test_train_any_config_exits_with_a_documented_code(values, bad):
+    if bad is not None:
+        values[bad[0]] = bad[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "drawn.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{key} = {value}\n" for key, value in values.items())
+        with np.errstate(all="ignore"):
+            rc = main(["train", "--config", cfg, "--out-dir", os.path.join(tmp, "run")])
+    assert rc == 3 if bad is not None else rc in (0, 2)
 
 
 def _parse_stats(stdout):

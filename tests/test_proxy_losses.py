@@ -71,14 +71,14 @@ def test_end_epoch_always_in_band(mean, count):
 def test_observe_modes():
     batch, proxies = _random_instance(0)
     state = EpochMidState.initial(CFG)
-    full = observe_positive_cosines(state, batch, proxies)
+    cos = pps_loss(batch, proxies, state, CFG).stats["positive_cos"]
+    np.testing.assert_array_equal(cos, positive_cosines(batch, proxies))
+    full = observe_positive_cosines(state, cos)
     assert full.acc_count == 4
-    assert full.acc_sum == pytest.approx(float(np.sum(positive_cosines(batch,
-                                                                       proxies))))
-    strict = observe_positive_cosines(state, batch, proxies, strict=True)
+    assert full.acc_sum == pytest.approx(float(np.sum(cos)))
+    strict = observe_positive_cosines(state, cos, strict=True)
     assert strict.acc_count == 1
-    assert strict.acc_sum == pytest.approx(float(positive_cosines(batch,
-                                                                  proxies)[0]))
+    assert strict.acc_sum == pytest.approx(float(cos[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +91,9 @@ def test_pps_single_sample_example():
     proxies = ProxyMatrix(np.eye(3)[:1])
     rep = pps_loss(batch, proxies, EpochMidState(mid=0.5), CFG)
     assert rep.total == pytest.approx(0.05, rel=1e-12)
-    assert rep.stats == {"below_frac": 1.0, "n_left": 1}
+    assert set(rep.stats) == {"below_frac", "n_left", "positive_cos"}
+    assert (rep.stats["below_frac"], rep.stats["n_left"]) == (1.0, 1)
+    assert rep.stats["positive_cos"] == pytest.approx([0.4], rel=1e-12)
 
 
 def test_pps_zero_when_all_above_mid():

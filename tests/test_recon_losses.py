@@ -1,4 +1,4 @@
-"""Laplace/perceptual NLLs, depth smoothness, view variance, composites."""
+"""Laplace/perceptual NLLs, depth smoothness, view variance."""
 
 import math
 
@@ -7,11 +7,9 @@ import pytest
 
 from lh2.depth_renderer import DepthMap
 from lh2.errors import DomainError, MaskError
-from lh2.recon_losses import (PerceptualExtractor, ReconInputs, laplace_nll,
-                              laplace_nll_grad, perceptual_nll,
-                              perceptual_nll_grad, reco_total, smoothness_grad,
-                              smoothness_loss, train_total, view_variance_grad,
-                              view_variance_loss)
+from lh2.recon_losses import (PerceptualExtractor, laplace_nll, laplace_nll_grad,
+                              perceptual_nll, perceptual_nll_grad, smoothness_grad,
+                              smoothness_loss, view_variance_grad, view_variance_loss)
 
 import oracles
 
@@ -234,48 +232,3 @@ def test_view_variance_grad_vs_fd():
     assert oracles.rel_err(grad, fd) <= 1e-6
     np.testing.assert_array_equal(grad[:, 1], np.zeros(6))
 
-
-# ---------------------------------------------------------------------------
-# composites
-
-def _recon_inputs(seed):
-    I_hat, I, mask = _images(seed, h=3, w=4, c=3)
-    flip = np.flip(I_hat, axis=1).copy()
-    depth = DepthMap.from_values(np.random.default_rng(seed).uniform(1.0, 3.0, (3, 4)))
-    return ReconInputs(I=I, I_hat=I_hat, I_hat_flip=flip, mask=mask,
-                       sigma=np.full(I.shape, 0.7), depth=depth,
-                       feature_sigma=np.full(8, 0.9))
-
-
-def test_reco_total_additivity():
-    inputs = _recon_inputs(11)
-    ext = PerceptualExtractor.from_seed(3, inputs.I.shape, features=8)
-    total, terms = reco_total(inputs, ext, lambda_flip=0.5, lambda_perc=1.0,
-                              lambda_smooth=0.01)
-    assert set(terms) == {"laplace", "laplace_flip", "perceptual",
-                          "perceptual_flip", "smooth"}
-    assert terms["laplace"] == laplace_nll(inputs.I_hat, inputs.I,
-                                           inputs.sigma, inputs.mask)
-    assert terms["smooth"] == smoothness_loss(inputs.depth)
-    want = (terms["laplace"] + 0.5 * terms["laplace_flip"]
-            + terms["perceptual"] + 0.5 * terms["perceptual_flip"]
-            + 0.01 * terms["smooth"])
-    assert total == pytest.approx(want, rel=1e-14)
-
-
-def test_reco_total_weight_zeroing():
-    inputs = _recon_inputs(12)
-    ext = PerceptualExtractor.from_seed(4, inputs.I.shape, features=8)
-    total, terms = reco_total(inputs, ext, lambda_flip=0.0, lambda_perc=0.0,
-                              lambda_smooth=1.0)
-    assert total == pytest.approx(terms["laplace"] + terms["smooth"], rel=1e-14)
-
-
-def test_train_total_weighted_sum():
-    total, terms = train_total(1.0, 1.0, 1.0, 1.0)
-    assert total == pytest.approx(1.012, rel=1e-12)
-    assert terms == {"fr": 1.0, "reco": 0.01, "canon_fr": 0.001, "view": 0.001}
-    assert train_total(0.0, 0.0, 0.0, 0.0)[0] == 0.0
-    total, terms = train_total(2.0, 3.0, 5.0, 7.0, lambda_reco=0.1,
-                               lambda_canon=0.2, lambda_view=0.5)
-    assert total == pytest.approx(2.0 + 0.3 + 1.0 + 3.5, rel=1e-14)

@@ -272,3 +272,6 @@ def test_batch_rejects_kappa_beyond_the_term_cap():
     z[0, 0] = 3e6                                      # needs about 1.5e6 terms
     with pytest.raises(DomainError):
         vmf_similarity_batch(z, np.eye(4), 32)
+    z[0] = 1e200                                       # the row norm overflows
+    with pytest.raises(DomainError), np.errstate(over="ignore", invalid="ignore"):
+        vmf_similarity_batch(z, np.eye(4), 32)

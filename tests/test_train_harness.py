@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from lh2 import proxy_losses
 from lh2.errors import DomainError
 from lh2.io_formats import RunConfig
 from lh2.train_harness import (SyntheticSpec, dataset_inputs, generate_dataset,
                                grad_check, histogram_dump, init_state,
-                               load_checkpoint, render_summary_channels, train,
-                               train_accuracy)
+                               load_checkpoint, train, train_accuracy)
 
 HEADER = ("step,epoch,lr,loss_total,uamf,pps,pns,pp,sns,margin,mu_norm,"
           "mid,below_mid_frac,std,std_mean,std_sns,train_acc")
@@ -91,35 +91,12 @@ def test_spec_validation():
         generate_dataset(SyntheticSpec.from_config(RunConfig(noise_angle_deg=-1.0)))
 
 
-# ------------------------------------------------------- render channels
-
-def test_render_summary_channels_shape_and_centering():
-    for k in (1, 3, 8, 12):
-        ch = render_summary_channels(k)
-        assert ch.shape == (k,)
-        assert abs(ch.sum()) < 1e-12
-    assert np.array_equal(render_summary_channels(1), np.zeros(1))
-    assert np.array_equal(render_summary_channels(3), render_summary_channels(3))
-
-
-def test_dataset_inputs_appends_render_channels():
-    cfg = RunConfig(seed=4, C=3, d_in=8, samples_per_class=2, render_channels=3,
-                    noise_angle_deg=5.0)
-    X, labels = dataset_inputs(cfg)
-    assert X.shape == (6, 11)
-    assert labels.shape == (6,)
-    assert np.array_equal(X[:, 8:], np.tile(render_summary_channels(3), (6, 1)))
-    X0, _ = dataset_inputs(RunConfig(seed=4, C=3, d_in=8, samples_per_class=2,
-                                     noise_angle_deg=5.0))
-    assert np.array_equal(X[:, :8], X0)
-
-
 # ------------------------------------------------------------ init state
 
 def test_init_state_shapes_and_invariants():
-    cfg = RunConfig(seed=4, C=3, d=6, d_in=8, render_channels=3, mu_norm_init=20.0)
+    cfg = RunConfig(seed=4, C=3, d=6, d_in=8, mu_norm_init=20.0)
     st = init_state(cfg)
-    assert st.embedder.shape == (11, 6)
+    assert st.embedder.shape == (8, 6)
     assert st.proxies.W.shape == (3, 6)
     assert np.abs(np.linalg.norm(st.proxies.W, axis=1) - 1.0).max() < 1e-12
     assert st.step == 0
@@ -215,6 +192,7 @@ def test_train_divergence_restores_last_good_state(tmp_path):
     with np.errstate(over="ignore", invalid="ignore"):
         res = train(cfg, str(tmp_path))
     assert res.status == 2
+    assert res.reason == "non-finite update"    # the first step's update overflows
     assert res.epochs_run < cfg.epochs
     emb, proxies = load_checkpoint(str(tmp_path / "checkpoints" / "final"))
     assert np.isfinite(emb).all() and np.isfinite(proxies.W).all()
@@ -222,6 +200,20 @@ def test_train_divergence_restores_last_good_state(tmp_path):
     st = init_state(cfg)
     assert res.final_accuracy == pytest.approx(
         train_accuracy(X, labels, st.embedder, st.proxies), rel=1e-12)
+
+
+def test_train_takes_positive_cosines_once_per_step(tmp_path, monkeypatch):
+    calls = []
+    counted = proxy_losses.positive_cosines
+
+    def counting(batch, proxies):
+        calls.append(1)
+        return counted(batch, proxies)
+
+    monkeypatch.setattr(proxy_losses, "positive_cosines", counting)
+    res = train(RunConfig(**TINY), str(tmp_path))
+    assert res.last_record["step"] == 15
+    assert len(calls) == 15
 
 
 # -------------------------------------------------------- histogram dump
