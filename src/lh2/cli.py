@@ -18,11 +18,9 @@ from .errors import (CanvasError, ConfigError, DomainError, FormatError,
                      RangeError)
 from .io_formats import (RunConfig, emit_metrics, parse_config, read_pgm,
                          read_ppm, read_tensor, write_pgm, write_ppm)
-from .depth_renderer import (DepthMap, LightingParams, Pose, center_crop,
-                             depth_centroid, depth_to_pointcloud,
-                             intrinsics_from_fov, make_canvas, project_points,
-                             render_hemisphere_demo, scatter_min_render, shade,
-                             transform_pointcloud, warp_image)
+from .depth_renderer import (DepthMap, LightingParams, Pose, depth_centroid,
+                             intrinsics_from_fov, make_canvas,
+                             render_hemisphere_demo, shade, warp_image)
 from .sphere_stats import (evt_estimate, half_quarter_cosines,
                            monte_carlo_pairwise)
 from .train_harness import (dataset_inputs, grad_check, histogram_dump,
@@ -121,12 +119,9 @@ def _cmd_render(args) -> int:
     light = LightingParams(k_a=0.35, k_d=0.65, l_dx=0.4, l_dy=0.25)
     source = shade(depth, albedo, light, K)
     canvas = make_canvas([pose], depth, K)
-    image, _ = warp_image(source, depth, pose, K, canvas, args.radius)
-    pts = transform_pointcloud(depth_to_pointcloud(depth, K), pose)
-    rendered = scatter_min_render(project_points(pts, K), canvas, args.radius)
-    cropped = center_crop(rendered.values, h, w)
+    image, _, frame_depth = warp_image(source, depth, pose, K, canvas, args.radius)
     write_ppm(source, os.path.join(args.out_dir, "canonical.ppm"))
-    _write_frame(args.out_dir, "frame", image, cropped)
+    _write_frame(args.out_dir, "frame", image, frame_depth)
     print(f"wrote frame.ppm and frame.pgm to {args.out_dir}")
     return 0
 

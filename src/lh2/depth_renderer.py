@@ -147,20 +147,20 @@ class CanvasSpec:
     ratio: float
 
 
+def _back_project(u, v, d, K: CameraIntrinsics) -> np.ndarray:
+    """Points d * K^-1 [u, v, 1] for pixel coordinates u, v broadcast
+    against the depths d; the z component equals the depth exactly."""
+    f = K.K[0, 0]
+    cx, cy = K.K[0, 2], K.K[1, 2]
+    return np.stack([(u - cx) / f * d, (v - cy) / f * d, d], axis=-1)
+
+
 def depth_to_pointcloud(depth: DepthMap, K: CameraIntrinsics) -> np.ndarray:
     """Back-project every pixel: point = depth * K^-1 [u, v, 1]; the z
     component equals the depth exactly."""
-    f = K.K[0, 0]
-    cx, cy = K.K[0, 2], K.K[1, 2]
     h, w = depth.shape
-    u = np.arange(w, dtype=np.float64)[None, :]
-    v = np.arange(h, dtype=np.float64)[:, None]
-    d = depth.values
-    pts = np.empty((h, w, 3))
-    pts[..., 0] = (u - cx) / f * d
-    pts[..., 1] = (v - cy) / f * d
-    pts[..., 2] = d
-    return pts
+    return _back_project(np.arange(w, dtype=np.float64)[None, :],
+                         np.arange(h, dtype=np.float64)[:, None], depth.values, K)
 
 
 def transform_pointcloud(points: np.ndarray, pose: Pose) -> np.ndarray:
@@ -316,13 +316,17 @@ def scatter_min_render(projected, canvas: CanvasSpec, radius: int = 1) -> Render
                         dropped=dropped, mean_rounding_error=rounding)
 
 
-def center_crop(values: np.ndarray, H: int, W: int) -> np.ndarray:
-    """Central H x W window of a (H_new, W_new, ...) array."""
-    h_new, w_new = values.shape[:2]
+def _crop_offsets(h_new: int, w_new: int, H: int, W: int):
+    """(row, column) offset of the central H x W window of an h_new x w_new
+    array."""
     if h_new < H or w_new < W:
         raise DomainError(f"cannot crop {h_new} x {w_new} to {H} x {W}")
-    oy = (h_new - H) // 2
-    ox = (w_new - W) // 2
+    return (h_new - H) // 2, (w_new - W) // 2
+
+
+def center_crop(values: np.ndarray, H: int, W: int) -> np.ndarray:
+    """Central H x W window of a (H_new, W_new, ...) array."""
+    oy, ox = _crop_offsets(values.shape[0], values.shape[1], H, W)
     return values[oy:oy + H, ox:ox + W]
 
 
@@ -374,35 +378,29 @@ def shade(depth: DepthMap, albedo: np.ndarray, light: LightingParams,
 
 def warp_image(source: np.ndarray, depth: DepthMap, pose: Pose,
                K: CameraIntrinsics, canvas: CanvasSpec, radius: int = 1):
-    """Render the depth under the pose, then for every output pixel with a
-    non-background depth bilinearly sample the source at the inverse-mapped
-    coordinate.  Background pixels are black with mask 0.  Returns the
-    center-cropped (image H x W x 3, mask H x W)."""
+    """Render the depth under the pose on the canvas and keep its central
+    K.H x K.W window; for every window pixel with a non-background depth,
+    bilinearly sample the source at the inverse-mapped coordinate.  Only
+    the window is inverse-mapped.  Background pixels are black with mask 0.
+    Returns (image H x W x 3, mask H x W, depth H x W) with +inf depth on
+    the background."""
     source = np.asarray(source, dtype=np.float64)
     pts = transform_pointcloud(depth_to_pointcloud(depth, K), pose)
     rendered = scatter_min_render(project_points(pts, K), canvas, radius)
-
-    h_new, w_new = rendered.values.shape
+    oy, ox = _crop_offsets(canvas.H_new, canvas.W_new, K.H, K.W)
+    window = rendered.values[oy:oy + K.H, ox:ox + K.W].copy()
     sx = (canvas.x_max_g - canvas.x_min_g) / (canvas.W_new - 1)
     sy = (canvas.y_max_g - canvas.y_min_g) / (canvas.H_new - 1)
-    jj, ii = np.meshgrid(np.arange(w_new), np.arange(h_new))
-    x = canvas.x_min_g + jj * sx
-    y = canvas.y_min_g + ii * sy
+    x = canvas.x_min_g + np.arange(ox, ox + K.W) * sx
+    y = canvas.y_min_g + np.arange(oy, oy + K.H) * sy
 
-    f = K.K[0, 0]
-    cx, cy = K.K[0, 2], K.K[1, 2]
-    valid = rendered.mask
-    dv = np.where(valid, rendered.values, 1.0)
-    pts_c = np.stack([(x - cx) / f * dv, (y - cy) / f * dv, dv], axis=-1)
+    valid = np.isfinite(window)
+    pts_c = _back_project(x[None, :], y[:, None], np.where(valid, window, 1.0), K)
     back = (pts_c - pose.pivot - pose.t) @ pose.R + pose.pivot   # R^T via right-multiply
-    w0 = back[..., 2]
-    valid = valid & (w0 > 0.0)
-    safe = np.where(valid, w0, 1.0)
-    u0 = f * back[..., 0] / safe + cx
-    v0 = f * back[..., 1] / safe + cy
-    valid &= (u0 >= 0.0) & (u0 <= K.W - 1) & (v0 >= 0.0) & (v0 <= K.H - 1)
+    u0, v0, _, in_front = project_points(back, K)
+    valid &= in_front & (u0 >= 0.0) & (u0 <= K.W - 1) & (v0 >= 0.0) & (v0 <= K.H - 1)
 
-    out = np.zeros((h_new, w_new, 3))
+    out = np.zeros((K.H, K.W, 3))
     if np.any(valid):
         uu = u0[valid]
         vv = v0[valid]
@@ -414,7 +412,7 @@ def warp_image(source: np.ndarray, depth: DepthMap, pose: Pose,
                                   + fu * source[v_lo, u_lo + 1])
                       + fv * ((1 - fu) * source[v_lo + 1, u_lo]
                               + fu * source[v_lo + 1, u_lo + 1]))
-    return center_crop(out, K.H, K.W), center_crop(valid, K.H, K.W)
+    return out, valid, window
 
 
 def hemisphere_scene(size: int = 30, fov_deg: float = 40.0):
@@ -459,7 +457,7 @@ def render_hemisphere_demo(size: int = 30, rotations=(10.0, 10.0, 10.0),
                               t=np.zeros(3), pivot=pivot))
             names.append(f"axis{axis}_{angle:+07.2f}deg")
     canvas = make_canvas(poses, depth, K)
-    frames = [(name, *warp_image(canonical, depth, pose, K, canvas, radius))
+    frames = [(name, *warp_image(canonical, depth, pose, K, canvas, radius)[:2])
               for name, pose in zip(names, poses)]
     return {"depth": depth, "albedo": albedo, "intrinsics": K, "light": light,
             "canonical": canonical, "canvas": canvas, "frames": frames}

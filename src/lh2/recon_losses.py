@@ -73,13 +73,13 @@ def laplace_nll(I_hat, I, sigma, mask) -> float:
 def laplace_nll_grad(I_hat, I, sigma, mask):
     """(value, gradient wrt I_hat); the gradient is undefined at exactly
     zero residual where sign() contributes 0."""
+    value = laplace_nll(I_hat, I, sigma, mask)
     I_hat, I, sigma, mask = _masked_channels(I_hat, I, sigma, mask)
     resid = I_hat - I
-    term = np.log(_SQRT2 * sigma) + _SQRT2 * np.abs(resid) / sigma
     m = int(np.sum(mask)) * I.shape[2]
     grad = np.zeros_like(I_hat)
     grad[mask] = _SQRT2 * np.sign(resid[mask]) / sigma[mask] / m
-    return float(np.mean(term[mask])), grad
+    return value, grad
 
 
 def perceptual_nll(I_hat, I, extractor: PerceptualExtractor, feature_sigma) -> float:
@@ -95,11 +95,10 @@ def perceptual_nll(I_hat, I, extractor: PerceptualExtractor, feature_sigma) -> f
 
 def perceptual_nll_grad(I_hat, I, extractor: PerceptualExtractor, feature_sigma):
     """(value, gradient wrt I_hat), exact through the linear extractor."""
+    value = perceptual_nll(I_hat, I, extractor, feature_sigma)
     I_hat = np.asarray(I_hat, dtype=np.float64)
     de = extractor.extract(I_hat) - extractor.extract(I)
     sigma = np.broadcast_to(np.asarray(feature_sigma, dtype=np.float64), de.shape)
-    value = float(np.mean(0.5 * np.log(2.0 * math.pi * sigma ** 2)
-                          + np.abs(de) / (2.0 * sigma ** 2)))
     coeff = np.sign(de) / (2.0 * sigma ** 2) / de.size
     grad = (extractor.weight.T @ coeff).reshape(I_hat.shape)
     return value, grad
@@ -122,22 +121,20 @@ def smoothness_loss(depth: DepthMap) -> float:
 def smoothness_grad(depth: DepthMap):
     """(value, gradient wrt the depth values); the stored range is a
     constant of the map."""
+    value = smoothness_loss(depth)
     rng = depth.max_depth - depth.min_depth
     v = depth.values
     grad = np.zeros_like(v)
     if rng <= 0.0:
-        return 0.0, grad
-    n = v.size
+        return value, grad
     sv = np.sign(v[1:, :] - v[:-1, :])
     sh = np.sign(v[:, 1:] - v[:, :-1])
     grad[1:, :] += sv
     grad[:-1, :] -= sv
     grad[:, 1:] += sh
     grad[:, :-1] -= sh
-    grad /= rng * n
-    vert = np.abs(np.diff(v, axis=0)).sum()
-    horiz = np.abs(np.diff(v, axis=1)).sum()
-    return float((vert + horiz) / (rng * n)), grad
+    grad /= rng * v.size
+    return value, grad
 
 
 def view_variance_loss(view_batch, thresholds) -> float:

@@ -13,8 +13,9 @@ truncated tail is negligible.  The same terms give the ratio
 
     I_{alpha+1}(x) / I_alpha(x) = sum_m t_m (x/2) / (m + alpha + 1) / sum_m t_m
 
-so the order alpha+1 series is never summed.  An M above _MAX_TERMS (10^6)
-raises TermCapError (a DomainError) instead of allocating the grid.  A
+so the order alpha+1 series is never summed.  An M above _MAX_TERMS (10^6),
+or a grid of more than _MAX_GRID (2^24, 128 MiB of float64) elements, raises
+TermCapError (a DomainError) instead of allocating the grid.  A
 naive evaluation of I_alpha underflows to 0 (hence log -inf) already for
 moderate orders at small arguments; the log-domain series removes that
 restriction.
@@ -34,6 +35,7 @@ from .errors import DomainError, TermCapError
 KAPPA_MIN = 1e-6
 LOG_2PI = math.log(2.0 * math.pi)
 _MAX_TERMS = 1_000_000
+_MAX_GRID = 2 ** 24
 
 # lgamma values over the series index grid are reused heavily inside the
 # training loop; cache them per order.
@@ -75,6 +77,10 @@ def _log_bessel_series(alpha: float, x: np.ndarray):
     """(log I_alpha(x), I_{alpha+1}(x) / I_alpha(x)) over an array of
     positive x, both from one term grid."""
     m_count = _series_length(alpha, float(x.max()))
+    if len(x) * m_count > _MAX_GRID:
+        raise TermCapError(f"Bessel term grid needs {len(x)} x {m_count} elements "
+                           f"for alpha={alpha}, x={float(x.max())}; the limit is "
+                           f"{_MAX_GRID}")
     m = np.arange(m_count)
     half_x = 0.5 * x
     # one N x M buffer: log terms, shifted by each row's top, then the terms

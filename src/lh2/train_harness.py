@@ -46,8 +46,11 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
-        if min(self.C, self.d, self.n, self.d_in, self.samples_per_class) < 1:
-            raise DomainError("C, d, n, d_in, samples_per_class must be positive")
+        if min(self.C, self.d, self.n, self.samples_per_class) < 1:
+            raise DomainError("C, d, n, samples_per_class must be positive")
+        if self.d_in < 2:
+            # the angular noise needs a tangent direction at each class direction
+            raise DomainError(f"d_in must be >= 2, got {self.d_in}")
         if self.noise_angle_std < 0.0 or self.norm_logstd < 0.0:
             raise DomainError("noise and norm spread must be non-negative")
 
@@ -171,7 +174,6 @@ def train(cfg: RunConfig, out_dir: str) -> TrainResult:
     Bessel series beyond its term cap, abort with status 2, the failed
     check as the reason and the newest state whose loss evaluated finite
     saved."""
-    os.makedirs(out_dir, exist_ok=True)
     X, labels = dataset_inputs(cfg)
     m = len(labels)
     plcfg = proxy_config(cfg)

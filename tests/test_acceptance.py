@@ -124,7 +124,7 @@ def test_renderer_equivalence_and_warp_quality():
     canonical = shade(d, albedo, light, K)
     pose = Pose.identity(depth_centroid(d, K))
     canvas = make_canvas([pose], d, K)
-    img, mask = warp_image(canonical, d, pose, K, canvas, radius=1)
+    img, mask, _ = warp_image(canonical, d, pose, K, canvas, radius=1)
     assert mask.mean() > 0.95
     assert oracles.psnr(img, canonical, mask) >= 40.0
 

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lh2 import cli, depth_renderer
 from lh2.cli import main
+from lh2.depth_renderer import scatter_min_render
 from lh2.io_formats import read_pgm, read_ppm, write_ppm, write_tensor
 from lh2.sphere_stats import evt_estimate
 from lh2.train_harness import load_checkpoint
@@ -118,12 +120,28 @@ def test_train_rejects_out_of_range_value(tmp_path, capsys, key, value):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("key, value", [("lambda_pp", "-1"), ("cos_min", "0.95"),
+                                        ("ema_alpha", "2"), ("mu_norm_init", "0"),
+                                        ("noise_angle_deg", "-1"), ("norm_logstd", "-1"),
+                                        ("C", "0"), ("d_in", "1")])
+def test_train_rejects_bad_value_before_the_run_directory(tmp_path, capsys, key, value):
+    # checked by the constructors train calls, not at parse time
+    lines = [line for line in TINY_CONFIG.splitlines() if not line.startswith(key + " ")]
+    lines.append(f"{key} = {value}")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    rc = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("lh2: error:")
+    assert not (tmp_path / "run").exists()
+
+
 # tiny sizes are always drawn (the defaults are a full-size run), the other
 # keys may be left out; norm_logmean stays at most 8 (a cheap Bessel grid) or
 # reaches 16 (over the term cap at the first step)
 _SIZES = {
     "C": st.integers(1, 4), "d": st.integers(1, 4), "n": st.integers(2, 6),
-    "d_in": st.integers(1, 4), "samples_per_class": st.integers(1, 4),
+    "d_in": st.integers(2, 4), "samples_per_class": st.integers(1, 4),
     "epochs": st.integers(1, 2), "batch_size": st.integers(1, 6),
 }
 _IN_RANGE = {
@@ -141,7 +159,8 @@ _IN_RANGE = {
 }
 # one value that no other drawn value can make valid
 _OUT_OF_RANGE = [
-    ("C", "0"), ("d", "-1"), ("n", "1"), ("d_in", "0"), ("samples_per_class", "0"),
+    ("C", "0"), ("d", "-1"), ("n", "1"), ("d_in", "0"), ("d_in", "1"),
+    ("samples_per_class", "0"),
     ("epochs", "-1"), ("batch_size", "0"), ("lr_halve_every", "0"), ("seed", "-1"),
     ("lr", "nan"), ("momentum", "1"), ("tau", "0"), ("margin_coeff", "-1"),
     ("norm_logstd", "-1"), ("noise_angle_deg", "-1"), ("ema_alpha", "1.5"),
@@ -222,7 +241,16 @@ def test_render_demo(tmp_path, capsys):
     assert img.ndim == 3 and img.shape[2] == 3
 
 
-def test_render_custom_pose(tmp_path, capsys):
+def test_render_custom_pose(tmp_path, capsys, monkeypatch):
+    # the depth frame comes from the one render warp_image makes
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return scatter_min_render(*args, **kwargs)
+
+    monkeypatch.setattr(depth_renderer, "scatter_min_render", counted)
+    monkeypatch.setattr(cli, "scatter_min_render", counted, raising=False)
     depth_path = tmp_path / "depth.lh2t"
     albedo_path = tmp_path / "albedo.ppm"
     write_tensor(depth_path, np.full((8, 8), 10.0))
@@ -236,6 +264,7 @@ def test_render_custom_pose(tmp_path, capsys):
     assert (out / "canonical.ppm").is_file()
     assert (out / "frame.ppm").is_file()
     assert read_pgm(out / "frame.pgm").shape == (8, 8)
+    assert len(calls) == 1
 
 
 def test_render_custom_requires_inputs(tmp_path, capsys):

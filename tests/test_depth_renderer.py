@@ -436,7 +436,7 @@ def test_warp_identity_high_psnr():
     canonical = shade(d, albedo, light, K)
     pose = Pose.identity(depth_centroid(d, K))
     canvas = make_canvas([pose], d, K)
-    img, mask = warp_image(canonical, d, pose, K, canvas, radius=1)
+    img, mask, _ = warp_image(canonical, d, pose, K, canvas, radius=1)
     assert mask.mean() > 0.95
     assert oracles.psnr(img, canonical, mask) >= 40.0
     assert np.array_equal(img[~mask], np.zeros((np.sum(~mask), 3)))
@@ -453,7 +453,7 @@ def test_warp_translation_matches_analytic_bilinear():
     source = rng.uniform(0.0, 1.0, (W, W, 3))
     pose = Pose(np.eye(3), np.array([0.0, 0.0, -2.0]), np.zeros(3))
     canvas = make_canvas([pose], depth, K)
-    img, mask = warp_image(source, depth, pose, K, canvas, radius=1)
+    img, mask, _ = warp_image(source, depth, pose, K, canvas, radius=1)
     assert mask.mean() > 0.9
     cp = (W - 1) / 2.0
     ox = (canvas.W_new - W) // 2
@@ -476,7 +476,7 @@ def test_warp_compose_round_trip():
     back = Pose(rotation_about_axis(1, -10.0), np.zeros(3), pivot)
     round_trip = there.compose(back)
     canvas = make_canvas([there, back, round_trip], d, K)
-    img, mask = warp_image(canonical, d, round_trip, K, canvas, radius=1)
+    img, mask, _ = warp_image(canonical, d, round_trip, K, canvas, radius=1)
     assert mask.mean() > 0.9
     assert oracles.psnr(img, canonical, mask) >= 30.0
 
@@ -494,6 +494,8 @@ def test_hemisphere_demo_frames():
         assert np.isfinite(img).all()
         assert img.shape == (30, 30, 3) and mask.shape == (30, 30)
         assert mask.any()
+        # window-sized arrays of their own, not views into canvas buffers
+        assert img.base is None and mask.base is None
     # the zero-angle frames are identity warps of the canonical image
     for axis in range(3):
         _, img, mask = demo["frames"][axis * 3 + 1]

@@ -137,8 +137,11 @@ def test_perceptual_grad_vs_fd():
 def test_perceptual_validation():
     I = np.zeros((2, 2, 1))
     ext = PerceptualExtractor.from_seed(0, I.shape, features=4)
-    with pytest.raises(DomainError):
-        perceptual_nll(I, I, ext, 0.0)
+    for sigma in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            perceptual_nll(I, I, ext, sigma)
+        with pytest.raises(DomainError):
+            perceptual_nll_grad(I, I, ext, sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -275,3 +275,9 @@ def test_batch_rejects_kappa_beyond_the_term_cap():
     z[0] = 1e200                                       # the row norm overflows
     with pytest.raises(DomainError), np.errstate(over="ignore", invalid="ignore"):
         vmf_similarity_batch(z, np.eye(4), 32)
+    # about 4.1e5 terms per row fit the row cap, but 64 rows of them pass
+    # the 2^24-element grid cap
+    z = np.zeros((64, 4))
+    z[:, 0] = 8e5
+    with pytest.raises(DomainError):
+        vmf_similarity_batch(z, np.eye(4), 32)
