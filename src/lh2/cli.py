@@ -92,6 +92,10 @@ def _write_frame(out_dir, name, image, depth_values):
 
 
 def _cmd_render(args) -> int:
+    if args.frames < 1:
+        raise ConfigError(f"--frames must be at least 1, got {args.frames}")
+    if not np.all(np.isfinite(args.rotations)):
+        raise ConfigError(f"--rotations must be finite, got {args.rotations}")
     os.makedirs(args.out_dir, exist_ok=True)
     if args.demo is not None:
         demo = render_hemisphere_demo(size=args.size, rotations=args.rotations,
@@ -127,6 +131,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be at least 1, got {args.repeats}")
     cfg = parse_config(args.config) if args.config else None
     rows, ok = grad_check(cfg, repeats=args.repeats, seed=args.seed,
                           corrupt_op=args.corrupt)

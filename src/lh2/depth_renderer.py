@@ -90,9 +90,10 @@ class Pose:
         R = np.asarray(self.R, dtype=np.float64)
         if R.shape != (3, 3):
             raise DomainError(f"R must be 3 x 3, got {R.shape}")
-        if np.abs(R.T @ R - np.eye(3)).max() > 1e-9:
+        # negated checks, so that a nan entry fails them
+        if not np.abs(R.T @ R - np.eye(3)).max() <= 1e-9:
             raise DomainError("R is not orthonormal")
-        if abs(np.linalg.det(R) - 1.0) > 1e-9:
+        if not abs(np.linalg.det(R) - 1.0) <= 1e-9:
             raise DomainError(f"det R = {np.linalg.det(R)}, expected 1")
         self.R = R
         self.t = np.asarray(self.t, dtype=np.float64).reshape(3)

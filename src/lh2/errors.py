@@ -31,10 +31,6 @@ class DomainError(ValueError):
     """Argument outside a function's mathematical domain."""
 
 
-class TermCapError(DomainError):
-    """A series would need more terms than its fixed cap allows."""
-
-
 class RangeError(ValueError):
     """Closed-form estimate outside its validity range (formula breakdown)."""
 

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, TermCapError
+from .errors import DomainError
 from .io_formats import RunConfig, emit_metrics, read_tensor, write_tensor
 from .proxy_losses import (EpochMidState, ProxyLossConfig, end_epoch,
                            observe_positive_cosines, positive_cosines, pp_loss,
@@ -123,9 +123,9 @@ def proxy_config(cfg: RunConfig) -> ProxyLossConfig:
 
 def train_accuracy(X, labels, embedder, proxies: ProxyMatrix) -> float:
     """Fraction of samples whose nearest proxy by cosine is their class."""
-    z = X @ embedder
-    zhat = _divide_rows(z, np.linalg.norm(z, axis=1))
-    pred = np.argmax(zhat @ proxies.W.T, axis=1)
+    # the proxies are unit rows, so dividing each row of scores by its
+    # sample's norm would not move the argmax
+    pred = np.argmax((X @ embedder) @ proxies.W.T, axis=1)
     return float(np.mean(pred == labels))
 
 
@@ -170,10 +170,9 @@ def _require(ok, reason: str) -> None:
 def train(cfg: RunConfig, out_dir: str) -> TrainResult:
     """Mini-batch SGD with momentum on the margin softmax plus the proxy
     regularizers; per-step metrics, per-epoch mid/accuracy updates, and
-    checkpoints under out_dir.  Non-finite features, loss or update, or a
-    Bessel series beyond its term cap, abort with status 2, the failed
-    check as the reason and the newest state whose loss evaluated finite
-    saved."""
+    checkpoints under out_dir.  Non-finite features (an entry or a row
+    norm), loss or update abort with status 2, the failed check as the
+    reason and the newest state whose loss evaluated finite saved."""
     X, labels = dataset_inputs(cfg)
     m = len(labels)
     plcfg = proxy_config(cfg)
@@ -196,12 +195,12 @@ def train(cfg: RunConfig, out_dir: str) -> TrainResult:
                 zb = X[idx] @ state.embedder
                 _require(np.all(np.isfinite(zb)), "non-finite features")
                 batch = EmbeddingBatch(zb, labels[idx])
+                # a finite row whose norm overflows fails the same check
+                with np.errstate(over="ignore"):
+                    _require(np.all(np.isfinite(batch.norms)), "non-finite features")
                 state.tracker, margin = update_norm_tracker(state.tracker, batch,
                                                             cfg.margin_coeff)
-                try:
-                    rep_u = uamf_loss(batch, state.proxies, margin, cfg.tau, cfg.n)
-                except TermCapError as exc:
-                    raise _Diverged("Bessel term cap") from exc
+                rep_u = uamf_loss(batch, state.proxies, margin, cfg.tau, cfg.n)
                 rep_p = proxy_based_total(batch, state.proxies, state.mid_state,
                                           plcfg, state.rng)
                 state.mid_state = observe_positive_cosines(
@@ -327,14 +326,18 @@ def _gradcheck_cases(rng: np.random.Generator):
     d, n = 6, 8
     proxy = rng.standard_normal(d)
     proxy /= np.linalg.norm(proxy)
-    z = rng.standard_normal(d) * rng.uniform(2.0, 25.0)
+    # norms on both sides of the Bessel switch at x = 50
+    z = rng.standard_normal(d) * rng.uniform(2.0, 100.0)
     g = vmf_similarity_grad(proxy, z, n)
     cases.append(("vmf_similarity", [
         (g.grad_proxy, _central_diff(lambda p: vmf_similarity(p, z, n), proxy, h)),
         (g.grad_z, _central_diff(lambda zz: vmf_similarity(proxy, zz, n), z, h)),
     ]))
 
-    # margin softmax over similarities
+    # margin softmax over similarities; about a fifth of these batches have
+    # row norms on both sides of the Bessel switch at x = 50.  Wider scales
+    # saturate the softmax, whose gradients (about 1e-11) then fall under
+    # the finite-difference noise.
     N, C, d, n = 3, 5, 6, 6
     z = rng.standard_normal((N, d)) * rng.uniform(2.0, 20.0, (N, 1))
     y = rng.integers(0, C, N)

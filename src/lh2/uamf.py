@@ -69,7 +69,7 @@ class ProxyMatrix:
         if W.ndim != 2 or W.shape[0] < 1:
             raise DomainError(f"W must be a nonempty C x d matrix, got shape {W.shape}")
         self.W = W
-        if np.any(np.abs(self.norms - 1.0) > 1e-6):
+        if not np.all(np.abs(self.norms - 1.0) <= 1e-6):   # nan fails too
             raise DomainError(f"proxy rows must be unit norm, worst deviation "
                               f"{np.abs(self.norms - 1.0).max():.3e}")
 

@@ -77,15 +77,27 @@ def test_train_divergence_exit_code(tmp_path, capsys):
         assert "diverged: non-finite update" in capsys.readouterr().err
 
 
-def test_train_bessel_term_cap_is_a_divergence(tmp_path, capsys):
-    cfg = tmp_path / "cap.cfg"
-    # kappa near 9e6 needs more series terms than the cap at the first step
+def test_train_at_kappa_near_1e7_completes(tmp_path, capsys):
+    cfg = tmp_path / "large.cfg"
+    # kappa near 9e6 at the first step: the Debye branch, in bounded time
     cfg.write_text(TINY_CONFIG + "norm_logmean = 16\n")
     out = tmp_path / "run"
-    assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 2
-    assert "diverged: Bessel term cap" in capsys.readouterr().err
+    assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "epochs 3" in captured.out
+    assert captured.err == ""
     emb, proxies = load_checkpoint(str(out / "checkpoints" / "final"))
     assert np.isfinite(emb).all() and np.isfinite(proxies.W).all()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_overflowed_feature_norm_is_a_divergence(tmp_path, capsys):
+    cfg = tmp_path / "overflow.cfg"
+    # finite features near e^700, whose row norms overflow
+    cfg.write_text(TINY_CONFIG + "norm_logmean = 700\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "diverged: non-finite features" in capsys.readouterr().err
 
 
 def test_train_missing_config_file(tmp_path, capsys):
@@ -137,8 +149,8 @@ def test_train_rejects_bad_value_before_the_run_directory(tmp_path, capsys, key,
 
 
 # tiny sizes are always drawn (the defaults are a full-size run), the other
-# keys may be left out; norm_logmean stays at most 8 (a cheap Bessel grid) or
-# reaches 16 (over the term cap at the first step)
+# keys may be left out; norm_logmean stays at most 8 (mostly the Bessel
+# series) or reaches 16 and above (the Debye expansion, then overflow)
 _SIZES = {
     "C": st.integers(1, 4), "d": st.integers(1, 4), "n": st.integers(2, 6),
     "d_in": st.integers(2, 4), "samples_per_class": st.integers(1, 4),
@@ -300,6 +312,23 @@ def test_grad_check_corruption_fails(capsys):
     out = capsys.readouterr().out
     assert any("uamf_loss" in line and "FAIL" in line
                for line in out.splitlines())
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["grad-check", "--repeats", "0"], "--repeats"),
+    (["grad-check", "--repeats", "-2"], "--repeats"),
+    (["render", "--demo", "hemisphere", "--size", "8", "--frames", "-2"], "--frames"),
+    (["render", "--demo", "hemisphere", "--size", "8",
+      "--rotations", "nan", "0", "0"], "--rotations"),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bad_flag_value_is_a_usage_error_naming_the_flag(tmp_path, capsys,
+                                                         argv, flag):
+    if argv[0] == "render":
+        argv = argv + ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"lh2: error: {flag} ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_hist_subcommand(tiny_config, tmp_path, capsys):

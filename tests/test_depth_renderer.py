@@ -79,6 +79,8 @@ def test_pose_validation():
     with pytest.raises(DomainError):
         Pose(R=np.diag([1.0, 1.0, -1.0]), t=np.zeros(3), pivot=np.zeros(3))
     with pytest.raises(DomainError):
+        Pose(R=np.full((3, 3), np.nan), t=np.zeros(3), pivot=np.zeros(3))
+    with pytest.raises(DomainError):
         Pose(R=np.eye(2), t=np.zeros(3), pivot=np.zeros(3))
 
 

@@ -18,6 +18,9 @@ X_GRID = np.geomspace(1e-3, 500.0, 25)
 # orders of the n = 32 and n = 256 similarities at large kappa; training
 # with norm_logmean = 5 reaches about 1e4
 LARGE_KAPPA = [(nu, x) for nu in (15.0, 127.0) for x in (1e3, 1.1e4, 2e4)]
+# both sides of the switch from the series to the Debye expansion at x = 50
+BRANCH_ALPHAS = [0.0, 0.5, 1.0, 15.0, 127.0, 255.0]
+BRANCH_X = [float(x) for x in np.geomspace(1e-6, 1e7, 27)] + [49.9, 50.0, 50.1]
 
 
 # ---------------------------------------------------------------------------
@@ -66,11 +69,55 @@ def test_bessel_ratio_vs_oracle():
             oracles.bessel_ratio_oracle(alpha, x), rel=1e-10)
 
 
+@pytest.mark.parametrize("alpha", BRANCH_ALPHAS)
+def test_bessel_both_branches_vs_oracle(alpha):
+    for x in BRANCH_X:
+        ev = log_bessel_i(alpha, x)
+        assert ev.log_value == pytest.approx(oracles.log_bessel_oracle(alpha, x),
+                                             rel=1e-12, abs=0.0)
+        assert ev.ratio_next == pytest.approx(oracles.bessel_ratio_oracle(alpha, x),
+                                              rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", BRANCH_ALPHAS)
+def test_bessel_ratio_within_amos_bounds(alpha):
+    # Amos (1974): x / (a + 1/2 + sqrt(x^2 + (a + 3/2)^2)) <= I_{a+1}/I_a
+    # <= x / (a + 1/2 + sqrt(x^2 + (a + 1/2)^2)).  At small x the ratio and
+    # the lower bound agree to below double precision, so each side allows
+    # 4 ulp; at x = 1e7 and alpha = 0 the bounds are 45 ulp apart.
+    slack = 4.0 * np.finfo(float).eps
+    for x in BRANCH_X:
+        ratio = log_bessel_i(alpha, x).ratio_next
+        lower = x / (alpha + 0.5 + math.hypot(x, alpha + 1.5))
+        upper = x / (alpha + 0.5 + math.hypot(x, alpha + 0.5))
+        assert lower * (1.0 - slack) <= ratio <= upper * (1.0 + slack)
+
+
 def test_bessel_rejects_negative_inputs():
     with pytest.raises(DomainError):
         log_bessel_i(-1.0, 1.0)
     with pytest.raises(DomainError):
         log_bessel_i(1.0, -1.0)
+    with pytest.raises(DomainError):
+        log_bessel_i(1.0, math.inf)
+
+
+_MU = np.array([1.0, 0.0, 0.0])
+_NAN3 = np.array([math.nan, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: log_bessel_i(math.nan, 1.0),
+    lambda: log_bessel_i(1.0, math.nan),
+    lambda: VmfParams(_NAN3, 1.0, 3),
+    lambda: VmfParams(_MU, math.nan, 3),
+    lambda: vmf_log_pdf(_NAN3, VmfParams(_MU, 1.0, 3)),
+    lambda: vmf_similarity(_NAN3, np.ones(3), 4),
+], ids=["bessel-alpha", "bessel-x", "params-mu", "params-kappa", "log-pdf-x",
+        "similarity-proxy"])
+def test_domain_checks_reject_nan(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 @given(st.floats(0.0, 200.0), st.floats(1e-3, 400.0))
@@ -88,6 +135,8 @@ def test_vmf_params_validation():
         VmfParams(2.0 * mu, 1.0, 3)
     with pytest.raises(DomainError):
         VmfParams(mu, -1.0, 3)
+    with pytest.raises(DomainError):
+        VmfParams(mu, math.inf, 3)
     with pytest.raises(DomainError):
         VmfParams(mu, 1.0, 1)
 
@@ -267,17 +316,36 @@ def test_batch_matches_scalar():
             oracles.bessel_ratio_oracle(nu, float(kappa[i])), rel=1e-10)
 
 
-def test_batch_rejects_kappa_beyond_the_term_cap():
-    z = np.zeros((1, 4))
-    z[0, 0] = 3e6                                      # needs about 1.5e6 terms
-    with pytest.raises(DomainError):
-        vmf_similarity_batch(z, np.eye(4), 32)
-    z[0] = 1e200                                       # the row norm overflows
-    with pytest.raises(DomainError), np.errstate(over="ignore", invalid="ignore"):
-        vmf_similarity_batch(z, np.eye(4), 32)
-    # about 4.1e5 terms per row fit the row cap, but 64 rows of them pass
-    # the 2^24-element grid cap
-    z = np.zeros((64, 4))
-    z[:, 0] = 8e5
-    with pytest.raises(DomainError):
-        vmf_similarity_batch(z, np.eye(4), 32)
+def test_batch_with_rows_on_both_sides_of_the_switch():
+    n, nu = 48, 23.0
+    norms = np.array([10.0, 49.99, 50.0, 300.0, 1e4])
+    z = np.zeros((5, 3))
+    z[:, 1] = norms
+    W = np.eye(3)
+    sims, kappa, ratio, scale = vmf_similarity_batch(z, W, n)
+    for i, norm in enumerate(norms):
+        for j in range(3):
+            assert sims[i, j] == pytest.approx(vmf_similarity(W[j], z[i], n),
+                                               rel=1e-15)
+        assert ratio[i] == pytest.approx(oracles.bessel_ratio_oracle(nu, norm),
+                                         rel=1e-12, abs=0.0)
+
+
+def test_batch_far_above_the_series_range_matches_oracle():
+    # kappa = 3e6, and 64 rows at kappa = 8e5, each take the Debye branch
+    n, nu = 32, 15.0
+    for rows, norm in ((1, 3e6), (64, 8e5)):
+        z = np.zeros((rows, 4))
+        z[:, 0] = norm
+        sims, kappa, ratio, scale = vmf_similarity_batch(z, np.eye(4), n)
+        # proxies 1..3 are orthogonal to z: their similarity is the normalizer
+        g = (nu * math.log(norm) - 0.5 * n * math.log(2.0 * math.pi)
+             - oracles.log_bessel_oracle(nu, norm))
+        np.testing.assert_allclose(sims[:, 1:], g, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(sims[:, 0], norm + sims[:, 1], rtol=1e-15)
+        np.testing.assert_allclose(ratio, oracles.bessel_ratio_oracle(nu, norm),
+                                   rtol=1e-12, atol=0.0)
+    z = np.full((1, 4), 1e200)                         # the row norm overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        sims = vmf_similarity_batch(z, np.eye(4), n)[0]
+    assert not np.isfinite(sims).any()

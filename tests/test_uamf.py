@@ -36,6 +36,8 @@ def test_proxy_matrix_validation():
     with pytest.raises(DomainError):
         ProxyMatrix(np.array([[2.0, 0.0]]))
     with pytest.raises(DomainError):
+        ProxyMatrix(np.array([[np.nan, 0.0]]))
+    with pytest.raises(DomainError):
         ProxyMatrix.from_rows(np.array([[0.0, 0.0]]))
     w = ProxyMatrix.from_rows(np.array([[3.0, 4.0]]))
     np.testing.assert_allclose(w.W, [[0.6, 0.8]])
