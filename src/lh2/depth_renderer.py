@@ -409,10 +409,17 @@ def warp_image(source: np.ndarray, depth: DepthMap, pose: Pose,
         v_lo = np.clip(np.floor(vv).astype(np.int64), 0, K.H - 2)
         fu = (uu - u_lo)[:, None]
         fv = (vv - v_lo)[:, None]
-        out[valid] = ((1 - fv) * ((1 - fu) * source[v_lo, u_lo]
-                                  + fu * source[v_lo, u_lo + 1])
-                      + fv * ((1 - fu) * source[v_lo + 1, u_lo]
-                              + fu * source[v_lo + 1, u_lo + 1]))
+        # the four corners as flat indices into the source's pixel rows;
+        # np.take on axis 0 gathers rows faster than fancy indexing
+        flat = source.reshape(-1, 3)
+        i00 = v_lo * source.shape[1] + u_lo
+        i10 = i00 + source.shape[1]
+
+        def corner(i):
+            return np.take(flat, i, axis=0)
+
+        out[valid] = ((1 - fv) * ((1 - fu) * corner(i00) + fu * corner(i00 + 1))
+                      + fv * ((1 - fu) * corner(i10) + fu * corner(i10 + 1)))
     return out, valid, window
 
 

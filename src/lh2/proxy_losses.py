@@ -8,9 +8,13 @@ Three losses constrain cosines directly rather than through the softmax:
          of the batch's proxies plus randomly sampled ones
 
 plus the sample-to-sample sns variant (first power, disabled by default).
-All cosines are computed on renormalized features and proxies; gradients
-use the full quotient rule on both sides, so they hold even when inputs
-drift slightly off the sphere.
+pps and pns read their cosines from the batch's product with the proxies
+(uamf.ProxyProduct), the same S = z W^T the margin softmax reads, so the
+cosines are renormalized on both sides.  Each computes its d loss / d cos
+as an N x C matrix; proxy_based_total sums the two and takes the sum
+through the quotient rule once.  Gradients use the full quotient rule on
+both sides, so they hold even when inputs drift slightly off the sphere;
+pp and sns do the same over their own Gram matrices.
 
 The epoch mid is the clipped mean positive cosine of the previous epoch,
 accumulated with observe_positive_cosines from the cosines pps_loss reports
@@ -64,7 +68,7 @@ class EpochMidState:
 
 def positive_cosines(batch: EmbeddingBatch, proxies: ProxyMatrix) -> np.ndarray:
     """cos between each sample and its own class proxy."""
-    return np.sum(batch.zhat * proxies.unit[batch.labels], axis=1)
+    return batch.product(proxies).cos[np.arange(len(batch.labels)), batch.labels]
 
 
 def observe_positive_cosines(state: EpochMidState, cos: np.ndarray,
@@ -92,68 +96,73 @@ def end_epoch(state: EpochMidState, cfg: ProxyLossConfig) -> EpochMidState:
     return EpochMidState(mid=float(np.clip(mean, cfg.cos_min, cfg.cos_max)))
 
 
+def _cosine_grads(batch: EmbeddingBatch, proxies: ProxyMatrix, dcos: np.ndarray):
+    """(grad_z, grad_W) of a loss of the sample-to-proxy cosines from its
+    d loss / d cos (N x C), by the quotient rule of
+    cos_ij = z_i . w_j / (||z_i|| ||w_j||) on both sides."""
+    weighted = dcos * batch.product(proxies).cos
+    zhat, what = batch.zhat, proxies.unit
+    grad_z = _divide_rows(dcos @ what - weighted.sum(axis=1)[:, None] * zhat,
+                          batch.norms)
+    grad_W = _divide_rows(dcos.T @ zhat - weighted.sum(axis=0)[:, None] * what,
+                          proxies.norms)
+    return grad_z, grad_W
+
+
+def _cosine_report(batch, proxies, name, loss, dcos, stats, grads) -> LossReport:
+    if not grads:
+        return LossReport(loss, {name: loss}, stats=stats, dcos=dcos)
+    return LossReport(loss, {name: loss}, *_cosine_grads(batch, proxies, dcos), stats)
+
+
 def pps_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, state: EpochMidState,
-             cfg: ProxyLossConfig) -> LossReport:
+             cfg: ProxyLossConfig, grads: bool = True) -> LossReport:
     """lambda_pps * mean over samples with cos < mid of (cos - mid)^2.
 
     The mid is a constant of the epoch; gradients flow through the cosines
     only.  Zero when no sample sits below the mid.  stats["positive_cos"]
     holds the batch's positive cosines for the epoch-mid accumulator.
+    grads=False reports d loss / d cos as dcos in place of grad_z and
+    grad_W.
     """
-    N, _ = batch.z.shape
+    N, C = batch.z.shape[0], proxies.W.shape[0]
     cos = positive_cosines(batch, proxies)
-    left = cos < state.mid
-    n_left = int(np.sum(left))
+    n_left = int(np.count_nonzero(cos < state.mid))
     stats = {"below_frac": n_left / N, "n_left": n_left, "positive_cos": cos}
-    if n_left == 0:
-        return LossReport(0.0, {"pps": 0.0}, np.zeros_like(batch.z),
-                          np.zeros_like(proxies.W), stats)
-    resid = cos[left] - state.mid
-    loss = cfg.lambda_pps * float(np.mean(resid ** 2))
-    dcos = np.zeros(N)
-    dcos[left] = cfg.lambda_pps * 2.0 * resid / n_left
-
-    zhat = batch.zhat
-    wy = proxies.unit[batch.labels]
-    grad_z = _divide_rows(dcos[:, None] * (wy - cos[:, None] * zhat), batch.norms)
-    grad_W = np.zeros_like(proxies.W)
-    contrib = dcos[:, None] * (zhat - cos[:, None] * wy) \
-        / proxies.norms[batch.labels, None]
-    np.add.at(grad_W, batch.labels, contrib)
-    return LossReport(loss, {"pps": loss}, grad_z, grad_W, stats)
+    loss = 0.0
+    dcos = np.zeros((N, C))
+    if n_left > 0:
+        resid = np.minimum(cos - state.mid, 0.0)     # 0 at or above the mid
+        loss = cfg.lambda_pps * float(resid @ resid) / n_left
+        dcos[np.arange(N), batch.labels] = (cfg.lambda_pps * 2.0 / n_left) * resid
+    return _cosine_report(batch, proxies, "pps", loss, dcos, stats, grads)
 
 
 def pns_loss(batch: EmbeddingBatch, proxies: ProxyMatrix,
-             cfg: ProxyLossConfig) -> LossReport:
+             cfg: ProxyLossConfig, grads: bool = True) -> LossReport:
     """lambda_pns * sum over samples and non-target proxies of cos^2,
-    divided by N * (C - 1)."""
-    C = proxies.W.shape[0]
-    N = batch.z.shape[0]
+    divided by N * (C - 1).  grads=False reports d loss / d cos as dcos in
+    place of grad_z and grad_W."""
+    N, C = batch.z.shape[0], proxies.W.shape[0]
     if C < 2:
-        return LossReport(0.0, {"pns": 0.0}, np.zeros_like(batch.z),
-                          np.zeros_like(proxies.W), {"pns_degenerate_C": True})
-    zhat, what = batch.zhat, proxies.unit
-    cos = zhat @ what.T
-    negmask = np.ones_like(cos)
-    negmask[np.arange(N), batch.labels] = 0.0
+        return _cosine_report(batch, proxies, "pns", 0.0, np.zeros((N, C)),
+                              {"pns_degenerate_C": True}, grads)
+    dcos = batch.product(proxies).cos.copy()
+    dcos[np.arange(N), batch.labels] = 0.0
     denom = N * (C - 1)
-    loss = cfg.lambda_pns * float(np.sum((cos * negmask) ** 2)) / denom
-
-    dcos = cfg.lambda_pns * 2.0 * cos * negmask / denom
-    grad_z = _divide_rows(dcos @ what - np.sum(dcos * cos, axis=1, keepdims=True) * zhat,
-                          batch.norms)
-    grad_W = (dcos.T @ zhat - np.sum(dcos * cos, axis=0)[:, None] * what) \
-        / proxies.norms[:, None]
-    return LossReport(loss, {"pns": loss}, grad_z, grad_W)
+    loss = cfg.lambda_pns * float(np.vdot(dcos, dcos)) / denom
+    dcos *= cfg.lambda_pns * 2.0 / denom
+    return _cosine_report(batch, proxies, "pns", loss, dcos, {}, grads)
 
 
 def pp_selection(batch_labels, C: int, rng: np.random.Generator) -> np.ndarray:
     """Union of the batch's distinct proxies and N uniformly sampled ones
     (without replacement, deduplicated), sorted for determinism."""
     labels = np.asarray(batch_labels, dtype=np.int64)
-    n_sample = min(len(labels), C)
-    sampled = rng.choice(C, size=n_sample, replace=False)
-    return np.union1d(np.unique(labels), sampled)
+    chosen = np.zeros(C, dtype=bool)
+    chosen[labels] = True
+    chosen[rng.choice(C, size=min(len(labels), C), replace=False)] = True
+    return np.flatnonzero(chosen)
 
 
 def pp_loss(batch_labels, proxies: ProxyMatrix, cfg: ProxyLossConfig,
@@ -172,13 +181,13 @@ def pp_loss(batch_labels, proxies: ProxyMatrix, cfg: ProxyLossConfig,
                           {"pp_selection_size": k, "pp_selection": sel})
     ws = proxies.unit[sel]
     gram = ws @ ws.T
-    iu = np.triu_indices(k, 1)
+    np.fill_diagonal(gram, 0.0)                  # every other entry is a pair, twice
     npairs = k * (k - 1) // 2
-    loss = cfg.lambda_pp * float(np.mean(gram[iu] ** 2))
+    row_sq = np.einsum("ij,ij->i", gram, gram)
+    loss = cfg.lambda_pp * float(row_sq.sum()) / (2 * npairs)
 
-    dcos = cfg.lambda_pp * 2.0 * gram / npairs
-    np.fill_diagonal(dcos, 0.0)
-    grad_sel = (dcos @ ws - np.sum(dcos * gram, axis=1, keepdims=True) * ws) \
+    # d loss / d cos = lambda_pp * 2 * gram / npairs, off the diagonal
+    grad_sel = (cfg.lambda_pp * 2.0 / npairs) * (gram @ ws - row_sq[:, None] * ws) \
         / proxies.norms[sel, None]
     grad_W = np.zeros_like(proxies.W)
     grad_W[sel] = grad_sel
@@ -189,38 +198,39 @@ def pp_loss(batch_labels, proxies: ProxyMatrix, cfg: ProxyLossConfig,
 
 def sns_loss(batch: EmbeddingBatch, cfg: ProxyLossConfig) -> LossReport:
     """lambda_sns * mean over distinct-label sample pairs of cos (first
-    power); off by default since it buys nothing in practice."""
-    N = batch.z.shape[0]
+    power); off by default since it buys nothing in practice.  It reads the
+    batch's Gram matrix, which sphere_stats.sns_tracker reads too."""
     labels = batch.labels
-    pair = (labels[:, None] != labels[None, :]).astype(np.float64)
-    npairs = int(np.sum(np.triu(pair, 1)))
-    if npairs == 0:
+    pair = labels[:, None] != labels[None, :]
+    ordered = int(np.count_nonzero(pair))        # each unordered pair twice
+    if ordered == 0:
         return LossReport(0.0, {"sns": 0.0}, np.zeros_like(batch.z), None,
                           {"sns_pairs": 0})
-    zhat = batch.zhat
-    gram = zhat @ zhat.T
-    loss = cfg.lambda_sns * float(np.sum(np.triu(gram * pair, 1))) / npairs
+    gram = batch.gram
+    loss = cfg.lambda_sns * float(np.sum(gram, where=pair)) / ordered
 
-    dcos = cfg.lambda_sns * pair / npairs        # symmetric; each pair once in the loss
+    dcos = (cfg.lambda_sns * 2.0 / ordered) * pair   # symmetric; each pair once in the loss
+    zhat = batch.zhat
     grad_z = _divide_rows(dcos @ zhat - np.sum(dcos * gram, axis=1, keepdims=True) * zhat,
                           batch.norms)
-    return LossReport(loss, {"sns": loss}, grad_z, None, {"sns_pairs": npairs})
+    return LossReport(loss, {"sns": loss}, grad_z, None, {"sns_pairs": ordered // 2})
 
 
 def proxy_based_total(batch: EmbeddingBatch, proxies: ProxyMatrix,
                       state: EpochMidState, cfg: ProxyLossConfig,
                       rng: np.random.Generator) -> LossReport:
-    """Sum of the enabled components; the term map keeps each value."""
-    reports = [pps_loss(batch, proxies, state, cfg),
-               pns_loss(batch, proxies, cfg),
-               pp_loss(batch.labels, proxies, cfg, rng)]
+    """Sum of the enabled components; the term map keeps each value.  pps
+    and pns report d loss / d cos, and their sum goes through the quotient
+    rule once."""
+    reports = [pps_loss(batch, proxies, state, cfg, grads=False),
+               pns_loss(batch, proxies, cfg, grads=False)]
+    grad_z, grad_W = _cosine_grads(batch, proxies, reports[0].dcos + reports[1].dcos)
+    reports.append(pp_loss(batch.labels, proxies, cfg, rng))
     if cfg.sns_enabled:
         reports.append(sns_loss(batch, cfg))
 
     terms = {}
     stats = {}
-    grad_z = np.zeros_like(batch.z)
-    grad_W = np.zeros_like(proxies.W)
     total = 0.0
     for rep in reports:
         terms.update(rep.terms)

@@ -298,18 +298,22 @@ def vmf_similarity_grad(proxy, z, n: int) -> SimilarityGrad:
                           clamped=False)
 
 
-def vmf_similarity_batch(z: np.ndarray, proxies: np.ndarray, n: int):
+def vmf_similarity_batch(z: np.ndarray, proxies: np.ndarray, n: int,
+                         product=None, norms=None):
     """Vectorized similarities for a batch: returns (sims N x C, kappa N,
     ratio_next N, scale N) where scale converts proxy . z into the
-    kappa*cos(theta) term (1 for unclamped rows)."""
+    kappa*cos(theta) term (1 for unclamped rows).  product and norms, when
+    given, are z @ proxies.T and the row norms of z."""
     z = np.asarray(z, dtype=np.float64)
-    proxies = np.asarray(proxies, dtype=np.float64)
-    norms = np.linalg.norm(z, axis=1)
+    if product is None:
+        product = z @ np.asarray(proxies, dtype=np.float64).T
+    if norms is None:
+        norms = np.linalg.norm(z, axis=1)
     kappa = np.maximum(norms, KAPPA_MIN)
     safe = np.where(norms > 0.0, norms, 1.0)
     scale = np.where(norms >= KAPPA_MIN, 1.0, np.where(norms > 0.0, kappa / safe, 0.0))
     nu = 0.5 * n - 1.0
     log_i, ratio = _log_bessel(nu, kappa)
     g = nu * np.log(kappa) - 0.5 * n * LOG_2PI - log_i
-    sims = (z @ proxies.T) * scale[:, None] + g[:, None]
+    sims = product * scale[:, None] + g[:, None]
     return sims, kappa, ratio, scale

@@ -121,9 +121,13 @@ def proxy_spread_trackers(proxies, C: int, d: int, batch_selection) -> dict:
         std_mean = sqrt(mean relu(cos - sqrt(2 ln C / d))^2)
 
     std_mean only charges pairs closer than the expected minimum angle.
+    The training loop calls it with the proxies after the step's update,
+    so it reads the spread the next step starts from, not the Gram matrix
+    pp_loss saw before the update.
     """
     sel = np.asarray(batch_selection, dtype=np.int64)
-    if len(sel) < 2:
+    k = len(sel)
+    if k < 2:
         return {"std": 0.0, "std_mean": 0.0}
     if hasattr(proxies, "unit"):
         ws = proxies.unit[sel]
@@ -131,21 +135,24 @@ def proxy_spread_trackers(proxies, C: int, d: int, batch_selection) -> dict:
         w = np.asarray(proxies, dtype=np.float64)[sel]
         ws = _divide_rows(w, np.linalg.norm(w, axis=1))
     gram = ws @ ws.T
-    cos = gram[np.triu_indices(len(sel), 1)]
+    # the self-cosines contribute 0 to both sums; every pair counts twice
+    np.fill_diagonal(gram, 0.0)
+    ordered = k * (k - 1)
     thr = math.sqrt(min(2.0 * math.log(C) / d, 1.0))
-    excess = np.maximum(cos - thr, 0.0)
-    return {"std": math.sqrt(float(np.mean(cos ** 2))),
-            "std_mean": math.sqrt(float(np.mean(excess ** 2)))}
+    excess = np.maximum(gram - thr, 0.0).ravel()
+    gram = gram.ravel()
+    return {"std": math.sqrt(float(gram @ gram) / ordered),
+            "std_mean": math.sqrt(float(excess @ excess) / ordered)}
 
 
 def sns_tracker(batch) -> float:
     """sqrt(mean cos^2) over distinct-label sample pairs of an
-    EmbeddingBatch; 0 when the batch has fewer than two labels."""
-    zhat, labels = batch.zhat, batch.labels
-    pair = labels[:, None] != labels[None, :]
-    iu = np.triu_indices(len(labels), 1)
-    keep = pair[iu]
-    if not np.any(keep):
+    EmbeddingBatch; 0 when the batch has fewer than two labels.  It reads
+    the batch's Gram matrix, which proxy_losses.sns_loss reads too."""
+    labels = batch.labels
+    pair = labels[:, None] != labels[None, :]    # False on the diagonal
+    ordered = int(np.count_nonzero(pair))        # each pair twice
+    if ordered == 0:
         return 0.0
-    cos = (zhat @ zhat.T)[iu][keep]
-    return math.sqrt(float(np.mean(cos ** 2)))
+    gram = batch.gram
+    return math.sqrt(float(np.sum(gram * gram, where=pair)) / ordered)

@@ -192,7 +192,8 @@ def train(cfg: RunConfig, out_dir: str) -> TrainResult:
             perm = state.rng.permutation(m)
             for lo in range(0, m, cfg.batch_size):
                 idx = perm[lo:lo + cfg.batch_size]
-                zb = X[idx] @ state.embedder
+                xb = X[idx]
+                zb = xb @ state.embedder
                 _require(np.all(np.isfinite(zb)), "non-finite features")
                 batch = EmbeddingBatch(zb, labels[idx])
                 # a finite row whose norm overflows fails the same check
@@ -211,16 +212,16 @@ def train(cfg: RunConfig, out_dir: str) -> TrainResult:
 
                 grad_z = rep_u.grad_z + rep_p.grad_z
                 grad_W = rep_u.grad_W + rep_p.grad_W
-                state.vel_emb = cfg.momentum * state.vel_emb - lr * (X[idx].T @ grad_z)
+                state.vel_emb = cfg.momentum * state.vel_emb - lr * (xb.T @ grad_z)
                 emb = state.embedder + state.vel_emb
                 state.vel_W = cfg.momentum * state.vel_W - lr * grad_W
                 w = state.proxies.W + state.vel_W
+                w_norms = np.linalg.norm(w, axis=1)
                 # a proxy row norm that overflows fails like a non-finite entry
-                _require(np.all(np.isfinite(emb))
-                         and np.all(np.isfinite(np.linalg.norm(w, axis=1))),
+                _require(np.all(np.isfinite(emb)) and np.all(np.isfinite(w_norms)),
                          "non-finite update")
                 state.embedder = emb
-                state.proxies = ProxyMatrix.from_rows(w)
+                state.proxies = ProxyMatrix.from_rows(w, w_norms)
                 state.step += 1
 
                 spread = proxy_spread_trackers(state.proxies, cfg.C, cfg.d,

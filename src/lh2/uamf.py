@@ -11,6 +11,11 @@ the temperature division, then takes softmax cross-entropy.  Because the
 per-sample normalizer terms of the similarity are shared across classes,
 their gradient contributions cancel through the softmax; the chain rule
 is still assembled with them in place.
+
+Every sample-to-proxy quantity of a training step comes from one product
+S = z W^T (ProxyProduct), which a batch builds on first use with a proxy
+matrix and keeps: the similarities read the raw S, and the proxy losses
+(proxy_losses) read the cosines S / (||z|| ||W||^T) of the same matrix.
 """
 
 from __future__ import annotations
@@ -27,11 +32,14 @@ from .sphere_math import _divide_rows, vmf_similarity_batch
 
 @dataclasses.dataclass
 class EmbeddingBatch:
-    """N unnormalized feature vectors with integer class labels; norms and
-    zhat are computed on first use and kept (z is never changed)."""
+    """N unnormalized feature vectors with integer class labels; norms,
+    zhat, gram and the product with a proxy matrix are computed on first
+    use and kept (z is never changed)."""
 
     z: np.ndarray
     labels: np.ndarray
+    _product: Optional["ProxyProduct"] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=np.float64)
@@ -55,6 +63,18 @@ class EmbeddingBatch:
     def zhat(self) -> np.ndarray:
         """z scaled to unit rows; zero rows stay zero."""
         return _divide_rows(self.z, self.norms)
+
+    @functools.cached_property
+    def gram(self) -> np.ndarray:
+        """N x N cosines between the samples."""
+        return self.zhat @ self.zhat.T
+
+    def product(self, proxies: "ProxyMatrix") -> "ProxyProduct":
+        """The product with these proxies, built on the first call and kept
+        until the batch meets another proxy matrix."""
+        if self._product is None or self._product.proxies is not proxies:
+            self._product = ProxyProduct(self, proxies)
+        return self._product
 
 
 @dataclasses.dataclass
@@ -83,13 +103,34 @@ class ProxyMatrix:
         return _divide_rows(self.W, self.norms)
 
     @staticmethod
-    def from_rows(rows) -> "ProxyMatrix":
-        """Normalize arbitrary nonzero rows onto the sphere."""
+    def from_rows(rows, norms=None) -> "ProxyMatrix":
+        """Normalize arbitrary nonzero rows onto the sphere; norms, when
+        given, are the rows' norms."""
         rows = np.asarray(rows, dtype=np.float64)
-        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+        if norms is None:
+            norms = np.linalg.norm(rows, axis=1)
         if np.any(norms == 0.0):
             raise DomainError("zero proxy row")
-        return ProxyMatrix(rows / norms)
+        return ProxyMatrix(rows / norms[:, None])
+
+
+class ProxyProduct:
+    """S = z W^T of one batch against one proxy matrix, with the cosines
+    S / (||z|| ||W||^T) read from it.  That quotient is the renormalized
+    cosine also when W's rows are not unit; zero rows give zero cosines.
+    The row norms are the batch's and the proxies' own."""
+
+    def __init__(self, batch: EmbeddingBatch, proxies: ProxyMatrix):
+        self.proxies = proxies
+        self.z_norms = batch.norms
+        self.S = batch.z @ proxies.W.T
+
+    @functools.cached_property
+    def cos(self) -> np.ndarray:
+        """N x C cosines between the samples and the proxies."""
+        nz, nw = self.z_norms, self.proxies.norms
+        return self.S / np.outer(np.where(nz > 0.0, nz, 1.0),
+                                 np.where(nw > 0.0, nw, 1.0))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,7 +153,9 @@ class LossReport:
     """A named loss total with per-term breakdown and gradients.
 
     total always equals the sum of terms; stats carries non-loss
-    diagnostics (counts, fractions, degeneracy warnings).
+    diagnostics (counts, fractions, degeneracy warnings).  A loss of the
+    sample-to-proxy cosines asked for no gradients carries d total / d cos
+    (N x C) as dcos instead of grad_z and grad_W.
     """
 
     total: float
@@ -120,6 +163,7 @@ class LossReport:
     grad_z: Optional[np.ndarray] = None
     grad_W: Optional[np.ndarray] = None
     stats: dict = dataclasses.field(default_factory=dict)
+    dcos: Optional[np.ndarray] = None
 
 
 def update_norm_tracker(tracker: NormTracker, batch: EmbeddingBatch,
@@ -136,9 +180,11 @@ def uamf_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, margin: float,
     """Softmax cross-entropy over vMF similarities with the true-class
     similarity reduced by the margin.
 
-    Logits are (sim - margin * onehot) / tau + _logit_shift, reduced with a
-    log-sum-exp shift; _logit_shift exists to exercise the shift invariance
-    of the softmax and defaults to 0.
+    Logits are (sim - margin * onehot) / tau + _logit_shift, shifted by
+    their row maximum before the one exp; _logit_shift exists to exercise
+    the shift invariance of the softmax and defaults to 0.  The
+    similarities read the batch's product with the proxies, and grad_W is
+    taken through the raw W, so it holds for rows off the sphere too.
     """
     if tau <= 0.0:
         raise DomainError(f"tau must be positive, got {tau}")
@@ -151,33 +197,35 @@ def uamf_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, margin: float,
     if batch.labels.max() >= C:
         raise DomainError(f"label {batch.labels.max()} out of range for C = {C}")
     N = batch.z.shape[0]
-    rows = np.arange(N)
+    target = (np.arange(N), batch.labels)
 
-    sims, _, ratio, scale = vmf_similarity_batch(batch.z, W, n)
+    sims, _, ratio, scale = vmf_similarity_batch(batch.z, W, n,
+                                                 batch.product(proxies).S, batch.norms)
     logits = sims / tau
-    logits[rows, batch.labels] -= margin / tau
+    logits[target] -= margin / tau
     logits += _logit_shift
+    logits -= logits.max(axis=1, keepdims=True)
 
-    top = logits.max(axis=1, keepdims=True)
-    lse = top + np.log(np.sum(np.exp(logits - top), axis=1, keepdims=True))
-    losses = lse.ravel() - logits[rows, batch.labels]
-    loss = float(np.mean(losses))
-
-    p = np.exp(logits - lse)
-    coeff = p.copy()
-    coeff[rows, batch.labels] -= 1.0
+    e = np.exp(logits)
+    sum_e = e.sum(axis=1)
+    loss = float(np.mean(np.log(sum_e) - logits[target]))
+    coeff = e / sum_e[:, None]                   # the softmax p
+    mean_target_prob = float(np.mean(coeff[target]))
+    coeff[target] -= 1.0
     coeff /= N * tau                             # d loss / d sim_ij
 
-    grad_W = coeff.T @ (batch.z * scale[:, None])
-    grad_z = coeff @ W
     unclamped = scale == 1.0
-    if np.any(unclamped):
-        # shared-normalizer term: coefficient sums are ~0 so this cancels,
-        # kept for the exact per-sample chain rule through kappa = ||z||
-        row_sum = coeff.sum(axis=1)
-        grad_z[unclamped] -= (row_sum[unclamped] * ratio[unclamped])[:, None] \
-            * batch.zhat[unclamped]
+    n_clamped = N - int(np.count_nonzero(unclamped))
+    grad_W = coeff.T @ (batch.z if n_clamped == 0 else batch.z * scale[:, None])
+    grad_z = coeff @ W
+    # shared-normalizer term: coefficient sums are ~0 so this cancels, kept
+    # for the exact per-sample chain rule through kappa = ||z||
+    row_term = coeff.sum(axis=1) * ratio
+    if n_clamped == 0:
+        grad_z -= row_term[:, None] * batch.zhat
+    elif n_clamped < N:
+        grad_z[unclamped] -= row_term[unclamped, None] * batch.zhat[unclamped]
 
     return LossReport(total=loss, terms={"uamf": loss}, grad_z=grad_z, grad_W=grad_W,
-                      stats={"clamped_rows": int(np.sum(~unclamped)),
-                             "mean_target_prob": float(np.mean(p[rows, batch.labels]))})
+                      stats={"clamped_rows": n_clamped,
+                             "mean_target_prob": mean_target_prob})

@@ -191,6 +191,19 @@ def test_pp_selection_union_semantics():
     assert len(sel) <= len(labels) + 2
 
 
+def test_pp_selection_is_the_union_of_labels_and_one_draw():
+    for seed in range(200):
+        rng = np.random.default_rng([seed, 7])
+        C = int(rng.choice([2, 3, 5, 40]))
+        N = int(rng.integers(1, 2 * C + 1))
+        labels = (np.full(N, rng.integers(0, C)) if seed % 4 == 0
+                  else rng.integers(0, C, N))
+        sampled = np.random.default_rng(seed).choice(C, size=min(N, C), replace=False)
+        sel = pp_selection(labels, C, np.random.default_rng(seed))
+        np.testing.assert_array_equal(sel, np.union1d(np.unique(labels), sampled))
+        assert sel.dtype == np.int64
+
+
 def test_pp_pair_count_disjoint_sets():
     # labels supply 2 proxies; find a seed whose 3 samples miss them, then
     # the pair count is the full (3+2 choose 2)

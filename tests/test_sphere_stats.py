@@ -291,3 +291,28 @@ def test_sns_tracker_matches_direct_loop():
     assert got == pytest.approx(want, rel=1e-12)
     scaled = sns_tracker(EmbeddingBatch(4.0 * z, labels))
     assert scaled == got
+
+
+def test_proxy_spread_trackers_match_direct_loop():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        C, d = int(rng.integers(2, 40)), int(rng.integers(2, 12))
+        # a shared offset puts some pairs above the threshold
+        w = (rng.standard_normal((C, d)) + rng.uniform(0.0, 1.5)) \
+            * rng.uniform(0.5, 5.0, (C, 1))
+        sel = np.sort(rng.choice(C, size=int(rng.integers(2, C + 1)), replace=False))
+        thr = math.sqrt(min(2.0 * math.log(C) / d, 1.0))
+        wn = w / np.linalg.norm(w, axis=1, keepdims=True)
+        sq = ex = 0.0
+        n = 0
+        for a in range(len(sel)):
+            for b in range(a + 1, len(sel)):
+                cos = float(np.dot(wn[sel[a]], wn[sel[b]]))
+                sq += cos ** 2
+                ex += max(cos - thr, 0.0) ** 2
+                n += 1
+        for proxies in (w, ProxyMatrix.from_rows(w)):
+            out = proxy_spread_trackers(proxies, C, d, sel)
+            assert out["std"] == pytest.approx(math.sqrt(sq / n), rel=1e-12)
+            assert out["std_mean"] == pytest.approx(math.sqrt(ex / n), rel=1e-12,
+                                                    abs=1e-15)

@@ -1,17 +1,23 @@
 """Synthetic data, training loop, checkpoints, histogram dump, gradient check."""
 
+import collections
 import csv
+import functools
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from lh2 import proxy_losses
+from lh2 import proxy_losses, sphere_math, uamf
 from lh2.errors import DomainError
 from lh2.io_formats import RunConfig
-from lh2.train_harness import (SyntheticSpec, dataset_inputs, generate_dataset,
-                               grad_check, histogram_dump, init_state,
-                               load_checkpoint, train, train_accuracy)
+from lh2.proxy_losses import (EpochMidState, ProxyLossConfig, pns_loss, pp_loss,
+                              pp_selection, pps_loss, proxy_based_total, sns_loss)
+from lh2.train_harness import (SyntheticSpec, _raw_proxies, dataset_inputs,
+                               generate_dataset, grad_check, histogram_dump,
+                               init_state, load_checkpoint, train, train_accuracy)
+from lh2.uamf import EmbeddingBatch, ProxyMatrix, uamf_loss
 
 HEADER = ("step,epoch,lr,loss_total,uamf,pps,pns,pp,sns,margin,mu_norm,"
           "mid,below_mid_frac,std,std_mean,std_sns,train_acc")
@@ -214,6 +220,113 @@ def test_train_takes_positive_cosines_once_per_step(tmp_path, monkeypatch):
     res = train(RunConfig(**TINY), str(tmp_path))
     assert res.last_record["step"] == 15
     assert len(calls) == 15
+
+
+def test_train_builds_one_product_and_one_similarity_batch_per_step(tmp_path,
+                                                                    monkeypatch):
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # rebind every module attribute that refers to the function, so calls
+    # through any import of it are seen
+    for fn in (uamf.uamf_loss, sphere_math.vmf_similarity_batch):
+        wrapper = counting(fn.__name__, fn)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("lh2") and getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, wrapper)
+    monkeypatch.setattr(uamf.ProxyProduct, "__init__",
+                        counting("ProxyProduct", uamf.ProxyProduct.__init__))
+    res = train(RunConfig(**TINY), str(tmp_path))
+    assert res.last_record["step"] == 15
+    assert counts == {"uamf_loss": 15, "vmf_similarity_batch": 15, "ProxyProduct": 15}
+
+
+def _assert_rel(got, want, rel=1e-12):
+    np.testing.assert_allclose(got, want, rtol=rel,
+                               atol=rel * float(np.max(np.abs(want), initial=0.0)))
+
+
+def _check_step_matches_standalone(z, labels, W, mid, plcfg, rng_seed, raw=False):
+    """The training step's calls on one batch (uamf_loss then
+    proxy_based_total, which share the batch's product) against every
+    public loss called on its own fresh batch and proxies."""
+    margin, tau, n = 0.7, 0.8, 8
+    make = _raw_proxies if raw else ProxyMatrix
+    state = EpochMidState(mid=mid)
+    batch, proxies = EmbeddingBatch(z, labels), make(W)
+    rep_u = uamf_loss(batch, proxies, margin, tau, n)
+    rep_p = proxy_based_total(batch, proxies, state, plcfg,
+                              np.random.default_rng(rng_seed))
+
+    def fresh():
+        return EmbeddingBatch(z, labels), make(W)
+
+    parts = {"uamf": uamf_loss(*fresh(), margin, tau, n),
+             "pps": pps_loss(*fresh(), state, plcfg),
+             "pns": pns_loss(*fresh(), plcfg),
+             "pp": pp_loss(labels, make(W), plcfg, np.random.default_rng(rng_seed))}
+    if plcfg.sns_enabled:
+        parts["sns"] = sns_loss(fresh()[0], plcfg)
+    assert {**rep_u.terms, **rep_p.terms} == {k: p.total for k, p in parts.items()}
+    _assert_rel(rep_u.total + rep_p.total, sum(p.total for p in parts.values()))
+    _assert_rel(rep_u.grad_z + rep_p.grad_z,
+                sum(p.grad_z for p in parts.values() if p.grad_z is not None))
+    _assert_rel(rep_u.grad_W + rep_p.grad_W,
+                sum(p.grad_W for p in parts.values() if p.grad_W is not None))
+    return rep_p
+
+
+def test_training_step_losses_equal_the_standalone_losses():
+    cfg = ProxyLossConfig()
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        N, C, d = 12, 6, 5
+        y = rng.integers(0, C, N)
+        W = rng.standard_normal((C, d))
+        unit = W / np.linalg.norm(W, axis=1, keepdims=True)
+        # samples near their proxies, so positive cosines fall on both sides
+        # of the mid, at norms on both sides of the Bessel switch
+        z = (unit[y] + 0.6 * rng.standard_normal((N, d))) * rng.uniform(0.5, 60.0, (N, 1))
+        rep = _check_step_matches_standalone(z, y, unit, 0.5, cfg, seed)
+        assert 0 < rep.stats["n_left"] < N
+        # raw proxies off the sphere, as the grad-check probes pass them
+        _check_step_matches_standalone(z, y, W * rng.uniform(0.5, 2.0, (C, 1)),
+                                       0.5, cfg, seed, raw=True)
+        # a zero row and a row below KAPPA_MIN
+        zc = z.copy()
+        zc[0] = 0.0
+        zc[1] *= 1e-9 / np.linalg.norm(zc[1])
+        _check_step_matches_standalone(zc, y, unit, 0.5, cfg, seed)
+        # no sample below the mid
+        rep = _check_step_matches_standalone(z, y, unit, -1.5, cfg, seed)
+        assert rep.stats["n_left"] == 0
+        # sns switched on
+        _check_step_matches_standalone(z, y, unit, 0.5,
+                                       ProxyLossConfig(sns_enabled=True), seed)
+        # one class and two classes
+        rep = _check_step_matches_standalone(z, np.zeros(N, dtype=int), unit[:1],
+                                             0.5, cfg, seed)
+        assert rep.stats["pns_degenerate_C"] and rep.stats["pp_degenerate_C"]
+        _check_step_matches_standalone(z, y % 2, unit[:2], 0.5, cfg, seed)
+
+
+def test_training_step_with_a_single_proxy_pp_selection():
+    # one sample and C = 2: the sampled proxy can be the sample's own
+    seed = next(s for s in range(50)
+                if len(pp_selection(np.array([1]), 2, np.random.default_rng(s))) == 1)
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((2, 3))
+    rep = _check_step_matches_standalone(rng.standard_normal((1, 3)) * 5.0,
+                                         np.array([1]),
+                                         W / np.linalg.norm(W, axis=1, keepdims=True),
+                                         0.5, ProxyLossConfig(), seed)
+    assert rep.stats["pp_selection_size"] == 1
 
 
 # -------------------------------------------------------- histogram dump
