@@ -133,9 +133,7 @@ def _cmd_render(args) -> int:
 def _cmd_grad_check(args) -> int:
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be at least 1, got {args.repeats}")
-    cfg = parse_config(args.config) if args.config else None
-    rows, ok = grad_check(cfg, repeats=args.repeats, seed=args.seed,
-                          corrupt_op=args.corrupt)
+    rows, ok = grad_check(repeats=args.repeats, seed=args.seed, corrupt_op=args.corrupt)
     width = max(len(r["op"]) for r in rows)
     for r in rows:
         mark = "ok" if r["pass"] else "FAIL"
@@ -195,8 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("grad-check", help="finite-difference gradient checks")
-    p.add_argument("--config", help="config file supplying the seed")
-    p.add_argument("--seed", type=int, help="override the seed")
+    p.add_argument("--seed", type=int, default=0, help="random seed of the instances")
     p.add_argument("--repeats", type=int, default=5,
                    help="random instances per op")
     p.add_argument("--corrupt", metavar="OP",

@@ -184,41 +184,32 @@ def project_points(points: np.ndarray, K: CameraIntrinsics):
     return np.where(valid, u, 0.0), np.where(valid, v, 0.0), w.copy(), valid
 
 
-def depth_centroid(depth: DepthMap, K: CameraIntrinsics, mask=None) -> np.ndarray:
-    """Back-projected centroid of the (masked) depth pixels; the natural
-    rotation pivot for a scene."""
-    pts = depth_to_pointcloud(depth, K).reshape(-1, 3)
-    if mask is not None:
-        pts = pts[np.asarray(mask, dtype=bool).ravel()]
-    if len(pts) == 0:
-        raise CanvasError("no pixels to take a centroid over")
-    return pts.mean(axis=0)
+def depth_centroid(depth: DepthMap, K: CameraIntrinsics) -> np.ndarray:
+    """Back-projected centroid of the depth pixels; the natural rotation
+    pivot for a scene."""
+    return depth_to_pointcloud(depth, K).reshape(-1, 3).mean(axis=0)
 
 
-def make_canvas(poses, template: DepthMap, K: CameraIntrinsics,
-                depths=None) -> CanvasSpec:
+def make_canvas(poses, template: DepthMap, K: CameraIntrinsics) -> CanvasSpec:
     """Shared output geometry for a set of poses.
 
-    All real depth maps are projected under their poses; two synthetic
-    auxiliary images (constant-depth probes under pure translations, see
-    auxiliary_poses) pad the projected bounds out to exact symmetry about
-    the source center, preserving aspect and enforcing W_new >= 2.5 W.
-    The auxiliary images only shape the bounds; they carry no content.
+    The template, back-projected once, is projected under every pose; the
+    bounds are then padded out to exact symmetry about the source center,
+    preserving aspect and enforcing W_new >= 2.5 W.  The padded bounds are
+    those of two constant-depth probes under pure translations; they only
+    shape the bounds and carry no content.
     """
     poses = list(poses)
     if not poses:
         raise CanvasError("need at least one pose")
-    if depths is None:
-        depths = [template] * len(poses)
-    if len(depths) != len(poses):
-        raise CanvasError(f"{len(poses)} poses but {len(depths)} depth maps")
 
     W, H = K.W, K.H
     cx, cy = W / 2.0, H / 2.0
     ex = ey = 0.0
     any_valid = False
-    for depth, pose in zip(depths, poses):
-        pts = transform_pointcloud(depth_to_pointcloud(depth, K), pose)
+    points = depth_to_pointcloud(template, K)
+    for pose in poses:
+        pts = transform_pointcloud(points, pose)
         u, v, _, valid = project_points(pts, K)
         if not np.any(valid):
             continue
@@ -243,23 +234,6 @@ def make_canvas(poses, template: DepthMap, K: CameraIntrinsics,
     return CanvasSpec(H_new=int(H_new), W_new=int(W_new),
                       x_min_g=x_min, x_max_g=x_max, y_min_g=y_min, y_max_g=y_max,
                       ratio=W_new / W)
-
-
-def auxiliary_poses(canvas: CanvasSpec, template: DepthMap, K: CameraIntrinsics):
-    """The two boundary probes behind a canvas: a constant-depth plane at
-    the template's min depth under pure translations placing its extreme
-    corners exactly on the canvas bounds.  Returns (probe_depth, [pose_lo,
-    pose_hi]); including their projections in a plain min/max bound pass
-    reproduces the stored canvas bounds."""
-    z0 = template.min_depth
-    f = K.K[0, 0]
-    probe = DepthMap(values=np.full(template.shape, z0), min_depth=z0, max_depth=z0)
-    t_lo = np.array([canvas.x_min_g * z0 / f, canvas.y_min_g * z0 / f, 0.0])
-    t_hi = np.array([(canvas.x_max_g - (K.W - 1)) * z0 / f,
-                     (canvas.y_max_g - (K.H - 1)) * z0 / f, 0.0])
-    zero = np.zeros(3)
-    return probe, [Pose(R=np.eye(3), t=t_lo, pivot=zero),
-                   Pose(R=np.eye(3), t=t_hi, pivot=zero)]
 
 
 def neighborhood_offsets(radius: int):
@@ -323,12 +297,6 @@ def _crop_offsets(h_new: int, w_new: int, H: int, W: int):
     if h_new < H or w_new < W:
         raise DomainError(f"cannot crop {h_new} x {w_new} to {H} x {W}")
     return (h_new - H) // 2, (w_new - W) // 2
-
-
-def center_crop(values: np.ndarray, H: int, W: int) -> np.ndarray:
-    """Central H x W window of a (H_new, W_new, ...) array."""
-    oy, ox = _crop_offsets(values.shape[0], values.shape[1], H, W)
-    return values[oy:oy + H, ox:ox + W]
 
 
 def shade(depth: DepthMap, albedo: np.ndarray, light: LightingParams,

@@ -12,9 +12,9 @@ pps and pns read their cosines from the batch's product with the proxies
 (uamf.ProxyProduct), the same S = z W^T the margin softmax reads, so the
 cosines are renormalized on both sides.  Each computes its d loss / d cos
 as an N x C matrix; proxy_based_total sums the two and takes the sum
-through the quotient rule once.  Gradients use the full quotient rule on
-both sides, so they hold even when inputs drift slightly off the sphere;
-pp and sns do the same over their own Gram matrices.
+through the quotient rule once.  One helper, _quotient_rule, applies the
+full quotient rule to both sides and to the pp and sns Gram matrices, so
+gradients hold even when inputs drift slightly off the sphere.
 
 The epoch mid is the clipped mean positive cosine of the previous epoch,
 accumulated with observe_positive_cosines from the cosines pps_loss reports
@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import DomainError
 from .sphere_math import _divide_rows
+from .sphere_stats import _distinct_label_pairs, _selection_gram
 from .uamf import EmbeddingBatch, LossReport, ProxyMatrix
 
 
@@ -96,17 +97,21 @@ def end_epoch(state: EpochMidState, cfg: ProxyLossConfig) -> EpochMidState:
     return EpochMidState(mid=float(np.clip(mean, cfg.cos_min, cfg.cos_max)))
 
 
+def _quotient_rule(dcos, cos, other_unit, own_unit, own_norms):
+    """d loss / d own rows from d loss / d cos for cosines
+    cos_ij = own_i . other_j / (||own_i|| ||other_j||):
+    (dcos @ other_unit - sum_j dcos_ij cos_ij own_unit_i) / ||own_i||."""
+    weight = np.einsum("ij,ij->i", dcos, cos)
+    return _divide_rows(dcos @ other_unit - weight[:, None] * own_unit, own_norms)
+
+
 def _cosine_grads(batch: EmbeddingBatch, proxies: ProxyMatrix, dcos: np.ndarray):
     """(grad_z, grad_W) of a loss of the sample-to-proxy cosines from its
-    d loss / d cos (N x C), by the quotient rule of
-    cos_ij = z_i . w_j / (||z_i|| ||w_j||) on both sides."""
-    weighted = dcos * batch.product(proxies).cos
+    d loss / d cos (N x C), by the quotient rule on both sides."""
+    cos = batch.product(proxies).cos
     zhat, what = batch.zhat, proxies.unit
-    grad_z = _divide_rows(dcos @ what - weighted.sum(axis=1)[:, None] * zhat,
-                          batch.norms)
-    grad_W = _divide_rows(dcos.T @ zhat - weighted.sum(axis=0)[:, None] * what,
-                          proxies.norms)
-    return grad_z, grad_W
+    return (_quotient_rule(dcos, cos, what, zhat, batch.norms),
+            _quotient_rule(dcos.T, cos.T, zhat, what, proxies.norms))
 
 
 def _cosine_report(batch, proxies, name, loss, dcos, stats, grads) -> LossReport:
@@ -179,18 +184,12 @@ def pp_loss(batch_labels, proxies: ProxyMatrix, cfg: ProxyLossConfig,
     if k < 2:
         return LossReport(0.0, {"pp": 0.0}, None, np.zeros_like(proxies.W),
                           {"pp_selection_size": k, "pp_selection": sel})
-    ws = proxies.unit[sel]
-    gram = ws @ ws.T
-    np.fill_diagonal(gram, 0.0)                  # every other entry is a pair, twice
+    ws, gram = _selection_gram(proxies.unit, sel)
     npairs = k * (k - 1) // 2
-    row_sq = np.einsum("ij,ij->i", gram, gram)
-    loss = cfg.lambda_pp * float(row_sq.sum()) / (2 * npairs)
-
-    # d loss / d cos = lambda_pp * 2 * gram / npairs, off the diagonal
-    grad_sel = (cfg.lambda_pp * 2.0 / npairs) * (gram @ ws - row_sq[:, None] * ws) \
-        / proxies.norms[sel, None]
+    loss = cfg.lambda_pp * float(np.vdot(gram, gram)) / (2 * npairs)
+    dcos = (cfg.lambda_pp * 2.0 / npairs) * gram
     grad_W = np.zeros_like(proxies.W)
-    grad_W[sel] = grad_sel
+    grad_W[sel] = _quotient_rule(dcos, gram, ws, ws, proxies.norms[sel])
     return LossReport(loss, {"pp": loss}, None, grad_W,
                       {"pp_selection_size": k, "pp_pairs": npairs,
                        "pp_selection": sel})
@@ -200,19 +199,14 @@ def sns_loss(batch: EmbeddingBatch, cfg: ProxyLossConfig) -> LossReport:
     """lambda_sns * mean over distinct-label sample pairs of cos (first
     power); off by default since it buys nothing in practice.  It reads the
     batch's Gram matrix, which sphere_stats.sns_tracker reads too."""
-    labels = batch.labels
-    pair = labels[:, None] != labels[None, :]
-    ordered = int(np.count_nonzero(pair))        # each unordered pair twice
+    pair, ordered = _distinct_label_pairs(batch.labels)
     if ordered == 0:
         return LossReport(0.0, {"sns": 0.0}, np.zeros_like(batch.z), None,
                           {"sns_pairs": 0})
     gram = batch.gram
     loss = cfg.lambda_sns * float(np.sum(gram, where=pair)) / ordered
-
     dcos = (cfg.lambda_sns * 2.0 / ordered) * pair   # symmetric; each pair once in the loss
-    zhat = batch.zhat
-    grad_z = _divide_rows(dcos @ zhat - np.sum(dcos * gram, axis=1, keepdims=True) * zhat,
-                          batch.norms)
+    grad_z = _quotient_rule(dcos, gram, batch.zhat, batch.zhat, batch.norms)
     return LossReport(loss, {"sns": loss}, grad_z, None, {"sns_pairs": ordered // 2})
 
 

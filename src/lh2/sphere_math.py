@@ -36,6 +36,9 @@ Both routines run in bounded time and memory for every finite argument;
 an infinite or nan argument gives a nan result.  A naive evaluation of
 I_alpha underflows to 0 (hence log -inf) already for moderate orders at
 small arguments; both routines work in log domain and avoid it.
+_log_bessel alone picks the routine.  The vMF similarity has one
+implementation, vmf_similarity_batch, and one chain rule, _similarity_grads;
+vmf_similarity and vmf_similarity_grad are their one-row cases.
 Everything here runs in 64-bit floats.
 """
 
@@ -192,9 +195,7 @@ def log_bessel_i(alpha: float, x: float) -> BesselEval:
                           f"got alpha={alpha}, x={x}")
     if x == 0.0:
         return BesselEval(log_value=0.0 if alpha == 0.0 else -math.inf, ratio_next=0.0)
-    # one argument: choose its branch here, without _log_bessel's masks
-    branch = _log_bessel_series if x < _DEBYE_FROM else _log_bessel_debye
-    log_value, ratio = branch(float(alpha), np.array([float(x)]))
+    log_value, ratio = _log_bessel(float(alpha), np.array([float(x)]))
     return BesselEval(log_value=float(log_value[0]), ratio_next=float(ratio[0]))
 
 
@@ -227,11 +228,13 @@ class VmfParams:
         object.__setattr__(self, "kappa", max(float(self.kappa), KAPPA_MIN))
 
 
-def _log_normalizer(kappa: float, n: int) -> float:
-    """(n/2-1) log kappa - (n/2) log 2pi - log I_{n/2-1}(kappa)."""
+def _log_normalizer(kappa: np.ndarray, n: int):
+    """(g, ratio) over an array of concentrations kappa > 0: the vMF log
+    normalizer g = nu log kappa - (n/2) log 2pi - log I_nu(kappa) and
+    I_{nu+1}(kappa) / I_nu(kappa), with nu = n/2 - 1."""
     nu = 0.5 * n - 1.0
-    ev = log_bessel_i(nu, kappa)
-    return nu * math.log(kappa) - 0.5 * n * LOG_2PI - ev.log_value
+    log_i, ratio = _log_bessel(nu, kappa)
+    return nu * np.log(kappa) - 0.5 * n * LOG_2PI - log_i, ratio
 
 
 def vmf_log_pdf(x, params: VmfParams) -> float:
@@ -239,36 +242,35 @@ def vmf_log_pdf(x, params: VmfParams) -> float:
     x = np.asarray(x, dtype=np.float64)
     if not abs(np.linalg.norm(x) - 1.0) <= 1e-6:
         raise DomainError(f"x must be unit norm, got ||x|| = {np.linalg.norm(x)}")
-    if params.kappa <= 0.0:
-        raise DomainError("kappa must be positive")
-    return params.kappa * float(np.dot(params.mu, x)) + _log_normalizer(params.kappa, params.n)
+    g, _ = _log_normalizer(np.array([params.kappa]), params.n)
+    return params.kappa * float(np.dot(params.mu, x)) + float(g[0])
 
 
 def vmf_similarity(proxy, z, n: int) -> float:
     """Similarity kappa*cos(theta) + (n/2-1) log kappa - (n/2) log 2pi
     - log I_{n/2-1}(kappa) with kappa = max(||z||, KAPPA_MIN) and cos(theta)
-    measured between proxy and z in their own (d-dimensional) space.
+    measured between proxy and z in their own (d-dimensional) space: the
+    one-row case of vmf_similarity_batch.
 
     For unclamped kappa the first term equals proxy . z exactly.
     """
     proxy = np.asarray(proxy, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
     pnorm = np.linalg.norm(proxy)
-    if pnorm == 0.0:
-        raise DomainError("proxy must be nonzero")
     # unit proxy expected; tolerate numeric drift (finite-difference probes
     # move the norm by O(step)) but reject anything clearly off the sphere
     if not abs(pnorm - 1.0) <= 1e-3:
         raise DomainError(f"proxy must be unit norm, got ||proxy|| = {pnorm}")
-    norm = float(np.linalg.norm(z))
-    kappa = max(norm, KAPPA_MIN)
-    if norm >= KAPPA_MIN:
-        align = float(np.dot(proxy, z))          # = kappa * cos(theta) exactly
-    elif norm > 0.0:
-        align = kappa * float(np.dot(proxy, z)) / norm
-    else:
-        align = 0.0                              # cos undefined at z = 0; clamp contract
-    return align + _log_normalizer(kappa, n)
+    z, norms = _one_row(z)
+    return float(vmf_similarity_batch(z, proxy[None, :], n, norms=norms)[0][0, 0])
+
+
+def _one_row(z):
+    """z as a 1 x d batch and its row norm, which must be finite."""
+    z = np.asarray(z, dtype=np.float64)[None, :]
+    norms = np.linalg.norm(z, axis=1)
+    if not np.isfinite(norms[0]):
+        raise DomainError(f"||z|| must be finite, got {norms[0]}")
+    return z, norms
 
 
 class SimilarityGrad(NamedTuple):
@@ -278,42 +280,42 @@ class SimilarityGrad(NamedTuple):
 
 
 def vmf_similarity_grad(proxy, z, n: int) -> SimilarityGrad:
-    """Analytic gradient of vmf_similarity.
-
-    grad wrt proxy is z (the only proxy-dependent term is proxy . z).
-    grad wrt z is proxy - ratio_next(n/2-1, kappa) * z/||z||, using
-    d log I_nu / d kappa = I_{nu+1}/I_nu + nu/kappa so that the log kappa
-    and Bessel derivatives collapse to -ratio_next.  At the clamp boundary
-    the norm-dependent terms are frozen and grad wrt z is just proxy.
-    """
-    proxy = np.asarray(proxy, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    norm = float(np.linalg.norm(z))
-    if norm < KAPPA_MIN:
-        return SimilarityGrad(grad_proxy=z.copy(), grad_z=proxy.copy(), clamped=True)
-    nu = 0.5 * n - 1.0
-    ratio = log_bessel_i(nu, norm).ratio_next
-    return SimilarityGrad(grad_proxy=z.copy(),
-                          grad_z=proxy - ratio * (z / norm),
-                          clamped=False)
+    """Analytic gradient of vmf_similarity: the one-row, one-proxy case of
+    _similarity_grads.  clamped is true when ||z|| < KAPPA_MIN."""
+    proxy = np.asarray(proxy, dtype=np.float64)[None, :]
+    z, norms = _one_row(z)
+    _, _, ratio, scale = vmf_similarity_batch(z, proxy, n, norms=norms)
+    grad_z, grad_proxy = _similarity_grads(np.ones((1, 1)), z, _divide_rows(z, norms),
+                                           proxy, ratio, scale)
+    return SimilarityGrad(grad_proxy=grad_proxy[0], grad_z=grad_z[0],
+                          clamped=bool(scale[0] != 1.0))
 
 
 def vmf_similarity_batch(z: np.ndarray, proxies: np.ndarray, n: int,
                          product=None, norms=None):
     """Vectorized similarities for a batch: returns (sims N x C, kappa N,
-    ratio_next N, scale N) where scale converts proxy . z into the
-    kappa*cos(theta) term (1 for unclamped rows).  product and norms, when
-    given, are z @ proxies.T and the row norms of z."""
+    ratio_next N, scale N) where scale = kappa / ||z|| converts proxy . z
+    into the kappa*cos(theta) term (exactly 1 for unclamped rows, 0 for a
+    zero row).  product and norms, when given, are z @ proxies.T and the
+    row norms of z."""
     z = np.asarray(z, dtype=np.float64)
     if product is None:
         product = z @ np.asarray(proxies, dtype=np.float64).T
     if norms is None:
         norms = np.linalg.norm(z, axis=1)
     kappa = np.maximum(norms, KAPPA_MIN)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    scale = np.where(norms >= KAPPA_MIN, 1.0, np.where(norms > 0.0, kappa / safe, 0.0))
-    nu = 0.5 * n - 1.0
-    log_i, ratio = _log_bessel(nu, kappa)
-    g = nu * np.log(kappa) - 0.5 * n * LOG_2PI - log_i
+    scale = kappa / np.where(norms > 0.0, norms, np.inf)
+    g, ratio = _log_normalizer(kappa, n)
     sims = product * scale[:, None] + g[:, None]
     return sims, kappa, ratio, scale
+
+
+def _similarity_grads(dsim, z, zhat, proxies, ratio, scale):
+    """(grad_z, grad_W) of sum_ij dsim_ij sim_ij, sim_ij = scale_i w_j . z_i
+    + g(kappa_i), from vmf_similarity_batch's ratio and scale and the unit
+    rows zhat of z.  grad_W = sum_i dsim_ij scale_i z_i.  An unclamped row
+    has d g / d kappa = -ratio_next, so grad_z_i = sum_j dsim_ij (w_j -
+    ratio_i zhat_i); a clamped row has its norm terms frozen: sum_j dsim_ij w_j."""
+    row_term = dsim.sum(axis=1) * ratio * (scale == 1.0)
+    grad_z = dsim @ proxies - row_term[:, None] * zhat
+    return grad_z, dsim.T @ (z * scale[:, None])

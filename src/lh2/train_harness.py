@@ -27,7 +27,7 @@ from .recon_losses import (PerceptualExtractor, laplace_nll, laplace_nll_grad,
                            perceptual_nll, perceptual_nll_grad, smoothness_grad,
                            smoothness_loss, view_variance_grad, view_variance_loss)
 from .depth_renderer import DepthMap
-from .sphere_math import _divide_rows, vmf_similarity, vmf_similarity_grad
+from .sphere_math import vmf_similarity, vmf_similarity_grad
 from .sphere_stats import proxy_spread_trackers, sns_tracker
 from .uamf import (EmbeddingBatch, NormTracker, ProxyMatrix, uamf_loss,
                    update_norm_tracker)
@@ -263,13 +263,11 @@ def histogram_dump(state, X, labels, bins: int = 64):
         embedder, proxies = state.embedder, state.proxies
     else:
         embedder, proxies = state
-    z = X @ embedder
-    cos = _divide_rows(z, np.linalg.norm(z, axis=1)) @ proxies.W.T
-    n = len(labels)
-    rows = np.arange(n)
-    pad = cos[rows, labels]
+    batch = EmbeddingBatch(X @ embedder, labels)
+    cos = batch.product(proxies).cos
+    pad = positive_cosines(batch, proxies)
     neg = np.ones_like(cos, dtype=bool)
-    neg[rows, labels] = False
+    neg[np.arange(len(labels)), labels] = False
     nad = cos[neg]
 
     edges = np.linspace(-1.0, 1.0, bins + 1)
@@ -468,15 +466,12 @@ def _raw_proxies(w):
     return p
 
 
-def grad_check(config: Optional[RunConfig] = None, repeats: int = 5,
-               tol: float = 1e-4, corrupt_op: Optional[str] = None,
-               seed: Optional[int] = None):
+def grad_check(repeats: int = 5, tol: float = 1e-4,
+               corrupt_op: Optional[str] = None, seed: int = 0):
     """Run central finite-difference checks on every differentiable loss
-    op at random small instances; returns (rows, ok) with one row per op.
-    corrupt_op deliberately biases one analytic gradient to prove the
-    detector fires."""
-    if seed is None:
-        seed = config.seed if config is not None else 0
+    op at random small instances drawn from the seed; returns (rows, ok)
+    with one row per op.  corrupt_op deliberately biases one analytic
+    gradient to prove the detector fires."""
     worst: dict[str, float] = {}
     rng = np.random.default_rng(seed)
     for _ in range(repeats):

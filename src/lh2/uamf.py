@@ -10,7 +10,8 @@ and the loss subtracts the margin from the true-class similarity before
 the temperature division, then takes softmax cross-entropy.  Because the
 per-sample normalizer terms of the similarity are shared across classes,
 their gradient contributions cancel through the softmax; the chain rule
-is still assembled with them in place.
+(sphere_math._similarity_grads, shared with vmf_similarity_grad) still
+carries them.
 
 Every sample-to-proxy quantity of a training step comes from one product
 S = z W^T (ProxyProduct), which a batch builds on first use with a proxy
@@ -27,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .sphere_math import _divide_rows, vmf_similarity_batch
+from .sphere_math import _divide_rows, _similarity_grads, vmf_similarity_batch
 
 
 @dataclasses.dataclass
@@ -214,18 +215,7 @@ def uamf_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, margin: float,
     coeff[target] -= 1.0
     coeff /= N * tau                             # d loss / d sim_ij
 
-    unclamped = scale == 1.0
-    n_clamped = N - int(np.count_nonzero(unclamped))
-    grad_W = coeff.T @ (batch.z if n_clamped == 0 else batch.z * scale[:, None])
-    grad_z = coeff @ W
-    # shared-normalizer term: coefficient sums are ~0 so this cancels, kept
-    # for the exact per-sample chain rule through kappa = ||z||
-    row_term = coeff.sum(axis=1) * ratio
-    if n_clamped == 0:
-        grad_z -= row_term[:, None] * batch.zhat
-    elif n_clamped < N:
-        grad_z[unclamped] -= row_term[unclamped, None] * batch.zhat[unclamped]
-
+    grad_z, grad_W = _similarity_grads(coeff, batch.z, batch.zhat, W, ratio, scale)
     return LossReport(total=loss, terms={"uamf": loss}, grad_z=grad_z, grad_W=grad_W,
-                      stats={"clamped_rows": n_clamped,
+                      stats={"clamped_rows": int(np.count_nonzero(scale != 1.0)),
                              "mean_target_prob": mean_target_prob})

@@ -305,6 +305,13 @@ def test_grad_check_subcommand(capsys):
     assert all(line.endswith("ok") for line in lines)
 
 
+def test_grad_check_config_flag_is_gone(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 0\n")
+    assert main(["grad-check", "--config", str(cfg), "--repeats", "1"]) == 3
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
 def test_grad_check_corruption_fails(capsys):
     rc = main(["grad-check", "--repeats", "1", "--seed", "0",
                "--corrupt", "uamf_loss"])

@@ -9,7 +9,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from lh2.depth_renderer import (CanvasSpec, DepthMap, LightingParams, Pose,
-                                auxiliary_poses, center_crop, depth_centroid,
+                                _crop_offsets, depth_centroid,
                                 depth_to_pointcloud, hemisphere_scene,
                                 intrinsics_from_fov, make_canvas,
                                 neighborhood_offsets, project_points,
@@ -158,13 +158,6 @@ def test_depth_centroid_plane():
     K = intrinsics_from_fov(5, 5, 90.0)
     c = depth_centroid(_plane(5, 3.0), K)
     np.testing.assert_allclose(c, [0.0, 0.0, 3.0], atol=1e-12)
-    mask = np.zeros((5, 5), bool)
-    mask[0, 0] = True
-    c = depth_centroid(_plane(5, 3.0), K, mask)
-    pts = depth_to_pointcloud(_plane(5, 3.0), K)
-    np.testing.assert_array_equal(c, pts[0, 0])
-    with pytest.raises(CanvasError):
-        depth_centroid(_plane(5, 3.0), K, np.zeros((5, 5), bool))
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +213,25 @@ def test_canvas_errors():
     d, _, K, _ = hemisphere_scene(8)
     with pytest.raises(CanvasError):
         make_canvas([], d, K)
-    with pytest.raises(CanvasError):
-        make_canvas([Pose.identity(), Pose.identity()], d, K, depths=[d])
     behind = Pose(np.eye(3), np.array([0.0, 0.0, -20.0]), np.zeros(3))
     with pytest.raises(CanvasError):
         make_canvas([behind], d, K)
+
+
+def _auxiliary_poses(canvas: CanvasSpec, template: DepthMap, K):
+    """The two boundary probes behind a canvas: a constant-depth plane at
+    the template's min depth under pure translations placing its extreme
+    corners exactly on the canvas bounds.  Returns (probe_depth, [pose_lo,
+    pose_hi])."""
+    z0 = template.min_depth
+    f = K.K[0, 0]
+    probe = DepthMap(values=np.full(template.shape, z0), min_depth=z0, max_depth=z0)
+    t_lo = np.array([canvas.x_min_g * z0 / f, canvas.y_min_g * z0 / f, 0.0])
+    t_hi = np.array([(canvas.x_max_g - (K.W - 1)) * z0 / f,
+                     (canvas.y_max_g - (K.H - 1)) * z0 / f, 0.0])
+    zero = np.zeros(3)
+    return probe, [Pose(R=np.eye(3), t=t_lo, pivot=zero),
+                   Pose(R=np.eye(3), t=t_hi, pivot=zero)]
 
 
 def test_auxiliary_poses_reproduce_bounds():
@@ -233,19 +240,22 @@ def test_auxiliary_poses_reproduce_bounds():
     poses = [Pose(rotation_about_axis(0, -9.0), np.zeros(3), piv),
              Pose(rotation_about_axis(1, 14.0), np.zeros(3), piv)]
     canvas = make_canvas(poses, d, K)
-    probe, aux = auxiliary_poses(canvas, d, K)
-    u_lo, v_lo, _, ok_lo = project_points(
-        transform_pointcloud(depth_to_pointcloud(probe, K), aux[0]), K)
-    u_hi, v_hi, _, ok_hi = project_points(
-        transform_pointcloud(depth_to_pointcloud(probe, K), aux[1]), K)
+    probe, aux = _auxiliary_poses(canvas, d, K)
+    projected = [project_points(transform_pointcloud(depth_to_pointcloud(depth, K),
+                                                     pose), K)
+                 for depth, pose in zip([d, d, probe, probe], poses + aux)]
+    (u_lo, v_lo, _, ok_lo), (u_hi, v_hi, _, ok_hi) = projected[2:]
     assert np.all(ok_lo) and np.all(ok_hi)
     assert u_lo.min() == pytest.approx(canvas.x_min_g, abs=1e-9)
     assert v_lo.min() == pytest.approx(canvas.y_min_g, abs=1e-9)
     assert u_hi.max() == pytest.approx(canvas.x_max_g, abs=1e-9)
     assert v_hi.max() == pytest.approx(canvas.y_max_g, abs=1e-9)
-    # folding the probes back into the bound pass changes nothing
-    again = make_canvas(poses + aux, d, K, depths=[d, d, probe, probe])
-    assert again == canvas
+    # folding the probes back into a plain min/max bound pass over every
+    # projection reproduces the stored bounds
+    u = np.concatenate([p[0][p[3]] for p in projected])
+    v = np.concatenate([p[1][p[3]] for p in projected])
+    assert (u.min(), u.max(), v.min(), v.max()) == pytest.approx(
+        (canvas.x_min_g, canvas.x_max_g, canvas.y_min_g, canvas.y_max_g), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +378,19 @@ def test_scatter_matches_reference_on_random_scenes():
 # ---------------------------------------------------------------------------
 # crop and identity reconstruction
 
+def _center_crop(values, H, W):
+    oy, ox = _crop_offsets(values.shape[0], values.shape[1], H, W)
+    return values[oy:oy + H, ox:ox + W]
+
+
 def test_center_crop():
     a = np.arange(25).reshape(5, 5)
-    np.testing.assert_array_equal(center_crop(a, 5, 5), a)
-    np.testing.assert_array_equal(center_crop(a, 3, 3), a[1:4, 1:4])
+    np.testing.assert_array_equal(_center_crop(a, 5, 5), a)
+    np.testing.assert_array_equal(_center_crop(a, 3, 3), a[1:4, 1:4])
     b = np.arange(24).reshape(6, 4)
-    np.testing.assert_array_equal(center_crop(b, 3, 4), b[1:4, :])
+    np.testing.assert_array_equal(_center_crop(b, 3, 4), b[1:4, :])
     with pytest.raises(DomainError):
-        center_crop(a, 6, 5)
+        _center_crop(a, 6, 5)
 
 
 def test_identity_render_reconstructs_depth():
@@ -383,7 +398,7 @@ def test_identity_render_reconstructs_depth():
     canvas = make_canvas([Pose.identity()], d, K)
     res = scatter_min_render(
         project_points(depth_to_pointcloud(d, K), K), canvas, radius=0)
-    crop = center_crop(res.values, 30, 30)
+    crop = _center_crop(res.values, 30, 30)
     assert np.isfinite(crop).all()
     np.testing.assert_allclose(crop, d.values, atol=1e-9)
     assert res.mean_rounding_error <= 1e-9

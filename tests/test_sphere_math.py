@@ -182,9 +182,14 @@ def test_vmf_log_pdf_rejects_nonunit_x():
 # vmf_similarity
 
 def _sim_oracle(proxy, z, n):
-    kappa = max(float(np.linalg.norm(z)), KAPPA_MIN)
+    """Closed form scale (proxy . z) + nu log kappa - (n/2) log 2pi
+    - log I_nu(kappa) with kappa = max(||z||, KAPPA_MIN), scale = kappa / ||z||
+    (0 at z = 0) and mpmath's log I."""
+    norm = float(np.linalg.norm(z))
+    kappa = max(norm, KAPPA_MIN)
+    scale = kappa / norm if norm > 0.0 else 0.0
     nu = 0.5 * n - 1.0
-    return (float(np.dot(proxy, z)) + nu * math.log(kappa)
+    return (scale * float(np.dot(proxy, z)) + nu * math.log(kappa)
             - 0.5 * n * math.log(2.0 * math.pi)
             - oracles.log_bessel_oracle(nu, kappa))
 
@@ -285,7 +290,25 @@ def test_grad_clamped_branch():
     g = vmf_similarity_grad(proxy, z, 16)
     assert g.clamped
     np.testing.assert_array_equal(g.grad_z, proxy)
-    np.testing.assert_array_equal(g.grad_proxy, z)
+    # the similarity is KAPPA_MIN proxy . z / ||z|| below the clamp
+    np.testing.assert_allclose(g.grad_proxy, z * (KAPPA_MIN / 1e-9), rtol=1e-15)
+    zero = vmf_similarity_grad(proxy, np.zeros(2), 16)
+    assert zero.clamped
+    np.testing.assert_array_equal(zero.grad_proxy, np.zeros(2))
+
+
+def test_clamped_grad_proxy_matches_finite_differences():
+    # small n keeps the normalizer, and with it the rounding noise of the
+    # differences, near 1; the gradient is about 1e-6
+    rng = np.random.default_rng(3)
+    for n in (2, 16):
+        proxy = rng.standard_normal(5)
+        proxy /= np.linalg.norm(proxy)
+        z = rng.standard_normal(5)
+        z *= 1e-9 / np.linalg.norm(z)
+        g = vmf_similarity_grad(proxy, z, n)
+        fd = oracles.fd_grad(lambda p: vmf_similarity(p, z, n), proxy)
+        assert oracles.rel_err(g.grad_proxy, fd) <= 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +327,7 @@ def test_batch_matches_scalar():
     for i in range(4):
         for j in range(5):
             assert sims[i, j] == pytest.approx(
-                vmf_similarity(W[j], z[i], n), rel=1e-12, abs=1e-9)
+                _sim_oracle(W[j], z[i], n), rel=1e-12, abs=1e-9)
     np.testing.assert_allclose(kappa, np.maximum(np.linalg.norm(z, axis=1),
                                                  KAPPA_MIN))
     assert scale[0] == 1.0 and scale[3] == 1.0
@@ -325,7 +348,7 @@ def test_batch_with_rows_on_both_sides_of_the_switch():
     sims, kappa, ratio, scale = vmf_similarity_batch(z, W, n)
     for i, norm in enumerate(norms):
         for j in range(3):
-            assert sims[i, j] == pytest.approx(vmf_similarity(W[j], z[i], n),
+            assert sims[i, j] == pytest.approx(_sim_oracle(W[j], z[i], n),
                                                rel=1e-15)
         assert ratio[i] == pytest.approx(oracles.bessel_ratio_oracle(nu, norm),
                                          rel=1e-12, abs=0.0)

@@ -1,10 +1,12 @@
 """Adaptive-margin softmax over vMF similarities and the norm tracker."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from lh2 import proxy_losses, sphere_math, uamf
 from lh2.errors import DomainError
 from lh2.uamf import (EmbeddingBatch, NormTracker, ProxyMatrix,
                       update_norm_tracker, uamf_loss)
@@ -224,3 +226,32 @@ def test_gradients_vs_finite_differences_50_instances():
         assert oracles.rel_err(rep.grad_z, fd_z) <= 1e-5
         assert oracles.rel_err(rep.grad_W, fd_W) <= 1e-5
     assert checked == 50
+
+
+def test_similarity_and_cosine_gradients_each_come_from_one_helper(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    sim = counted("similarity", sphere_math._similarity_grads)
+    monkeypatch.setattr(sphere_math, "_similarity_grads", sim)
+    monkeypatch.setattr(uamf, "_similarity_grads", sim)
+    monkeypatch.setattr(proxy_losses, "_quotient_rule",
+                        counted("quotient", proxy_losses._quotient_rule))
+    rng = np.random.default_rng(11)
+    batch = EmbeddingBatch(rng.standard_normal((6, 4)) * 5.0, np.arange(6) % 3)
+    proxies = ProxyMatrix(_unit_rows(rng, 3, 4))
+
+    uamf_loss(batch, proxies, 0.5, 1.0, 8)
+    assert calls == {"similarity": 1}
+    sphere_math.vmf_similarity_grad(proxies.W[0], batch.z[0], 8)
+    assert calls == {"similarity": 2}
+    cfg = proxy_losses.ProxyLossConfig(sns_enabled=True)
+    proxy_losses.proxy_based_total(batch, proxies, proxy_losses.EpochMidState(mid=0.9),
+                                   cfg, rng)
+    # both sides of the sample-to-proxy cosines, pp's selection, sns
+    assert calls == {"similarity": 2, "quotient": 4}
