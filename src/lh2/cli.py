@@ -143,12 +143,15 @@ def _cmd_grad_check(args) -> int:
 
 def _cmd_hist(args) -> int:
     cfg = _load_config(args)
-    state = load_checkpoint(args.checkpoint)
+    embedder, proxies = load_checkpoint(args.checkpoint)
+    if cfg.C != proxies.W.shape[0]:
+        raise ConfigError(f"checkpoint has {proxies.W.shape[0]} proxies "
+                          f"but the config has C = {cfg.C} classes")
     X, labels = dataset_inputs(cfg)
-    if X.shape[1] != state[0].shape[0]:
-        raise ConfigError(f"checkpoint expects {state[0].shape[0]} input dims "
+    if X.shape[1] != embedder.shape[0]:
+        raise ConfigError(f"checkpoint expects {embedder.shape[0]} input dims "
                           f"but the config generates {X.shape[1]}")
-    records, summary = histogram_dump(state, X, labels)
+    records, summary = histogram_dump(embedder, proxies, X, labels)
     os.makedirs(args.out_dir, exist_ok=True)
     emit_metrics(records, os.path.join(args.out_dir, "hist.csv"))
     for key, value in summary.items():

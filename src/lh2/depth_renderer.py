@@ -5,12 +5,11 @@ image warp built on top.
 
 Geometry conventions: pixel (u, v) = (column, row), camera looks down +z,
 all depths positive.  The unified canvas is sized once for a whole set of
-poses so every rendered frame shares one output geometry; its bounds are
-symmetric about the source principal point (x_min + x_max = W,
-y_min + y_max = H), the aspect ratio is preserved, and the enlargement
-ratio is at least 2.5.  Bounds are stored with extent exactly W_new - 1
-so the canvas index normalization has unit scale and introduces no
-resampling of its own.
+poses so every rendered frame shares one output geometry: W_new >= 2.5 W
+columns at the source aspect ratio, centred on (W/2, H/2).  The canvas
+stores only its origin (x_min_g, y_min_g); its pixel (i, j) sits at image
+coordinate (x_min_g + j, y_min_g + i), one canvas pixel per source pixel,
+so placing points on it introduces no resampling of its own.
 """
 
 from __future__ import annotations
@@ -139,13 +138,12 @@ class LightingParams:
 
 @dataclasses.dataclass
 class CanvasSpec:
+    """Canvas pixel (i, j) sits at image coordinate (x_min_g + j, y_min_g + i)."""
+
     H_new: int
     W_new: int
     x_min_g: float
-    x_max_g: float
     y_min_g: float
-    y_max_g: float
-    ratio: float
 
 
 def _back_project(u, v, d, K: CameraIntrinsics) -> np.ndarray:
@@ -226,14 +224,9 @@ def make_canvas(poses, template: DepthMap, K: CameraIntrinsics) -> CanvasSpec:
         W_new += 1
     H_new = W_new * H // W
 
-    # extent exactly W_new - 1 centered on W/2: unit index scale, exact symmetry
-    x_min = (W - (W_new - 1)) / 2.0
-    x_max = (W + (W_new - 1)) / 2.0
-    y_min = (H - (H_new - 1)) / 2.0
-    y_max = (H + (H_new - 1)) / 2.0
+    # unit pixel spacing, the W_new - 1 extent centred on W/2
     return CanvasSpec(H_new=int(H_new), W_new=int(W_new),
-                      x_min_g=x_min, x_max_g=x_max, y_min_g=y_min, y_max_g=y_max,
-                      ratio=W_new / W)
+                      x_min_g=(W - (W_new - 1)) / 2.0, y_min_g=(H - (H_new - 1)) / 2.0)
 
 
 def neighborhood_offsets(radius: int):
@@ -269,10 +262,8 @@ def scatter_min_render(projected, canvas: CanvasSpec, radius: int = 1) -> Render
     d = np.asarray(d, dtype=np.float64).ravel()
     keep = np.asarray(valid, dtype=bool).ravel()
 
-    sx = (canvas.W_new - 1) / (canvas.x_max_g - canvas.x_min_g)
-    sy = (canvas.H_new - 1) / (canvas.y_max_g - canvas.y_min_g)
-    fx = (u[keep] - canvas.x_min_g) * sx
-    fy = (v[keep] - canvas.y_min_g) * sy
+    fx = u[keep] - canvas.x_min_g
+    fy = v[keep] - canvas.y_min_g
     j = np.floor(fx + 0.5).astype(np.int64)
     i = np.floor(fy + 0.5).astype(np.int64)
     dep = d[keep]
@@ -358,10 +349,8 @@ def warp_image(source: np.ndarray, depth: DepthMap, pose: Pose,
     rendered = scatter_min_render(project_points(pts, K), canvas, radius)
     oy, ox = _crop_offsets(canvas.H_new, canvas.W_new, K.H, K.W)
     window = rendered.values[oy:oy + K.H, ox:ox + K.W].copy()
-    sx = (canvas.x_max_g - canvas.x_min_g) / (canvas.W_new - 1)
-    sy = (canvas.y_max_g - canvas.y_min_g) / (canvas.H_new - 1)
-    x = canvas.x_min_g + np.arange(ox, ox + K.W) * sx
-    y = canvas.y_min_g + np.arange(oy, oy + K.H) * sy
+    x = canvas.x_min_g + np.arange(ox, ox + K.W)
+    y = canvas.y_min_g + np.arange(oy, oy + K.H)
 
     valid = np.isfinite(window)
     pts_c = _back_project(x[None, :], y[:, None], np.where(valid, window, 1.0), K)
@@ -391,9 +380,9 @@ def warp_image(source: np.ndarray, depth: DepthMap, pose: Pose,
     return out, valid, window
 
 
-def hemisphere_scene(size: int = 30, fov_deg: float = 40.0):
-    """Analytic hemisphere depth bump with an axis-marked albedo: the test
-    scene for the renderer demo."""
+def hemisphere_scene(size: int = 30):
+    """Analytic hemisphere depth bump with an axis-marked albedo under a
+    40 degree field of view: the test scene for the renderer demo."""
     if size < 8:
         raise DomainError(f"size must be >= 8, got {size}")
     c = (size - 1) / 2.0
@@ -411,7 +400,7 @@ def hemisphere_scene(size: int = 30, fov_deg: float = 40.0):
     stripe = max(1, size // 10)
     albedo[:, np.abs(np.arange(size) - c) < stripe] = (0.85, 0.20, 0.20)
     albedo[np.abs(np.arange(size) - c) < stripe, :] = (0.20, 0.70, 0.25)
-    K = intrinsics_from_fov(size, size, fov_deg)
+    K = intrinsics_from_fov(size, size, 40.0)
     light = LightingParams(k_a=0.35, k_d=0.65, l_dx=0.4, l_dy=0.25)
     return depth, albedo, K, light
 

@@ -42,7 +42,6 @@ class ProxyLossConfig:
     sns_enabled: bool = False
     cos_min: float = 0.5
     cos_max: float = 0.9
-    mid_strict_mode: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.cos_min <= self.cos_max <= 1.0:
@@ -133,7 +132,7 @@ def pps_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, state: EpochMidState,
     N, C = batch.z.shape[0], proxies.W.shape[0]
     cos = positive_cosines(batch, proxies)
     n_left = int(np.count_nonzero(cos < state.mid))
-    stats = {"below_frac": n_left / N, "n_left": n_left, "positive_cos": cos}
+    stats = {"below_frac": n_left / N, "positive_cos": cos}
     loss = 0.0
     dcos = np.zeros((N, C))
     if n_left > 0:
@@ -150,8 +149,7 @@ def pns_loss(batch: EmbeddingBatch, proxies: ProxyMatrix,
     place of grad_z and grad_W."""
     N, C = batch.z.shape[0], proxies.W.shape[0]
     if C < 2:
-        return _cosine_report(batch, proxies, "pns", 0.0, np.zeros((N, C)),
-                              {"pns_degenerate_C": True}, grads)
+        return _cosine_report(batch, proxies, "pns", 0.0, np.zeros((N, C)), {}, grads)
     dcos = batch.product(proxies).cos.copy()
     dcos[np.arange(N), batch.labels] = 0.0
     denom = N * (C - 1)
@@ -177,22 +175,19 @@ def pp_loss(batch_labels, proxies: ProxyMatrix, cfg: ProxyLossConfig,
     C = proxies.W.shape[0]
     if C < 2:
         return LossReport(0.0, {"pp": 0.0}, None, np.zeros_like(proxies.W),
-                          {"pp_degenerate_C": True,
-                           "pp_selection": np.arange(C, dtype=np.int64)})
+                          {"pp_selection": np.arange(C, dtype=np.int64)})
     sel = pp_selection(batch_labels, C, rng)
     k = len(sel)
     if k < 2:
         return LossReport(0.0, {"pp": 0.0}, None, np.zeros_like(proxies.W),
-                          {"pp_selection_size": k, "pp_selection": sel})
+                          {"pp_selection": sel})
     ws, gram = _selection_gram(proxies.unit, sel)
     npairs = k * (k - 1) // 2
     loss = cfg.lambda_pp * float(np.vdot(gram, gram)) / (2 * npairs)
     dcos = (cfg.lambda_pp * 2.0 / npairs) * gram
     grad_W = np.zeros_like(proxies.W)
     grad_W[sel] = _quotient_rule(dcos, gram, ws, ws, proxies.norms[sel])
-    return LossReport(loss, {"pp": loss}, None, grad_W,
-                      {"pp_selection_size": k, "pp_pairs": npairs,
-                       "pp_selection": sel})
+    return LossReport(loss, {"pp": loss}, None, grad_W, {"pp_selection": sel})
 
 
 def sns_loss(batch: EmbeddingBatch, cfg: ProxyLossConfig) -> LossReport:
@@ -201,13 +196,12 @@ def sns_loss(batch: EmbeddingBatch, cfg: ProxyLossConfig) -> LossReport:
     batch's Gram matrix, which sphere_stats.sns_tracker reads too."""
     pair, ordered = _distinct_label_pairs(batch.labels)
     if ordered == 0:
-        return LossReport(0.0, {"sns": 0.0}, np.zeros_like(batch.z), None,
-                          {"sns_pairs": 0})
+        return LossReport(0.0, {"sns": 0.0}, np.zeros_like(batch.z))
     gram = batch.gram
     loss = cfg.lambda_sns * float(np.sum(gram, where=pair)) / ordered
     dcos = (cfg.lambda_sns * 2.0 / ordered) * pair   # symmetric; each pair once in the loss
     grad_z = _quotient_rule(dcos, gram, batch.zhat, batch.zhat, batch.norms)
-    return LossReport(loss, {"sns": loss}, grad_z, None, {"sns_pairs": ordered // 2})
+    return LossReport(loss, {"sns": loss}, grad_z)
 
 
 def proxy_based_total(batch: EmbeddingBatch, proxies: ProxyMatrix,

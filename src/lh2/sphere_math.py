@@ -276,19 +276,17 @@ def _one_row(z):
 class SimilarityGrad(NamedTuple):
     grad_proxy: np.ndarray
     grad_z: np.ndarray
-    clamped: bool
 
 
 def vmf_similarity_grad(proxy, z, n: int) -> SimilarityGrad:
     """Analytic gradient of vmf_similarity: the one-row, one-proxy case of
-    _similarity_grads.  clamped is true when ||z|| < KAPPA_MIN."""
+    _similarity_grads."""
     proxy = np.asarray(proxy, dtype=np.float64)[None, :]
     z, norms = _one_row(z)
     _, _, ratio, scale = vmf_similarity_batch(z, proxy, n, norms=norms)
     grad_z, grad_proxy = _similarity_grads(np.ones((1, 1)), z, _divide_rows(z, norms),
                                            proxy, ratio, scale)
-    return SimilarityGrad(grad_proxy=grad_proxy[0], grad_z=grad_z[0],
-                          clamped=bool(scale[0] != 1.0))
+    return SimilarityGrad(grad_proxy=grad_proxy[0], grad_z=grad_z[0])
 
 
 def vmf_similarity_batch(z: np.ndarray, proxies: np.ndarray, n: int,
@@ -313,9 +311,14 @@ def vmf_similarity_batch(z: np.ndarray, proxies: np.ndarray, n: int,
 def _similarity_grads(dsim, z, zhat, proxies, ratio, scale):
     """(grad_z, grad_W) of sum_ij dsim_ij sim_ij, sim_ij = scale_i w_j . z_i
     + g(kappa_i), from vmf_similarity_batch's ratio and scale and the unit
-    rows zhat of z.  grad_W = sum_i dsim_ij scale_i z_i.  An unclamped row
-    has d g / d kappa = -ratio_next, so grad_z_i = sum_j dsim_ij (w_j -
-    ratio_i zhat_i); a clamped row has its norm terms frozen: sum_j dsim_ij w_j."""
-    row_term = dsim.sum(axis=1) * ratio * (scale == 1.0)
+    rows zhat of z.  grad_W = sum_i dsim_ij scale_i z_i.  With a_i = sum_j
+    dsim_ij w_j, an unclamped row has d g / d kappa = -ratio_next, so grad_z_i
+    = a_i - sum_j dsim_ij ratio_i zhat_i; a clamped row has sim_ij = KAPPA_MIN
+    w_j . zhat_i + const, so grad_z_i = scale_i (a_i - (a_i . zhat_i) zhat_i)."""
+    clamped = scale != 1.0
+    row_term = dsim.sum(axis=1) * ratio * ~clamped
     grad_z = dsim @ proxies - row_term[:, None] * zhat
+    if clamped.any():
+        a, u = grad_z[clamped], zhat[clamped]      # row_term is 0 on these rows
+        grad_z[clamped] = scale[clamped, None] * (a - np.einsum("ij,ij->i", a, u)[:, None] * u)
     return grad_z, dsim.T @ (z * scale[:, None])

@@ -20,7 +20,6 @@ import math
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .sphere_math import _divide_rows
 
 _MAX_MC_SCALARS = int(1e8)
 
@@ -132,7 +131,7 @@ def _distinct_label_pairs(labels: np.ndarray):
 
 
 def proxy_spread_trackers(proxies, C: int, d: int, batch_selection) -> dict:
-    """Spread statistics over the pp-style selection of proxies:
+    """Spread statistics over the pp-style selection of a ProxyMatrix:
 
         std      = sqrt(mean pairwise cos^2)
         std_mean = sqrt(mean relu(cos - sqrt(2 ln C / d))^2)
@@ -146,12 +145,7 @@ def proxy_spread_trackers(proxies, C: int, d: int, batch_selection) -> dict:
     k = len(sel)
     if k < 2:
         return {"std": 0.0, "std_mean": 0.0}
-    if hasattr(proxies, "unit"):
-        unit = proxies.unit
-    else:
-        w = np.asarray(proxies, dtype=np.float64)
-        unit = _divide_rows(w, np.linalg.norm(w, axis=1))
-    _, gram = _selection_gram(unit, sel)
+    _, gram = _selection_gram(proxies.unit, sel)
     ordered = k * (k - 1)
     thr = math.sqrt(min(2.0 * math.log(C) / d, 1.0))
     excess = np.maximum(gram - thr, 0.0).ravel()

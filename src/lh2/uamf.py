@@ -153,8 +153,8 @@ class NormTracker:
 class LossReport:
     """A named loss total with per-term breakdown and gradients.
 
-    total always equals the sum of terms; stats carries non-loss
-    diagnostics (counts, fractions, degeneracy warnings).  A loss of the
+    total always equals the sum of terms; stats carries non-loss values
+    that callers read (fractions, cosines, the pp selection).  A loss of the
     sample-to-proxy cosines asked for no gradients carries d total / d cos
     (N x C) as dcos instead of grad_z and grad_W.
     """
@@ -177,15 +177,14 @@ def update_norm_tracker(tracker: NormTracker, batch: EmbeddingBatch,
 
 
 def uamf_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, margin: float,
-              tau: float, n: int, _logit_shift: float = 0.0) -> LossReport:
+              tau: float, n: int) -> LossReport:
     """Softmax cross-entropy over vMF similarities with the true-class
     similarity reduced by the margin.
 
-    Logits are (sim - margin * onehot) / tau + _logit_shift, shifted by
-    their row maximum before the one exp; _logit_shift exists to exercise
-    the shift invariance of the softmax and defaults to 0.  The
-    similarities read the batch's product with the proxies, and grad_W is
-    taken through the raw W, so it holds for rows off the sphere too.
+    Logits are (sim - margin * onehot) / tau, shifted by their row maximum
+    before the one exp.  The similarities read the batch's product with
+    the proxies, and grad_W is taken through the raw W, so it holds for
+    rows off the sphere too.
     """
     if tau <= 0.0:
         raise DomainError(f"tau must be positive, got {tau}")
@@ -204,7 +203,6 @@ def uamf_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, margin: float,
                                                  batch.product(proxies).S, batch.norms)
     logits = sims / tau
     logits[target] -= margin / tau
-    logits += _logit_shift
     logits -= logits.max(axis=1, keepdims=True)
 
     e = np.exp(logits)

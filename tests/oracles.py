@@ -131,8 +131,6 @@ def reference_scatter(u, v, d, valid, canvas, radius: int):
     depth wins, out-of-canvas writes are counted and discarded.
     """
     H, W = canvas.H_new, canvas.W_new
-    sx = (W - 1) / (canvas.x_max_g - canvas.x_min_g)
-    sy = (H - 1) / (canvas.y_max_g - canvas.y_min_g)
     offsets = [(di, dj)
                for di in range(-radius, radius + 1)
                for dj in range(-radius, radius + 1)
@@ -147,8 +145,8 @@ def reference_scatter(u, v, d, valid, canvas, radius: int):
     for k in range(len(u)):
         if not valid[k]:
             continue
-        fx = (u[k] - canvas.x_min_g) * sx
-        fy = (v[k] - canvas.y_min_g) * sy
+        fx = u[k] - canvas.x_min_g           # canvas pixel j sits at x_min_g + j
+        fy = v[k] - canvas.y_min_g
         j0 = math.floor(fx + 0.5)
         i0 = math.floor(fy + 0.5)
         rounding.append(abs(fx - j0) + abs(fy - i0))

@@ -163,13 +163,12 @@ def test_canvas_contract_holds_on_random_scenes():
                       rng.normal(0.0, 0.5, 3), piv)
                  for _ in range(int(rng.integers(1, 4)))]
         canvas = make_canvas(poses, d, K)
-        assert canvas.x_min_g + canvas.x_max_g == pytest.approx(W, abs=1e-6)
-        assert canvas.y_min_g + canvas.y_max_g == pytest.approx(H, abs=1e-6)
-        assert canvas.x_max_g - canvas.x_min_g == canvas.W_new - 1
-        assert canvas.y_max_g - canvas.y_min_g == canvas.H_new - 1
+        # the last pixel sits at x_min_g + W_new - 1: symmetric about (W/2, H/2)
+        assert 2.0 * canvas.x_min_g + (canvas.W_new - 1) == pytest.approx(W, abs=1e-6)
+        assert 2.0 * canvas.y_min_g + (canvas.H_new - 1) == pytest.approx(H, abs=1e-6)
         assert canvas.H_new == canvas.W_new * H // W
         assert canvas.W_new / canvas.H_new == pytest.approx(W / H, abs=1e-6)
-        assert canvas.ratio >= 2.5
+        assert canvas.W_new >= 2.5 * W
 
 
 def test_default_config_trains_to_accuracy_reproducibly(tmp_path):
@@ -205,7 +204,8 @@ def test_proxy_spread_shrinks_without_collapsing(tmp_path):
 
     cfg = RunConfig(seed=2, C=30, d=512, n=64, d_in=64, samples_per_class=40)
     X, labels = dataset_inputs(cfg)
-    _, summary = histogram_dump(init_state(cfg), X, labels)
+    state = init_state(cfg)
+    _, summary = histogram_dump(state.embedder, state.proxies, X, labels)
     assert summary["nad_std"] == pytest.approx(math.sqrt(1.0 / 512), abs=0.005)
 
 

@@ -363,3 +363,21 @@ def test_hist_dimension_mismatch(tiny_config, tmp_path, capsys):
                "--config", str(wide), "--out-dir", str(tmp_path / "hist")])
     assert rc == 3
     assert "input dims" in capsys.readouterr().err
+
+
+def test_hist_class_count_mismatch(tiny_config, tmp_path, capsys):
+    # an 8-proxy checkpoint against configs with more and with fewer classes
+    rng = np.random.default_rng(0)
+    stem = tmp_path / "ckpt"
+    write_tensor(str(stem) + ".embedder.lh2t", rng.standard_normal((16, 8)))
+    write_tensor(str(stem) + ".proxies.lh2t", np.eye(8))
+    for classes in (12, 4):
+        cfg = tmp_path / f"c{classes}.cfg"
+        cfg.write_text(TINY_CONFIG.replace("C = 8", f"C = {classes}"))
+        rc = main(["hist", "--checkpoint", str(stem), "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "hist")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "8 proxies" in err and f"C = {classes}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "hist").exists()

@@ -163,13 +163,16 @@ def test_depth_centroid_plane():
 # ---------------------------------------------------------------------------
 # canvas
 
+def _far_corner(canvas: CanvasSpec):
+    """Image coordinate (x, y) of the canvas's last pixel."""
+    return canvas.x_min_g + (canvas.W_new - 1), canvas.y_min_g + (canvas.H_new - 1)
+
+
 def test_canvas_identity_square():
     d, _, K, _ = hemisphere_scene(30)
     canvas = make_canvas([Pose.identity()], d, K)
-    assert canvas.W_new == 75 and canvas.H_new == 75
-    assert canvas.ratio == 2.5
-    assert (canvas.x_min_g, canvas.x_max_g) == (-22.0, 52.0)
-    assert (canvas.y_min_g, canvas.y_max_g) == (-22.0, 52.0)
+    assert canvas == CanvasSpec(H_new=75, W_new=75, x_min_g=-22.0, y_min_g=-22.0)
+    assert _far_corner(canvas) == (52.0, 52.0)
 
 
 def test_canvas_equations_non_square():
@@ -181,13 +184,12 @@ def test_canvas_equations_non_square():
     poses = [Pose(rotation_about_axis(a, ang), rng.normal(0, 0.2, 3), piv)
              for a, ang in [(0, 8.0), (1, -12.0), (2, 20.0)]]
     canvas = make_canvas(poses, d, K)
-    assert canvas.x_min_g + canvas.x_max_g == pytest.approx(W, abs=1e-6)
-    assert canvas.y_min_g + canvas.y_max_g == pytest.approx(H, abs=1e-6)
-    assert canvas.x_max_g - canvas.x_min_g == canvas.W_new - 1
-    assert canvas.y_max_g - canvas.y_min_g == canvas.H_new - 1
+    x_max, y_max = _far_corner(canvas)
+    assert canvas.x_min_g + x_max == pytest.approx(W, abs=1e-6)
+    assert canvas.y_min_g + y_max == pytest.approx(H, abs=1e-6)
     assert canvas.W_new * H % W == 0
     assert canvas.H_new == canvas.W_new * H // W
-    assert canvas.ratio >= 2.5
+    assert canvas.W_new >= 2.5 * W
     assert canvas.W_new / canvas.H_new == pytest.approx(W / H, abs=1e-6)
 
 
@@ -206,7 +208,7 @@ def test_canvas_grows_with_rotation():
     # a big lateral translation pushes the bounds past the 2.5 W floor
     big = make_canvas([Pose(np.eye(3), np.array([6.0, 0.0, 0.0]), piv)], d, K)
     assert big.W_new > small.W_new
-    assert big.ratio > 2.5
+    assert big.W_new > 2.5 * K.W
 
 
 def test_canvas_errors():
@@ -226,9 +228,9 @@ def _auxiliary_poses(canvas: CanvasSpec, template: DepthMap, K):
     z0 = template.min_depth
     f = K.K[0, 0]
     probe = DepthMap(values=np.full(template.shape, z0), min_depth=z0, max_depth=z0)
+    x_max, y_max = _far_corner(canvas)
     t_lo = np.array([canvas.x_min_g * z0 / f, canvas.y_min_g * z0 / f, 0.0])
-    t_hi = np.array([(canvas.x_max_g - (K.W - 1)) * z0 / f,
-                     (canvas.y_max_g - (K.H - 1)) * z0 / f, 0.0])
+    t_hi = np.array([(x_max - (K.W - 1)) * z0 / f, (y_max - (K.H - 1)) * z0 / f, 0.0])
     zero = np.zeros(3)
     return probe, [Pose(R=np.eye(3), t=t_lo, pivot=zero),
                    Pose(R=np.eye(3), t=t_hi, pivot=zero)]
@@ -248,14 +250,15 @@ def test_auxiliary_poses_reproduce_bounds():
     assert np.all(ok_lo) and np.all(ok_hi)
     assert u_lo.min() == pytest.approx(canvas.x_min_g, abs=1e-9)
     assert v_lo.min() == pytest.approx(canvas.y_min_g, abs=1e-9)
-    assert u_hi.max() == pytest.approx(canvas.x_max_g, abs=1e-9)
-    assert v_hi.max() == pytest.approx(canvas.y_max_g, abs=1e-9)
+    x_max, y_max = _far_corner(canvas)
+    assert u_hi.max() == pytest.approx(x_max, abs=1e-9)
+    assert v_hi.max() == pytest.approx(y_max, abs=1e-9)
     # folding the probes back into a plain min/max bound pass over every
     # projection reproduces the stored bounds
     u = np.concatenate([p[0][p[3]] for p in projected])
     v = np.concatenate([p[1][p[3]] for p in projected])
     assert (u.min(), u.max(), v.min(), v.max()) == pytest.approx(
-        (canvas.x_min_g, canvas.x_max_g, canvas.y_min_g, canvas.y_max_g), abs=1e-9)
+        (canvas.x_min_g, x_max, canvas.y_min_g, y_max), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +273,7 @@ def test_neighborhood_offsets():
 
 
 def _unit_canvas(n):
-    return CanvasSpec(H_new=n, W_new=n, x_min_g=0.0, x_max_g=float(n - 1),
-                      y_min_g=0.0, y_max_g=float(n - 1), ratio=2.5)
+    return CanvasSpec(H_new=n, W_new=n, x_min_g=0.0, y_min_g=0.0)
 
 
 def test_scatter_min_wins_on_collision():
@@ -506,7 +508,7 @@ def test_hemisphere_demo_frames():
     names = [name for name, _, _ in demo["frames"]]
     assert names == [f"axis{a}_{s}deg" for a in range(3)
                      for s in ("-010.00", "+000.00", "+010.00")]
-    assert demo["canvas"].ratio >= 2.5
+    assert demo["canvas"].W_new >= 2.5 * 30
     for name, img, mask in demo["frames"]:
         assert np.isfinite(img).all()
         assert img.shape == (30, 30, 3) and mask.shape == (30, 30)

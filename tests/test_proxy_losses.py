@@ -91,8 +91,8 @@ def test_pps_single_sample_example():
     proxies = ProxyMatrix(np.eye(3)[:1])
     rep = pps_loss(batch, proxies, EpochMidState(mid=0.5), CFG)
     assert rep.total == pytest.approx(0.05, rel=1e-12)
-    assert set(rep.stats) == {"below_frac", "n_left", "positive_cos"}
-    assert (rep.stats["below_frac"], rep.stats["n_left"]) == (1.0, 1)
+    assert set(rep.stats) == {"below_frac", "positive_cos"}
+    assert rep.stats["below_frac"] == 1.0
     assert rep.stats["positive_cos"] == pytest.approx([0.4], rel=1e-12)
 
 
@@ -102,7 +102,7 @@ def test_pps_zero_when_all_above_mid():
     rep = pps_loss(batch, ProxyMatrix(np.array([[1.0, 0.0]])),
                    EpochMidState(mid=0.5), CFG)
     assert rep.total == 0.0
-    assert rep.stats["n_left"] == 0
+    assert rep.stats["below_frac"] == 0.0
     np.testing.assert_array_equal(rep.grad_z, np.zeros_like(z))
 
 
@@ -138,7 +138,7 @@ def test_pns_degenerate_single_class():
     batch = EmbeddingBatch(np.ones((2, 3)), np.zeros(2, dtype=int))
     rep = pns_loss(batch, ProxyMatrix(np.eye(3)[:1]), CFG)
     assert rep.total == 0.0
-    assert rep.stats == {"pns_degenerate_C": True}
+    assert rep.stats == {}
     np.testing.assert_array_equal(rep.grad_z, np.zeros((2, 3)))
 
 
@@ -213,8 +213,11 @@ def test_pp_pair_count_disjoint_sets():
         probe = pp_selection(labels, C, np.random.default_rng(seed))
         if len(probe) == 5:
             rep = pp_loss(labels, proxies, CFG, np.random.default_rng(seed))
-            assert rep.stats["pp_pairs"] == 10
-            assert rep.stats["pp_selection_size"] == 5
+            assert len(rep.stats["pp_selection"]) == 5
+            rows = proxies.W[rep.stats["pp_selection"]]
+            cos = (rows @ rows.T)[np.triu_indices(5, 1)]
+            assert rep.total == pytest.approx(CFG.lambda_pp * float(cos @ cos) / 10,
+                                              rel=1e-12)
             break
     else:
         pytest.fail("no disjoint selection found in 100 seeds")
@@ -224,14 +227,14 @@ def test_pp_degenerate_cases():
     rep = pp_loss(np.array([0]), ProxyMatrix(np.eye(1)), CFG,
                   np.random.default_rng(0))
     assert rep.total == 0.0
-    assert rep.stats["pp_degenerate_C"] is True
+    np.testing.assert_array_equal(rep.stats["pp_selection"], [0])
     # C = 2 with a single label can sample that same proxy: selection of 1
     for seed in range(50):
         if len(pp_selection(np.array([0]), 2, np.random.default_rng(seed))) == 1:
             rep = pp_loss(np.array([0]), ProxyMatrix(np.eye(2)), CFG,
                           np.random.default_rng(seed))
             assert rep.total == 0.0
-            assert rep.stats["pp_selection_size"] == 1
+            assert len(rep.stats["pp_selection"]) == 1
             break
     else:
         pytest.fail("no singleton selection found in 50 seeds")
@@ -272,7 +275,7 @@ def test_sns_single_label_zero():
     batch = EmbeddingBatch(np.ones((3, 2)), np.zeros(3, dtype=int))
     rep = sns_loss(batch, CFG)
     assert rep.total == 0.0
-    assert rep.stats == {"sns_pairs": 0}
+    assert rep.stats == {}
 
 
 def test_sns_matches_scalar_oracle_and_grad():

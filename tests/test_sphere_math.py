@@ -255,7 +255,6 @@ def test_grad_matches_finite_differences_100_seeds():
         proxy /= np.linalg.norm(proxy)
         z = rng.standard_normal(d) * rng.uniform(1.0, 30.0)
         g = vmf_similarity_grad(proxy, z, n)
-        assert not g.clamped
         fd_p = oracles.fd_grad(lambda p: vmf_similarity(p, z, n), proxy)
         fd_z = oracles.fd_grad(lambda zz: vmf_similarity(proxy, zz, n), z)
         assert oracles.rel_err(g.grad_proxy, fd_p) <= 1e-6
@@ -288,13 +287,13 @@ def test_grad_clamped_branch():
     proxy = np.array([0.0, 1.0])
     z = np.array([1e-9, 0.0])
     g = vmf_similarity_grad(proxy, z, 16)
-    assert g.clamped
-    np.testing.assert_array_equal(g.grad_z, proxy)
-    # the similarity is KAPPA_MIN proxy . z / ||z|| below the clamp
+    # the similarity is KAPPA_MIN proxy . z / ||z|| + const below the clamp,
+    # and proxy is perpendicular to z here
+    np.testing.assert_allclose(g.grad_z, proxy * (KAPPA_MIN / 1e-9), rtol=1e-15)
     np.testing.assert_allclose(g.grad_proxy, z * (KAPPA_MIN / 1e-9), rtol=1e-15)
     zero = vmf_similarity_grad(proxy, np.zeros(2), 16)
-    assert zero.clamped
     np.testing.assert_array_equal(zero.grad_proxy, np.zeros(2))
+    np.testing.assert_array_equal(zero.grad_z, np.zeros(2))
 
 
 def test_clamped_grad_proxy_matches_finite_differences():
@@ -309,6 +308,23 @@ def test_clamped_grad_proxy_matches_finite_differences():
         g = vmf_similarity_grad(proxy, z, n)
         fd = oracles.fd_grad(lambda p: vmf_similarity(p, z, n), proxy)
         assert oracles.rel_err(g.grad_proxy, fd) <= 1e-4
+
+
+def test_clamped_grad_z_matches_finite_differences():
+    # below the clamp the z gradient is KAPPA_MIN / ||z|| times the part of
+    # the proxy perpendicular to z, about 2 at ||z|| = 5e-7; steps of 1e-10
+    # stay below the clamp
+    g = vmf_similarity_grad(np.array([0.6, 0.8]), np.array([5e-7, 0.0]), 2)
+    np.testing.assert_allclose(g.grad_z, [0.0, 1.6], rtol=1e-15, atol=1e-15)
+    rng = np.random.default_rng(4)
+    for n in (2, 16):
+        proxy = rng.standard_normal(5)
+        proxy /= np.linalg.norm(proxy)
+        z = rng.standard_normal(5)
+        z *= 5e-7 / np.linalg.norm(z)
+        g = vmf_similarity_grad(proxy, z, n)
+        fd = oracles.fd_grad(lambda zz: vmf_similarity(proxy, zz, n), z, h=1e-10)
+        assert oracles.rel_err(g.grad_z, fd) <= 1e-4
 
 
 # ---------------------------------------------------------------------------

@@ -216,7 +216,7 @@ def _equal_cos_rows(k: int, d: int, t: float) -> np.ndarray:
 
 
 def test_trackers_orthogonal_selection():
-    out = proxy_spread_trackers(np.eye(6), 6, 6, np.arange(4))
+    out = proxy_spread_trackers(ProxyMatrix(np.eye(6)), 6, 6, np.arange(4))
     assert out == {"std": 0.0, "std_mean": 0.0}
 
 
@@ -224,7 +224,7 @@ def test_trackers_all_pairs_at_threshold():
     C, d = 16, 8
     thr = math.sqrt(min(2.0 * math.log(C) / d, 1.0))
     rows = _equal_cos_rows(5, d, thr)
-    out = proxy_spread_trackers(rows, C, d, np.arange(5))
+    out = proxy_spread_trackers(ProxyMatrix(rows), C, d, np.arange(5))
     assert out["std"] == pytest.approx(thr, rel=1e-12)
     assert out["std_mean"] <= 1e-7
 
@@ -233,7 +233,7 @@ def test_trackers_single_pair_above_threshold():
     C, d = 16, 8
     thr = math.sqrt(min(2.0 * math.log(C) / d, 1.0))
     rows = _equal_cos_rows(2, d, 0.95)
-    out = proxy_spread_trackers(rows, C, d, np.arange(2))
+    out = proxy_spread_trackers(ProxyMatrix(rows), C, d, np.arange(2))
     assert out["std"] == pytest.approx(0.95, rel=1e-12)
     assert out["std_mean"] == pytest.approx(0.95 - thr, rel=1e-9)
 
@@ -241,25 +241,19 @@ def test_trackers_single_pair_above_threshold():
 def test_trackers_threshold_clamps_at_one():
     # 2 ln C / d > 1 clamps the threshold to 1, so nothing can exceed it
     rows = _equal_cos_rows(3, 8, 0.99)
-    out = proxy_spread_trackers(rows, 200, 2, np.arange(3))
+    out = proxy_spread_trackers(ProxyMatrix(rows), 200, 2, np.arange(3))
     assert out["std_mean"] == 0.0
 
 
-def test_trackers_small_selection_and_wrapper():
-    assert proxy_spread_trackers(np.eye(4), 4, 4, [2]) == \
+def test_trackers_small_selection():
+    assert proxy_spread_trackers(ProxyMatrix(np.eye(4)), 4, 4, [2]) == \
         {"std": 0.0, "std_mean": 0.0}
-    rng = np.random.default_rng(0)
-    w = rng.standard_normal((8, 5))
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    sel = np.arange(8)
-    assert proxy_spread_trackers(ProxyMatrix(w), 8, 5, sel) == \
-        proxy_spread_trackers(w, 8, 5, sel)
 
 
 def test_trackers_uniform_high_dim_std():
     rng = np.random.default_rng(2)
     w = rng.standard_normal((1000, 512))
-    out = proxy_spread_trackers(w, 1000, 512, np.arange(1000))
+    out = proxy_spread_trackers(ProxyMatrix.from_rows(w), 1000, 512, np.arange(1000))
     assert abs(out["std"] - math.sqrt(1.0 / 512)) <= 0.005
     assert 0.0 <= out["std_mean"] <= 0.01
 
@@ -311,8 +305,6 @@ def test_proxy_spread_trackers_match_direct_loop():
                 sq += cos ** 2
                 ex += max(cos - thr, 0.0) ** 2
                 n += 1
-        for proxies in (w, ProxyMatrix.from_rows(w)):
-            out = proxy_spread_trackers(proxies, C, d, sel)
-            assert out["std"] == pytest.approx(math.sqrt(sq / n), rel=1e-12)
-            assert out["std_mean"] == pytest.approx(math.sqrt(ex / n), rel=1e-12,
-                                                    abs=1e-15)
+        out = proxy_spread_trackers(ProxyMatrix.from_rows(w), C, d, sel)
+        assert out["std"] == pytest.approx(math.sqrt(sq / n), rel=1e-12)
+        assert out["std_mean"] == pytest.approx(math.sqrt(ex / n), rel=1e-12, abs=1e-15)
