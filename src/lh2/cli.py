@@ -14,11 +14,10 @@ import sys
 
 import numpy as np
 
-from .errors import (CanvasError, ConfigError, DomainError, FormatError,
-                     RangeError)
+from .errors import ConfigError, DomainError, FormatError
 from .io_formats import (RunConfig, emit_metrics, parse_config, read_pgm,
                          read_ppm, read_tensor, write_pgm, write_ppm)
-from .depth_renderer import (DepthMap, LightingParams, Pose, depth_centroid,
+from .depth_renderer import (DEFAULT_LIGHT, DepthMap, Pose, depth_centroid,
                              intrinsics_from_fov, make_canvas,
                              render_hemisphere_demo, shade, warp_image)
 from .sphere_stats import (evt_estimate, half_quarter_cosines,
@@ -26,8 +25,7 @@ from .sphere_stats import (evt_estimate, half_quarter_cosines,
 from .train_harness import (dataset_inputs, grad_check, histogram_dump,
                             load_checkpoint, train)
 
-_HANDLED = (ConfigError, FormatError, DomainError, RangeError, CanvasError,
-            OSError, ValueError)
+_HANDLED = (OSError, ValueError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,8 +118,7 @@ def _cmd_render(args) -> int:
     vals = args.pose
     pose = Pose(R=np.array(vals[:9]).reshape(3, 3), t=np.array(vals[9:]),
                 pivot=depth_centroid(depth, K))
-    light = LightingParams(k_a=0.35, k_d=0.65, l_dx=0.4, l_dy=0.25)
-    source = shade(depth, albedo, light, K)
+    source = shade(depth, albedo, DEFAULT_LIGHT, K)
     canvas = make_canvas([pose], depth, K)
     image, _, frame_depth = warp_image(source, depth, pose, K, canvas, args.radius)
     write_ppm(source, os.path.join(args.out_dir, "canonical.ppm"))

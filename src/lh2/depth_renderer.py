@@ -58,7 +58,6 @@ class DepthMap:
 @dataclasses.dataclass
 class CameraIntrinsics:
     K: np.ndarray
-    fov_deg: float
     W: int
     H: int
 
@@ -74,7 +73,7 @@ def intrinsics_from_fov(W: int, H: int, fov_deg: float) -> CameraIntrinsics:
     K = np.array([[f, 0.0, (W - 1) / 2.0],
                   [0.0, f, (H - 1) / 2.0],
                   [0.0, 0.0, 1.0]])
-    return CameraIntrinsics(K=K, fov_deg=float(fov_deg), W=int(W), H=int(H))
+    return CameraIntrinsics(K=K, W=int(W), H=int(H))
 
 
 @dataclasses.dataclass
@@ -97,16 +96,6 @@ class Pose:
         self.R = R
         self.t = np.asarray(self.t, dtype=np.float64).reshape(3)
         self.pivot = np.asarray(self.pivot, dtype=np.float64).reshape(3)
-
-    @staticmethod
-    def identity(pivot=(0.0, 0.0, 0.0)) -> "Pose":
-        return Pose(R=np.eye(3), t=np.zeros(3), pivot=np.asarray(pivot, dtype=np.float64))
-
-    def compose(self, other: "Pose") -> "Pose":
-        """Pose applying self first, then other.  Requires a shared pivot."""
-        if np.abs(self.pivot - other.pivot).max() > 1e-12:
-            raise DomainError("compose requires matching pivots")
-        return Pose(R=other.R @ self.R, t=other.R @ self.t + other.t, pivot=self.pivot)
 
 
 def rotation_about_axis(axis: int, angle_deg: float) -> np.ndarray:
@@ -134,6 +123,9 @@ class LightingParams:
             raise DomainError("k_a and k_d must lie in [0, 1]")
         if self.k_a + self.k_d > 2.0:
             raise DomainError("k_a + k_d must not exceed 2")
+
+
+DEFAULT_LIGHT = LightingParams(k_a=0.35, k_d=0.65, l_dx=0.4, l_dy=0.25)
 
 
 @dataclasses.dataclass
@@ -240,22 +232,10 @@ def neighborhood_offsets(radius: int):
             if di * di + dj * dj <= r2]
 
 
-@dataclasses.dataclass
-class RenderResult:
-    """Canvas-sized depth render: +inf marks background, mask is true where
-    any point landed, dropped counts writes outside the canvas, and
-    mean_rounding_error reports the mean index-quantization residual."""
-
-    values: np.ndarray
-    mask: np.ndarray
-    dropped: int
-    mean_rounding_error: float
-
-
-def scatter_min_render(projected, canvas: CanvasSpec, radius: int = 1) -> RenderResult:
+def scatter_min_render(projected, canvas: CanvasSpec, radius: int = 1) -> np.ndarray:
     """Vectorized z-buffer: each valid projected point writes its depth to
     the nearest canvas pixel and every neighbor within the radius, keeping
-    the minimum depth per pixel.  Independent of input ordering."""
+    the minimum depth per pixel, +inf where none lands.  Order-independent."""
     u, v, d, valid = projected
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()
@@ -267,19 +247,14 @@ def scatter_min_render(projected, canvas: CanvasSpec, radius: int = 1) -> Render
     j = np.floor(fx + 0.5).astype(np.int64)
     i = np.floor(fy + 0.5).astype(np.int64)
     dep = d[keep]
-    rounding = float(np.mean(np.abs(fx - j) + np.abs(fy - i)) / 2.0) if len(fx) else 0.0
 
     flat = np.full(canvas.H_new * canvas.W_new, _BACKGROUND)
-    dropped = 0
     for di, dj in neighborhood_offsets(radius):
         ii = i + di
         jj = j + dj
         inb = (ii >= 0) & (ii < canvas.H_new) & (jj >= 0) & (jj < canvas.W_new)
-        dropped += int(np.sum(~inb))
         np.minimum.at(flat, ii[inb] * canvas.W_new + jj[inb], dep[inb])
-    values = flat.reshape(canvas.H_new, canvas.W_new)
-    return RenderResult(values=values, mask=np.isfinite(values),
-                        dropped=dropped, mean_rounding_error=rounding)
+    return flat.reshape(canvas.H_new, canvas.W_new)
 
 
 def _crop_offsets(h_new: int, w_new: int, H: int, W: int):
@@ -348,7 +323,7 @@ def warp_image(source: np.ndarray, depth: DepthMap, pose: Pose,
     pts = transform_pointcloud(depth_to_pointcloud(depth, K), pose)
     rendered = scatter_min_render(project_points(pts, K), canvas, radius)
     oy, ox = _crop_offsets(canvas.H_new, canvas.W_new, K.H, K.W)
-    window = rendered.values[oy:oy + K.H, ox:ox + K.W].copy()
+    window = rendered[oy:oy + K.H, ox:ox + K.W].copy()
     x = canvas.x_min_g + np.arange(ox, ox + K.W)
     y = canvas.y_min_g + np.arange(oy, oy + K.H)
 
@@ -401,8 +376,7 @@ def hemisphere_scene(size: int = 30):
     albedo[:, np.abs(np.arange(size) - c) < stripe] = (0.85, 0.20, 0.20)
     albedo[np.abs(np.arange(size) - c) < stripe, :] = (0.20, 0.70, 0.25)
     K = intrinsics_from_fov(size, size, 40.0)
-    light = LightingParams(k_a=0.35, k_d=0.65, l_dx=0.4, l_dy=0.25)
-    return depth, albedo, K, light
+    return depth, albedo, K, DEFAULT_LIGHT
 
 
 def render_hemisphere_demo(size: int = 30, rotations=(10.0, 10.0, 10.0),

@@ -278,15 +278,14 @@ def _convert(key, value, lineno):
         raise ConfigError(f"bad value for {key!r}: {exc}", line=lineno) from exc
 
 
-def emit_metrics(records, path, fields=None) -> None:
+def emit_metrics(records, path) -> None:
     """Write records (mappings with one shared key set) as CSV.
 
     Floats are printed with 9 significant digits; an empty record sequence
-    with no explicit fields yields an empty file.
+    yields an empty file.
     """
     records = list(records)
-    if fields is None:
-        fields = list(records[0].keys()) if records else []
+    fields = list(records[0].keys()) if records else []
     fieldset = set(fields)
     lines = []
     if fields:

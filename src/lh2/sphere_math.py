@@ -1,5 +1,5 @@
 """Stable evaluation of the modified Bessel function I_alpha, the vMF
-log-density on the unit sphere, and the vMF-based similarity with its
+similarity (the vMF log-density at the feature direction) and its
 analytic gradient.
 
 log I_alpha(x) and the ratio I_{alpha+1}(x) / I_alpha(x) come from one of
@@ -44,7 +44,6 @@ Everything here runs in 64-bit floats.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import NamedTuple
 
@@ -59,23 +58,15 @@ _DEBYE_FROM = 50.0
 
 # lgamma values over the series index grid are reused heavily inside the
 # training loop; cache them per order.
-_lfact_cache = np.zeros(0)
 _lgamma_cache: dict[float, np.ndarray] = {}
 
 
-def _lfact(m_count: int) -> np.ndarray:
-    """lgamma(m+1) for m = 0..m_count-1, cached."""
-    global _lfact_cache
-    if len(_lfact_cache) < m_count:
-        _lfact_cache = np.array([math.lgamma(m + 1.0) for m in range(m_count)])
-    return _lfact_cache[:m_count]
-
-
-def _lgamma_shift(alpha: float, m_count: int) -> np.ndarray:
-    """lgamma(m+alpha+1) for m = 0..m_count-1, cached per alpha."""
+def _log_denominators(alpha: float, m_count: int) -> np.ndarray:
+    """lgamma(m+1) + lgamma(m+alpha+1), m = 0..m_count-1, cached per alpha."""
     cached = _lgamma_cache.get(alpha)
     if cached is None or len(cached) < m_count:
-        cached = np.array([math.lgamma(m + alpha + 1.0) for m in range(m_count)])
+        cached = np.array([math.lgamma(m + 1.0) + math.lgamma(m + alpha + 1.0)
+                           for m in range(m_count)])
         _lgamma_cache[alpha] = cached
     return cached[:m_count]
 
@@ -100,7 +91,7 @@ def _log_bessel_series(alpha: float, x: np.ndarray):
     # terms with each row's top (exactly 1) set aside, so that log1p keeps
     # the digits of log I_0(x) ~ x^2/4 at small x
     t = np.outer(np.log(half_x), 2 * m + alpha)
-    t -= _lfact(m_count) + _lgamma_shift(alpha, m_count)
+    t -= _log_denominators(alpha, m_count)
     top_at = t.argmax(axis=1)
     top = t[rows, top_at]
     t -= top[:, None]
@@ -175,57 +166,10 @@ def _log_bessel(alpha: float, x: np.ndarray):
     return log_i, ratio
 
 
-@dataclasses.dataclass(frozen=True)
-class BesselEval:
-    """log I_alpha(x) and the ratio I_{alpha+1}(x)/I_alpha(x)."""
-
-    log_value: float
-    ratio_next: float
-
-
-def log_bessel_i(alpha: float, x: float) -> BesselEval:
-    """Evaluate log I_alpha(x) and I_{alpha+1}(x) / I_alpha(x), by the
-    series below x = 50 and the Debye expansion above.
-
-    x = 0 with alpha > 0 returns log_value -inf (I_alpha(0) = 0); negative,
-    infinite or nan inputs raise DomainError.
-    """
-    if not (0.0 <= alpha < math.inf and 0.0 <= x < math.inf):
-        raise DomainError(f"log_bessel_i requires finite alpha >= 0 and x >= 0, "
-                          f"got alpha={alpha}, x={x}")
-    if x == 0.0:
-        return BesselEval(log_value=0.0 if alpha == 0.0 else -math.inf, ratio_next=0.0)
-    log_value, ratio = _log_bessel(float(alpha), np.array([float(x)]))
-    return BesselEval(log_value=float(log_value[0]), ratio_next=float(ratio[0]))
-
-
 def _divide_rows(a: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Row i of a divided by norms[i]; a zero norm leaves its row as it is,
     so zero rows of a matrix stay zero when it is scaled to unit rows."""
     return a / np.where(norms > 0.0, norms, 1.0)[:, None]
-
-
-@dataclasses.dataclass(frozen=True)
-class VmfParams:
-    """Mean direction mu on S^{n-1}, concentration kappa (clamped to at
-    least KAPPA_MIN), and the distribution dimension n used by the
-    normalizer.  n may differ from the ambient dimension of mu."""
-
-    mu: np.ndarray
-    kappa: float
-    n: int
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64)
-        # each check is negated so that nan fails it
-        if not abs(np.linalg.norm(mu) - 1.0) <= 1e-9:
-            raise DomainError(f"mu must be unit norm, got ||mu|| = {np.linalg.norm(mu)}")
-        if not 0.0 <= self.kappa < math.inf:
-            raise DomainError(f"kappa must be finite and non-negative, got {self.kappa}")
-        if self.n < 2:
-            raise DomainError(f"n must be >= 2, got {self.n}")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "kappa", max(float(self.kappa), KAPPA_MIN))
 
 
 def _log_normalizer(kappa: np.ndarray, n: int):
@@ -235,15 +179,6 @@ def _log_normalizer(kappa: np.ndarray, n: int):
     nu = 0.5 * n - 1.0
     log_i, ratio = _log_bessel(nu, kappa)
     return nu * np.log(kappa) - 0.5 * n * LOG_2PI - log_i, ratio
-
-
-def vmf_log_pdf(x, params: VmfParams) -> float:
-    """Log-density of the vMF distribution at unit vector x."""
-    x = np.asarray(x, dtype=np.float64)
-    if not abs(np.linalg.norm(x) - 1.0) <= 1e-6:
-        raise DomainError(f"x must be unit norm, got ||x|| = {np.linalg.norm(x)}")
-    g, _ = _log_normalizer(np.array([params.kappa]), params.n)
-    return params.kappa * float(np.dot(params.mu, x)) + float(g[0])
 
 
 def vmf_similarity(proxy, z, n: int) -> float:

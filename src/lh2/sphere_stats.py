@@ -7,9 +7,7 @@ nearest-neighbor cosine (its smallest angle to the rest) near
 
     cos theta_min ~= sqrt(2 ln C / d)
 
-with Std(cos theta) = sqrt(1/d).  Natural log throughout.  The quantile
-approximation Q(p) ~= sqrt(2 ln(1/(1-p))) is a tail formula: it is only
-accurate as p -> 1 and is documented as such rather than patched.
+with Std(cos theta) = sqrt(1/d).  Natural log throughout.
 """
 
 from __future__ import annotations
@@ -52,25 +50,6 @@ def half_quarter_cosines(est: EvtEstimate):
     """(cos(theta_min/2), cos(theta_min/4)): the half-angle marks a fully
     successful classification boundary."""
     return math.cos(est.theta_min_rad / 2.0), math.cos(est.theta_min_rad / 4.0)
-
-
-def normal_quantile_approx(p: float) -> float:
-    """Tail approximation sqrt(2 ln(1/(1-p))) of the standard normal
-    upper quantile; accurate only as p -> 1."""
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must be in (0, 1), got {p}")
-    return math.sqrt(2.0 * math.log(1.0 / (1.0 - p)))
-
-
-def min_quantile(p: float, C: int) -> float:
-    """Approximate p-quantile of the minimum of C standard normals:
-    -Q(1 - p/C), negated per the minimum convention (min ~= -sqrt(2 ln C)
-    as p -> 1 for large C)."""
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p must be in (0, 1), got {p}")
-    if C < 1:
-        raise DomainError(f"C must be >= 1, got {C}")
-    return -normal_quantile_approx(1.0 - p / C)
 
 
 def monte_carlo_pairwise(C: int, d: int, trials: int, seed) -> dict:

@@ -263,8 +263,8 @@ def histogram_dump(embedder, proxies: ProxyMatrix, X, labels):
     nad = cos[neg]
 
     edges = np.linspace(-1.0, 1.0, 65)
-    pad_counts, _ = np.histogram(pad, bins=edges)
-    nad_counts, _ = np.histogram(nad, bins=edges)
+    # clipped for binning only: a cosine at 1 + ulp misses the last bin
+    pad_counts, nad_counts = (np.histogram(np.clip(c, -1.0, 1.0), edges)[0] for c in (pad, nad))
     records = [{"bin_lo": lo, "bin_hi": hi, "pad_count": int(p), "nad_count": int(q)}
                for lo, hi, p, q in zip(edges[:-1], edges[1:], pad_counts, nad_counts)]
     summary = {"pad_mean": float(pad.mean()), "pad_std": float(pad.std()),

@@ -2,7 +2,7 @@
 
 Everything here deliberately takes a different route than the package
 under test: arbitrary-precision special functions from mpmath, scipy for
-the normal distribution and rotations, nested Python loops instead of
+quadrature and rotations, nested Python loops instead of
 vectorized array code.  An agreement failure therefore points at the
 implementation under test rather than at a shared bug.
 
@@ -16,7 +16,7 @@ import math
 
 import mpmath as mp
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate
 
 mp.mp.dps = 50
 
@@ -30,12 +30,6 @@ RATIO_NEXT_127_300 = 0.66116790640338422503
 
 # log pdf on S^2 (n = 3) at kappa = 1, mu . x = 1: 1 + ln(1/(4 pi sinh 1))
 VMF_N3_K1_COS1 = -1.6924636085404864266
-
-# exact standard normal quantile at 0.999 vs the sqrt(2 ln 1/(1-p)) tail
-# formula, and their relative disagreement (about 20.3% at this p)
-PPF_999_EXACT = 3.0902323061678135415
-TAIL_Q_999 = 3.716922188849838447
-TAIL_Q_999_REL_ERR = 0.20279701349028380145
 
 # focal length for a 112 x 112 sensor at 10 degrees: 111 / (2 tan 5 deg)
 FOCAL_112_10DEG = 634.36790280325454023
@@ -67,14 +61,6 @@ def circle_mass(log_pdf_of_angle) -> float:
     val, _ = integrate.quad(lambda t: math.exp(log_pdf_of_angle(t)),
                             0.0, 2.0 * math.pi, limit=400)
     return val
-
-
-def normal_cdf(x: float) -> float:
-    return float(stats.norm.cdf(x))
-
-
-def normal_ppf(p: float) -> float:
-    return float(stats.norm.ppf(p))
 
 
 def fd_grad(f, x, h: float = 1e-5) -> np.ndarray:
@@ -126,9 +112,9 @@ def bilinear(img: np.ndarray, u: float, v: float):
 def reference_scatter(u, v, d, valid, canvas, radius: int):
     """Nested-loop reference for the scatter-min z-buffer.
 
-    Returns (values, dropped, mean_rounding_error) following the same
-    contract: one write per valid point per in-radius offset, minimum
-    depth wins, out-of-canvas writes are counted and discarded.
+    Returns the canvas depths following the same contract: one write per
+    valid point per in-radius offset, minimum depth wins, out-of-canvas
+    writes are discarded, +inf where nothing lands.
     """
     H, W = canvas.H_new, canvas.W_new
     offsets = [(di, dj)
@@ -136,8 +122,6 @@ def reference_scatter(u, v, d, valid, canvas, radius: int):
                for dj in range(-radius, radius + 1)
                if di * di + dj * dj <= radius * radius]
     vals = np.full((H, W), np.inf)
-    dropped = 0
-    rounding = []
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()
     d = np.asarray(d, dtype=np.float64).ravel()
@@ -149,16 +133,12 @@ def reference_scatter(u, v, d, valid, canvas, radius: int):
         fy = v[k] - canvas.y_min_g
         j0 = math.floor(fx + 0.5)
         i0 = math.floor(fy + 0.5)
-        rounding.append(abs(fx - j0) + abs(fy - i0))
         for di, dj in offsets:
             i, j = i0 + di, j0 + dj
             if 0 <= i < H and 0 <= j < W:
                 if d[k] < vals[i, j]:
                     vals[i, j] = d[k]
-            else:
-                dropped += 1
-    mre = float(np.mean(rounding)) / 2.0 if rounding else 0.0
-    return vals, dropped, mre
+    return vals
 
 
 def reference_shade(depth_values, albedo, k_a, k_d, l_dx, l_dy):

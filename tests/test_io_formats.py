@@ -248,8 +248,9 @@ def test_emit_metrics_empty_variants(tmp_path):
     path = tmp_path / "m.csv"
     emit_metrics([], path)                             # no schema to emit
     assert path.read_text() == ""
-    emit_metrics([], path, fields=["step", "loss"])    # schema known: header only
-    assert path.read_text() == "step,loss\n"
+    emit_metrics([{"step": 1}], path)
+    emit_metrics(iter(()), path)                       # any empty iterable truncates
+    assert path.read_text() == ""
 
 
 def test_emit_metrics_formatting(tmp_path):
@@ -262,7 +263,7 @@ def test_emit_metrics_schema_error(tmp_path):
     with pytest.raises(SchemaError):
         emit_metrics([{"a": 1}, {"b": 2}], tmp_path / "m.csv")
     with pytest.raises(SchemaError):
-        emit_metrics([{"a": 1, "b": 2}], tmp_path / "m.csv", fields=["a"])
+        emit_metrics([{"a": 1, "b": 2}, {"a": 3}], tmp_path / "m.csv")
 
 
 def test_emit_metrics_10k_records(tmp_path):

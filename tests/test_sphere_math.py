@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lh2.errors import DomainError
-from lh2.sphere_math import (KAPPA_MIN, VmfParams, log_bessel_i, vmf_log_pdf,
-                             vmf_similarity, vmf_similarity_batch,
-                             vmf_similarity_grad)
+from lh2.sphere_math import (KAPPA_MIN, _log_bessel, vmf_similarity,
+                             vmf_similarity_batch, vmf_similarity_grad)
 
 import oracles
 
@@ -20,63 +19,59 @@ X_GRID = np.geomspace(1e-3, 500.0, 25)
 LARGE_KAPPA = [(nu, x) for nu in (15.0, 127.0) for x in (1e3, 1.1e4, 2e4)]
 # both sides of the switch from the series to the Debye expansion at x = 50
 BRANCH_ALPHAS = [0.0, 0.5, 1.0, 15.0, 127.0, 255.0]
-BRANCH_X = [float(x) for x in np.geomspace(1e-6, 1e7, 27)] + [49.9, 50.0, 50.1]
+BRANCH_X = np.array([float(x) for x in np.geomspace(1e-6, 1e7, 27)] + [49.9, 50.0, 50.1])
 
 
 # ---------------------------------------------------------------------------
-# log_bessel_i
-
-def test_bessel_at_zero():
-    ev = log_bessel_i(0.0, 0.0)
-    assert ev.log_value == 0.0                         # I_0(0) = 1
-    assert log_bessel_i(1.0, 0.0).log_value == -math.inf
-    assert log_bessel_i(0.5, 0.0).log_value == -math.inf
-
+# _log_bessel: every array below goes through one call, and X_GRID and
+# BRANCH_X hold arguments on both sides of x = 50, as training batches do
 
 def test_bessel_frozen_points():
-    assert log_bessel_i(0.0, 1.0).log_value == pytest.approx(
-        oracles.LOG_I0_1, rel=1e-12)
-    assert log_bessel_i(1.0, 1.0).log_value == pytest.approx(
+    log_i, ratio = _log_bessel(0.0, np.array([1.0]))
+    assert log_i[0] == pytest.approx(oracles.LOG_I0_1, rel=1e-12)
+    assert ratio[0] == pytest.approx(oracles.RATIO_NEXT_0_1, rel=1e-10)
+    assert _log_bessel(1.0, np.array([1.0]))[0][0] == pytest.approx(
         oracles.LOG_I1_1, rel=1e-12)
-    ev = log_bessel_i(127.0, 300.0)                    # naive I overflows here
-    assert ev.log_value == pytest.approx(oracles.LOG_I127_300, rel=1e-12)
-    assert log_bessel_i(128.0, 300.0).log_value == pytest.approx(
+    log_i, ratio = _log_bessel(127.0, np.array([300.0]))    # naive I overflows here
+    assert log_i[0] == pytest.approx(oracles.LOG_I127_300, rel=1e-12)
+    assert ratio[0] == pytest.approx(oracles.RATIO_NEXT_127_300, rel=1e-10)
+    assert _log_bessel(128.0, np.array([300.0]))[0][0] == pytest.approx(
         oracles.LOG_I128_300, rel=1e-12)
-    assert ev.ratio_next == pytest.approx(oracles.RATIO_NEXT_127_300, rel=1e-10)
-    assert log_bessel_i(0.0, 1.0).ratio_next == pytest.approx(
-        oracles.RATIO_NEXT_0_1, rel=1e-10)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_bessel_grid_vs_oracle(alpha):
-    for x in list(X_GRID) + [x for nu, x in LARGE_KAPPA if nu == alpha]:
+    xs = np.append(X_GRID, [x for nu, x in LARGE_KAPPA if nu == alpha])
+    for x, got in zip(xs, _log_bessel(alpha, xs)[0]):
         want = oracles.log_bessel_oracle(alpha, float(x))
-        got = log_bessel_i(alpha, float(x)).log_value
         assert abs(got - want) <= 1e-10 * abs(want) + 1e-12
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_bessel_ratio_in_unit_interval_and_monotone(alpha):
-    ratios = [log_bessel_i(alpha, float(x)).ratio_next for x in X_GRID]
-    assert all(0.0 < r < 1.0 for r in ratios)
-    assert all(b > a for a, b in zip(ratios, ratios[1:]))
+    ratios = _log_bessel(alpha, X_GRID)[1]
+    assert np.all((0.0 < ratios) & (ratios < 1.0))
+    assert np.all(np.diff(ratios) > 0.0)
 
 
 def test_bessel_ratio_vs_oracle():
-    points = [(alpha, x) for alpha in (0.0, 1.0, 63.0) for x in (0.01, 1.0, 20.0, 300.0)]
-    for alpha, x in points + LARGE_KAPPA:
-        assert log_bessel_i(alpha, x).ratio_next == pytest.approx(
-            oracles.bessel_ratio_oracle(alpha, x), rel=1e-10)
+    points = {alpha: [0.01, 1.0, 20.0, 300.0] for alpha in (0.0, 1.0, 63.0)}
+    for nu, x in LARGE_KAPPA:
+        points.setdefault(nu, []).append(x)
+    for alpha, xs in points.items():
+        for x, got in zip(xs, _log_bessel(alpha, np.array(xs))[1]):
+            assert got == pytest.approx(oracles.bessel_ratio_oracle(alpha, x), rel=1e-10)
 
 
 @pytest.mark.parametrize("alpha", BRANCH_ALPHAS)
 def test_bessel_both_branches_vs_oracle(alpha):
-    for x in BRANCH_X:
-        ev = log_bessel_i(alpha, x)
-        assert ev.log_value == pytest.approx(oracles.log_bessel_oracle(alpha, x),
-                                             rel=1e-12, abs=0.0)
-        assert ev.ratio_next == pytest.approx(oracles.bessel_ratio_oracle(alpha, x),
-                                              rel=1e-12, abs=0.0)
+    log_i, ratio = _log_bessel(alpha, BRANCH_X)
+    for x, got_log, got_ratio in zip(BRANCH_X, log_i, ratio):
+        x = float(x)
+        assert got_log == pytest.approx(oracles.log_bessel_oracle(alpha, x),
+                                        rel=1e-12, abs=0.0)
+        assert got_ratio == pytest.approx(oracles.bessel_ratio_oracle(alpha, x),
+                                          rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("alpha", BRANCH_ALPHAS)
@@ -86,20 +81,11 @@ def test_bessel_ratio_within_amos_bounds(alpha):
     # the lower bound agree to below double precision, so each side allows
     # 4 ulp; at x = 1e7 and alpha = 0 the bounds are 45 ulp apart.
     slack = 4.0 * np.finfo(float).eps
-    for x in BRANCH_X:
-        ratio = log_bessel_i(alpha, x).ratio_next
-        lower = x / (alpha + 0.5 + math.hypot(x, alpha + 1.5))
-        upper = x / (alpha + 0.5 + math.hypot(x, alpha + 0.5))
-        assert lower * (1.0 - slack) <= ratio <= upper * (1.0 + slack)
-
-
-def test_bessel_rejects_negative_inputs():
-    with pytest.raises(DomainError):
-        log_bessel_i(-1.0, 1.0)
-    with pytest.raises(DomainError):
-        log_bessel_i(1.0, -1.0)
-    with pytest.raises(DomainError):
-        log_bessel_i(1.0, math.inf)
+    ratio = _log_bessel(alpha, BRANCH_X)[1]
+    lower = BRANCH_X / (alpha + 0.5 + np.hypot(BRANCH_X, alpha + 1.5))
+    upper = BRANCH_X / (alpha + 0.5 + np.hypot(BRANCH_X, alpha + 0.5))
+    assert np.all(lower * (1.0 - slack) <= ratio)
+    assert np.all(ratio <= upper * (1.0 + slack))
 
 
 _MU = np.array([1.0, 0.0, 0.0])
@@ -107,14 +93,9 @@ _NAN3 = np.array([math.nan, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("call", [
-    lambda: log_bessel_i(math.nan, 1.0),
-    lambda: log_bessel_i(1.0, math.nan),
-    lambda: VmfParams(_NAN3, 1.0, 3),
-    lambda: VmfParams(_MU, math.nan, 3),
-    lambda: vmf_log_pdf(_NAN3, VmfParams(_MU, 1.0, 3)),
     lambda: vmf_similarity(_NAN3, np.ones(3), 4),
-], ids=["bessel-alpha", "bessel-x", "params-mu", "params-kappa", "log-pdf-x",
-        "similarity-proxy"])
+    lambda: vmf_similarity(_MU, _NAN3, 3),
+], ids=["similarity-proxy", "similarity-z"])
 def test_domain_checks_reject_nan(call):
     with pytest.raises(DomainError):
         call()
@@ -122,60 +103,41 @@ def test_domain_checks_reject_nan(call):
 
 @given(st.floats(0.0, 200.0), st.floats(1e-3, 400.0))
 def test_bessel_ratio_bounds_property(alpha, x):
-    assert 0.0 < log_bessel_i(alpha, x).ratio_next < 1.0
+    assert 0.0 < _log_bessel(alpha, np.array([x]))[1][0] < 1.0
 
 
 # ---------------------------------------------------------------------------
-# vmf_log_pdf
-
-def test_vmf_params_validation():
-    mu = np.array([1.0, 0.0, 0.0])
-    assert VmfParams(mu, 0.0, 3).kappa == KAPPA_MIN    # clamp
-    with pytest.raises(DomainError):
-        VmfParams(2.0 * mu, 1.0, 3)
-    with pytest.raises(DomainError):
-        VmfParams(mu, -1.0, 3)
-    with pytest.raises(DomainError):
-        VmfParams(mu, math.inf, 3)
-    with pytest.raises(DomainError):
-        VmfParams(mu, 1.0, 1)
-
+# vMF log-density: for kappa >= KAPPA_MIN, vmf_similarity(mu, kappa x, n) is
+# the log-density at the unit vector x of the vMF with mean mu on S^{n-1}
 
 def test_vmf_log_pdf_n3_closed_form():
     mu = np.array([0.0, 0.0, 1.0])
-    got = vmf_log_pdf(mu, VmfParams(mu, 1.0, 3))
+    got = vmf_similarity(mu, mu, 3)
     assert got == pytest.approx(oracles.VMF_N3_K1_COS1, rel=1e-10)
     # same closed form across cosines and concentrations
     for kappa in (0.5, 4.0, 50.0):
         for t in (-0.8, 0.1, 0.9):
             x = np.array([math.sqrt(1.0 - t * t), 0.0, t])
-            got = vmf_log_pdf(x, VmfParams(mu, kappa, 3))
+            got = vmf_similarity(mu, kappa * x, 3)
             assert got == pytest.approx(oracles.vmf_n3_log_pdf(t, kappa), rel=1e-10)
 
 
 def test_vmf_log_pdf_n2_normalizes():
+    mu = np.array([1.0, 0.0])
     for kappa in (0.5, 3.0, 20.0):
-        params = VmfParams(np.array([1.0, 0.0]), kappa, 2)
 
-        def log_pdf(t, params=params):
-            return vmf_log_pdf(np.array([math.cos(t), math.sin(t)]), params)
+        def log_pdf(t, kappa=kappa):
+            return vmf_similarity(mu, kappa * np.array([math.cos(t), math.sin(t)]), 2)
 
         assert oracles.circle_mass(log_pdf) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_vmf_log_pdf_rotational_symmetry():
     mu = np.array([1.0, 0.0, 0.0])
-    params = VmfParams(mu, 7.0, 3)
     t = 0.3
     x1 = np.array([t, math.sqrt(1.0 - t * t), 0.0])
     x2 = np.array([t, 0.0, -math.sqrt(1.0 - t * t)])   # same cosine to mu
-    assert vmf_log_pdf(x1, params) == vmf_log_pdf(x2, params)
-
-
-def test_vmf_log_pdf_rejects_nonunit_x():
-    mu = np.array([1.0, 0.0])
-    with pytest.raises(DomainError):
-        vmf_log_pdf(np.array([2.0, 0.0]), VmfParams(mu, 1.0, 2))
+    assert vmf_similarity(mu, 7.0 * x1, 3) == vmf_similarity(mu, 7.0 * x2, 3)
 
 
 # ---------------------------------------------------------------------------

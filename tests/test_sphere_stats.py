@@ -1,5 +1,5 @@
-"""Closed-form spread estimates, quantile approximations, Monte-Carlo
-nearest-neighbor check, and the spread trackers."""
+"""Closed-form spread estimates, Monte-Carlo nearest-neighbor check, and
+the spread trackers."""
 
 import math
 
@@ -8,12 +8,9 @@ import pytest
 
 from lh2.errors import DomainError, RangeError
 from lh2.sphere_stats import (EvtEstimate, evt_estimate, half_quarter_cosines,
-                              min_quantile, monte_carlo_pairwise,
-                              normal_quantile_approx, proxy_spread_trackers,
+                              monte_carlo_pairwise, proxy_spread_trackers,
                               sns_tracker)
 from lh2.uamf import EmbeddingBatch, ProxyMatrix
-
-import oracles
 
 # minimum-angle estimate at (C, d) = (70722, 512), frozen from mpmath
 EVT_COS = 0.20885207064315192
@@ -82,64 +79,6 @@ def test_evt_monotonicity():
 def test_std_cos_closed_form():
     for d in (2, 32, 512):
         assert evt_estimate(2, d).std_cos == math.sqrt(1.0 / d)
-
-
-# ---------------------------------------------------------------------------
-# quantile approximations
-
-def test_quantile_exact_point():
-    assert normal_quantile_approx(1.0 - math.exp(-2.0)) == \
-        pytest.approx(2.0, rel=1e-12)
-
-
-def test_quantile_tail_value_and_honest_gap():
-    got = normal_quantile_approx(0.999)
-    assert got == pytest.approx(oracles.TAIL_Q_999, rel=1e-12)
-    # the tail formula overshoots the exact 0.999 quantile by ~20%; the
-    # gap is a property of the formula, so pin it rather than hide it
-    rel = got / oracles.PPF_999_EXACT - 1.0
-    assert rel == pytest.approx(oracles.TAIL_Q_999_REL_ERR, rel=1e-10)
-    assert 0.19 <= rel <= 0.21
-    assert got > oracles.normal_ppf(0.999)
-
-
-def test_quantile_monotone_and_domain():
-    ps = [0.5, 0.9, 0.99, 0.999, 0.99999]
-    vals = [normal_quantile_approx(p) for p in ps]
-    assert all(a < b for a, b in zip(vals, vals[1:]))
-    for p in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(DomainError):
-            normal_quantile_approx(p)
-
-
-def test_min_quantile_reductions():
-    for p in (0.01, 0.2, 0.7):
-        assert min_quantile(p, 1) == -normal_quantile_approx(1.0 - p)
-    for p, C in [(0.001, 1000), (0.05, 64), (0.4, 7)]:
-        closed = -math.sqrt(2.0 * math.log(C / p))
-        assert min_quantile(p, C) == pytest.approx(closed, rel=1e-9)
-    # p -> 1 with large C approaches -sqrt(2 ln C)
-    C = 10 ** 6
-    assert min_quantile(0.999999, C) == \
-        pytest.approx(-math.sqrt(2.0 * math.log(C)), rel=1e-6)
-    with pytest.raises(DomainError):
-        min_quantile(0.0, 10)
-    with pytest.raises(DomainError):
-        min_quantile(0.5, 0)
-
-
-def test_min_quantile_against_exact_order_statistic():
-    # exact p-quantile of min of C iid N(0,1): q with 1 - (1-Phi(q))^C = p.
-    # the tail formula overshoots in magnitude; the gap stays under 12%
-    # for these deep-tail points
-    C = 1000
-    for p in (1e-5, 1e-4, 1e-3):
-        q_exact = oracles.normal_ppf(1.0 - (1.0 - p) ** (1.0 / C))
-        back = 1.0 - (1.0 - oracles.normal_cdf(q_exact)) ** C
-        assert abs(back - p) / p <= 1e-6          # oracle self-consistency
-        q_app = min_quantile(p, C)
-        assert q_app < q_exact
-        assert abs(q_app - q_exact) / abs(q_exact) <= 0.12
 
 
 # ---------------------------------------------------------------------------
