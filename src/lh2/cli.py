@@ -17,13 +17,13 @@ import numpy as np
 from .errors import ConfigError, DomainError, FormatError
 from .io_formats import (RunConfig, emit_metrics, parse_config, read_pgm,
                          read_ppm, read_tensor, write_pgm, write_ppm)
-from .depth_renderer import (DEFAULT_LIGHT, DepthMap, Pose, depth_centroid,
+from .depth_renderer import (DEFAULT_LIGHT, MIN_SIZE, DepthMap, Pose, depth_centroid,
                              intrinsics_from_fov, make_canvas,
                              render_hemisphere_demo, shade, warp_image)
 from .sphere_stats import (evt_estimate, half_quarter_cosines,
                            monte_carlo_pairwise)
-from .train_harness import (dataset_inputs, grad_check, histogram_dump,
-                            load_checkpoint, train)
+from .train_harness import (GRADCHECK_OPS, dataset_inputs, grad_check,
+                            histogram_dump, load_checkpoint, train)
 
 _HANDLED = (OSError, ValueError)
 
@@ -56,6 +56,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    if args.trials < 0:
+        raise ConfigError(f"--trials must be >= 0, got {args.trials}")
     est = evt_estimate(args.C, args.d)
     half, quarter = half_quarter_cosines(est)
     row = {"C": est.C, "d": est.d, "cos_min": est.cos_min,
@@ -92,8 +94,12 @@ def _write_frame(out_dir, name, image, depth_values):
 def _cmd_render(args) -> int:
     if args.frames < 1:
         raise ConfigError(f"--frames must be at least 1, got {args.frames}")
-    if not np.all(np.isfinite(args.rotations)):
-        raise ConfigError(f"--rotations must be finite, got {args.rotations}")
+    if not np.all(np.abs(args.rotations) <= 360.0):      # nan fails too
+        raise ConfigError(f"--rotations must be within [-360, 360] degrees, got {args.rotations}")
+    if args.size < MIN_SIZE:
+        raise ConfigError(f"--size must be >= {MIN_SIZE}, got {args.size}")
+    if args.radius < 0:
+        raise ConfigError(f"--radius must be >= 0, got {args.radius}")
     os.makedirs(args.out_dir, exist_ok=True)
     if args.demo is not None:
         demo = render_hemisphere_demo(size=args.size, rotations=args.rotations,
@@ -130,6 +136,9 @@ def _cmd_render(args) -> int:
 def _cmd_grad_check(args) -> int:
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be at least 1, got {args.repeats}")
+    if args.corrupt is not None and args.corrupt not in GRADCHECK_OPS:
+        raise ConfigError(f"--corrupt must be one of {', '.join(GRADCHECK_OPS)}, "
+                          f"got {args.corrupt!r}")
     rows, ok = grad_check(repeats=args.repeats, seed=args.seed, corrupt_op=args.corrupt)
     width = max(len(r["op"]) for r in rows)
     for r in rows:

@@ -355,11 +355,14 @@ def warp_image(source: np.ndarray, depth: DepthMap, pose: Pose,
     return out, valid, window
 
 
+MIN_SIZE = 8        # the smallest hemisphere scene, in pixels
+
+
 def hemisphere_scene(size: int = 30):
     """Analytic hemisphere depth bump with an axis-marked albedo under a
     40 degree field of view: the test scene for the renderer demo."""
-    if size < 8:
-        raise DomainError(f"size must be >= 8, got {size}")
+    if size < MIN_SIZE:
+        raise DomainError(f"size must be >= {MIN_SIZE}, got {size}")
     c = (size - 1) / 2.0
     rho = 0.4 * size
     z0, bump = 10.0, 3.0

@@ -11,10 +11,10 @@ plus the sample-to-sample sns variant (first power, disabled by default).
 pps and pns read their cosines from the batch's product with the proxies
 (uamf.ProxyProduct), the same S = z W^T the margin softmax reads, so the
 cosines are renormalized on both sides.  Each computes its d loss / d cos
-as an N x C matrix; proxy_based_total sums the two and takes the sum
-through the quotient rule once.  One helper, _quotient_rule, applies the
-full quotient rule to both sides and to the pp and sns Gram matrices, so
-gradients hold even when inputs drift slightly off the sphere.
+as an N x C matrix and reports it as an adjoint (ProxyProduct.cos_adjoint),
+which the step's one backward, sphere_math._adjoint_grads, takes to z and
+W.  pp and sns read Gram matrices; _quotient_rule takes their gradients.
+Both hold even when inputs drift slightly off the sphere.
 
 The epoch mid is the clipped mean positive cosine of the previous epoch,
 accumulated with observe_positive_cosines from the cosines pps_loss reports
@@ -96,66 +96,45 @@ def end_epoch(state: EpochMidState, cfg: ProxyLossConfig) -> EpochMidState:
     return EpochMidState(mid=float(np.clip(mean, cfg.cos_min, cfg.cos_max)))
 
 
-def _quotient_rule(dcos, cos, other_unit, own_unit, own_norms):
+def _quotient_rule(d_cos, cos, other_unit, own_unit, own_norms):
     """d loss / d own rows from d loss / d cos for cosines
     cos_ij = own_i . other_j / (||own_i|| ||other_j||):
-    (dcos @ other_unit - sum_j dcos_ij cos_ij own_unit_i) / ||own_i||."""
-    weight = np.einsum("ij,ij->i", dcos, cos)
-    return _divide_rows(dcos @ other_unit - weight[:, None] * own_unit, own_norms)
-
-
-def _cosine_grads(batch: EmbeddingBatch, proxies: ProxyMatrix, dcos: np.ndarray):
-    """(grad_z, grad_W) of a loss of the sample-to-proxy cosines from its
-    d loss / d cos (N x C), by the quotient rule on both sides."""
-    cos = batch.product(proxies).cos
-    zhat, what = batch.zhat, proxies.unit
-    return (_quotient_rule(dcos, cos, what, zhat, batch.norms),
-            _quotient_rule(dcos.T, cos.T, zhat, what, proxies.norms))
-
-
-def _cosine_report(batch, proxies, name, loss, dcos, stats, grads) -> LossReport:
-    if not grads:
-        return LossReport(loss, {name: loss}, stats=stats, dcos=dcos)
-    return LossReport(loss, {name: loss}, *_cosine_grads(batch, proxies, dcos), stats)
+    (d_cos @ other_unit - sum_j d_cos_ij cos_ij own_unit_i) / ||own_i||."""
+    weight = np.einsum("ij,ij->i", d_cos, cos)
+    return _divide_rows(d_cos @ other_unit - weight[:, None] * own_unit, own_norms)
 
 
 def pps_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, state: EpochMidState,
-             cfg: ProxyLossConfig, grads: bool = True) -> LossReport:
+             cfg: ProxyLossConfig) -> LossReport:
     """lambda_pps * mean over samples with cos < mid of (cos - mid)^2.
 
     The mid is a constant of the epoch; gradients flow through the cosines
     only.  Zero when no sample sits below the mid.  stats["positive_cos"]
     holds the batch's positive cosines for the epoch-mid accumulator.
-    grads=False reports d loss / d cos as dcos in place of grad_z and
-    grad_W.
     """
     N, C = batch.z.shape[0], proxies.W.shape[0]
     cos = positive_cosines(batch, proxies)
-    n_left = int(np.count_nonzero(cos < state.mid))
-    stats = {"below_frac": n_left / N, "positive_cos": cos}
-    loss = 0.0
-    dcos = np.zeros((N, C))
-    if n_left > 0:
-        resid = np.minimum(cos - state.mid, 0.0)     # 0 at or above the mid
-        loss = cfg.lambda_pps * float(resid @ resid) / n_left
-        dcos[np.arange(N), batch.labels] = (cfg.lambda_pps * 2.0 / n_left) * resid
-    return _cosine_report(batch, proxies, "pps", loss, dcos, stats, grads)
+    resid = np.minimum(cos - state.mid, 0.0)     # 0 at or above the mid
+    n_left = int(np.count_nonzero(resid))
+    loss = cfg.lambda_pps * float(resid @ resid) / max(n_left, 1)
+    d_cos = np.zeros((N, C))
+    d_cos[np.arange(N), batch.labels] = (cfg.lambda_pps * 2.0 / max(n_left, 1)) * resid
+    return LossReport(loss, {"pps": loss}, {"below_frac": n_left / N, "positive_cos": cos},
+                      batch, proxies, batch.product(proxies).cos_adjoint(d_cos))
 
 
 def pns_loss(batch: EmbeddingBatch, proxies: ProxyMatrix,
-             cfg: ProxyLossConfig, grads: bool = True) -> LossReport:
+             cfg: ProxyLossConfig) -> LossReport:
     """lambda_pns * sum over samples and non-target proxies of cos^2,
-    divided by N * (C - 1).  grads=False reports d loss / d cos as dcos in
-    place of grad_z and grad_W."""
+    divided by N * (C - 1); zero for a single class."""
     N, C = batch.z.shape[0], proxies.W.shape[0]
-    if C < 2:
-        return _cosine_report(batch, proxies, "pns", 0.0, np.zeros((N, C)), {}, grads)
-    dcos = batch.product(proxies).cos.copy()
-    dcos[np.arange(N), batch.labels] = 0.0
-    denom = N * (C - 1)
-    loss = cfg.lambda_pns * float(np.vdot(dcos, dcos)) / denom
-    dcos *= cfg.lambda_pns * 2.0 / denom
-    return _cosine_report(batch, proxies, "pns", loss, dcos, {}, grads)
+    product = batch.product(proxies)
+    d_cos = product.cos.copy()
+    d_cos[np.arange(N), batch.labels] = 0.0
+    denom = N * max(C - 1, 1)
+    loss = cfg.lambda_pns * float(np.vdot(d_cos, d_cos)) / denom
+    d_cos *= cfg.lambda_pns * 2.0 / denom
+    return LossReport(loss, {"pns": loss}, {}, batch, proxies, product.cos_adjoint(d_cos))
 
 
 def pp_selection(batch_labels, C: int, rng: np.random.Generator) -> np.ndarray:
@@ -173,21 +152,17 @@ def pp_loss(batch_labels, proxies: ProxyMatrix, cfg: ProxyLossConfig,
     """lambda_pp * mean over unordered proxy pairs in the selection of
     cos^2; gradient with respect to the proxies only."""
     C = proxies.W.shape[0]
-    if C < 2:
-        return LossReport(0.0, {"pp": 0.0}, None, np.zeros_like(proxies.W),
-                          {"pp_selection": np.arange(C, dtype=np.int64)})
-    sel = pp_selection(batch_labels, C, rng)
+    # one class draws no random proxy; a selection of one has no pair and a zero loss
+    sel = pp_selection(batch_labels, C, rng) if C > 1 else np.arange(C, dtype=np.int64)
     k = len(sel)
-    if k < 2:
-        return LossReport(0.0, {"pp": 0.0}, None, np.zeros_like(proxies.W),
-                          {"pp_selection": sel})
     ws, gram = _selection_gram(proxies.unit, sel)
-    npairs = k * (k - 1) // 2
+    npairs = max(k * (k - 1) // 2, 1)
     loss = cfg.lambda_pp * float(np.vdot(gram, gram)) / (2 * npairs)
-    dcos = (cfg.lambda_pp * 2.0 / npairs) * gram
+    d_cos = (cfg.lambda_pp * 2.0 / npairs) * gram
     grad_W = np.zeros_like(proxies.W)
-    grad_W[sel] = _quotient_rule(dcos, gram, ws, ws, proxies.norms[sel])
-    return LossReport(loss, {"pp": loss}, None, grad_W, {"pp_selection": sel})
+    grad_W[sel] = _quotient_rule(d_cos, gram, ws, ws, proxies.norms[sel])
+    return LossReport(loss, {"pp": loss}, {"pp_selection": sel}, proxies=proxies,
+                      direct=(None, grad_W))
 
 
 def sns_loss(batch: EmbeddingBatch, cfg: ProxyLossConfig) -> LossReport:
@@ -195,37 +170,19 @@ def sns_loss(batch: EmbeddingBatch, cfg: ProxyLossConfig) -> LossReport:
     power); off by default since it buys nothing in practice.  It reads the
     batch's Gram matrix, which sphere_stats.sns_tracker reads too."""
     pair, ordered = _distinct_label_pairs(batch.labels)
-    if ordered == 0:
-        return LossReport(0.0, {"sns": 0.0}, np.zeros_like(batch.z))
+    ordered = max(ordered, 1)                        # no pair: a zero loss
     gram = batch.gram
     loss = cfg.lambda_sns * float(np.sum(gram, where=pair)) / ordered
-    dcos = (cfg.lambda_sns * 2.0 / ordered) * pair   # symmetric; each pair once in the loss
-    grad_z = _quotient_rule(dcos, gram, batch.zhat, batch.zhat, batch.norms)
-    return LossReport(loss, {"sns": loss}, grad_z)
+    d_cos = (cfg.lambda_sns * 2.0 / ordered) * pair   # symmetric; each pair once in the loss
+    grad_z = _quotient_rule(d_cos, gram, batch.zhat, batch.zhat, batch.norms)
+    return LossReport(loss, {"sns": loss}, batch=batch, direct=(grad_z, None))
 
 
 def proxy_based_total(batch: EmbeddingBatch, proxies: ProxyMatrix,
                       state: EpochMidState, cfg: ProxyLossConfig,
                       rng: np.random.Generator) -> LossReport:
-    """Sum of the enabled components; the term map keeps each value.  pps
-    and pns report d loss / d cos, and their sum goes through the quotient
-    rule once."""
-    reports = [pps_loss(batch, proxies, state, cfg, grads=False),
-               pns_loss(batch, proxies, cfg, grads=False)]
-    grad_z, grad_W = _cosine_grads(batch, proxies, reports[0].dcos + reports[1].dcos)
-    reports.append(pp_loss(batch.labels, proxies, cfg, rng))
-    if cfg.sns_enabled:
-        reports.append(sns_loss(batch, cfg))
-
-    terms = {}
-    stats = {}
-    total = 0.0
-    for rep in reports:
-        terms.update(rep.terms)
-        stats.update(rep.stats)
-        total += rep.total
-        if rep.grad_z is not None:
-            grad_z += rep.grad_z
-        if rep.grad_W is not None:
-            grad_W += rep.grad_W
-    return LossReport(total, terms, grad_z, grad_W, stats)
+    """Sum of the enabled components; the term map keeps each value.  The
+    reports add their adjoints, so reading a gradient runs one backward."""
+    rep = (pps_loss(batch, proxies, state, cfg) + pns_loss(batch, proxies, cfg)
+           + pp_loss(batch.labels, proxies, cfg, rng))
+    return rep + sns_loss(batch, cfg) if cfg.sns_enabled else rep

@@ -37,9 +37,11 @@ an infinite or nan argument gives a nan result.  A naive evaluation of
 I_alpha underflows to 0 (hence log -inf) already for moderate orders at
 small arguments; both routines work in log domain and avoid it.
 _log_bessel alone picks the routine.  The vMF similarity has one
-implementation, vmf_similarity_batch, and one chain rule, _similarity_grads;
+implementation, vmf_similarity_batch, with its adjoint _similarity_adjoint;
 vmf_similarity and vmf_similarity_grad are their one-row cases.
-Everything here runs in 64-bit floats.
+A loss of S = z W^T and the row norms of z and W (these similarities, the
+cosines of uamf.ProxyProduct) has an adjoint (dS N x C, dnz N, dnw C) that
+one backward, _adjoint_grads, takes to z and W.  All floats are 64-bit.
 """
 
 from __future__ import annotations
@@ -214,13 +216,14 @@ class SimilarityGrad(NamedTuple):
 
 
 def vmf_similarity_grad(proxy, z, n: int) -> SimilarityGrad:
-    """Analytic gradient of vmf_similarity: the one-row, one-proxy case of
-    _similarity_grads."""
+    """Analytic gradient of vmf_similarity, through _similarity_adjoint."""
     proxy = np.asarray(proxy, dtype=np.float64)[None, :]
     z, norms = _one_row(z)
-    _, _, ratio, scale = vmf_similarity_batch(z, proxy, n, norms=norms)
-    grad_z, grad_proxy = _similarity_grads(np.ones((1, 1)), z, _divide_rows(z, norms),
-                                           proxy, ratio, scale)
+    product = z @ proxy.T
+    _, _, ratio, scale = vmf_similarity_batch(z, proxy, n, product, norms)
+    grad_z, grad_proxy = _adjoint_grads(
+        *_similarity_adjoint(np.ones((1, 1)), product, norms, ratio, scale),
+        z, _divide_rows(z, norms), proxy, proxy)
     return SimilarityGrad(grad_proxy=grad_proxy[0], grad_z=grad_z[0])
 
 
@@ -243,17 +246,22 @@ def vmf_similarity_batch(z: np.ndarray, proxies: np.ndarray, n: int,
     return sims, kappa, ratio, scale
 
 
-def _similarity_grads(dsim, z, zhat, proxies, ratio, scale):
-    """(grad_z, grad_W) of sum_ij dsim_ij sim_ij, sim_ij = scale_i w_j . z_i
-    + g(kappa_i), from vmf_similarity_batch's ratio and scale and the unit
-    rows zhat of z.  grad_W = sum_i dsim_ij scale_i z_i.  With a_i = sum_j
-    dsim_ij w_j, an unclamped row has d g / d kappa = -ratio_next, so grad_z_i
-    = a_i - sum_j dsim_ij ratio_i zhat_i; a clamped row has sim_ij = KAPPA_MIN
-    w_j . zhat_i + const, so grad_z_i = scale_i (a_i - (a_i . zhat_i) zhat_i)."""
+def _similarity_adjoint(dsim, product, norms, ratio, scale):
+    """The adjoint (dS, dnz, dnw) of sum_ij dsim_ij sim_ij, sim_ij = scale_i
+    S_ij + g(kappa_i): dS = dsim scale, dnw = 0 and, as d g / d kappa =
+    -ratio_next, dnz_i = -ratio_i sum_j dsim_ij; a clamped row has a constant
+    g and scale_i = KAPPA_MIN / ||z_i||, so dnz_i = -sum_j dsim_ij S_ij
+    scale_i^2 / KAPPA_MIN (0 on a zero row)."""
     clamped = scale != 1.0
-    row_term = dsim.sum(axis=1) * ratio * ~clamped
-    grad_z = dsim @ proxies - row_term[:, None] * zhat
-    if clamped.any():
-        a, u = grad_z[clamped], zhat[clamped]      # row_term is 0 on these rows
-        grad_z[clamped] = scale[clamped, None] * (a - np.einsum("ij,ij->i", a, u)[:, None] * u)
-    return grad_z, dsim.T @ (z * scale[:, None])
+    dnz = -dsim.sum(axis=1) * ratio
+    if clamped.any():                          # scale is 1 on every other row
+        dnz[clamped] = -np.einsum("ij,ij->i", dsim[clamped], product[clamped]) \
+            * scale[clamped] ** 2 / KAPPA_MIN
+        dsim = dsim * scale[:, None]
+    return dsim, dnz, np.zeros(dsim.shape[1])
+
+
+def _adjoint_grads(dS, dnz, dnw, z, zhat, W, what):
+    """(grad_z, grad_W) of a loss of S = z W^T, ||z|| and ||W|| from its
+    adjoint (dS, dnz, dnw), with zhat and what the unit rows of z and W."""
+    return dS @ W + dnz[:, None] * zhat, dS.T @ z + dnw[:, None] * what

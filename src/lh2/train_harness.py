@@ -200,20 +200,18 @@ def train(cfg: RunConfig, out_dir: str) -> TrainResult:
                     _require(np.all(np.isfinite(batch.norms)), "non-finite features")
                 state.tracker, margin = update_norm_tracker(state.tracker, batch,
                                                             cfg.margin_coeff)
-                rep_u = uamf_loss(batch, state.proxies, margin, cfg.tau, cfg.n)
-                rep_p = proxy_based_total(batch, state.proxies, state.mid_state,
-                                          plcfg, state.rng)
+                # one report of the whole step: its gradients take one backward
+                step = (uamf_loss(batch, state.proxies, margin, cfg.tau, cfg.n)
+                        + proxy_based_total(batch, state.proxies, state.mid_state,
+                                            plcfg, state.rng))
                 state.mid_state = observe_positive_cosines(
-                    state.mid_state, rep_p.stats["positive_cos"], cfg.mid_strict_mode)
-                total = rep_u.total + rep_p.total
-                _require(np.isfinite(total), "non-finite loss")
+                    state.mid_state, step.stats["positive_cos"], cfg.mid_strict_mode)
+                _require(np.isfinite(step.total), "non-finite loss")
                 good = state.embedder, state.proxies
 
-                grad_z = rep_u.grad_z + rep_p.grad_z
-                grad_W = rep_u.grad_W + rep_p.grad_W
-                state.vel_emb = cfg.momentum * state.vel_emb - lr * (xb.T @ grad_z)
+                state.vel_emb = cfg.momentum * state.vel_emb - lr * (xb.T @ step.grad_z)
                 emb = state.embedder + state.vel_emb
-                state.vel_W = cfg.momentum * state.vel_W - lr * grad_W
+                state.vel_W = cfg.momentum * state.vel_W - lr * step.grad_W
                 w = state.proxies.W + state.vel_W
                 w_norms = np.linalg.norm(w, axis=1)
                 # a proxy row norm that overflows fails like a non-finite entry
@@ -224,15 +222,14 @@ def train(cfg: RunConfig, out_dir: str) -> TrainResult:
                 state.step += 1
 
                 spread = proxy_spread_trackers(state.proxies, cfg.C, cfg.d,
-                                               rep_p.stats["pp_selection"])
+                                               step.stats["pp_selection"])
                 records.append({
                     "step": state.step, "epoch": epoch, "lr": lr,
-                    "loss_total": total, "uamf": rep_u.terms["uamf"],
-                    "pps": rep_p.terms["pps"], "pns": rep_p.terms["pns"],
-                    "pp": rep_p.terms["pp"], "sns": rep_p.terms.get("sns", 0.0),
+                    "loss_total": step.total, **step.terms,   # uamf, pps, pns, pp
+                    "sns": step.terms.get("sns", 0.0),
                     "margin": margin, "mu_norm": state.tracker.mu_norm,
                     "mid": state.mid_state.mid,
-                    "below_mid_frac": rep_p.stats["below_frac"],
+                    "below_mid_frac": step.stats["below_frac"],
                     "std": spread["std"], "std_mean": spread["std_mean"],
                     "std_sns": sns_tracker(batch), "train_acc": acc,
                 })
@@ -305,6 +302,22 @@ def _away_from(values, kinks, margin):
                          - np.asarray(kinks)[None, :]) > margin)
 
 
+# the ops _gradcheck_cases yields, in its order
+GRADCHECK_OPS = ("vmf_similarity", "uamf_loss", "pps_loss", "pns_loss", "pp_loss", "sns_loss",
+                 "laplace_nll", "perceptual_nll", "smoothness_loss", "view_variance_loss")
+
+
+def _z_and_W_pairs(loss, z, y, W, h):
+    """The (analytic, finite-difference) gradient pairs in z and in W of
+    loss(batch, proxies) on unit proxy rows W; the probes read totals only."""
+    batch, proxies = EmbeddingBatch(z, y), ProxyMatrix(W)
+    rep = loss(batch, proxies)
+    return [(rep.grad_z, _central_diff(
+                lambda zz: loss(EmbeddingBatch(zz, y), proxies).total, z, h)),
+            (rep.grad_W, _central_diff(
+                lambda ww: loss(batch, _raw_proxies(ww)).total, W, h))]
+
+
 def _gradcheck_cases(rng: np.random.Generator):
     """One random small instance per differentiable op; each case yields
     (name, [(analytic_grad, fd_grad), ...])."""
@@ -334,15 +347,8 @@ def _gradcheck_cases(rng: np.random.Generator):
     W = rng.standard_normal((C, d))
     W /= np.linalg.norm(W, axis=1, keepdims=True)
     mgn, tau = rng.uniform(0.0, 2.0), rng.uniform(0.5, 2.0)
-    rep = uamf_loss(EmbeddingBatch(z, y), ProxyMatrix(W), mgn, tau, n)
-    cases.append(("uamf_loss", [
-        (rep.grad_z, _central_diff(
-            lambda zz: uamf_loss(EmbeddingBatch(zz, y), ProxyMatrix.from_rows(W),
-                                 mgn, tau, n).total, z, h)),
-        (rep.grad_W, _central_diff(
-            lambda ww: uamf_loss(EmbeddingBatch(z, y), _raw_proxies(ww),
-                                 mgn, tau, n).total, W, h)),
-    ]))
+    cases.append(("uamf_loss", _z_and_W_pairs(lambda b, p: uamf_loss(b, p, mgn, tau, n),
+                                              z, y, W, h)))
 
     plcfg = ProxyLossConfig(lambda_pps=5.0, lambda_pns=20.0, lambda_pp=150.0,
                             lambda_sns=150.0)
@@ -354,42 +360,25 @@ def _gradcheck_cases(rng: np.random.Generator):
     while True:
         z = rng.standard_normal((N, d)) * rng.uniform(2.0, 20.0, (N, 1))
         y = rng.integers(0, C, N)
-        batch = EmbeddingBatch(z, y)
-        if _away_from(positive_cosines(batch, proxies), [mid], margin):
+        if _away_from(positive_cosines(EmbeddingBatch(z, y), proxies), [mid], margin):
             break
-    rep = pps_loss(batch, proxies, state, plcfg)
-    cases.append(("pps_loss", [
-        (rep.grad_z, _central_diff(
-            lambda zz: pps_loss(EmbeddingBatch(zz, y), proxies, state, plcfg).total,
-            z, h)),
-        (rep.grad_W, _central_diff(
-            lambda ww: pps_loss(batch, _raw_proxies(ww), state, plcfg).total, W, h)),
-    ]))
-
+    cases.append(("pps_loss", _z_and_W_pairs(lambda b, p: pps_loss(b, p, state, plcfg),
+                                             z, y, W, h)))
     # pns: smooth everywhere
-    rep = pns_loss(batch, proxies, plcfg)
-    cases.append(("pns_loss", [
-        (rep.grad_z, _central_diff(
-            lambda zz: pns_loss(EmbeddingBatch(zz, y), proxies, plcfg).total, z, h)),
-        (rep.grad_W, _central_diff(
-            lambda ww: pns_loss(batch, _raw_proxies(ww), plcfg).total, W, h)),
-    ]))
+    cases.append(("pns_loss", _z_and_W_pairs(lambda b, p: pns_loss(b, p, plcfg), z, y, W, h)))
 
     # pp: freeze the random selection by reseeding per evaluation
     sel_seed = int(rng.integers(0, 2 ** 31))
-    rep = pp_loss(y, proxies, plcfg, np.random.default_rng(sel_seed))
     cases.append(("pp_loss", [
-        (rep.grad_W, _central_diff(
+        (pp_loss(y, proxies, plcfg, np.random.default_rng(sel_seed)).grad_W, _central_diff(
             lambda ww: pp_loss(y, _raw_proxies(ww), plcfg,
                                np.random.default_rng(sel_seed)).total, W, h)),
     ]))
 
     # sns: linear in the cosines, smooth
     y_mixed = np.arange(N) % 2
-    batch_mixed = EmbeddingBatch(z, y_mixed)
-    rep = sns_loss(batch_mixed, plcfg)
     cases.append(("sns_loss", [
-        (rep.grad_z, _central_diff(
+        (sns_loss(EmbeddingBatch(z, y_mixed), plcfg).grad_z, _central_diff(
             lambda zz: sns_loss(EmbeddingBatch(zz, y_mixed), plcfg).total, z, h)),
     ]))
 

@@ -9,14 +9,16 @@ updated per batch as
 and the loss subtracts the margin from the true-class similarity before
 the temperature division, then takes softmax cross-entropy.  Because the
 per-sample normalizer terms of the similarity are shared across classes,
-their gradient contributions cancel through the softmax; the chain rule
-(sphere_math._similarity_grads, shared with vmf_similarity_grad) still
+their gradient contributions cancel through the softmax; the adjoint
+(sphere_math._similarity_adjoint, shared with vmf_similarity_grad) still
 carries them.
 
 Every sample-to-proxy quantity of a training step comes from one product
 S = z W^T (ProxyProduct), which a batch builds on first use with a proxy
 matrix and keeps: the similarities read the raw S, and the proxy losses
 (proxy_losses) read the cosines S / (||z|| ||W||^T) of the same matrix.
+Each such loss reports its adjoint; the reports of a step add up with +, and
+their gradients run the one backward, sphere_math._adjoint_grads, on first read.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .sphere_math import _divide_rows, _similarity_grads, vmf_similarity_batch
+from .sphere_math import (_adjoint_grads, _divide_rows, _similarity_adjoint,
+                          vmf_similarity_batch)
 
 
 @dataclasses.dataclass
@@ -123,15 +126,17 @@ class ProxyProduct:
 
     def __init__(self, batch: EmbeddingBatch, proxies: ProxyMatrix):
         self.proxies = proxies
-        self.z_norms = batch.norms
         self.S = batch.z @ proxies.W.T
+        # the row norms with zeros read as 1, their outer product and the cosines
+        self.nz, self.nw = (np.where(n > 0.0, n, 1.0) for n in (batch.norms, proxies.norms))
+        self.denom = np.outer(self.nz, self.nw)
+        self.cos = self.S / self.denom
 
-    @functools.cached_property
-    def cos(self) -> np.ndarray:
-        """N x C cosines between the samples and the proxies."""
-        nz, nw = self.z_norms, self.proxies.norms
-        return self.S / np.outer(np.where(nz > 0.0, nz, 1.0),
-                                 np.where(nw > 0.0, nw, 1.0))
+    def cos_adjoint(self, d_cos: np.ndarray):
+        """The adjoint of a loss of the cosines from its d_cos: dS = d_cos /
+        (||z|| ||w||), dnz = -sum_j d_cos cos / ||z||, dnw = -sum_i d_cos cos / ||w||."""
+        return (d_cos / self.denom, -np.einsum("ij,ij->i", d_cos, self.cos) / self.nz,
+                -np.einsum("ij,ij->j", d_cos, self.cos) / self.nw)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -149,22 +154,50 @@ class NormTracker:
             raise DomainError(f"mu_norm must be positive, got {self.mu_norm}")
 
 
+def _plus(a, b):
+    return b if a is None else a if b is None else a + b
+
+
 @dataclasses.dataclass
 class LossReport:
     """A named loss total with per-term breakdown and gradients.
 
     total always equals the sum of terms; stats carries non-loss values
-    that callers read (fractions, cosines, the pp selection).  A loss of the
-    sample-to-proxy cosines asked for no gradients carries d total / d cos
-    (N x C) as dcos instead of grad_z and grad_W.
+    that callers read (fractions, cosines, the pp selection).  A loss of S,
+    ||z|| and ||W|| carries its adjoint (dS, dnz, dnw), pp and sns their
+    gradients as direct (grad_z, grad_W); grad_z and grad_W sum both on first
+    read (None when nothing reaches them).  a + b adds the losses of one
+    batch and proxy matrix.
     """
 
     total: float
     terms: dict
-    grad_z: Optional[np.ndarray] = None
-    grad_W: Optional[np.ndarray] = None
     stats: dict = dataclasses.field(default_factory=dict)
-    dcos: Optional[np.ndarray] = None
+    batch: Optional[EmbeddingBatch] = None
+    proxies: Optional[ProxyMatrix] = None
+    adjoint: tuple = (None, None, None)
+    direct: tuple = (None, None)
+
+    def __add__(self, other: "LossReport") -> "LossReport":
+        batch, proxies = self.batch or other.batch, self.proxies or other.proxies
+        # each side reads this same batch and proxy matrix, or none
+        if (other.batch or batch) is not batch or (other.proxies or proxies) is not proxies:
+            raise DomainError("cannot add reports of different batches or proxy matrices")
+        return LossReport(self.total + other.total, {**self.terms, **other.terms},
+                          {**self.stats, **other.stats}, batch, proxies,
+                          tuple(map(_plus, self.adjoint, other.adjoint)),
+                          tuple(map(_plus, self.direct, other.direct)))
+
+    @functools.cached_property
+    def _grads(self):
+        if self.adjoint[0] is None:
+            return self.direct
+        b, p = self.batch, self.proxies
+        return tuple(map(_plus, _adjoint_grads(*self.adjoint, b.z, b.zhat, p.W, p.unit),
+                         self.direct))
+
+    grad_z = property(lambda self: self._grads[0])
+    grad_W = property(lambda self: self._grads[1])
 
 
 def update_norm_tracker(tracker: NormTracker, batch: EmbeddingBatch,
@@ -199,8 +232,8 @@ def uamf_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, margin: float,
     N = batch.z.shape[0]
     target = (np.arange(N), batch.labels)
 
-    sims, _, ratio, scale = vmf_similarity_batch(batch.z, W, n,
-                                                 batch.product(proxies).S, batch.norms)
+    product = batch.product(proxies).S
+    sims, _, ratio, scale = vmf_similarity_batch(batch.z, W, n, product, batch.norms)
     logits = sims / tau
     logits[target] -= margin / tau
     logits -= logits.max(axis=1, keepdims=True)
@@ -213,7 +246,7 @@ def uamf_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, margin: float,
     coeff[target] -= 1.0
     coeff /= N * tau                             # d loss / d sim_ij
 
-    grad_z, grad_W = _similarity_grads(coeff, batch.z, batch.zhat, W, ratio, scale)
-    return LossReport(total=loss, terms={"uamf": loss}, grad_z=grad_z, grad_W=grad_W,
-                      stats={"clamped_rows": int(np.count_nonzero(scale != 1.0)),
-                             "mean_target_prob": mean_target_prob})
+    return LossReport(loss, {"uamf": loss},
+                      {"clamped_rows": int(np.count_nonzero(scale != 1.0)),
+                       "mean_target_prob": mean_target_prob}, batch, proxies,
+                      _similarity_adjoint(coeff, product, batch.norms, ratio, scale))

@@ -13,7 +13,7 @@ from lh2.cli import main
 from lh2.depth_renderer import scatter_min_render
 from lh2.io_formats import read_pgm, read_ppm, write_ppm, write_tensor
 from lh2.sphere_stats import evt_estimate
-from lh2.train_harness import load_checkpoint
+from lh2.train_harness import GRADCHECK_OPS, load_checkpoint
 
 TINY_CONFIG = """\
 seed = 1
@@ -327,6 +327,12 @@ def test_grad_check_corruption_fails(capsys):
     (["render", "--demo", "hemisphere", "--size", "8", "--frames", "-2"], "--frames"),
     (["render", "--demo", "hemisphere", "--size", "8",
       "--rotations", "nan", "0", "0"], "--rotations"),
+    (["grad-check", "--corrupt", "nosuchop", "--repeats", "1"], "--corrupt"),
+    (["stats", "--C", "10", "--d", "16", "--trials", "-1"], "--trials"),
+    (["render", "--demo", "hemisphere", "--size", "8",
+      "--rotations", "1e300", "0", "0", "--frames", "2"], "--rotations"),
+    (["render", "--demo", "hemisphere", "--size", "0"], "--size"),
+    (["render", "--demo", "hemisphere", "--size", "8", "--radius", "-1"], "--radius"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_flag_value_is_a_usage_error_naming_the_flag(tmp_path, capsys,
@@ -334,8 +340,11 @@ def test_bad_flag_value_is_a_usage_error_naming_the_flag(tmp_path, capsys,
     if argv[0] == "render":
         argv = argv + ["--out-dir", str(tmp_path / "out")]
     assert main(argv) == 3
-    assert capsys.readouterr().err.startswith(f"lh2: error: {flag} ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"lh2: error: {flag} ")
     assert not (tmp_path / "out").exists()
+    if flag == "--corrupt":
+        assert all(op in err for op in GRADCHECK_OPS)
 
 
 def test_hist_subcommand(tiny_config, tmp_path, capsys):

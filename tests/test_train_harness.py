@@ -14,7 +14,7 @@ from lh2.errors import DomainError
 from lh2.io_formats import RunConfig
 from lh2.proxy_losses import (EpochMidState, ProxyLossConfig, pns_loss, pp_loss,
                               pp_selection, pps_loss, proxy_based_total, sns_loss)
-from lh2.train_harness import (SyntheticSpec, _raw_proxies, dataset_inputs,
+from lh2.train_harness import (GRADCHECK_OPS, SyntheticSpec, _raw_proxies, dataset_inputs,
                                generate_dataset, grad_check, histogram_dump,
                                init_state, load_checkpoint, train, train_accuracy)
 from lh2.uamf import EmbeddingBatch, ProxyMatrix, uamf_loss
@@ -238,9 +238,15 @@ def test_train_builds_one_product_and_one_similarity_batch_per_step(tmp_path,
                 monkeypatch.setattr(mod, fn.__name__, wrapper)
     monkeypatch.setattr(uamf.ProxyProduct, "__init__",
                         counting("ProxyProduct", uamf.ProxyProduct.__init__))
+    # the one backward of a step's adjoint, however it is bound
+    backward = sphere_math._adjoint_grads
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("lh2") and getattr(mod, "_adjoint_grads", None) is backward:
+            monkeypatch.setattr(mod, "_adjoint_grads", counting("backward", backward))
     res = train(RunConfig(**TINY), str(tmp_path))
     assert len(_read_metrics(res.metrics_path)[1]) == 15
-    assert counts == {"uamf_loss": 15, "vmf_similarity_batch": 15, "ProxyProduct": 15}
+    assert counts == {"uamf_loss": 15, "vmf_similarity_batch": 15, "ProxyProduct": 15,
+                      "backward": 15}
 
 
 def _assert_rel(got, want, rel=1e-12):
@@ -367,6 +373,8 @@ def test_grad_check_all_ops_pass():
         "vmf_similarity", "uamf_loss", "pps_loss", "pns_loss", "pp_loss",
         "sns_loss", "laplace_nll", "perceptual_nll", "smoothness_loss",
         "view_variance_loss"]
+    # the names the CLI accepts for --corrupt
+    assert tuple(r["op"] for r in rows) == GRADCHECK_OPS
     for r in rows:
         assert r["pass"]
         assert r["max_rel_err"] <= 1e-4

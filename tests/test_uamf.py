@@ -240,30 +240,61 @@ def test_gradients_vs_finite_differences_50_instances():
     assert checked == 50
 
 
-def test_similarity_and_cosine_gradients_each_come_from_one_helper(monkeypatch):
+def _count_backward(monkeypatch):
+    """Count the calls of sphere_math._adjoint_grads, also through uamf."""
     calls = collections.Counter()
+    backward = sphere_math._adjoint_grads
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def counted(*args):
+        calls["backward"] += 1
+        return backward(*args)
 
-    sim = counted("similarity", sphere_math._similarity_grads)
-    monkeypatch.setattr(sphere_math, "_similarity_grads", sim)
-    monkeypatch.setattr(uamf, "_similarity_grads", sim)
-    monkeypatch.setattr(proxy_losses, "_quotient_rule",
-                        counted("quotient", proxy_losses._quotient_rule))
+    for mod in (sphere_math, uamf):
+        monkeypatch.setattr(mod, "_adjoint_grads", counted)
+    return calls
+
+
+def test_gradients_take_one_backward_per_report_and_none_for_the_total(monkeypatch):
+    calls = _count_backward(monkeypatch)
     rng = np.random.default_rng(11)
     batch = EmbeddingBatch(rng.standard_normal((6, 4)) * 5.0, np.arange(6) % 3)
     proxies = ProxyMatrix(_unit_rows(rng, 3, 4))
-
-    uamf_loss(batch, proxies, 0.5, 1.0, 8)
-    assert calls == {"similarity": 1}
-    sphere_math.vmf_similarity_grad(proxies.W[0], batch.z[0], 8)
-    assert calls == {"similarity": 2}
     cfg = proxy_losses.ProxyLossConfig(sns_enabled=True)
-    proxy_losses.proxy_based_total(batch, proxies, proxy_losses.EpochMidState(mid=0.9),
-                                   cfg, rng)
-    # both sides of the sample-to-proxy cosines, pp's selection, sns
-    assert calls == {"similarity": 2, "quotient": 4}
+    state = proxy_losses.EpochMidState(mid=0.9)
+
+    # a finite-difference probe reads the total only
+    uamf_loss(batch, proxies, 0.5, 1.0, 8).total
+    proxy_losses.proxy_based_total(batch, proxies, state, cfg, rng).total
+    assert calls["backward"] == 0
+
+    rep = uamf_loss(batch, proxies, 0.5, 1.0, 8)
+    rep.grad_z, rep.grad_W, rep.grad_z
+    assert calls["backward"] == 1
+    sphere_math.vmf_similarity_grad(proxies.W[0], batch.z[0], 8)
+    assert calls["backward"] == 2
+    rep = proxy_losses.proxy_based_total(batch, proxies, state, cfg, rng)
+    rep.grad_W, rep.grad_z
+    assert calls["backward"] == 3
+    # the sum of the two reads both through one backward
+    both = uamf_loss(batch, proxies, 0.5, 1.0, 8) + rep
+    both.grad_z, both.grad_W
+    assert calls["backward"] == 4
+
+
+def test_reports_of_different_batches_or_proxies_do_not_add():
+    rng = np.random.default_rng(12)
+    z, y = rng.standard_normal((4, 3)) * 5.0, np.arange(4) % 2
+    batch, proxies = EmbeddingBatch(z, y), ProxyMatrix(_unit_rows(rng, 2, 3))
+    cfg = proxy_losses.ProxyLossConfig()
+    rep = uamf_loss(batch, proxies, 0.5, 1.0, 8)
+    with pytest.raises(DomainError):
+        rep + proxy_losses.pns_loss(EmbeddingBatch(z, y), proxies, cfg)
+    with pytest.raises(DomainError):
+        rep + proxy_losses.pns_loss(batch, ProxyMatrix(proxies.W.copy()), cfg)
+    with pytest.raises(DomainError):
+        rep + proxy_losses.sns_loss(EmbeddingBatch(z, y), cfg)
+    with pytest.raises(DomainError):
+        rep + proxy_losses.pp_loss(y, ProxyMatrix(proxies.W.copy()), cfg, rng)
+    # pp reads no batch and sns no proxies, so each adds to either side
+    total = rep + proxy_losses.pp_loss(y, proxies, cfg, rng) + proxy_losses.sns_loss(batch, cfg)
+    assert set(total.terms) == {"uamf", "pp", "sns"}
