@@ -2,43 +2,32 @@
 similarity (the vMF log-density at the feature direction) and its
 analytic gradient.
 
-log I_alpha(x) and the ratio I_{alpha+1}(x) / I_alpha(x) come from one of
-two routines, chosen per argument by x alone:
+log I_alpha(x) and the ratio I_{alpha+1}(x) / I_alpha(x) come from one
+routine, _log_bessel: the Debye uniform asymptotic expansion (DLMF
+10.41.3, 10.41.5) at order nu = alpha + m, m = max(0, ceil(15 - alpha)),
+with r = hypot(nu, x) and p = nu / r,
 
-* x < 50: the ascending series in log domain,
+    log I_nu(x) = r + nu log(x / (nu + r)) - log(2 pi)/2 - log(r)/2 + log U,
+    ratio = x / (nu + r) + x Q / (U r),
+    U = sum_k U_k(p) nu^-k,   Q = sum_k Q_k(p) nu^-k,   Q_k = (V_k - U_k) / (1 - p^2)
 
-      log t_m = (2m + alpha) * log(x/2) - log m! - log Gamma(m + alpha + 1)
-      log I_alpha(x) = logsumexp_m(log t_m)
+for k = 0..13, with the polynomials U_k and Q_k of DLMF 10.41.10-11
+tabulated once at import.  Tabulating Q_k keeps the factor 1 - p^2 =
+(x/r)^2 out of the float polynomial, where it would cancel as x -> 0.
+The backward recurrence (DLMF 10.29.1) then goes down the m orders,
+R_{a-1} = 1 / (2a / x + R_a) and log I_{a-1} = log I_a - log R_{a-1} for
+a = nu, ..., alpha + 1.  For alpha < 1 at x <= 1, where log I_0(x) ~
+x^2/4 tends to 0 and the telescoped sum keeps only its absolute error,
+log I comes from the ascending series, 10 terms in log1p form, instead.
 
-  over one term grid per call: rows are the arguments, columns m = 0..M-1,
-  with M fixed in advance by _series_length from the largest argument so
-  the truncated tail is negligible (M <= 126 below x = 50, for any alpha).
-  The same terms give the ratio as sum_m t_m (x/2) / (m + alpha + 1) /
-  sum_m t_m, so the order alpha+1 series is never summed.
+The cost does not depend on x; an infinite or nan argument gives a nan
+result.  A naive evaluation of I_alpha underflows to 0 (hence log -inf)
+already for moderate orders at small arguments; every step here works in
+log domain and avoids it.
 
-* x >= 50: the Debye uniform asymptotic expansion (DLMF 10.41.3, 10.41.5)
-  with r = hypot(alpha, x) and p = alpha / r,
-
-      log I_alpha(x) = r + alpha log(x / (alpha + r)) - log(2 pi)/2
-                       - log(r)/2 + log U,      U = sum_k U_k(p) alpha^-k
-      ratio = x / (alpha + r) + r (V - U) / (U x),
-                                      V - U = sum_k (V_k - U_k)(p) alpha^-k
-
-  for k = 0..13, with the polynomials U_k and V_k - U_k of DLMF 10.41.10-11
-  tabulated once at import.  Writing the ratio through V - U avoids the
-  cancellation of sqrt(1+z^2)/z V/U - 1/z when x << alpha.  The cost does
-  not depend on x.  Orders below 1 are evaluated at alpha + 1 and brought
-  down by one step of the recurrence (DLMF 10.29.1)
-  R_alpha = 1 / (2 (alpha + 1) / x + R_{alpha+1}) and
-  log I_alpha = log I_{alpha+1} - log R_alpha.
-
-Both routines run in bounded time and memory for every finite argument;
-an infinite or nan argument gives a nan result.  A naive evaluation of
-I_alpha underflows to 0 (hence log -inf) already for moderate orders at
-small arguments; both routines work in log domain and avoid it.
-_log_bessel alone picks the routine.  The vMF similarity has one
-implementation, vmf_similarity_batch, with its adjoint _similarity_adjoint;
-vmf_similarity and vmf_similarity_grad are their one-row cases.
+The vMF similarity has one implementation, vmf_similarity_batch, with its
+adjoint _similarity_adjoint; vmf_similarity and vmf_similarity_grad are
+their one-row cases.
 A loss of S = z W^T and the row norms of z and W (these similarities, the
 cosines of uamf.ProxyProduct) has an adjoint (dS N x C, dnz N, dnw C) that
 one backward, _adjoint_grads, takes to z and W.  All floats are 64-bit.
@@ -55,61 +44,16 @@ from .errors import DomainError
 
 KAPPA_MIN = 1e-6
 LOG_2PI = math.log(2.0 * math.pi)
-# arguments at or above this use the Debye expansion, below it the series
-_DEBYE_FROM = 50.0
-
-# lgamma values over the series index grid are reused heavily inside the
-# training loop; cache them per order.
-_lgamma_cache: dict[float, np.ndarray] = {}
-
-
-def _log_denominators(alpha: float, m_count: int) -> np.ndarray:
-    """lgamma(m+1) + lgamma(m+alpha+1), m = 0..m_count-1, cached per alpha."""
-    cached = _lgamma_cache.get(alpha)
-    if cached is None or len(cached) < m_count:
-        cached = np.array([math.lgamma(m + 1.0) + math.lgamma(m + alpha + 1.0)
-                           for m in range(m_count)])
-        _lgamma_cache[alpha] = cached
-    return cached[:m_count]
-
-
-def _series_length(alpha: float, x_max: float) -> int:
-    # the largest term sits near m* = (sqrt(alpha^2 + x^2) - alpha) / 2 and
-    # the tail decays faster than a Gaussian of width sqrt(m*); the padding
-    # below leaves the truncated mass below 1e-18 of the sum
-    peak = 0.5 * (math.hypot(alpha, x_max) - alpha)
-    return int(peak + 12.0 * math.sqrt(peak + 1.0) + 40.0)
-
-
-def _log_bessel_series(alpha: float, x: np.ndarray):
-    """(log I_alpha(x), I_{alpha+1}(x) / I_alpha(x)) over an array of
-    positive x below _DEBYE_FROM, both from one term grid."""
-    m_count = _series_length(alpha, float(x.max()))
-    m = np.arange(m_count)
-    half_x = 0.5 * x
-    weights = 1.0 / (m + alpha + 1.0)
-    rows = np.arange(len(x))
-    # one N x M buffer: log terms, shifted by each row's top, then the
-    # terms with each row's top (exactly 1) set aside, so that log1p keeps
-    # the digits of log I_0(x) ~ x^2/4 at small x
-    t = np.outer(np.log(half_x), 2 * m + alpha)
-    t -= _log_denominators(alpha, m_count)
-    top_at = t.argmax(axis=1)
-    top = t[rows, top_at]
-    t -= top[:, None]
-    np.exp(t, out=t)
-    t[rows, top_at] = 0.0
-    rest = t.sum(axis=1)
-    ratio = half_x * (t @ weights + weights[top_at]) / (1.0 + rest)
-    return top + np.log1p(rest), ratio
+# orders below this are evaluated this high and recurred down
+_DEBYE_ORDER = 15.0
 
 
 def _debye_tables(k_count: int = 14) -> np.ndarray:
-    """Power-series coefficients in p of U_k(p) and V_k(p) - U_k(p) for
-    k = 0..k_count-1, as a k_count x (3 k_count - 2) x 2 array: U_0 = 1,
-    U_{k+1} = p^2 (1-p^2) U_k' / 2 + int_0^p (1 - 5t^2) U_k(t) dt / 8 and
-    V_{k+1} - U_{k+1} = -p (1-p^2) U_k / 2 - p^2 (1-p^2) U_k'
-    (DLMF 10.41.10-11).  U_k has degree 3k, and so has V_k - U_k."""
+    """Power-series coefficients in p of U_k(p) and Q_k(p) = (V_k(p) -
+    U_k(p)) / (1 - p^2) for k = 0..k_count-1, as a k_count x (3 k_count - 2)
+    x 2 array: U_0 = 1, Q_0 = 0, U_{k+1} = p^2 (1-p^2) U_k' / 2 +
+    int_0^p (1 - 5t^2) U_k(t) dt / 8 and Q_{k+1} = -p U_k / 2 - p^2 U_k'
+    (DLMF 10.41.10-11).  U_k has degree 3k, Q_k at most 3k - 2."""
     width = 3 * (k_count - 1) + 1
     j = np.arange(width)
     tables = np.zeros((k_count, width, 2))
@@ -120,51 +64,46 @@ def _debye_tables(k_count: int = 14) -> np.ndarray:
         p2du = np.zeros(width)                           # p^2 (1-p^2) U_k'
         p2du[2:] += du[:-2]
         p2du[4:] -= du[:-4]
-        pu = np.zeros(width)                             # p (1-p^2) U_k
-        pu[1:] += u[:-1]
-        pu[3:] -= u[:-3]
         q = u.copy()                                     # (1 - 5p^2) U_k
         q[2:] -= 5.0 * u[:-2]
         tables[k + 1, 1:, 0] = 0.5 * p2du[1:] + 0.125 * q[:-1] / j[1:]
-        tables[k + 1, :, 1] = -0.5 * pu - p2du
+        tables[k + 1, 1:, 1] = -0.5 * u[:-1]             # -p U_k / 2
+        tables[k + 1, 2:, 1] -= du[:-2]                  # - p^2 U_k'
     return tables
 
 
 _DEBYE_TABLES = _debye_tables()
 
 
-def _log_bessel_debye(alpha: float, x: np.ndarray):
-    """(log I_alpha(x), I_{alpha+1}(x) / I_alpha(x)) over an array of x at
-    or above _DEBYE_FROM, by the Debye expansion; alpha < 1 is evaluated at
-    alpha + 1 and recurred down one order."""
-    nu = alpha + 1.0 if alpha < 1.0 else alpha
+def _log_bessel(alpha: float, x: np.ndarray):
+    """(log I_alpha(x), I_{alpha+1}(x) / I_alpha(x)) over an array of
+    positive x: the Debye expansion at order alpha + m, m = max(0,
+    ceil(15 - alpha)), recurred down m orders; for alpha < 1 at x <= 1
+    log I comes from the ascending series instead."""
+    m = max(0, math.ceil(_DEBYE_ORDER - alpha))
+    nu = alpha + m
     r = np.hypot(nu, x)
     # fold nu^-k into one coefficient vector per polynomial table
     k_count, width, _ = _DEBYE_TABLES.shape
     coef = nu ** -np.arange(k_count) @ _DEBYE_TABLES.reshape(k_count, -1)
-    u, v_minus_u = (np.vander(nu / r, width, increasing=True)
-                    @ coef.reshape(width, 2)).T
-    log_i = r + nu * np.log(x / (nu + r)) - 0.5 * LOG_2PI - 0.5 * np.log(r) + np.log(u)
-    ratio = x / (nu + r) + r * v_minus_u / (u * x)
-    if nu != alpha:
-        ratio = 1.0 / (2.0 * nu / x + ratio)
+    u, q = (np.vander(nu / r, width, increasing=True) @ coef.reshape(width, 2)).T
+    x_nu_r = x / (nu + r)
+    log_i = r + nu * np.log(x_nu_r) - 0.5 * LOG_2PI - 0.5 * np.log(r) + np.log(u)
+    ratio = x_nu_r + x * q / (u * r)
+    # m steps of DLMF 10.29.1 down to alpha, a = alpha + step
+    for step in range(m, 0, -1):
+        ratio = 1.0 / (2.0 * (alpha + step) / x + ratio)
         log_i -= np.log(ratio)
-    return log_i, ratio
-
-
-def _log_bessel(alpha: float, x: np.ndarray):
-    """(log I_alpha(x), I_{alpha+1}(x) / I_alpha(x)) over an array of
-    positive x; each argument takes the series below _DEBYE_FROM and the
-    Debye expansion at or above it (also when it is inf or nan)."""
-    low = x < _DEBYE_FROM
-    if low.all():
-        return _log_bessel_series(alpha, x)
-    if not low.any():
-        return _log_bessel_debye(alpha, x)
-    log_i, ratio = np.empty_like(x), np.empty_like(x)
-    log_i[low], ratio[low] = _log_bessel_series(alpha, x[low])
-    high = ~low
-    log_i[high], ratio[high] = _log_bessel_debye(alpha, x[high])
+    if alpha < 1.0:
+        # log I_alpha(x) ~ x^2/4 as x -> 0 at alpha = 0: the telescoped sum
+        # keeps that to about 1e-14 absolute, the ascending series in log1p
+        # form keeps it relative.  Ten terms leave the tail below 1e-19.
+        small = x <= 1.0
+        xs = x[small]
+        quarter_x2, rest = 0.25 * xs * xs, 0.0
+        for k in range(9, 0, -1):
+            rest = quarter_x2 / (k * (alpha + k)) * (1.0 + rest)
+        log_i[small] = alpha * np.log(0.5 * xs) - math.lgamma(alpha + 1.0) + np.log1p(rest)
     return log_i, ratio
 
 

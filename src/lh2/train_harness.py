@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .io_formats import RunConfig, emit_metrics, read_tensor, write_tensor
 from .proxy_losses import (EpochMidState, ProxyLossConfig, end_epoch,
                            observe_positive_cosines, positive_cosines, pp_loss,
@@ -329,7 +329,7 @@ def _gradcheck_cases(rng: np.random.Generator):
     d, n = 6, 8
     proxy = rng.standard_normal(d)
     proxy /= np.linalg.norm(proxy)
-    # norms on both sides of the Bessel switch at x = 50
+    # norms of about 5 to 250
     z = rng.standard_normal(d) * rng.uniform(2.0, 100.0)
     g = vmf_similarity_grad(proxy, z, n)
     cases.append(("vmf_similarity", [
@@ -337,10 +337,9 @@ def _gradcheck_cases(rng: np.random.Generator):
         (g.grad_z, _central_diff(lambda zz: vmf_similarity(proxy, zz, n), z, h)),
     ]))
 
-    # margin softmax over similarities; about a fifth of these batches have
-    # row norms on both sides of the Bessel switch at x = 50.  Wider scales
-    # saturate the softmax, whose gradients (about 1e-11) then fall under
-    # the finite-difference noise.
+    # margin softmax over similarities.  Wider norm scales saturate the
+    # softmax, whose gradients (about 1e-11) then fall under the
+    # finite-difference noise.
     N, C, d, n = 3, 5, 6, 6
     z = rng.standard_normal((N, d)) * rng.uniform(2.0, 20.0, (N, 1))
     y = rng.integers(0, C, N)
@@ -451,7 +450,10 @@ def grad_check(repeats: int = 5, corrupt_op: Optional[str] = None, seed: int = 0
     op at random small instances drawn from the seed; returns (rows, ok)
     with one row per op, passing at a max relative error of 1e-4.
     corrupt_op deliberately biases one analytic gradient to prove the
-    detector fires."""
+    detector fires; a name outside GRADCHECK_OPS is a ConfigError."""
+    if corrupt_op is not None and corrupt_op not in GRADCHECK_OPS:
+        raise ConfigError(f"--corrupt (corrupt_op) must be one of "
+                          f"{', '.join(GRADCHECK_OPS)}, got {corrupt_op!r}")
     worst: dict[str, float] = {}
     rng = np.random.default_rng(seed)
     for _ in range(repeats):

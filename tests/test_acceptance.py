@@ -66,7 +66,7 @@ def test_monte_carlo_agrees_with_closed_forms():
 
 def test_bessel_and_vmf_against_oracles():
     t0 = time.perf_counter()
-    xs = np.geomspace(1e-3, 500.0, 25)       # both sides of the switch at 50
+    xs = np.geomspace(1e-3, 500.0, 25)       # below and above x = 1 and alpha
     for alpha in (0.0, 0.5, 1.0, 63.0, 127.0, 255.0):
         for x, got in zip(xs, _log_bessel(alpha, xs)[0]):
             want = oracles.log_bessel_oracle(alpha, float(x))

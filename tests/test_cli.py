@@ -149,8 +149,8 @@ def test_train_rejects_bad_value_before_the_run_directory(tmp_path, capsys, key,
 
 
 # tiny sizes are always drawn (the defaults are a full-size run), the other
-# keys may be left out; norm_logmean stays at most 8 (mostly the Bessel
-# series) or reaches 16 and above (the Debye expansion, then overflow)
+# keys may be left out; norm_logmean stays at most 8 (finite Bessel
+# arguments) or reaches 16 and above (large arguments, then overflow)
 _SIZES = {
     "C": st.integers(1, 4), "d": st.integers(1, 4), "n": st.integers(2, 6),
     "d_in": st.integers(2, 4), "samples_per_class": st.integers(1, 4),
@@ -286,6 +286,20 @@ def test_render_custom_requires_inputs(tmp_path, capsys):
     assert "custom render needs" in capsys.readouterr().err
 
 
+def test_render_custom_over_the_work_cap_names_the_depth(tmp_path, capsys):
+    # 200 x 200 input pixels x 21^2 dilation cells is above 2^24
+    depth_path = tmp_path / "depth.lh2t"
+    albedo_path = tmp_path / "albedo.ppm"
+    write_tensor(depth_path, np.full((200, 200), 10.0))
+    write_ppm(np.full((200, 200, 3), 0.5), albedo_path)
+    identity = ["1", "0", "0", "0", "1", "0", "0", "0", "1", "0", "0", "0"]
+    rc = main(["render", "--depth", str(depth_path), "--albedo", str(albedo_path),
+               "--pose", *identity, "--radius", "10", "--out-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("lh2: error: --depth ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_render_albedo_shape_mismatch(tmp_path, capsys):
     depth_path = tmp_path / "depth.lh2t"
     albedo_path = tmp_path / "albedo.ppm"
@@ -333,6 +347,9 @@ def test_grad_check_corruption_fails(capsys):
       "--rotations", "1e300", "0", "0", "--frames", "2"], "--rotations"),
     (["render", "--demo", "hemisphere", "--size", "0"], "--size"),
     (["render", "--demo", "hemisphere", "--size", "8", "--radius", "-1"], "--radius"),
+    # just above the render work cap of 2^24 input pixels x dilation cells
+    (["render", "--demo", "hemisphere", "--size", "1366"], "--size"),
+    (["render", "--demo", "hemisphere", "--size", "8", "--radius", "256"], "--radius"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_flag_value_is_a_usage_error_naming_the_flag(tmp_path, capsys,

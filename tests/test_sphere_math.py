@@ -17,14 +17,18 @@ X_GRID = np.geomspace(1e-3, 500.0, 25)
 # orders of the n = 32 and n = 256 similarities at large kappa; training
 # with norm_logmean = 5 reaches about 1e4
 LARGE_KAPPA = [(nu, x) for nu in (15.0, 127.0) for x in (1e3, 1.1e4, 2e4)]
-# both sides of the switch from the series to the Debye expansion at x = 50
-BRANCH_ALPHAS = [0.0, 0.5, 1.0, 15.0, 127.0, 255.0]
+# orders evaluated directly by the Debye expansion (15 and above) and
+# every recurrence length below it: half-integers come from odd n, and the
+# grad-check runs at 2 and 3; x spans the small-x series for alpha < 1
+BRANCH_ALPHAS = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 7.0, 10.0, 12.0, 14.0,
+                 15.0, 127.0, 255.0]
 BRANCH_X = np.array([float(x) for x in np.geomspace(1e-6, 1e7, 27)] + [49.9, 50.0, 50.1])
 
 
 # ---------------------------------------------------------------------------
 # _log_bessel: every array below goes through one call, and X_GRID and
-# BRANCH_X hold arguments on both sides of x = 50, as training batches do
+# BRANCH_X hold arguments below and above x = 1 and alpha, as training
+# batches do
 
 def test_bessel_frozen_points():
     log_i, ratio = _log_bessel(0.0, np.array([1.0]))
@@ -104,6 +108,18 @@ def test_domain_checks_reject_nan(call):
 @given(st.floats(0.0, 200.0), st.floats(1e-3, 400.0))
 def test_bessel_ratio_bounds_property(alpha, x):
     assert 0.0 < _log_bessel(alpha, np.array([x]))[1][0] < 1.0
+
+
+@given(st.floats(0.0, 300.0), st.floats(-6.0, 7.0).map(lambda e: 10.0 ** e))
+def test_bessel_recurrence_across_orders_property(alpha, x):
+    # orders below 15 and above it, from separate calls, obey DLMF 10.29.1:
+    # 1/R_alpha = 2 (alpha+1)/x + R_{alpha+1} and I_{alpha+1} = R_alpha I_alpha
+    xs = np.array([x])
+    (log_i,), (ratio,) = _log_bessel(alpha, xs)
+    (log_next,), (ratio_next,) = _log_bessel(alpha + 1.0, xs)
+    assert 1.0 / ratio == pytest.approx(2.0 * (alpha + 1.0) / x + ratio_next,
+                                        rel=1e-12, abs=0.0)
+    assert abs(log_i - log_next + math.log(ratio)) <= 1e-12 * max(1.0, abs(log_i))
 
 
 # ---------------------------------------------------------------------------

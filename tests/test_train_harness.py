@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from lh2 import proxy_losses, sphere_math, uamf
-from lh2.errors import DomainError
+from lh2.errors import ConfigError, DomainError
 from lh2.io_formats import RunConfig
 from lh2.proxy_losses import (EpochMidState, ProxyLossConfig, pns_loss, pp_loss,
                               pp_selection, pps_loss, proxy_based_total, sns_loss)
@@ -293,7 +293,7 @@ def test_training_step_losses_equal_the_standalone_losses():
         W = rng.standard_normal((C, d))
         unit = W / np.linalg.norm(W, axis=1, keepdims=True)
         # samples near their proxies, so positive cosines fall on both sides
-        # of the mid, at norms on both sides of the Bessel switch
+        # of the mid, at norms of about 1 to 100
         z = (unit[y] + 0.6 * rng.standard_normal((N, d))) * rng.uniform(0.5, 60.0, (N, 1))
         rep = _check_step_matches_standalone(z, y, unit, 0.5, cfg, seed)
         assert 0 < rep.stats["below_frac"] < 1
@@ -378,6 +378,16 @@ def test_grad_check_all_ops_pass():
     for r in rows:
         assert r["pass"]
         assert r["max_rel_err"] <= 1e-4
+
+
+def test_grad_check_rejects_an_unknown_op_before_drawing_a_case(monkeypatch):
+    def no_cases(rng):
+        raise AssertionError("a case was drawn")
+
+    monkeypatch.setattr("lh2.train_harness._gradcheck_cases", no_cases)
+    with pytest.raises(ConfigError, match="'nosuchop'") as info:
+        grad_check(repeats=1, corrupt_op="nosuchop")
+    assert all(op in str(info.value) for op in GRADCHECK_OPS)
 
 
 def test_grad_check_detects_corruption():
