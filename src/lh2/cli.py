@@ -15,14 +15,14 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, DomainError, FormatError
-from .io_formats import (RunConfig, emit_metrics, parse_config, read_pgm,
+from .io_formats import (MAX_WORK, RunConfig, emit_metrics, parse_config, read_pgm,
                          read_ppm, read_tensor, write_pgm, write_ppm)
 from .depth_renderer import (DEFAULT_LIGHT, MIN_SIZE, DepthMap, Pose, depth_centroid,
                              intrinsics_from_fov, make_canvas,
                              render_hemisphere_demo, shade, warp_image)
 from .sphere_stats import (evt_estimate, half_quarter_cosines,
                            monte_carlo_pairwise)
-from .train_harness import (dataset_inputs, grad_check, histogram_dump,
+from .train_harness import (generate_dataset, grad_check, histogram_dump,
                             load_checkpoint, train)
 
 _HANDLED = (OSError, ValueError)
@@ -58,6 +58,8 @@ def _cmd_train(args) -> int:
 def _cmd_stats(args) -> int:
     if args.trials < 0:
         raise ConfigError(f"--trials must be >= 0, got {args.trials}")
+    if args.trials > 0 and args.seed < 0:       # the seed draws the trials only
+        raise ConfigError(f"--seed must be >= 0 with --trials, got {args.seed}")
     est = evt_estimate(args.C, args.d)
     half, quarter = half_quarter_cosines(est)
     row = {"C": est.C, "d": est.d, "cos_min": est.cos_min,
@@ -91,19 +93,14 @@ def _write_frame(out_dir, name, image, depth_values):
     write_pgm(filled, os.path.join(out_dir, f"{name}.pgm"))
 
 
-# cap on input pixels x (2 radius + 1)^2, the canvas cells the dilated
-# scatter stamps per frame
-MAX_RENDER_WORK = 2 ** 24
-
-
 def _check_render_work(pixels: int, radius: int, pixel_flag: str) -> None:
-    """ConfigError naming the larger factor when the render work exceeds
-    MAX_RENDER_WORK."""
+    """ConfigError naming the larger factor when input pixels x (2 radius + 1)^2,
+    the canvas cells the dilated scatter stamps per frame, exceed MAX_WORK."""
     cells = (2 * radius + 1) ** 2
-    if pixels * cells > MAX_RENDER_WORK:
+    if pixels * cells > MAX_WORK:
         flag = "--radius" if cells > pixels else pixel_flag
         raise ConfigError(f"{flag} too large: {pixels} input pixels x {cells} dilation "
-                          f"cells exceeds the cap of {MAX_RENDER_WORK}")
+                          f"cells exceeds the cap of {MAX_WORK}")
 
 
 def _cmd_render(args) -> int:
@@ -137,14 +134,19 @@ def _cmd_render(args) -> int:
                           f"{depth.shape}")
     h, w = depth.shape
     _check_render_work(h * w, args.radius, "--depth")
-    os.makedirs(args.out_dir, exist_ok=True)
     K = intrinsics_from_fov(w, h, args.fov)
     vals = args.pose
     pose = Pose(R=np.array(vals[:9]).reshape(3, 3), t=np.array(vals[9:]),
                 pivot=depth_centroid(depth, K))
     source = shade(depth, albedo, DEFAULT_LIGHT, K)
     canvas = make_canvas([pose], depth, K)
+    # a point just in front of the camera projects arbitrarily far out
+    if canvas.H_new * canvas.W_new > MAX_WORK:
+        raise ConfigError(f"--pose puts the scene too near the camera: a canvas of "
+                          f"{canvas.H_new} x {canvas.W_new} pixels exceeds the cap of "
+                          f"{MAX_WORK}")
     image, _, frame_depth = warp_image(source, depth, pose, K, canvas, args.radius)
+    os.makedirs(args.out_dir, exist_ok=True)
     write_ppm(source, os.path.join(args.out_dir, "canonical.ppm"))
     _write_frame(args.out_dir, "frame", image, frame_depth)
     print(f"wrote frame.ppm and frame.pgm to {args.out_dir}")
@@ -154,6 +156,8 @@ def _cmd_render(args) -> int:
 def _cmd_grad_check(args) -> int:
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be at least 1, got {args.repeats}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     rows, ok = grad_check(repeats=args.repeats, seed=args.seed, corrupt_op=args.corrupt)
     width = max(len(r["op"]) for r in rows)
     for r in rows:
@@ -168,7 +172,7 @@ def _cmd_hist(args) -> int:
     if cfg.C != proxies.W.shape[0]:
         raise ConfigError(f"checkpoint has {proxies.W.shape[0]} proxies "
                           f"but the config has C = {cfg.C} classes")
-    X, labels = dataset_inputs(cfg)
+    X, labels = generate_dataset(cfg)
     if X.shape[1] != embedder.shape[0]:
         raise ConfigError(f"checkpoint expects {embedder.shape[0]} input dims "
                           f"but the config generates {X.shape[1]}")

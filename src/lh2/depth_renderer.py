@@ -96,6 +96,8 @@ class Pose:
         self.R = R
         self.t = np.asarray(self.t, dtype=np.float64).reshape(3)
         self.pivot = np.asarray(self.pivot, dtype=np.float64).reshape(3)
+        if not (np.all(np.isfinite(self.t)) and np.all(np.isfinite(self.pivot))):
+            raise DomainError(f"t and pivot must be finite, got {self.t} and {self.pivot}")
 
 
 def rotation_about_axis(axis: int, angle_deg: float) -> np.ndarray:
@@ -185,9 +187,7 @@ def make_canvas(poses, template: DepthMap, K: CameraIntrinsics) -> CanvasSpec:
 
     The template, back-projected once, is projected under every pose; the
     bounds are then padded out to exact symmetry about the source center,
-    preserving aspect and enforcing W_new >= 2.5 W.  The padded bounds are
-    those of two constant-depth probes under pure translations; they only
-    shape the bounds and carry no content.
+    preserving aspect and enforcing W_new >= 2.5 W.
     """
     poses = list(poses)
     if not poses:

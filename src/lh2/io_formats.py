@@ -169,15 +169,22 @@ def _parse_netpbm_header(data, magic):
     return (tokens[0], tokens[1], tokens[2]), rng, pos + 1
 
 
+# cap on the elements of any one array a run allocates, and on a render's
+# input pixels x dilation cells
+MAX_WORK = 2 ** 24
+
+
 @dataclasses.dataclass
 class RunConfig:
     """Flat configuration for the training harness and loss stack.
 
     Every key has the documented default below; a config file may override
     any subset with `key = value` lines (`#` starts a comment).  Unknown or
-    duplicate keys, non-finite floats and values out of range are rejected
-    with the offending line number.  The ranges: n >= 2, epochs, batch_size
-    and lr_halve_every >= 1, 0 <= momentum < 1, tau > 0, margin_coeff >= 0.
+    duplicate keys are rejected with their line number.  However it is made
+    (parsed, built or by dataclasses.replace), every value must be finite
+    and in its range in the one table, _RANGES; cos_min <= cos_max, and no
+    array of the run may hold more than MAX_WORK elements.  Each failure is
+    a ConfigError naming the keys (and, in a file, the line).
     """
 
     seed: int = 0
@@ -205,26 +212,57 @@ class RunConfig:
     lambda_pps: float = 5.0
     lambda_pns: float = 20.0
     lambda_pp: float = 150.0
-    lambda_sns: float = 150.0
-    sns_enabled: bool = False
+    lambda_sns: float = 0.0          # the sns term runs when positive
     cos_min: float = 0.5
     cos_max: float = 0.9
     mid_strict_mode: bool = False    # accumulate only the first positive cosine per batch
 
+    def __post_init__(self):
+        for key in _CONFIG_FIELDS:
+            try:
+                _check_value(key, getattr(self, key))
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+        if self.cos_min > self.cos_max:
+            raise ConfigError(f"cos_min ({self.cos_min}) must be at most "
+                              f"cos_max ({self.cos_max})")
+        batch = min(self.batch_size, self.C * self.samples_per_class)
+        sizes = {"C * samples_per_class * d_in": self.C * self.samples_per_class * self.d_in,
+                 "C * d": self.C * self.d, "d_in * d": self.d_in * self.d,
+                 "min(batch_size, C * samples_per_class) * C": batch * self.C,
+                 "min(batch_size, C * samples_per_class)^2": batch * batch}
+        over = [f"{keys} = {size}" for keys, size in sizes.items() if size > MAX_WORK]
+        if over:
+            raise ConfigError(f"run too large: {'; '.join(over)}, over the cap of "
+                              f"{MAX_WORK} elements per array")
+
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-# key -> (the range in words, the test a parsed value must pass)
+# key -> (the range in words, the test a value must pass)
 _RANGES = {
-    "n": ("at least 2", lambda v: v >= 2),
-    "epochs": ("at least 1", lambda v: v >= 1),
-    "batch_size": ("at least 1", lambda v: v >= 1),
-    "lr_halve_every": ("at least 1", lambda v: v >= 1),
+    **dict.fromkeys(("seed", "noise_angle_deg", "norm_logstd", "margin_coeff", "lambda_pps",
+                     "lambda_pns", "lambda_pp", "lambda_sns"), ("non-negative", lambda v: v >= 0)),
+    **dict.fromkeys(("C", "d", "samples_per_class", "epochs", "batch_size", "lr_halve_every"),
+                    ("at least 1", lambda v: v >= 1)),
+    # d_in: the angular noise needs a tangent direction at each class direction
+    **dict.fromkeys(("n", "d_in"), ("at least 2", lambda v: v >= 2)),
+    # ema_alpha = 0 is a legal degenerate EMA (the margin frozen at its prior)
+    **dict.fromkeys(("ema_alpha", "cos_min", "cos_max"), ("in [0, 1]", lambda v: 0.0 <= v <= 1.0)),
+    **dict.fromkeys(("tau", "mu_norm_init"), ("positive", lambda v: v > 0.0)),
     "momentum": ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
-    "tau": ("positive", lambda v: v > 0.0),
-    "margin_coeff": ("non-negative", lambda v: v >= 0.0),
 }
 _TRUE_WORDS = {"true", "1", "yes", "on"}
 _FALSE_WORDS = {"false", "0", "no", "off"}
+
+
+def _check_value(key, value) -> None:
+    """ValueError unless a float value is finite and value is in key's range."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"must be finite, got {value}")
+    if key in _RANGES:
+        words, ok = _RANGES[key]
+        if not ok(value):
+            raise ValueError(f"must be {words}, got {value}")
 
 
 def parse_config(path) -> RunConfig:
@@ -263,16 +301,8 @@ def _convert(key, value, lineno):
             if low in _FALSE_WORDS:
                 return False
             raise ValueError(f"not a boolean: {value!r}")
-        if kind in (int, "int"):
-            number = int(value)
-        else:
-            number = float(value)
-            if not math.isfinite(number):
-                raise ValueError(f"must be finite, got {value!r}")
-        if key in _RANGES:
-            words, ok = _RANGES[key]
-            if not ok(number):
-                raise ValueError(f"must be {words}, got {value}")
+        number = int(value) if kind in (int, "int") else float(value)
+        _check_value(key, number)
         return number
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {exc}", line=lineno) from exc

@@ -7,7 +7,7 @@ Three losses constrain cosines directly rather than through the softmax:
     pp   pushes proxy-to-proxy cosines toward 0 (squared) on a selection
          of the batch's proxies plus randomly sampled ones
 
-plus the sample-to-sample sns variant (first power, disabled by default).
+plus the sample-to-sample sns variant (first power, on when lambda_sns > 0).
 pps and pns read their cosines from the batch's product with the proxies
 (uamf.ProxyProduct), the same S = z W^T the margin softmax reads, so the
 cosines are renormalized on both sides.  Each computes its d loss / d cos
@@ -27,7 +27,6 @@ import dataclasses
 
 import numpy as np
 
-from .errors import DomainError
 from .sphere_math import _divide_rows
 from .sphere_stats import _distinct_label_pairs, _selection_gram
 from .uamf import EmbeddingBatch, LossReport, ProxyMatrix
@@ -35,21 +34,15 @@ from .uamf import EmbeddingBatch, LossReport, ProxyMatrix
 
 @dataclasses.dataclass(frozen=True)
 class ProxyLossConfig:
+    """The regularizer weights and the mid clip; io_formats.RunConfig checks
+    the values of a run."""
+
     lambda_pps: float = 5.0
     lambda_pns: float = 20.0
     lambda_pp: float = 150.0
-    lambda_sns: float = 150.0
-    sns_enabled: bool = False
+    lambda_sns: float = 0.0         # the sns term runs when positive
     cos_min: float = 0.5
     cos_max: float = 0.9
-
-    def __post_init__(self):
-        if not 0.0 <= self.cos_min <= self.cos_max <= 1.0:
-            raise DomainError(f"need 0 <= cos_min <= cos_max <= 1, got "
-                              f"({self.cos_min}, {self.cos_max})")
-        for name in ("lambda_pps", "lambda_pns", "lambda_pp", "lambda_sns"):
-            if getattr(self, name) < 0.0:
-                raise DomainError(f"{name} must be non-negative")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,8 +160,8 @@ def pp_loss(batch_labels, proxies: ProxyMatrix, cfg: ProxyLossConfig,
 
 def sns_loss(batch: EmbeddingBatch, cfg: ProxyLossConfig) -> LossReport:
     """lambda_sns * mean over distinct-label sample pairs of cos (first
-    power); off by default since it buys nothing in practice.  It reads the
-    batch's Gram matrix, which sphere_stats.sns_tracker reads too."""
+    power); lambda_sns defaults to 0 since the term buys nothing in practice.
+    It reads the batch's Gram matrix, which sphere_stats.sns_tracker reads too."""
     pair, ordered = _distinct_label_pairs(batch.labels)
     ordered = max(ordered, 1)                        # no pair: a zero loss
     gram = batch.gram
@@ -181,8 +174,9 @@ def sns_loss(batch: EmbeddingBatch, cfg: ProxyLossConfig) -> LossReport:
 def proxy_based_total(batch: EmbeddingBatch, proxies: ProxyMatrix,
                       state: EpochMidState, cfg: ProxyLossConfig,
                       rng: np.random.Generator) -> LossReport:
-    """Sum of the enabled components; the term map keeps each value.  The
-    reports add their adjoints, so reading a gradient runs one backward."""
+    """Sum of pps, pns, pp and, when lambda_sns > 0, sns; the term map keeps
+    each value.  The reports add their adjoints, so reading a gradient runs
+    one backward."""
     rep = (pps_loss(batch, proxies, state, cfg) + pns_loss(batch, proxies, cfg)
            + pp_loss(batch.labels, proxies, cfg, rng))
-    return rep + sns_loss(batch, cfg) if cfg.sns_enabled else rep
+    return rep + sns_loss(batch, cfg) if cfg.lambda_sns > 0 else rep

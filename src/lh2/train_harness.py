@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .io_formats import RunConfig, emit_metrics, read_tensor, write_tensor
 from .proxy_losses import (EpochMidState, ProxyLossConfig, end_epoch,
                            observe_positive_cosines, positive_cosines, pp_loss,
@@ -29,58 +29,27 @@ from .recon_losses import (PerceptualExtractor, laplace_nll, laplace_nll_grad,
 from .depth_renderer import DepthMap
 from .sphere_math import vmf_similarity, vmf_similarity_grad
 from .sphere_stats import proxy_spread_trackers, sns_tracker
-from .uamf import (EmbeddingBatch, NormTracker, ProxyMatrix, uamf_loss,
-                   update_norm_tracker)
+from .uamf import EmbeddingBatch, ProxyMatrix, uamf_loss, update_norm_tracker
 
 
-@dataclasses.dataclass(frozen=True)
-class SyntheticSpec:
-    C: int
-    d: int                          # embedded feature dimension
-    n: int                          # similarity-normalizer dimension
-    d_in: int                       # raw input dimension
-    samples_per_class: int
-    noise_angle_std: float          # radians
-    norm_logmean: float
-    norm_logstd: float
-    seed: int
-
-    def __post_init__(self):
-        if min(self.C, self.d, self.n, self.samples_per_class) < 1:
-            raise DomainError("C, d, n, samples_per_class must be positive")
-        if self.d_in < 2:
-            # the angular noise needs a tangent direction at each class direction
-            raise DomainError(f"d_in must be >= 2, got {self.d_in}")
-        if self.noise_angle_std < 0.0 or self.norm_logstd < 0.0:
-            raise DomainError("noise and norm spread must be non-negative")
-
-    @staticmethod
-    def from_config(cfg: RunConfig) -> "SyntheticSpec":
-        return SyntheticSpec(C=cfg.C, d=cfg.d, n=cfg.n, d_in=cfg.d_in,
-                             samples_per_class=cfg.samples_per_class,
-                             noise_angle_std=np.radians(cfg.noise_angle_deg),
-                             norm_logmean=cfg.norm_logmean,
-                             norm_logstd=cfg.norm_logstd, seed=cfg.seed)
-
-
-def generate_dataset(spec: SyntheticSpec):
-    """Returns (X raw inputs M x d_in, labels M); fully determined by the
-    spec's seed."""
-    rng = np.random.default_rng(spec.seed)
-    dirs = rng.standard_normal((spec.C, spec.d_in))
+def generate_dataset(cfg: RunConfig):
+    """Returns (X raw inputs M x d_in, labels M) of the configured synthetic
+    dataset; fully determined by the config's seed."""
+    rng = np.random.default_rng(cfg.seed)
+    dirs = rng.standard_normal((cfg.C, cfg.d_in))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
-    m = spec.C * spec.samples_per_class
-    labels = np.repeat(np.arange(spec.C), spec.samples_per_class)
+    m = cfg.C * cfg.samples_per_class
+    labels = np.repeat(np.arange(cfg.C), cfg.samples_per_class)
     base = dirs[labels]
 
-    tang = rng.standard_normal((m, spec.d_in))
+    tang = rng.standard_normal((m, cfg.d_in))
     tang -= np.sum(tang * base, axis=1, keepdims=True) * base
     tang /= np.linalg.norm(tang, axis=1, keepdims=True)
-    phi = rng.normal(0.0, spec.noise_angle_std, m) if spec.noise_angle_std > 0 \
+    phi = rng.normal(0.0, np.radians(cfg.noise_angle_deg), m) if cfg.noise_angle_deg > 0 \
         else np.zeros(m)
     unit = base * np.cos(phi)[:, None] + tang * np.sin(phi)[:, None]
-    norms = rng.lognormal(spec.norm_logmean, spec.norm_logstd, m)
+    norms = rng.lognormal(cfg.norm_logmean, cfg.norm_logstd, m)
     return unit * norms[:, None], labels
 
 
@@ -88,17 +57,12 @@ def generate_dataset(spec: SyntheticSpec):
 class TrainState:
     embedder: np.ndarray            # d_in x d
     proxies: ProxyMatrix
-    tracker: NormTracker
+    mu_norm: float                  # EMA of the batch-mean feature norm
     mid_state: EpochMidState
     vel_emb: np.ndarray
     vel_W: np.ndarray
     step: int
     rng: np.random.Generator
-
-
-def dataset_inputs(cfg: RunConfig):
-    """(X, labels) of the configured synthetic dataset."""
-    return generate_dataset(SyntheticSpec.from_config(cfg))
 
 
 def init_state(cfg: RunConfig) -> TrainState:
@@ -107,7 +71,7 @@ def init_state(cfg: RunConfig) -> TrainState:
     emb = rng_init.standard_normal((cfg.d_in, cfg.d)) / np.sqrt(cfg.d_in)
     proxies = ProxyMatrix.from_rows(rng_init.standard_normal((cfg.C, cfg.d)))
     return TrainState(embedder=emb, proxies=proxies,
-                      tracker=NormTracker(mu_norm=cfg.mu_norm_init, alpha=cfg.ema_alpha),
+                      mu_norm=cfg.mu_norm_init,
                       mid_state=EpochMidState.initial(plcfg),
                       vel_emb=np.zeros_like(emb),
                       vel_W=np.zeros_like(proxies.W),
@@ -117,8 +81,7 @@ def init_state(cfg: RunConfig) -> TrainState:
 def proxy_config(cfg: RunConfig) -> ProxyLossConfig:
     return ProxyLossConfig(lambda_pps=cfg.lambda_pps, lambda_pns=cfg.lambda_pns,
                            lambda_pp=cfg.lambda_pp, lambda_sns=cfg.lambda_sns,
-                           sns_enabled=cfg.sns_enabled, cos_min=cfg.cos_min,
-                           cos_max=cfg.cos_max)
+                           cos_min=cfg.cos_min, cos_max=cfg.cos_max)
 
 
 def train_accuracy(X, labels, embedder, proxies: ProxyMatrix) -> float:
@@ -172,7 +135,7 @@ def train(cfg: RunConfig, out_dir: str) -> TrainResult:
     checkpoints under out_dir.  Non-finite features (an entry or a row
     norm), loss or update abort with status 2, the failed check as the
     reason and the newest state whose loss evaluated finite saved."""
-    X, labels = dataset_inputs(cfg)
+    X, labels = generate_dataset(cfg)
     m = len(labels)
     plcfg = proxy_config(cfg)
     state = init_state(cfg)
@@ -198,8 +161,8 @@ def train(cfg: RunConfig, out_dir: str) -> TrainResult:
                 # a finite row whose norm overflows fails the same check
                 with np.errstate(over="ignore"):
                     _require(np.all(np.isfinite(batch.norms)), "non-finite features")
-                state.tracker, margin = update_norm_tracker(state.tracker, batch,
-                                                            cfg.margin_coeff)
+                state.mu_norm, margin = update_norm_tracker(state.mu_norm, batch,
+                                                            cfg.ema_alpha, cfg.margin_coeff)
                 # one report of the whole step: its gradients take one backward
                 step = (uamf_loss(batch, state.proxies, margin, cfg.tau, cfg.n)
                         + proxy_based_total(batch, state.proxies, state.mid_state,
@@ -227,7 +190,7 @@ def train(cfg: RunConfig, out_dir: str) -> TrainResult:
                     "step": state.step, "epoch": epoch, "lr": lr,
                     "loss_total": step.total, **step.terms,   # uamf, pps, pns, pp
                     "sns": step.terms.get("sns", 0.0),
-                    "margin": margin, "mu_norm": state.tracker.mu_norm,
+                    "margin": margin, "mu_norm": state.mu_norm,
                     "mid": state.mid_state.mid,
                     "below_mid_frac": step.stats["below_frac"],
                     "std": spread["std"], "std_mean": spread["std_mean"],

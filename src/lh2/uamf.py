@@ -139,21 +139,6 @@ class ProxyProduct:
                 -np.einsum("ij,ij->j", d_cos, self.cos) / self.nw)
 
 
-@dataclasses.dataclass(frozen=True)
-class NormTracker:
-    """EMA of the batch-mean feature norm driving the adaptive margin."""
-
-    mu_norm: float = 20.0
-    alpha: float = 0.1
-
-    def __post_init__(self):
-        # alpha = 0 is a legal degenerate EMA (tracker frozen at its prior)
-        if not 0.0 <= self.alpha <= 1.0:
-            raise DomainError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.mu_norm <= 0.0:
-            raise DomainError(f"mu_norm must be positive, got {self.mu_norm}")
-
-
 def _plus(a, b):
     return b if a is None else a if b is None else a + b
 
@@ -200,13 +185,11 @@ class LossReport:
     grad_W = property(lambda self: self._grads[1])
 
 
-def update_norm_tracker(tracker: NormTracker, batch: EmbeddingBatch,
-                        margin_coeff: float = 0.35):
-    """One EMA step on the mean feature norm; returns (tracker, margin)."""
-    batch_mean = float(np.mean(batch.norms))
-    mu = tracker.alpha * batch_mean + (1.0 - tracker.alpha) * tracker.mu_norm
-    new = NormTracker(mu_norm=mu, alpha=tracker.alpha)
-    return new, margin_coeff * mu
+def update_norm_tracker(mu_norm: float, batch: EmbeddingBatch, alpha: float,
+                        margin_coeff: float):
+    """One EMA step on the mean feature norm; returns (mu_norm, margin)."""
+    mu = alpha * float(np.mean(batch.norms)) + (1.0 - alpha) * mu_norm
+    return mu, margin_coeff * mu
 
 
 def uamf_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, margin: float,

@@ -29,7 +29,7 @@ from lh2.recon_losses import laplace_nll, smoothness_loss
 from lh2.sphere_math import _log_bessel, vmf_similarity
 from lh2.sphere_stats import (evt_estimate, half_quarter_cosines,
                               monte_carlo_pairwise, proxy_spread_trackers)
-from lh2.train_harness import (dataset_inputs, grad_check, histogram_dump,
+from lh2.train_harness import (generate_dataset, grad_check, histogram_dump,
                                init_state, load_checkpoint, train)
 from lh2.uamf import EmbeddingBatch, ProxyMatrix, uamf_loss
 
@@ -199,7 +199,7 @@ def test_proxy_spread_shrinks_without_collapsing(tmp_path):
     assert stds["on"] >= math.sqrt(1.0 / 32) - 0.005
 
     cfg = RunConfig(seed=2, C=30, d=512, n=64, d_in=64, samples_per_class=40)
-    X, labels = dataset_inputs(cfg)
+    X, labels = generate_dataset(cfg)
     state = init_state(cfg)
     _, summary = histogram_dump(state.embedder, state.proxies, X, labels)
     assert summary["nad_std"] == pytest.approx(math.sqrt(1.0 / 512), abs=0.005)

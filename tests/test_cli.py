@@ -1,8 +1,11 @@
 """End-to-end command-line behavior through main(), in process."""
 
 import csv
+import dataclasses
+import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from lh2 import cli, depth_renderer
 from lh2.cli import main
 from lh2.depth_renderer import scatter_min_render
-from lh2.io_formats import read_pgm, read_ppm, write_ppm, write_tensor
+from lh2.errors import ConfigError
+from lh2.io_formats import RunConfig, read_pgm, read_ppm, write_ppm, write_tensor
 from lh2.sphere_stats import evt_estimate
 from lh2.train_harness import GRADCHECK_OPS, load_checkpoint
 
@@ -117,10 +121,19 @@ def test_train_unknown_config_key(tmp_path, capsys):
     assert "line 2" in err
 
 
+# rows that break a rule across keys, with the keys the message names
+_CROSS_KEY = {("cos_min", "0.95"): ("cos_min", "cos_max"),
+              ("samples_per_class", "1000000000000"): ("C", "samples_per_class", "d_in")}
+
+
 @pytest.mark.parametrize("key, value", [("lr_halve_every", "0"), ("batch_size", "0"),
                                         ("lr", "nan"), ("tau", "inf"), ("n", "1"),
                                         ("epochs", "-1"), ("momentum", "-5"),
-                                        ("tau", "-1"), ("margin_coeff", "-1")])
+                                        ("tau", "-1"), ("margin_coeff", "-1"),
+                                        ("lambda_pp", "-1"), ("ema_alpha", "2"),
+                                        ("mu_norm_init", "0"), ("noise_angle_deg", "-1"),
+                                        ("norm_logstd", "-1"), ("C", "0"), ("d_in", "1"),
+                                        *_CROSS_KEY])
 def test_train_rejects_out_of_range_value(tmp_path, capsys, key, value):
     lines = [line for line in TINY_CONFIG.splitlines() if not line.startswith(key + " ")]
     lines.append(f"{key} = {value}")
@@ -128,23 +141,18 @@ def test_train_rejects_out_of_range_value(tmp_path, capsys, key, value):
     cfg.write_text("\n".join(lines) + "\n")
     rc = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
     assert rc == 3
-    assert f"line {len(lines)}: bad value for {key!r}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if (key, value) in _CROSS_KEY:
+        assert err.startswith("lh2: error: ")
+        assert all(name in err for name in _CROSS_KEY[key, value])
+    else:
+        assert f"line {len(lines)}: bad value for {key!r}" in err
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("key, value", [("lambda_pp", "-1"), ("cos_min", "0.95"),
-                                        ("ema_alpha", "2"), ("mu_norm_init", "0"),
-                                        ("noise_angle_deg", "-1"), ("norm_logstd", "-1"),
-                                        ("C", "0"), ("d_in", "1")])
-def test_train_rejects_bad_value_before_the_run_directory(tmp_path, capsys, key, value):
-    # checked by the constructors train calls, not at parse time
-    lines = [line for line in TINY_CONFIG.splitlines() if not line.startswith(key + " ")]
-    lines.append(f"{key} = {value}")
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("\n".join(lines) + "\n")
-    rc = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
-    assert rc == 3
-    assert capsys.readouterr().err.startswith("lh2: error:")
+def test_train_seed_flag_is_checked_like_the_config(tmp_path, capsys):
+    assert main(["train", "--out-dir", str(tmp_path / "run"), "--seed", "-1"]) == 3
+    assert "bad value for 'seed'" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -166,7 +174,7 @@ _IN_RANGE = {
     "ema_alpha": st.floats(0.0, 1.0), "mu_norm_init": st.floats(0.1, 50.0),
     "lambda_pps": st.floats(0.0, 10.0), "lambda_pns": st.floats(0.0, 30.0),
     "lambda_pp": st.floats(0.0, 200.0), "lambda_sns": st.floats(0.0, 200.0),
-    "sns_enabled": st.booleans(), "cos_min": st.floats(0.0, 0.5),
+    "cos_min": st.floats(0.0, 0.5),
     "cos_max": st.floats(0.5, 1.0), "mid_strict_mode": st.booleans(),
 }
 # one value that no other drawn value can make valid
@@ -178,7 +186,20 @@ _OUT_OF_RANGE = [
     ("norm_logstd", "-1"), ("noise_angle_deg", "-1"), ("ema_alpha", "1.5"),
     ("mu_norm_init", "0"), ("lambda_pp", "-1"), ("cos_min", "1.5"),
     ("cos_max", "-0.5"),
+    # the dataset alone is over the cap of 2^24 elements per array
+    ("samples_per_class", "1000000000000"),
 ]
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+
+
+@pytest.mark.parametrize("key, value", _OUT_OF_RANGE)
+def test_run_config_rejects_every_out_of_range_value(key, value):
+    # built directly or by dataclasses.replace, as the --seed flag does
+    bad = {key: int(value) if _FIELD_TYPES[key] == "int" else float(value)}
+    with pytest.raises(ConfigError, match=key):
+        RunConfig(**bad)
+    with pytest.raises(ConfigError, match=key):
+        dataclasses.replace(RunConfig(), **bad)
 
 
 @settings(max_examples=100)
@@ -194,6 +215,124 @@ def test_train_any_config_exits_with_a_documented_code(values, bad):
         with np.errstate(all="ignore"):
             rc = main(["train", "--config", cfg, "--out-dir", os.path.join(tmp, "run")])
     assert rc == 3 if bad is not None else rc in (0, 2)
+
+
+def _argv(flags):
+    """argv of a {flag: value} map; a tuple value gives several words, None
+    leaves the flag out, and floats are fixed-point (argparse reads "-1e-05"
+    as an option, not a value)."""
+    words = []
+    for flag, value in flags.items():
+        if value is not None:
+            words += [flag, *value] if isinstance(value, tuple) else [flag, value]
+    return [f"{w:.17f}" if isinstance(w, float) and math.isfinite(w) else str(w)
+            for w in words]
+
+
+def _subcommand(command, valid, bad, codes):
+    """(argv, the exit codes it may give) of one subcommand: every flag of
+    valid drawn in range, then at most one override from bad, which must
+    exit 3.  "{inputs}" stands for subcommand_inputs and "{tmp}" for a fresh
+    directory."""
+    return st.tuples(st.fixed_dictionaries(valid), st.none() | st.sampled_from(bad)).map(
+        lambda drawn: ([command, *_argv({**drawn[0], **(drawn[1] or {})})],
+                       {3} if drawn[1] else codes))
+
+
+_OUT = {"--out-dir": st.just("{tmp}/out")}
+_CHECKPOINT = "{inputs}/run/checkpoints/final"
+_IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+# tiny sizes throughout; valid flags may still meet a documented exit 3 where
+# codes allows it: the minimum-angle formula breaks down, or no point of a
+# custom render lands in front of the camera
+_OTHER_SUBCOMMANDS = st.one_of(
+    _subcommand("stats", {"--C": st.integers(2, 40), "--d": st.integers(2, 40),
+                          "--trials": st.integers(0, 3), "--seed": st.integers(0, 3),
+                          "--out-dir": st.none() | st.just("{tmp}/out")},
+                [{"--C": 1}, {"--d": 0}, {"--trials": -1}, {"--trials": 1, "--seed": -1}],
+                {0, 3}),
+    _subcommand("render", {"--demo": st.just("hemisphere"), "--size": st.integers(8, 16),
+                           "--frames": st.integers(1, 3),
+                           "--rotations": st.tuples(*[st.floats(-360.0, 360.0)] * 3),
+                           "--radius": st.integers(0, 2), **_OUT},
+                [{"--size": 7}, {"--frames": 0}, {"--rotations": (math.nan, 0.0, 0.0)},
+                 {"--rotations": (0.0, 360.5, 0.0)}, {"--radius": -1}],
+                {0}),
+    _subcommand("render", {"--depth": st.just("{inputs}/depth.lh2t"),
+                           "--albedo": st.just("{inputs}/albedo.ppm"),
+                           "--pose": st.builds(
+                               lambda axis, angle, shift: (
+                                   *depth_renderer.rotation_about_axis(axis, angle).ravel(),
+                                   *shift),
+                               st.integers(0, 2), st.floats(-360.0, 360.0),
+                               st.tuples(*[st.floats(-20.0, 20.0)] * 3)),
+                           "--fov": st.floats(1.0, 179.0), "--radius": st.integers(0, 2),
+                           **_OUT},
+                [{"--pose": (1.0,) * 9 + (0.0, 0.0, 0.0)},
+                 {"--pose": _IDENTITY + (math.nan, 0.0, 0.0)},
+                 {"--pose": _IDENTITY + (0.0, 0.0, -9.99999)},
+                 {"--fov": 0.0}, {"--fov": 180.0}, {"--radius": -1},
+                 {"--albedo": "{inputs}/absent.ppm"}],
+                {0, 3}),
+    _subcommand("grad-check", {"--repeats": st.integers(1, 2), "--seed": st.integers(0, 3),
+                               "--corrupt": st.none() | st.sampled_from(GRADCHECK_OPS)},
+                [{"--repeats": 0}, {"--seed": -1}, {"--corrupt": "nosuchop"}],
+                {0, 1}),
+    _subcommand("hist", {"--checkpoint": st.sampled_from(
+                             [_CHECKPOINT, _CHECKPOINT + ".embedder.lh2t",
+                              _CHECKPOINT + ".proxies.lh2t"]),
+                         "--config": st.just("{inputs}/tiny.cfg"),
+                         "--seed": st.none() | st.integers(0, 2), **_OUT},
+                [{"--checkpoint": "{inputs}/run/checkpoints/absent"},
+                 {"--config": "{inputs}/C4.cfg"}, {"--config": "{inputs}/C12.cfg"},
+                 {"--config": "{inputs}/d_in32.cfg"}, {"--seed": -1}],
+                {0}),
+)
+
+
+@pytest.fixture(scope="module")
+def subcommand_inputs(tmp_path_factory):
+    """An 8 x 8 depth map and albedo, a checkpoint trained once on
+    TINY_CONFIG, and TINY_CONFIG with other class counts and input dims."""
+    root = tmp_path_factory.mktemp("inputs")
+    depth, albedo, _, _ = depth_renderer.hemisphere_scene(8)
+    write_tensor(root / "depth.lh2t", depth.values)
+    write_ppm(albedo, root / "albedo.ppm")
+    for name, old, new in (("tiny", "", ""), ("C4", "C = 8", "C = 4"),
+                           ("C12", "C = 8", "C = 12"), ("d_in32", "d_in = 16", "d_in = 32")):
+        (root / f"{name}.cfg").write_text(TINY_CONFIG.replace(old, new) if old else TINY_CONFIG)
+    assert main(["train", "--config", str(root / "tiny.cfg"),
+                 "--out-dir", str(root / "run")]) == 0
+    return root
+
+
+@settings(max_examples=150)
+@given(_OTHER_SUBCOMMANDS)
+def test_other_subcommands_exit_with_a_documented_code(subcommand_inputs, drawn):
+    argv, codes = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [a.format(inputs=subcommand_inputs, tmp=tmp) for a in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(argv)
+    assert rc in codes
+
+
+@pytest.mark.parametrize("shift, message", [
+    (("nan", "0", "0"), "t and pivot must be finite"),
+    # the far side of the 8 x 8 scene lands 1e-5 in front of the camera
+    (("0", "0", "-9.99999"), "--pose puts the scene too near the camera"),
+], ids=["nan", "near_the_camera"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_render_custom_translation_off_the_scene_is_a_usage_error(subcommand_inputs, tmp_path,
+                                                                  capsys, shift, message):
+    identity = ["1", "0", "0", "0", "1", "0", "0", "0", "1"]
+    rc = main(["render", "--depth", str(subcommand_inputs / "depth.lh2t"),
+               "--albedo", str(subcommand_inputs / "albedo.ppm"),
+               "--pose", *identity, *shift, "--out-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def _parse_stats(stdout):
@@ -350,6 +489,8 @@ def test_grad_check_corruption_fails(capsys):
     # just above the render work cap of 2^24 input pixels x dilation cells
     (["render", "--demo", "hemisphere", "--size", "1366"], "--size"),
     (["render", "--demo", "hemisphere", "--size", "8", "--radius", "256"], "--radius"),
+    (["stats", "--C", "10", "--d", "16", "--trials", "1", "--seed", "-1"], "--seed"),
+    (["grad-check", "--repeats", "1", "--seed", "-1"], "--seed"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_flag_value_is_a_usage_error_naming_the_flag(tmp_path, capsys,

@@ -170,7 +170,7 @@ def test_config_defaults():
     assert (cfg.seed, cfg.C, cfg.d, cfg.n) == (0, 64, 512, 256)
     assert cfg.tau == 1.0
     assert cfg.margin_coeff == 0.35 and cfg.mu_norm_init == 20.0
-    assert not cfg.sns_enabled
+    assert cfg.lambda_sns == 0.0 and not cfg.mid_strict_mode
 
 
 def test_config_parse_types_and_comments():
@@ -179,18 +179,16 @@ def test_config_parse_types_and_comments():
         "\n"
         "C = 10\n"
         "lr = 0.25   # trailing comment\n"
-        "sns_enabled = yes\n"
-        "mid_strict_mode = off\n")
+        "mid_strict_mode = yes\n")
     assert cfg.C == 10
     assert cfg.lr == 0.25
-    assert cfg.sns_enabled is True
-    assert cfg.mid_strict_mode is False
+    assert cfg.mid_strict_mode is True
 
 
 def test_config_bool_words():
     for word, expect in [("true", True), ("1", True), ("YES", True), ("On", True),
                          ("false", False), ("0", False), ("no", False), ("OFF", False)]:
-        assert parse_config_text(f"sns_enabled = {word}").sns_enabled is expect
+        assert parse_config_text(f"mid_strict_mode = {word}").mid_strict_mode is expect
 
 
 def test_config_order_independent():
@@ -206,6 +204,12 @@ def test_config_unknown_key_line_number():
     assert "bogus" in str(err.value)
 
 
+def test_config_sns_enabled_is_an_unknown_key():
+    # the sns term runs when lambda_sns > 0; there is no separate switch
+    with pytest.raises(ConfigError, match="line 1: unknown key 'sns_enabled'"):
+        parse_config_text("sns_enabled = yes\n")
+
+
 def test_config_duplicate_key():
     with pytest.raises(ConfigError) as err:
         parse_config_text("C = 5\n\nC = 6\n")
@@ -219,7 +223,7 @@ def test_config_bad_value_and_missing_equals():
     with pytest.raises(ConfigError):
         parse_config_text("epochs 3\n")
     with pytest.raises(ConfigError):
-        parse_config_text("sns_enabled = maybe\n")
+        parse_config_text("mid_strict_mode = maybe\n")
 
 
 def test_config_file_roundtrip(tmp_path):

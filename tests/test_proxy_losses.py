@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lh2.errors import DomainError
+from lh2.errors import ConfigError
+from lh2.io_formats import RunConfig
 from lh2.proxy_losses import (EpochMidState, ProxyLossConfig, end_epoch,
                               observe_positive_cosines, pns_loss, pp_loss,
                               pp_selection, positive_cosines, pps_loss,
@@ -15,6 +16,7 @@ from lh2.uamf import EmbeddingBatch, ProxyMatrix
 import oracles
 
 CFG = ProxyLossConfig()
+SNS_CFG = ProxyLossConfig(lambda_sns=150.0)      # sns is off at the default 0
 
 
 def _unit_rows(rng, c, d):
@@ -34,12 +36,13 @@ def _random_instance(seed, N=4, C=5, d=4):
 # config and mid state
 
 def test_config_validation():
-    with pytest.raises(DomainError):
-        ProxyLossConfig(cos_min=0.9, cos_max=0.5)
-    with pytest.raises(DomainError):
-        ProxyLossConfig(cos_max=1.5)
-    with pytest.raises(DomainError):
-        ProxyLossConfig(lambda_pp=-1.0)
+    # the regularizers' values are checked by RunConfig itself
+    with pytest.raises(ConfigError, match="cos_min .* cos_max"):
+        RunConfig(cos_min=0.9, cos_max=0.5)
+    with pytest.raises(ConfigError, match="bad value for 'cos_max'"):
+        RunConfig(cos_max=1.5)
+    with pytest.raises(ConfigError, match="bad value for 'lambda_pp'"):
+        RunConfig(lambda_pp=-1.0)
 
 
 def test_initial_mid_is_cos_min():
@@ -261,19 +264,19 @@ def test_pp_matches_scalar_oracle_and_grad():
 
 def test_sns_orthogonal_zero():
     batch = EmbeddingBatch(np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([0, 1]))
-    assert sns_loss(batch, CFG).total == 0.0
+    assert sns_loss(batch, SNS_CFG).total == 0.0
 
 
 def test_sns_identical_direction_pair():
     batch = EmbeddingBatch(np.array([[2.0, 0.0], [5.0, 0.0]]), np.array([0, 1]))
-    rep = sns_loss(batch, CFG)
-    assert rep.total == pytest.approx(CFG.lambda_sns, rel=1e-12)
+    rep = sns_loss(batch, SNS_CFG)
+    assert rep.total == pytest.approx(150.0, rel=1e-12)
     assert rep.grad_W is None
 
 
 def test_sns_single_label_zero():
     batch = EmbeddingBatch(np.ones((3, 2)), np.zeros(3, dtype=int))
-    rep = sns_loss(batch, CFG)
+    rep = sns_loss(batch, SNS_CFG)
     assert rep.total == 0.0
     assert rep.stats == {}
 
@@ -281,11 +284,11 @@ def test_sns_single_label_zero():
 def test_sns_matches_scalar_oracle_and_grad():
     for seed in range(10):
         batch, _ = _random_instance(seed, N=5, C=3)
-        rep = sns_loss(batch, CFG)
-        want = oracles.scalar_sns(batch.z, batch.labels, CFG.lambda_sns)
+        rep = sns_loss(batch, SNS_CFG)
+        want = oracles.scalar_sns(batch.z, batch.labels, 150.0)
         assert rep.total == pytest.approx(want, rel=1e-12, abs=1e-15)
         fd_z = oracles.fd_grad(
-            lambda zz: sns_loss(EmbeddingBatch(zz, batch.labels), CFG).total,
+            lambda zz: sns_loss(EmbeddingBatch(zz, batch.labels), SNS_CFG).total,
             batch.z)
         assert oracles.rel_err(rep.grad_z, fd_z) <= 1e-6
 
@@ -301,7 +304,7 @@ def test_rescale_invariance_power_of_two_exact():
         pps_loss(batch, proxies, state, CFG).total
     assert pns_loss(doubled, proxies, CFG).total == \
         pns_loss(batch, proxies, CFG).total
-    assert sns_loss(doubled, CFG).total == sns_loss(batch, CFG).total
+    assert sns_loss(doubled, SNS_CFG).total == sns_loss(batch, SNS_CFG).total
 
 
 def test_rescale_invariance_general_factor():
@@ -310,7 +313,7 @@ def test_rescale_invariance_general_factor():
     state = EpochMidState(mid=0.6)
     for fn in (lambda b: pps_loss(b, proxies, state, CFG).total,
                lambda b: pns_loss(b, proxies, CFG).total,
-               lambda b: sns_loss(b, CFG).total):
+               lambda b: sns_loss(b, SNS_CFG).total):
         assert fn(tripled) == pytest.approx(fn(batch), rel=1e-12, abs=1e-13)
 
 
@@ -330,19 +333,18 @@ def test_total_constructed_example():
     assert rep.terms["pns"] == pytest.approx(5.0, rel=1e-12)
     assert rep.terms["pp"] == 0.0
     assert rep.total == pytest.approx(5.05, rel=1e-12)
-    assert "sns" not in rep.terms                      # disabled by default
+    assert "sns" not in rep.terms                      # lambda_sns is 0 by default
 
 
 def test_total_additivity_and_sns_toggle():
     batch, proxies = _random_instance(7)
     state = EpochMidState(mid=0.6)
-    cfg_on = ProxyLossConfig(sns_enabled=True)
-    rep = proxy_based_total(batch, proxies, state, cfg_on,
+    rep = proxy_based_total(batch, proxies, state, SNS_CFG,
                             np.random.default_rng(11))
-    parts = [pps_loss(batch, proxies, state, cfg_on),
-             pns_loss(batch, proxies, cfg_on),
-             pp_loss(batch.labels, proxies, cfg_on, np.random.default_rng(11)),
-             sns_loss(batch, cfg_on)]
+    parts = [pps_loss(batch, proxies, state, SNS_CFG),
+             pns_loss(batch, proxies, SNS_CFG),
+             pp_loss(batch.labels, proxies, SNS_CFG, np.random.default_rng(11)),
+             sns_loss(batch, SNS_CFG)]
     assert rep.total == pytest.approx(sum(p.total for p in parts), rel=1e-14)
     assert rep.terms["sns"] == parts[3].total
     grad_z = parts[0].grad_z + parts[1].grad_z + parts[3].grad_z

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from lh2 import proxy_losses, sphere_math, uamf
-from lh2.errors import ConfigError, DomainError
+from lh2.errors import ConfigError
 from lh2.io_formats import RunConfig
 from lh2.proxy_losses import (EpochMidState, ProxyLossConfig, pns_loss, pp_loss,
                               pp_selection, pps_loss, proxy_based_total, sns_loss)
-from lh2.train_harness import (GRADCHECK_OPS, SyntheticSpec, _raw_proxies, dataset_inputs,
-                               generate_dataset, grad_check, histogram_dump,
-                               init_state, load_checkpoint, train, train_accuracy)
+from lh2.train_harness import (GRADCHECK_OPS, _raw_proxies, generate_dataset, grad_check,
+                               histogram_dump, init_state, load_checkpoint, train,
+                               train_accuracy)
 from lh2.uamf import EmbeddingBatch, ProxyMatrix, uamf_loss
 
 HEADER = ("step,epoch,lr,loss_total,uamf,pps,pns,pp,sns,margin,mu_norm,"
@@ -40,24 +40,22 @@ def _read_metrics(path):
 # ---------------------------------------------------------------- dataset
 
 def test_generate_dataset_deterministic():
-    spec = SyntheticSpec.from_config(RunConfig(seed=7, C=4, d_in=12, samples_per_class=9))
-    Xa, la = generate_dataset(spec)
-    Xb, lb = generate_dataset(spec)
+    cfg = RunConfig(seed=7, C=4, d_in=12, samples_per_class=9)
+    Xa, la = generate_dataset(cfg)
+    Xb, lb = generate_dataset(cfg)
     assert np.array_equal(Xa, Xb)
     assert np.array_equal(la, lb)
     assert Xa.shape == (36, 12)
 
 
 def test_generate_dataset_labels_layout():
-    spec = SyntheticSpec.from_config(RunConfig(seed=7, C=5, d_in=6, samples_per_class=11))
-    _, labels = generate_dataset(spec)
+    _, labels = generate_dataset(RunConfig(seed=7, C=5, d_in=6, samples_per_class=11))
     assert np.array_equal(labels, np.repeat(np.arange(5), 11))
 
 
 def test_zero_noise_samples_collinear_with_class_dirs():
-    spec = SyntheticSpec.from_config(RunConfig(seed=4, C=5, d_in=16, samples_per_class=3,
-                                               noise_angle_deg=0.0))
-    X, labels = generate_dataset(spec)
+    X, labels = generate_dataset(RunConfig(seed=4, C=5, d_in=16, samples_per_class=3,
+                                           noise_angle_deg=0.0))
     dirs = _class_dirs(4, 5, 16)
     U = X / np.linalg.norm(X, axis=1, keepdims=True)
     cos = (U * dirs[labels]).sum(axis=1)
@@ -65,9 +63,8 @@ def test_zero_noise_samples_collinear_with_class_dirs():
 
 
 def test_noisy_class_means_recover_directions():
-    spec = SyntheticSpec.from_config(RunConfig(seed=4, C=5, d_in=16, samples_per_class=200,
-                                               noise_angle_deg=10.0))
-    X, labels = generate_dataset(spec)
+    X, labels = generate_dataset(RunConfig(seed=4, C=5, d_in=16, samples_per_class=200,
+                                           noise_angle_deg=10.0))
     dirs = _class_dirs(4, 5, 16)
     for c in range(5):
         m = X[labels == c].mean(axis=0)
@@ -77,24 +74,27 @@ def test_noisy_class_means_recover_directions():
 
 
 def test_lognormal_norms_match_config():
-    spec = SyntheticSpec.from_config(RunConfig(seed=9, C=5, d_in=16, samples_per_class=200,
-                                               norm_logmean=3.0, norm_logstd=0.25))
-    X, _ = generate_dataset(spec)
+    X, _ = generate_dataset(RunConfig(seed=9, C=5, d_in=16, samples_per_class=200,
+                                      norm_logmean=3.0, norm_logstd=0.25))
     ln = np.log(np.linalg.norm(X, axis=1))
     assert abs(ln.mean() - 3.0) < 0.1
     assert abs(ln.std() - 0.25) < 0.05
 
 
 def test_spec_converts_noise_to_radians():
-    spec = SyntheticSpec.from_config(RunConfig(noise_angle_deg=10.0))
-    assert spec.noise_angle_std == pytest.approx(math.radians(10.0), rel=1e-15)
+    # each sample lies |phi| from its class direction, phi ~ N(0, 10 degrees)
+    X, labels = generate_dataset(RunConfig(seed=5, C=2, d_in=16, samples_per_class=2000,
+                                           noise_angle_deg=10.0))
+    U = X / np.linalg.norm(X, axis=1, keepdims=True)
+    angles = np.arccos(np.clip((U * _class_dirs(5, 2, 16)[labels]).sum(axis=1), -1.0, 1.0))
+    assert math.sqrt(np.mean(angles ** 2)) == pytest.approx(math.radians(10.0), rel=0.03)
 
 
 def test_spec_validation():
-    with pytest.raises(DomainError):
-        generate_dataset(SyntheticSpec.from_config(RunConfig(samples_per_class=0)))
-    with pytest.raises(DomainError):
-        generate_dataset(SyntheticSpec.from_config(RunConfig(noise_angle_deg=-1.0)))
+    # the dataset's values are checked by RunConfig itself
+    for bad in ({"samples_per_class": 0}, {"noise_angle_deg": -1.0}, {"d_in": 1}):
+        with pytest.raises(ConfigError, match=f"bad value for '{next(iter(bad))}'"):
+            RunConfig(**bad)
 
 
 # ------------------------------------------------------------ init state
@@ -107,7 +107,7 @@ def test_init_state_shapes_and_invariants():
     assert np.abs(np.linalg.norm(st.proxies.W, axis=1) - 1.0).max() < 1e-12
     assert st.step == 0
     assert not st.vel_emb.any() and not st.vel_W.any()
-    assert st.tracker.mu_norm == 20.0
+    assert st.mu_norm == 20.0
     st2 = init_state(cfg)
     assert np.array_equal(st.embedder, st2.embedder)
     assert np.array_equal(st.proxies.W, st2.proxies.W)
@@ -138,7 +138,7 @@ def test_train_completes_with_metrics(tiny_run):
 
 def test_train_acc_column_lags_one_epoch(tiny_run):
     cfg, res, _ = tiny_run
-    X, labels = dataset_inputs(cfg)
+    X, labels = generate_dataset(cfg)
     st = init_state(cfg)
     acc0 = train_accuracy(X, labels, st.embedder, st.proxies)
     _, rows = _read_metrics(res.metrics_path)
@@ -172,7 +172,7 @@ def test_checkpoint_layout_and_loading(tiny_run):
         assert np.array_equal(proxies.W, forms[0][1].W)
     emb, proxies = forms[0]
     assert np.abs(np.linalg.norm(proxies.W, axis=1) - 1.0).max() < 1e-6
-    X, labels = dataset_inputs(cfg)
+    X, labels = generate_dataset(cfg)
     assert train_accuracy(X, labels, emb, proxies) == pytest.approx(res.final_accuracy, rel=1e-12)
     _, rows = _read_metrics(res.metrics_path)
     assert (rows[-1]["step"], rows[-1]["epoch"]) == ("15", "3")
@@ -198,7 +198,7 @@ def test_train_divergence_restores_last_good_state(tmp_path):
     assert res.epochs_run < cfg.epochs
     emb, proxies = load_checkpoint(str(tmp_path / "checkpoints" / "final"))
     assert np.isfinite(emb).all() and np.isfinite(proxies.W).all()
-    X, labels = dataset_inputs(cfg)
+    X, labels = generate_dataset(cfg)
     st = init_state(cfg)
     assert res.final_accuracy == pytest.approx(
         train_accuracy(X, labels, st.embedder, st.proxies), rel=1e-12)
@@ -273,7 +273,7 @@ def _check_step_matches_standalone(z, labels, W, mid, plcfg, rng_seed, raw=False
              "pps": pps_loss(*fresh(), state, plcfg),
              "pns": pns_loss(*fresh(), plcfg),
              "pp": pp_loss(labels, make(W), plcfg, np.random.default_rng(rng_seed))}
-    if plcfg.sns_enabled:
+    if plcfg.lambda_sns > 0:
         parts["sns"] = sns_loss(fresh()[0], plcfg)
     assert {**rep_u.terms, **rep_p.terms} == {k: p.total for k, p in parts.items()}
     _assert_rel(rep_u.total + rep_p.total, sum(p.total for p in parts.values()))
@@ -310,7 +310,7 @@ def test_training_step_losses_equal_the_standalone_losses():
         assert rep.stats["below_frac"] == 0
         # sns switched on
         _check_step_matches_standalone(z, y, unit, 0.5,
-                                       ProxyLossConfig(sns_enabled=True), seed)
+                                       ProxyLossConfig(lambda_sns=150.0), seed)
         # one class and two classes
         rep = _check_step_matches_standalone(z, np.zeros(N, dtype=int), unit[:1],
                                              0.5, cfg, seed)
@@ -335,7 +335,7 @@ def test_training_step_with_a_single_proxy_pp_selection():
 
 def test_histogram_untrained_matches_random_direction_stats():
     cfg = RunConfig(seed=2, C=30, d=512, n=64, d_in=64, samples_per_class=40)
-    X, labels = dataset_inputs(cfg)
+    X, labels = generate_dataset(cfg)
     st = init_state(cfg)
     records, summary = histogram_dump(st.embedder, st.proxies, X, labels)
     M = 30 * 40

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from lh2 import proxy_losses, sphere_math, uamf
-from lh2.errors import DomainError
-from lh2.uamf import (EmbeddingBatch, NormTracker, ProxyMatrix,
-                      update_norm_tracker, uamf_loss)
+from lh2.errors import ConfigError, DomainError
+from lh2.io_formats import RunConfig
+from lh2.uamf import EmbeddingBatch, ProxyMatrix, update_norm_tracker, uamf_loss
 from lh2.train_harness import _raw_proxies
 
 import oracles
@@ -50,33 +50,30 @@ def test_proxy_matrix_validation():
 
 def test_tracker_alpha_one_copies_batch_mean():
     batch = EmbeddingBatch(np.diag([30.0, 30.0, 30.0]), np.arange(3))
-    new, margin = update_norm_tracker(NormTracker(mu_norm=20.0, alpha=1.0), batch)
-    assert new.mu_norm == 30.0
+    mu, margin = update_norm_tracker(20.0, batch, 1.0, 0.35)
+    assert mu == 30.0
     assert margin == pytest.approx(10.5)
 
 
 def test_tracker_alpha_zero_keeps_prior():
     batch = EmbeddingBatch(np.array([[123.0, 0.0]]), np.array([0]))
-    new, margin = update_norm_tracker(NormTracker(mu_norm=20.0, alpha=0.0), batch)
-    assert new.mu_norm == 20.0
+    mu, margin = update_norm_tracker(20.0, batch, 0.0, 0.35)
+    assert mu == 20.0
     assert margin == pytest.approx(7.0)
 
 
 def test_tracker_ema_step():
     batch = EmbeddingBatch(np.array([[30.0, 0.0]]), np.array([0]))
-    new, margin = update_norm_tracker(NormTracker(mu_norm=20.0, alpha=0.1), batch)
-    assert new.mu_norm == pytest.approx(21.0)
+    mu, margin = update_norm_tracker(20.0, batch, 0.1, 0.35)
+    assert mu == pytest.approx(21.0)
     assert margin == pytest.approx(7.35)
-    assert new.alpha == 0.1
 
 
 def test_tracker_validation():
-    with pytest.raises(DomainError):
-        NormTracker(mu_norm=20.0, alpha=1.5)
-    with pytest.raises(DomainError):
-        NormTracker(mu_norm=20.0, alpha=-0.1)
-    with pytest.raises(DomainError):
-        NormTracker(mu_norm=0.0)
+    # the tracker's values are checked by RunConfig itself
+    for key, bad in (("ema_alpha", 1.5), ("ema_alpha", -0.1), ("mu_norm_init", 0.0)):
+        with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+            RunConfig(**{key: bad})
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +256,7 @@ def test_gradients_take_one_backward_per_report_and_none_for_the_total(monkeypat
     rng = np.random.default_rng(11)
     batch = EmbeddingBatch(rng.standard_normal((6, 4)) * 5.0, np.arange(6) % 3)
     proxies = ProxyMatrix(_unit_rows(rng, 3, 4))
-    cfg = proxy_losses.ProxyLossConfig(sns_enabled=True)
+    cfg = proxy_losses.ProxyLossConfig(lambda_sns=150.0)
     state = proxy_losses.EpochMidState(mid=0.9)
 
     # a finite-difference probe reads the total only
