@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import re
 import sys
 
 import numpy as np
@@ -29,7 +30,12 @@ _HANDLED = (OSError, ValueError)
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse folds usage problems into the config-error exit code."""
+    """argparse folds usage problems into the config-error exit code, and
+    reads a negative number with an exponent (-1e-05) as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -168,6 +174,11 @@ def _cmd_grad_check(args) -> int:
 
 def _cmd_hist(args) -> int:
     cfg = _load_config(args)
+    # the histogram scores every sample against every proxy at once
+    scores = cfg.C * cfg.samples_per_class * cfg.C
+    if scores > MAX_WORK:
+        raise ConfigError(f"C * samples_per_class * C = {scores} scores exceed the cap of "
+                          f"{MAX_WORK} elements per array")
     embedder, proxies = load_checkpoint(args.checkpoint)
     if cfg.C != proxies.W.shape[0]:
         raise ConfigError(f"checkpoint has {proxies.W.shape[0]} proxies "

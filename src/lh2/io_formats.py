@@ -215,7 +215,6 @@ class RunConfig:
     lambda_sns: float = 0.0          # the sns term runs when positive
     cos_min: float = 0.5
     cos_max: float = 0.9
-    mid_strict_mode: bool = False    # accumulate only the first positive cosine per batch
 
     def __post_init__(self):
         for key in _CONFIG_FIELDS:
@@ -251,8 +250,6 @@ _RANGES = {
     **dict.fromkeys(("tau", "mu_norm_init"), ("positive", lambda v: v > 0.0)),
     "momentum": ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
 }
-_TRUE_WORDS = {"true", "1", "yes", "on"}
-_FALSE_WORDS = {"false", "0", "no", "off"}
 
 
 def _check_value(key, value) -> None:
@@ -292,16 +289,8 @@ def parse_config_text(text) -> RunConfig:
 
 
 def _convert(key, value, lineno):
-    kind = _CONFIG_FIELDS[key]
     try:
-        if kind in (bool, "bool"):
-            low = value.lower()
-            if low in _TRUE_WORDS:
-                return True
-            if low in _FALSE_WORDS:
-                return False
-            raise ValueError(f"not a boolean: {value!r}")
-        number = int(value) if kind in (int, "int") else float(value)
+        number = int(value) if _CONFIG_FIELDS[key] in (int, "int") else float(value)
         _check_value(key, number)
         return number
     except ValueError as exc:

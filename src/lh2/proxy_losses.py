@@ -64,17 +64,9 @@ def positive_cosines(batch: EmbeddingBatch, proxies: ProxyMatrix) -> np.ndarray:
     return batch.product(proxies).cos[np.arange(len(batch.labels)), batch.labels]
 
 
-def observe_positive_cosines(state: EpochMidState, cos: np.ndarray,
-                             strict: bool = False) -> EpochMidState:
+def observe_positive_cosines(state: EpochMidState, cos: np.ndarray) -> EpochMidState:
     """Accumulate a batch's positive cosines (pps_loss reports them as
-    stats["positive_cos"]) for the next epoch-mid update.
-
-    Default tracks every sample in the batch; strict mode tracks only the
-    batch's first sample (the literal low-variance-unfriendly reading of
-    the schedule).
-    """
-    if strict:
-        cos = cos[:1]
+    stats["positive_cos"]), every sample's, for the next epoch-mid update."""
     return EpochMidState(mid=state.mid,
                          acc_sum=state.acc_sum + float(np.sum(cos)),
                          acc_count=state.acc_count + len(cos))

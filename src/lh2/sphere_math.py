@@ -1,6 +1,6 @@
 """Stable evaluation of the modified Bessel function I_alpha, the vMF
-similarity (the vMF log-density at the feature direction) and its
-analytic gradient.
+similarity (the vMF log-density at the feature direction) and the
+backward of the losses built on it.
 
 log I_alpha(x) and the ratio I_{alpha+1}(x) / I_alpha(x) come from one
 routine, _log_bessel: the Debye uniform asymptotic expansion (DLMF
@@ -25,10 +25,9 @@ result.  A naive evaluation of I_alpha underflows to 0 (hence log -inf)
 already for moderate orders at small arguments; every step here works in
 log domain and avoids it.
 
-The vMF similarity has one implementation, vmf_similarity_batch, with its
-adjoint _similarity_adjoint; vmf_similarity and vmf_similarity_grad are
-their one-row cases.
-A loss of S = z W^T and the row norms of z and W (these similarities, the
+The vMF similarity has one implementation, vmf_similarity_batch, and one
+adjoint, _similarity_adjoint; both read S = z W^T and the row norms of z.
+A loss of S and the row norms of z and W (these similarities, the
 cosines of uamf.ProxyProduct) has an adjoint (dS N x C, dnz N, dnw C) that
 one backward, _adjoint_grads, takes to z and W.  All floats are 64-bit.
 """
@@ -36,11 +35,8 @@ one backward, _adjoint_grads, takes to z and W.  All floats are 64-bit.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
-
-from .errors import DomainError
 
 KAPPA_MIN = 1e-6
 LOG_2PI = math.log(2.0 * math.pi)
@@ -122,70 +118,21 @@ def _log_normalizer(kappa: np.ndarray, n: int):
     return nu * np.log(kappa) - 0.5 * n * LOG_2PI - log_i, ratio
 
 
-def vmf_similarity(proxy, z, n: int) -> float:
-    """Similarity kappa*cos(theta) + (n/2-1) log kappa - (n/2) log 2pi
-    - log I_{n/2-1}(kappa) with kappa = max(||z||, KAPPA_MIN) and cos(theta)
-    measured between proxy and z in their own (d-dimensional) space: the
-    one-row case of vmf_similarity_batch.
-
-    For unclamped kappa the first term equals proxy . z exactly.
-    """
-    proxy = np.asarray(proxy, dtype=np.float64)
-    pnorm = np.linalg.norm(proxy)
-    # unit proxy expected; tolerate numeric drift (finite-difference probes
-    # move the norm by O(step)) but reject anything clearly off the sphere
-    if not abs(pnorm - 1.0) <= 1e-3:
-        raise DomainError(f"proxy must be unit norm, got ||proxy|| = {pnorm}")
-    z, norms = _one_row(z)
-    return float(vmf_similarity_batch(z, proxy[None, :], n, norms=norms)[0][0, 0])
-
-
-def _one_row(z):
-    """z as a 1 x d batch and its row norm, which must be finite."""
-    z = np.asarray(z, dtype=np.float64)[None, :]
-    norms = np.linalg.norm(z, axis=1)
-    if not np.isfinite(norms[0]):
-        raise DomainError(f"||z|| must be finite, got {norms[0]}")
-    return z, norms
-
-
-class SimilarityGrad(NamedTuple):
-    grad_proxy: np.ndarray
-    grad_z: np.ndarray
-
-
-def vmf_similarity_grad(proxy, z, n: int) -> SimilarityGrad:
-    """Analytic gradient of vmf_similarity, through _similarity_adjoint."""
-    proxy = np.asarray(proxy, dtype=np.float64)[None, :]
-    z, norms = _one_row(z)
-    product = z @ proxy.T
-    _, _, ratio, scale = vmf_similarity_batch(z, proxy, n, product, norms)
-    grad_z, grad_proxy = _adjoint_grads(
-        *_similarity_adjoint(np.ones((1, 1)), product, norms, ratio, scale),
-        z, _divide_rows(z, norms), proxy, proxy)
-    return SimilarityGrad(grad_proxy=grad_proxy[0], grad_z=grad_z[0])
-
-
-def vmf_similarity_batch(z: np.ndarray, proxies: np.ndarray, n: int,
-                         product=None, norms=None):
-    """Vectorized similarities for a batch: returns (sims N x C, kappa N,
-    ratio_next N, scale N) where scale = kappa / ||z|| converts proxy . z
-    into the kappa*cos(theta) term (exactly 1 for unclamped rows, 0 for a
-    zero row).  product and norms, when given, are z @ proxies.T and the
-    row norms of z."""
-    z = np.asarray(z, dtype=np.float64)
-    if product is None:
-        product = z @ np.asarray(proxies, dtype=np.float64).T
-    if norms is None:
-        norms = np.linalg.norm(z, axis=1)
+def vmf_similarity_batch(S: np.ndarray, norms: np.ndarray, n: int):
+    """The similarities kappa cos(theta) + (n/2-1) log kappa - (n/2) log 2pi
+    - log I_{n/2-1}(kappa), kappa = max(||z||, KAPPA_MIN), of N samples to C
+    unit proxies from S = z W^T (N x C) and the row norms of z: returns
+    (sims N x C, kappa N, ratio_next N, scale N) where scale = kappa / ||z||
+    converts S into the kappa cos(theta) term (exactly 1 for unclamped rows,
+    so that term is S itself, and 0 for a zero row)."""
     kappa = np.maximum(norms, KAPPA_MIN)
     scale = kappa / np.where(norms > 0.0, norms, np.inf)
     g, ratio = _log_normalizer(kappa, n)
-    sims = product * scale[:, None] + g[:, None]
+    sims = S * scale[:, None] + g[:, None]
     return sims, kappa, ratio, scale
 
 
-def _similarity_adjoint(dsim, product, norms, ratio, scale):
+def _similarity_adjoint(dsim, S, ratio, scale):
     """The adjoint (dS, dnz, dnw) of sum_ij dsim_ij sim_ij, sim_ij = scale_i
     S_ij + g(kappa_i): dS = dsim scale, dnw = 0 and, as d g / d kappa =
     -ratio_next, dnz_i = -ratio_i sum_j dsim_ij; a clamped row has a constant
@@ -194,7 +141,7 @@ def _similarity_adjoint(dsim, product, norms, ratio, scale):
     clamped = scale != 1.0
     dnz = -dsim.sum(axis=1) * ratio
     if clamped.any():                          # scale is 1 on every other row
-        dnz[clamped] = -np.einsum("ij,ij->i", dsim[clamped], product[clamped]) \
+        dnz[clamped] = -np.einsum("ij,ij->i", dsim[clamped], S[clamped]) \
             * scale[clamped] ** 2 / KAPPA_MIN
         dsim = dsim * scale[:, None]
     return dsim, dnz, np.zeros(dsim.shape[1])

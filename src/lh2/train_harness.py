@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .io_formats import RunConfig, emit_metrics, read_tensor, write_tensor
+from .io_formats import MAX_WORK, RunConfig, emit_metrics, read_tensor, write_tensor
 from .proxy_losses import (EpochMidState, ProxyLossConfig, end_epoch,
                            observe_positive_cosines, positive_cosines, pp_loss,
                            pns_loss, pps_loss, proxy_based_total, sns_loss)
@@ -27,9 +27,9 @@ from .recon_losses import (PerceptualExtractor, laplace_nll, laplace_nll_grad,
                            perceptual_nll, perceptual_nll_grad, smoothness_grad,
                            smoothness_loss, view_variance_grad, view_variance_loss)
 from .depth_renderer import DepthMap
-from .sphere_math import vmf_similarity, vmf_similarity_grad
+from .sphere_math import _similarity_adjoint, vmf_similarity_batch
 from .sphere_stats import proxy_spread_trackers, sns_tracker
-from .uamf import EmbeddingBatch, ProxyMatrix, uamf_loss, update_norm_tracker
+from .uamf import EmbeddingBatch, LossReport, ProxyMatrix, uamf_loss, update_norm_tracker
 
 
 def generate_dataset(cfg: RunConfig):
@@ -85,11 +85,16 @@ def proxy_config(cfg: RunConfig) -> ProxyLossConfig:
 
 
 def train_accuracy(X, labels, embedder, proxies: ProxyMatrix) -> float:
-    """Fraction of samples whose nearest proxy by cosine is their class."""
+    """Fraction of samples whose nearest proxy by cosine is their class,
+    scored in blocks of rows that hold at most MAX_WORK scores each."""
     # the proxies are unit rows, so dividing each row of scores by its
     # sample's norm would not move the argmax
-    pred = np.argmax((X @ embedder) @ proxies.W.T, axis=1)
-    return float(np.mean(pred == labels))
+    rows = max(1, MAX_WORK // proxies.W.shape[0])
+    hits = 0
+    for lo in range(0, len(labels), rows):
+        pred = np.argmax((X[lo:lo + rows] @ embedder) @ proxies.W.T, axis=1)
+        hits += int(np.count_nonzero(pred == labels[lo:lo + rows]))
+    return hits / len(labels)
 
 
 def _checkpoint(out_dir, tag, state: TrainState):
@@ -167,8 +172,8 @@ def train(cfg: RunConfig, out_dir: str) -> TrainResult:
                 step = (uamf_loss(batch, state.proxies, margin, cfg.tau, cfg.n)
                         + proxy_based_total(batch, state.proxies, state.mid_state,
                                             plcfg, state.rng))
-                state.mid_state = observe_positive_cosines(
-                    state.mid_state, step.stats["positive_cos"], cfg.mid_strict_mode)
+                state.mid_state = observe_positive_cosines(state.mid_state,
+                                                           step.stats["positive_cos"])
                 _require(np.isfinite(step.total), "non-finite loss")
                 good = state.embedder, state.proxies
 
@@ -272,13 +277,28 @@ GRADCHECK_OPS = ("vmf_similarity", "uamf_loss", "pps_loss", "pns_loss", "pp_loss
 
 def _z_and_W_pairs(loss, z, y, W, h):
     """The (analytic, finite-difference) gradient pairs in z and in W of
-    loss(batch, proxies) on unit proxy rows W; the probes read totals only."""
+    loss(batch, proxies) on unit proxy rows W, one for each side whose
+    analytic gradient is not None; the probes read totals only."""
     batch, proxies = EmbeddingBatch(z, y), ProxyMatrix(W)
     rep = loss(batch, proxies)
-    return [(rep.grad_z, _central_diff(
-                lambda zz: loss(EmbeddingBatch(zz, y), proxies).total, z, h)),
-            (rep.grad_W, _central_diff(
-                lambda ww: loss(batch, _raw_proxies(ww)).total, W, h))]
+    pairs = []
+    if rep.grad_z is not None:
+        pairs.append((rep.grad_z, _central_diff(
+            lambda zz: loss(EmbeddingBatch(zz, y), proxies).total, z, h)))
+    if rep.grad_W is not None:
+        pairs.append((rep.grad_W, _central_diff(
+            lambda ww: loss(batch, _raw_proxies(ww)).total, W, h)))
+    return pairs
+
+
+def _similarity_sum(batch: EmbeddingBatch, proxies: ProxyMatrix, n: int) -> LossReport:
+    """The sum of the vMF similarities of the batch to the proxies as a
+    loss, with the adjoint of sphere_math._similarity_adjoint."""
+    S = batch.z @ proxies.W.T
+    sims, _, ratio, scale = vmf_similarity_batch(S, batch.norms, n)
+    total = float(sims.sum())
+    return LossReport(total, {"vmf_similarity": total}, batch=batch, proxies=proxies,
+                      adjoint=_similarity_adjoint(np.ones_like(S), S, ratio, scale))
 
 
 def _gradcheck_cases(rng: np.random.Generator):
@@ -288,17 +308,15 @@ def _gradcheck_cases(rng: np.random.Generator):
     margin = 100 * h
     cases = []
 
-    # vmf similarity, both arguments
+    # vmf similarity of one sample to one unit proxy
     d, n = 6, 8
     proxy = rng.standard_normal(d)
     proxy /= np.linalg.norm(proxy)
     # norms of about 5 to 250
     z = rng.standard_normal(d) * rng.uniform(2.0, 100.0)
-    g = vmf_similarity_grad(proxy, z, n)
-    cases.append(("vmf_similarity", [
-        (g.grad_proxy, _central_diff(lambda p: vmf_similarity(p, z, n), proxy, h)),
-        (g.grad_z, _central_diff(lambda zz: vmf_similarity(proxy, zz, n), z, h)),
-    ]))
+    cases.append(("vmf_similarity", _z_and_W_pairs(
+        lambda b, p: _similarity_sum(b, p, n), z[None], np.zeros(1, np.int64),
+        proxy[None], h)))
 
     # margin softmax over similarities.  Wider norm scales saturate the
     # softmax, whose gradients (about 1e-11) then fall under the
@@ -331,18 +349,12 @@ def _gradcheck_cases(rng: np.random.Generator):
 
     # pp: freeze the random selection by reseeding per evaluation
     sel_seed = int(rng.integers(0, 2 ** 31))
-    cases.append(("pp_loss", [
-        (pp_loss(y, proxies, plcfg, np.random.default_rng(sel_seed)).grad_W, _central_diff(
-            lambda ww: pp_loss(y, _raw_proxies(ww), plcfg,
-                               np.random.default_rng(sel_seed)).total, W, h)),
-    ]))
+    cases.append(("pp_loss", _z_and_W_pairs(
+        lambda b, p: pp_loss(y, p, plcfg, np.random.default_rng(sel_seed)), z, y, W, h)))
 
     # sns: linear in the cosines, smooth
-    y_mixed = np.arange(N) % 2
-    cases.append(("sns_loss", [
-        (sns_loss(EmbeddingBatch(z, y_mixed), plcfg).grad_z, _central_diff(
-            lambda zz: sns_loss(EmbeddingBatch(zz, y_mixed), plcfg).total, z, h)),
-    ]))
+    cases.append(("sns_loss", _z_and_W_pairs(lambda b, p: sns_loss(b, plcfg),
+                                             z, np.arange(N) % 2, W, h)))
 
     # reconstruction losses on a small image
     hgt, wid = 4, 5

@@ -10,8 +10,7 @@ and the loss subtracts the margin from the true-class similarity before
 the temperature division, then takes softmax cross-entropy.  Because the
 per-sample normalizer terms of the similarity are shared across classes,
 their gradient contributions cancel through the softmax; the adjoint
-(sphere_math._similarity_adjoint, shared with vmf_similarity_grad) still
-carries them.
+(sphere_math._similarity_adjoint) still carries them.
 
 Every sample-to-proxy quantity of a training step comes from one product
 S = z W^T (ProxyProduct), which a batch builds on first use with a proxy
@@ -206,8 +205,7 @@ def uamf_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, margin: float,
         raise DomainError(f"tau must be positive, got {tau}")
     if margin < 0.0:
         raise DomainError(f"margin must be non-negative, got {margin}")
-    W = proxies.W
-    C = W.shape[0]
+    C = proxies.W.shape[0]
     if C < 1:
         raise DomainError("need at least one class")
     if batch.labels.max() >= C:
@@ -215,8 +213,8 @@ def uamf_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, margin: float,
     N = batch.z.shape[0]
     target = (np.arange(N), batch.labels)
 
-    product = batch.product(proxies).S
-    sims, _, ratio, scale = vmf_similarity_batch(batch.z, W, n, product, batch.norms)
+    S = batch.product(proxies).S
+    sims, _, ratio, scale = vmf_similarity_batch(S, batch.norms, n)
     logits = sims / tau
     logits[target] -= margin / tau
     logits -= logits.max(axis=1, keepdims=True)
@@ -232,4 +230,4 @@ def uamf_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, margin: float,
     return LossReport(loss, {"uamf": loss},
                       {"clamped_rows": int(np.count_nonzero(scale != 1.0)),
                        "mean_target_prob": mean_target_prob}, batch, proxies,
-                      _similarity_adjoint(coeff, product, batch.norms, ratio, scale))
+                      _similarity_adjoint(coeff, S, ratio, scale))

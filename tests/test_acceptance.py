@@ -26,7 +26,7 @@ from lh2.depth_renderer import (DepthMap, Pose, depth_centroid,
                                 transform_pointcloud, warp_image)
 from lh2.io_formats import RunConfig, parse_config
 from lh2.recon_losses import laplace_nll, smoothness_loss
-from lh2.sphere_math import _log_bessel, vmf_similarity
+from lh2.sphere_math import _log_bessel, vmf_similarity_batch
 from lh2.sphere_stats import (evt_estimate, half_quarter_cosines,
                               monte_carlo_pairwise, proxy_spread_trackers)
 from lh2.train_harness import (generate_dataset, grad_check, histogram_dump,
@@ -71,19 +71,24 @@ def test_bessel_and_vmf_against_oracles():
         for x, got in zip(xs, _log_bessel(alpha, xs)[0]):
             want = oracles.log_bessel_oracle(alpha, float(x))
             assert abs(got - want) <= 1e-10 * abs(want) + 1e-12
-    # vmf_similarity(mu, kappa x, n) is the vMF log-density at unit x
+    # the similarity of z = kappa x, for unit x, to the unit proxy mu is
+    # the vMF log-density at x; S = mu . z and ||z|| = kappa
+    def similarity(mu, kappa, x, n):
+        return float(vmf_similarity_batch(np.array([[kappa * (mu @ x)]]),
+                                          np.array([kappa]), n)[0][0, 0])
+
     mu = np.array([1.0, 0.0])
     for kappa in (0.5, 3.0, 20.0):
 
         def log_pdf(t, kappa=kappa):
-            return vmf_similarity(mu, kappa * np.array([math.cos(t), math.sin(t)]), 2)
+            return similarity(mu, kappa, np.array([math.cos(t), math.sin(t)]), 2)
 
         assert oracles.circle_mass(log_pdf) == pytest.approx(1.0, abs=1e-8)
     mu = np.array([0.0, 0.0, 1.0])
     for kappa in (0.5, 4.0, 50.0):
         for t in (-0.8, 0.1, 0.9):
             x = np.array([math.sqrt(1.0 - t * t), 0.0, t])
-            got = vmf_similarity(mu, kappa * x, 3)
+            got = similarity(mu, kappa, x, 3)
             assert got == pytest.approx(oracles.vmf_n3_log_pdf(t, kappa),
                                         rel=1e-8)
     assert time.perf_counter() - t0 < 10.0

@@ -112,13 +112,15 @@ def test_train_missing_config_file(tmp_path, capsys):
 
 
 def test_train_unknown_config_key(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("seed = 1\nbogus = 3\n")
-    rc = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert "unknown key" in err
-    assert "line 2" in err
+    # the removed switches are unknown keys like any other
+    for key in ("bogus", "sns_enabled", "mid_strict_mode"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"seed = 1\n{key} = 1\n")
+        rc = main(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "run")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"line 2: unknown key {key!r}" in err
+        assert not (tmp_path / "run").exists()
 
 
 # rows that break a rule across keys, with the keys the message names
@@ -175,7 +177,7 @@ _IN_RANGE = {
     "lambda_pps": st.floats(0.0, 10.0), "lambda_pns": st.floats(0.0, 30.0),
     "lambda_pp": st.floats(0.0, 200.0), "lambda_sns": st.floats(0.0, 200.0),
     "cos_min": st.floats(0.0, 0.5),
-    "cos_max": st.floats(0.5, 1.0), "mid_strict_mode": st.booleans(),
+    "cos_max": st.floats(0.5, 1.0),
 }
 # one value that no other drawn value can make valid
 _OUT_OF_RANGE = [
@@ -219,14 +221,12 @@ def test_train_any_config_exits_with_a_documented_code(values, bad):
 
 def _argv(flags):
     """argv of a {flag: value} map; a tuple value gives several words, None
-    leaves the flag out, and floats are fixed-point (argparse reads "-1e-05"
-    as an option, not a value)."""
+    leaves the flag out, and floats are written with repr ("-1e-05")."""
     words = []
     for flag, value in flags.items():
         if value is not None:
             words += [flag, *value] if isinstance(value, tuple) else [flag, value]
-    return [f"{w:.17f}" if isinstance(w, float) and math.isfinite(w) else str(w)
-            for w in words]
+    return [repr(float(w)) if isinstance(w, float) else str(w) for w in words]
 
 
 def _subcommand(command, valid, bad, codes):
@@ -418,6 +418,28 @@ def test_render_custom_pose(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_render_custom_pose_written_with_repr(subcommand_inputs, tmp_path, capsys, axis):
+    # repr writes sin(180 deg) as 1.2246467991473532e-16, and a rotation by
+    # 180 degrees holds its negative too
+    rotation = depth_renderer.rotation_about_axis(axis, 180.0).ravel()
+    pose = [repr(float(v)) for v in (*rotation, 0.0, 0.0, 0.0)]
+    assert "-1.2246467991473532e-16" in pose
+    rc = main(["render", "--depth", str(subcommand_inputs / "depth.lh2t"),
+               "--albedo", str(subcommand_inputs / "albedo.ppm"),
+               "--pose", *pose, "--out-dir", str(tmp_path / "out")])
+    assert rc == 0
+    assert "frame.ppm" in capsys.readouterr().out
+
+
+def test_render_demo_rotations_with_exponents(tmp_path, capsys):
+    for value in ("-1e-05", "-2.4492935982947064e-16"):
+        rc = main(["render", "--demo", "hemisphere", "--size", "8", "--frames", "1",
+                   "--rotations", value, "0", "0", "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        assert "wrote 3 frames" in capsys.readouterr().out
+
+
 def test_render_custom_requires_inputs(tmp_path, capsys):
     rc = main(["render", "--depth", str(tmp_path / "d.lh2t"),
                "--out-dir", str(tmp_path / "out")])
@@ -519,6 +541,22 @@ def test_hist_subcommand(tiny_config, tmp_path, capsys):
     lines = (out / "hist.csv").read_text().strip().splitlines()
     assert len(lines) == 65
     assert lines[0] == "bin_lo,bin_hi,pad_count,nad_count"
+
+
+def test_hist_over_the_score_cap_names_both_keys(tmp_path, capsys, monkeypatch):
+    # every RunConfig cap passes, but the histogram would score 2^34 pairs
+    def no_dataset(cfg):
+        raise AssertionError("the dataset was generated")
+
+    monkeypatch.setattr(cli, "generate_dataset", no_dataset)
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("C = 4096\nsamples_per_class = 1024\nd_in = 2\nd = 1\nbatch_size = 1\n")
+    rc = main(["hist", "--checkpoint", str(tmp_path / "absent"), "--config", str(cfg),
+               "--out-dir", str(tmp_path / "hist")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("lh2: error: C * samples_per_class * C = 17179869184 ")
+    assert not (tmp_path / "hist").exists()
 
 
 def test_hist_dimension_mismatch(tiny_config, tmp_path, capsys):

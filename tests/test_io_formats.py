@@ -170,7 +170,7 @@ def test_config_defaults():
     assert (cfg.seed, cfg.C, cfg.d, cfg.n) == (0, 64, 512, 256)
     assert cfg.tau == 1.0
     assert cfg.margin_coeff == 0.35 and cfg.mu_norm_init == 20.0
-    assert cfg.lambda_sns == 0.0 and not cfg.mid_strict_mode
+    assert cfg.lambda_sns == 0.0
 
 
 def test_config_parse_types_and_comments():
@@ -179,16 +179,10 @@ def test_config_parse_types_and_comments():
         "\n"
         "C = 10\n"
         "lr = 0.25   # trailing comment\n"
-        "mid_strict_mode = yes\n")
-    assert cfg.C == 10
+        "epochs = 7\n")
+    assert cfg.C == 10 and type(cfg.C) is int
     assert cfg.lr == 0.25
-    assert cfg.mid_strict_mode is True
-
-
-def test_config_bool_words():
-    for word, expect in [("true", True), ("1", True), ("YES", True), ("On", True),
-                         ("false", False), ("0", False), ("no", False), ("OFF", False)]:
-        assert parse_config_text(f"mid_strict_mode = {word}").mid_strict_mode is expect
+    assert cfg.epochs == 7 and type(cfg.epochs) is int
 
 
 def test_config_order_independent():
@@ -210,6 +204,12 @@ def test_config_sns_enabled_is_an_unknown_key():
         parse_config_text("sns_enabled = yes\n")
 
 
+def test_config_mid_strict_mode_is_an_unknown_key():
+    # every sample's positive cosine feeds the epoch mid; there is no switch
+    with pytest.raises(ConfigError, match="line 2: unknown key 'mid_strict_mode'"):
+        parse_config_text("C = 5\nmid_strict_mode = yes\n")
+
+
 def test_config_duplicate_key():
     with pytest.raises(ConfigError) as err:
         parse_config_text("C = 5\n\nC = 6\n")
@@ -222,8 +222,8 @@ def test_config_bad_value_and_missing_equals():
     assert err.value.line == 1
     with pytest.raises(ConfigError):
         parse_config_text("epochs 3\n")
-    with pytest.raises(ConfigError):
-        parse_config_text("mid_strict_mode = maybe\n")
+    with pytest.raises(ConfigError, match="line 1: bad value for 'C'"):
+        parse_config_text("C = 2.5\n")
 
 
 def test_config_file_roundtrip(tmp_path):

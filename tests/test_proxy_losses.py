@@ -79,9 +79,6 @@ def test_observe_modes():
     full = observe_positive_cosines(state, cos)
     assert full.acc_count == 4
     assert full.acc_sum == pytest.approx(float(np.sum(cos)))
-    strict = observe_positive_cosines(state, cos, strict=True)
-    assert strict.acc_count == 1
-    assert strict.acc_sum == pytest.approx(float(cos[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lh2.errors import DomainError
-from lh2.sphere_math import (KAPPA_MIN, _log_bessel, vmf_similarity,
-                             vmf_similarity_batch, vmf_similarity_grad)
+from lh2.sphere_math import (KAPPA_MIN, _adjoint_grads, _divide_rows, _log_bessel,
+                             _similarity_adjoint, vmf_similarity_batch)
 
 import oracles
 
@@ -92,19 +91,6 @@ def test_bessel_ratio_within_amos_bounds(alpha):
     assert np.all(ratio <= upper * (1.0 + slack))
 
 
-_MU = np.array([1.0, 0.0, 0.0])
-_NAN3 = np.array([math.nan, 0.0, 0.0])
-
-
-@pytest.mark.parametrize("call", [
-    lambda: vmf_similarity(_NAN3, np.ones(3), 4),
-    lambda: vmf_similarity(_MU, _NAN3, 3),
-], ids=["similarity-proxy", "similarity-z"])
-def test_domain_checks_reject_nan(call):
-    with pytest.raises(DomainError):
-        call()
-
-
 @given(st.floats(0.0, 200.0), st.floats(1e-3, 400.0))
 def test_bessel_ratio_bounds_property(alpha, x):
     assert 0.0 < _log_bessel(alpha, np.array([x]))[1][0] < 1.0
@@ -123,18 +109,40 @@ def test_bessel_recurrence_across_orders_property(alpha, x):
 
 
 # ---------------------------------------------------------------------------
-# vMF log-density: for kappa >= KAPPA_MIN, vmf_similarity(mu, kappa x, n) is
-# the log-density at the unit vector x of the vMF with mean mu on S^{n-1}
+# one sample against one unit proxy: vmf_similarity_batch on 1 x d arrays,
+# and its gradient through _similarity_adjoint and _adjoint_grads
+
+def _sim(proxy, z, n):
+    """The similarity of the 1 x d batch [z] to the 1 x d proxies [proxy]."""
+    z = np.asarray(z, dtype=np.float64)[None]
+    S = z @ np.asarray(proxy, dtype=np.float64)[:, None]
+    return float(vmf_similarity_batch(S, np.linalg.norm(z, axis=1), n)[0][0, 0])
+
+
+def _sim_grads(proxy, z, n):
+    """(grad_z, grad_proxy) of _sim from its adjoint."""
+    z, W = (np.asarray(a, dtype=np.float64)[None] for a in (z, proxy))
+    norms = np.linalg.norm(z, axis=1)
+    S = z @ W.T
+    _, _, ratio, scale = vmf_similarity_batch(S, norms, n)
+    adjoint = _similarity_adjoint(np.ones((1, 1)), S, ratio, scale)
+    grad_z, grad_W = _adjoint_grads(*adjoint, z, _divide_rows(z, norms), W, W)
+    return grad_z[0], grad_W[0]
+
+
+# ---------------------------------------------------------------------------
+# vMF log-density: for kappa >= KAPPA_MIN, the similarity of kappa x to mu
+# is the log-density at the unit vector x of the vMF with mean mu on S^{n-1}
 
 def test_vmf_log_pdf_n3_closed_form():
     mu = np.array([0.0, 0.0, 1.0])
-    got = vmf_similarity(mu, mu, 3)
+    got = _sim(mu, mu, 3)
     assert got == pytest.approx(oracles.VMF_N3_K1_COS1, rel=1e-10)
     # same closed form across cosines and concentrations
     for kappa in (0.5, 4.0, 50.0):
         for t in (-0.8, 0.1, 0.9):
             x = np.array([math.sqrt(1.0 - t * t), 0.0, t])
-            got = vmf_similarity(mu, kappa * x, 3)
+            got = _sim(mu, kappa * x, 3)
             assert got == pytest.approx(oracles.vmf_n3_log_pdf(t, kappa), rel=1e-10)
 
 
@@ -143,7 +151,7 @@ def test_vmf_log_pdf_n2_normalizes():
     for kappa in (0.5, 3.0, 20.0):
 
         def log_pdf(t, kappa=kappa):
-            return vmf_similarity(mu, kappa * np.array([math.cos(t), math.sin(t)]), 2)
+            return _sim(mu, kappa * np.array([math.cos(t), math.sin(t)]), 2)
 
         assert oracles.circle_mass(log_pdf) == pytest.approx(1.0, abs=1e-8)
 
@@ -153,11 +161,11 @@ def test_vmf_log_pdf_rotational_symmetry():
     t = 0.3
     x1 = np.array([t, math.sqrt(1.0 - t * t), 0.0])
     x2 = np.array([t, 0.0, -math.sqrt(1.0 - t * t)])   # same cosine to mu
-    assert vmf_similarity(mu, 7.0 * x1, 3) == vmf_similarity(mu, 7.0 * x2, 3)
+    assert _sim(mu, 7.0 * x1, 3) == _sim(mu, 7.0 * x2, 3)
 
 
 # ---------------------------------------------------------------------------
-# vmf_similarity
+# the similarity of one sample
 
 def _sim_oracle(proxy, z, n):
     """Closed form scale (proxy . z) + nu log kappa - (n/2) log 2pi
@@ -174,7 +182,7 @@ def _sim_oracle(proxy, z, n):
 
 def test_similarity_zero_vector_clamps():
     proxy = np.array([1.0, 0.0])
-    got = vmf_similarity(proxy, np.zeros(2), 256)
+    got = _sim(proxy, np.zeros(2), 256)
     nu = 127.0
     want = (nu * math.log(KAPPA_MIN) - 128.0 * math.log(2.0 * math.pi)
             - oracles.log_bessel_oracle(nu, KAPPA_MIN))
@@ -190,7 +198,7 @@ def test_similarity_cosine_gap_exact():
     z_aligned[0] = 20.0
     z_perp = np.zeros(d)
     z_perp[1] = 20.0
-    gap = vmf_similarity(proxy, z_aligned, n) - vmf_similarity(proxy, z_perp, n)
+    gap = _sim(proxy, z_aligned, n) - _sim(proxy, z_perp, n)
     assert gap == 20.0                                 # only the kappa cos term moves
 
 
@@ -202,27 +210,20 @@ def test_similarity_random_vs_oracle():
         proxy = rng.standard_normal(d)
         proxy /= np.linalg.norm(proxy)
         z = rng.standard_normal(d) * rng.uniform(0.1, 60.0)
-        assert vmf_similarity(proxy, z, n) == pytest.approx(
+        assert _sim(proxy, z, n) == pytest.approx(
             _sim_oracle(proxy, z, n), rel=1e-10)
 
 
 def test_similarity_monotone_in_cosine():
     n, norm = 64, 12.0
     proxy = np.array([1.0, 0.0])
-    sims = [vmf_similarity(proxy, norm * np.array([math.cos(t), math.sin(t)]), n)
+    sims = [_sim(proxy, norm * np.array([math.cos(t), math.sin(t)]), n)
             for t in np.linspace(0.0, math.pi, 15)]
     assert all(a > b for a, b in zip(sims, sims[1:]))  # decreasing angle order
 
 
-def test_similarity_proxy_validation():
-    with pytest.raises(DomainError):
-        vmf_similarity(np.zeros(3), np.ones(3), 4)
-    with pytest.raises(DomainError):
-        vmf_similarity(np.array([2.0, 0.0]), np.ones(2), 4)
-
-
 # ---------------------------------------------------------------------------
-# vmf_similarity_grad
+# its gradient
 
 def test_grad_matches_finite_differences_100_seeds():
     for seed in range(100):
@@ -232,18 +233,18 @@ def test_grad_matches_finite_differences_100_seeds():
         proxy = rng.standard_normal(d)
         proxy /= np.linalg.norm(proxy)
         z = rng.standard_normal(d) * rng.uniform(1.0, 30.0)
-        g = vmf_similarity_grad(proxy, z, n)
-        fd_p = oracles.fd_grad(lambda p: vmf_similarity(p, z, n), proxy)
-        fd_z = oracles.fd_grad(lambda zz: vmf_similarity(proxy, zz, n), z)
-        assert oracles.rel_err(g.grad_proxy, fd_p) <= 1e-6
-        assert oracles.rel_err(g.grad_z, fd_z) <= 1e-6
+        grad_z, grad_proxy = _sim_grads(proxy, z, n)
+        fd_p = oracles.fd_grad(lambda p: _sim(p, z, n), proxy)
+        fd_z = oracles.fd_grad(lambda zz: _sim(proxy, zz, n), z)
+        assert oracles.rel_err(grad_proxy, fd_p) <= 1e-6
+        assert oracles.rel_err(grad_z, fd_z) <= 1e-6
 
 
 def test_grad_proxy_is_z_exactly():
     proxy = np.array([1.0, 0.0, 0.0])
     z = np.array([0.0, 3.0, 4.0])                      # perpendicular to proxy
-    g = vmf_similarity_grad(proxy, z, 8)
-    np.testing.assert_array_equal(g.grad_proxy, z)
+    grad_z, grad_proxy = _sim_grads(proxy, z, 8)
+    np.testing.assert_array_equal(grad_proxy, z)
 
 
 def test_grad_directional_derivative_d2_n2():
@@ -251,27 +252,26 @@ def test_grad_directional_derivative_d2_n2():
     theta = 0.7
     zhat = np.array([math.cos(theta), math.sin(theta)])
     z = 5.0 * zhat
-    g = vmf_similarity_grad(proxy, z, 2)
+    grad_z, grad_proxy = _sim_grads(proxy, z, 2)
     h = 1e-6
-    fd = (vmf_similarity(proxy, z + h * zhat, 2)
-          - vmf_similarity(proxy, z - h * zhat, 2)) / (2.0 * h)
+    fd = (_sim(proxy, z + h * zhat, 2)
+          - _sim(proxy, z - h * zhat, 2)) / (2.0 * h)
     # d/dkappa [kappa cos(theta) - log I_0(kappa)] at kappa = 5
     want = math.cos(theta) - oracles.bessel_ratio_oracle(0.0, 5.0)
-    assert float(g.grad_z @ zhat) == pytest.approx(want, rel=1e-9)
+    assert float(grad_z @ zhat) == pytest.approx(want, rel=1e-9)
     assert fd == pytest.approx(want, rel=1e-6)
 
 
 def test_grad_clamped_branch():
     proxy = np.array([0.0, 1.0])
     z = np.array([1e-9, 0.0])
-    g = vmf_similarity_grad(proxy, z, 16)
+    grad_z, grad_proxy = _sim_grads(proxy, z, 16)
     # the similarity is KAPPA_MIN proxy . z / ||z|| + const below the clamp,
     # and proxy is perpendicular to z here
-    np.testing.assert_allclose(g.grad_z, proxy * (KAPPA_MIN / 1e-9), rtol=1e-15)
-    np.testing.assert_allclose(g.grad_proxy, z * (KAPPA_MIN / 1e-9), rtol=1e-15)
-    zero = vmf_similarity_grad(proxy, np.zeros(2), 16)
-    np.testing.assert_array_equal(zero.grad_proxy, np.zeros(2))
-    np.testing.assert_array_equal(zero.grad_z, np.zeros(2))
+    np.testing.assert_allclose(grad_z, proxy * (KAPPA_MIN / 1e-9), rtol=1e-15)
+    np.testing.assert_allclose(grad_proxy, z * (KAPPA_MIN / 1e-9), rtol=1e-15)
+    for grad in _sim_grads(proxy, np.zeros(2), 16):
+        np.testing.assert_array_equal(grad, np.zeros(2))
 
 
 def test_clamped_grad_proxy_matches_finite_differences():
@@ -283,26 +283,26 @@ def test_clamped_grad_proxy_matches_finite_differences():
         proxy /= np.linalg.norm(proxy)
         z = rng.standard_normal(5)
         z *= 1e-9 / np.linalg.norm(z)
-        g = vmf_similarity_grad(proxy, z, n)
-        fd = oracles.fd_grad(lambda p: vmf_similarity(p, z, n), proxy)
-        assert oracles.rel_err(g.grad_proxy, fd) <= 1e-4
+        grad_z, grad_proxy = _sim_grads(proxy, z, n)
+        fd = oracles.fd_grad(lambda p: _sim(p, z, n), proxy)
+        assert oracles.rel_err(grad_proxy, fd) <= 1e-4
 
 
 def test_clamped_grad_z_matches_finite_differences():
     # below the clamp the z gradient is KAPPA_MIN / ||z|| times the part of
     # the proxy perpendicular to z, about 2 at ||z|| = 5e-7; steps of 1e-10
     # stay below the clamp
-    g = vmf_similarity_grad(np.array([0.6, 0.8]), np.array([5e-7, 0.0]), 2)
-    np.testing.assert_allclose(g.grad_z, [0.0, 1.6], rtol=1e-15, atol=1e-15)
+    grad_z, grad_proxy = _sim_grads(np.array([0.6, 0.8]), np.array([5e-7, 0.0]), 2)
+    np.testing.assert_allclose(grad_z, [0.0, 1.6], rtol=1e-15, atol=1e-15)
     rng = np.random.default_rng(4)
     for n in (2, 16):
         proxy = rng.standard_normal(5)
         proxy /= np.linalg.norm(proxy)
         z = rng.standard_normal(5)
         z *= 5e-7 / np.linalg.norm(z)
-        g = vmf_similarity_grad(proxy, z, n)
-        fd = oracles.fd_grad(lambda zz: vmf_similarity(proxy, zz, n), z, h=1e-10)
-        assert oracles.rel_err(g.grad_z, fd) <= 1e-4
+        grad_z, grad_proxy = _sim_grads(proxy, z, n)
+        fd = oracles.fd_grad(lambda zz: _sim(proxy, zz, n), z, h=1e-10)
+        assert oracles.rel_err(grad_z, fd) <= 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +316,7 @@ def test_batch_matches_scalar():
     z = rng.standard_normal((4, 6)) * rng.uniform(0.5, 40.0, (4, 1))
     z[1] = 0.0                                         # clamped row
     z[2] *= 1e-9 / np.linalg.norm(z[2])                # sub-clamp tiny row
-    sims, kappa, ratio, scale = vmf_similarity_batch(z, W, n)
+    sims, kappa, ratio, scale = vmf_similarity_batch(z @ W.T, np.linalg.norm(z, axis=1), n)
     assert sims.shape == (4, 5)
     for i in range(4):
         for j in range(5):
@@ -339,7 +339,7 @@ def test_batch_with_rows_on_both_sides_of_the_switch():
     z = np.zeros((5, 3))
     z[:, 1] = norms
     W = np.eye(3)
-    sims, kappa, ratio, scale = vmf_similarity_batch(z, W, n)
+    sims, kappa, ratio, scale = vmf_similarity_batch(z @ W.T, np.linalg.norm(z, axis=1), n)
     for i, norm in enumerate(norms):
         for j in range(3):
             assert sims[i, j] == pytest.approx(_sim_oracle(W[j], z[i], n),
@@ -354,7 +354,7 @@ def test_batch_far_above_the_series_range_matches_oracle():
     for rows, norm in ((1, 3e6), (64, 8e5)):
         z = np.zeros((rows, 4))
         z[:, 0] = norm
-        sims, kappa, ratio, scale = vmf_similarity_batch(z, np.eye(4), n)
+        sims, kappa, ratio, scale = vmf_similarity_batch(z @ np.eye(4), np.linalg.norm(z, axis=1), n)
         # proxies 1..3 are orthogonal to z: their similarity is the normalizer
         g = (nu * math.log(norm) - 0.5 * n * math.log(2.0 * math.pi)
              - oracles.log_bessel_oracle(nu, norm))
@@ -364,5 +364,5 @@ def test_batch_far_above_the_series_range_matches_oracle():
                                    rtol=1e-12, atol=0.0)
     z = np.full((1, 4), 1e200)                         # the row norm overflows
     with np.errstate(over="ignore", invalid="ignore"):
-        sims = vmf_similarity_batch(z, np.eye(4), n)[0]
+        sims = vmf_similarity_batch(z @ np.eye(4), np.linalg.norm(z, axis=1), n)[0]
     assert not np.isfinite(sims).any()

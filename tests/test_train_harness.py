@@ -5,18 +5,19 @@ import csv
 import functools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lh2 import proxy_losses, sphere_math, uamf
+from lh2 import proxy_losses, sphere_math, train_harness, uamf
 from lh2.errors import ConfigError
 from lh2.io_formats import RunConfig
 from lh2.proxy_losses import (EpochMidState, ProxyLossConfig, pns_loss, pp_loss,
                               pp_selection, pps_loss, proxy_based_total, sns_loss)
-from lh2.train_harness import (GRADCHECK_OPS, _raw_proxies, generate_dataset, grad_check,
-                               histogram_dump, init_state, load_checkpoint, train,
-                               train_accuracy)
+from lh2.train_harness import (GRADCHECK_OPS, _gradcheck_cases, _raw_proxies,
+                               generate_dataset, grad_check, histogram_dump, init_state,
+                               load_checkpoint, train, train_accuracy)
 from lh2.uamf import EmbeddingBatch, ProxyMatrix, uamf_loss
 
 HEADER = ("step,epoch,lr,loss_total,uamf,pps,pns,pp,sns,margin,mu_norm,"
@@ -144,6 +145,30 @@ def test_train_acc_column_lags_one_epoch(tiny_run):
     _, rows = _read_metrics(res.metrics_path)
     assert float(rows[0]["train_acc"]) == pytest.approx(acc0, rel=1e-8)
     assert res.final_accuracy > acc0
+
+
+def test_train_accuracy_scores_in_blocks_under_the_work_cap(monkeypatch):
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((8000, 4))
+    embedder = rng.standard_normal((4, 3))
+    proxies = ProxyMatrix.from_rows(rng.standard_normal((128, 3)))
+    one_shot = np.argmax((X @ embedder) @ proxies.W.T, axis=1)
+    # blocks of 60 rows, the last one partial; the one-shot scores take 8 MB
+    cap = 128 * 60
+    monkeypatch.setattr(train_harness, "MAX_WORK", cap)
+    tracemalloc.start()
+    try:
+        # the one-shot predictions as labels: accuracy 1 means every block
+        # predicts each of its rows as the one-shot argmax does
+        acc = train_accuracy(X, one_shot, embedder, proxies)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert acc == 1.0
+    labels = one_shot.copy()
+    labels[::1000] = (labels[::1000] + 1) % 128
+    assert train_accuracy(X, labels, embedder, proxies) == 1.0 - 8 / 8000
+    assert peak < 2 * 8 * cap
 
 
 def test_train_loss_decreases_across_epochs(tiny_run):
@@ -375,6 +400,12 @@ def test_grad_check_all_ops_pass():
         "view_variance_loss"]
     # the names the CLI accepts for --corrupt
     assert tuple(r["op"] for r in rows) == GRADCHECK_OPS
+    # a gradient that turns None drops its pair, so count them: pp has no
+    # z gradient and sns no W gradient
+    pairs = {name: len(p) for name, p in _gradcheck_cases(np.random.default_rng(0))}
+    assert pairs == {"vmf_similarity": 2, "uamf_loss": 2, "pps_loss": 2, "pns_loss": 2,
+                     "pp_loss": 1, "sns_loss": 1, "laplace_nll": 1, "perceptual_nll": 1,
+                     "smoothness_loss": 1, "view_variance_loss": 1}
     for r in rows:
         assert r["pass"]
         assert r["max_rel_err"] <= 1e-4
@@ -396,3 +427,12 @@ def test_grad_check_detects_corruption():
     by_op = {r["op"]: r for r in rows}
     assert not by_op["uamf_loss"]["pass"]
     assert all(r["pass"] for op, r in by_op.items() if op != "uamf_loss")
+
+
+def test_grad_check_detects_a_corrupted_similarity_gradient():
+    # the first pair is the z gradient, whose entries are about 1; a bias on
+    # the W gradient (the sample itself, norm 5 to 250) stayed under the gate
+    for seed in range(3):
+        rows, ok = grad_check(repeats=1, seed=seed, corrupt_op="vmf_similarity")
+        assert not ok
+        assert [r["op"] for r in rows if not r["pass"]] == ["vmf_similarity"]
