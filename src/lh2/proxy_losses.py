@@ -10,11 +10,12 @@ Three losses constrain cosines directly rather than through the softmax:
 plus the sample-to-sample sns variant (first power, on when lambda_sns > 0).
 pps and pns read their cosines from the batch's product with the proxies
 (uamf.ProxyProduct), the same S = z W^T the margin softmax reads, so the
-cosines are renormalized on both sides.  Each computes its d loss / d cos
-as an N x C matrix and reports it as an adjoint (ProxyProduct.cos_adjoint),
-which the step's one backward, sphere_math._adjoint_grads, takes to z and
-W.  pp and sns read Gram matrices; _quotient_rule takes their gradients.
-Both hold even when inputs drift slightly off the sphere.
+cosines are renormalized on both sides.  Each reports its d loss / d cos
+as an N x C matrix; the reports of a step sum them, and a gradient read
+takes the sum through ProxyProduct.cos_adjoint and the one backward,
+sphere_math._adjoint_grads, to z and W.  pp and sns read Gram matrices;
+_quotient_rule takes their gradients when they are read.  Both hold even
+when inputs drift slightly off the sphere.
 
 The epoch mid is the clipped mean positive cosine of the previous epoch,
 accumulated with observe_positive_cosines from the cosines pps_loss reports
@@ -28,7 +29,6 @@ import dataclasses
 import numpy as np
 
 from .sphere_math import _divide_rows
-from .sphere_stats import _distinct_label_pairs, _selection_gram
 from .uamf import EmbeddingBatch, LossReport, ProxyMatrix
 
 
@@ -61,14 +61,15 @@ class EpochMidState:
 
 def positive_cosines(batch: EmbeddingBatch, proxies: ProxyMatrix) -> np.ndarray:
     """cos between each sample and its own class proxy."""
-    return batch.product(proxies).cos[np.arange(len(batch.labels)), batch.labels]
+    product = batch.product(proxies)
+    return product.cos.ravel()[product.target]
 
 
 def observe_positive_cosines(state: EpochMidState, cos: np.ndarray) -> EpochMidState:
     """Accumulate a batch's positive cosines (pps_loss reports them as
     stats["positive_cos"]), every sample's, for the next epoch-mid update."""
     return EpochMidState(mid=state.mid,
-                         acc_sum=state.acc_sum + float(np.sum(cos)),
+                         acc_sum=state.acc_sum + float(cos.sum()),
                          acc_count=state.acc_count + len(cos))
 
 
@@ -97,29 +98,30 @@ def pps_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, state: EpochMidState,
     only.  Zero when no sample sits below the mid.  stats["positive_cos"]
     holds the batch's positive cosines for the epoch-mid accumulator.
     """
-    N, C = batch.z.shape[0], proxies.W.shape[0]
     cos = positive_cosines(batch, proxies)
+    product = batch.product(proxies)
+    N = len(cos)
     resid = np.minimum(cos - state.mid, 0.0)     # 0 at or above the mid
     n_left = int(np.count_nonzero(resid))
     loss = cfg.lambda_pps * float(resid @ resid) / max(n_left, 1)
-    d_cos = np.zeros((N, C))
-    d_cos[np.arange(N), batch.labels] = (cfg.lambda_pps * 2.0 / max(n_left, 1)) * resid
+    d_cos = np.zeros(product.S.shape)
+    d_cos.ravel()[product.target] = (cfg.lambda_pps * 2.0 / max(n_left, 1)) * resid
     return LossReport(loss, {"pps": loss}, {"below_frac": n_left / N, "positive_cos": cos},
-                      batch, proxies, batch.product(proxies).cos_adjoint(d_cos))
+                      batch, proxies, d_cos)
 
 
 def pns_loss(batch: EmbeddingBatch, proxies: ProxyMatrix,
              cfg: ProxyLossConfig) -> LossReport:
     """lambda_pns * sum over samples and non-target proxies of cos^2,
     divided by N * (C - 1); zero for a single class."""
-    N, C = batch.z.shape[0], proxies.W.shape[0]
     product = batch.product(proxies)
+    N, C = product.S.shape
     d_cos = product.cos.copy()
-    d_cos[np.arange(N), batch.labels] = 0.0
+    d_cos.ravel()[product.target] = 0.0
     denom = N * max(C - 1, 1)
     loss = cfg.lambda_pns * float(np.vdot(d_cos, d_cos)) / denom
     d_cos *= cfg.lambda_pns * 2.0 / denom
-    return LossReport(loss, {"pns": loss}, {}, batch, proxies, product.cos_adjoint(d_cos))
+    return LossReport(loss, {"pns": loss}, {}, batch, proxies, d_cos)
 
 
 def pp_selection(batch_labels, C: int, rng: np.random.Generator) -> np.ndarray:
@@ -140,35 +142,41 @@ def pp_loss(batch_labels, proxies: ProxyMatrix, cfg: ProxyLossConfig,
     # one class draws no random proxy; a selection of one has no pair and a zero loss
     sel = pp_selection(batch_labels, C, rng) if C > 1 else np.arange(C, dtype=np.int64)
     k = len(sel)
-    ws, gram = _selection_gram(proxies.unit, sel)
+    ws, gram = proxies.selection_gram(sel)
     npairs = max(k * (k - 1) // 2, 1)
     loss = cfg.lambda_pp * float(np.vdot(gram, gram)) / (2 * npairs)
-    d_cos = (cfg.lambda_pp * 2.0 / npairs) * gram
-    grad_W = np.zeros_like(proxies.W)
-    grad_W[sel] = _quotient_rule(d_cos, gram, ws, ws, proxies.norms[sel])
+
+    def direct():
+        grad_W = np.zeros_like(proxies.W)
+        grad_W[sel] = _quotient_rule((cfg.lambda_pp * 2.0 / npairs) * gram, gram, ws, ws,
+                                     proxies.norms[sel])
+        return None, grad_W
+
     return LossReport(loss, {"pp": loss}, {"pp_selection": sel}, proxies=proxies,
-                      direct=(None, grad_W))
+                      direct=(direct,))
 
 
 def sns_loss(batch: EmbeddingBatch, cfg: ProxyLossConfig) -> LossReport:
     """lambda_sns * mean over distinct-label sample pairs of cos (first
     power); lambda_sns defaults to 0 since the term buys nothing in practice.
     It reads the batch's Gram matrix, which sphere_stats.sns_tracker reads too."""
-    pair, ordered = _distinct_label_pairs(batch.labels)
-    ordered = max(ordered, 1)                        # no pair: a zero loss
-    gram = batch.gram
+    pair, gram = batch.distinct_labels, batch.gram
+    ordered = max(int(np.count_nonzero(pair)), 1)    # no pair: a zero loss
     loss = cfg.lambda_sns * float(np.sum(gram, where=pair)) / ordered
-    d_cos = (cfg.lambda_sns * 2.0 / ordered) * pair   # symmetric; each pair once in the loss
-    grad_z = _quotient_rule(d_cos, gram, batch.zhat, batch.zhat, batch.norms)
-    return LossReport(loss, {"sns": loss}, batch=batch, direct=(grad_z, None))
+
+    def direct():
+        d_cos = (cfg.lambda_sns * 2.0 / ordered) * pair   # symmetric; each pair once in the loss
+        return _quotient_rule(d_cos, gram, batch.zhat, batch.zhat, batch.norms), None
+
+    return LossReport(loss, {"sns": loss}, batch=batch, direct=(direct,))
 
 
 def proxy_based_total(batch: EmbeddingBatch, proxies: ProxyMatrix,
                       state: EpochMidState, cfg: ProxyLossConfig,
                       rng: np.random.Generator) -> LossReport:
     """Sum of pps, pns, pp and, when lambda_sns > 0, sns; the term map keeps
-    each value.  The reports add their adjoints, so reading a gradient runs
-    one backward."""
+    each value.  The reports add up their gradient parts, so reading a
+    gradient runs one backward."""
     rep = (pps_loss(batch, proxies, state, cfg) + pns_loss(batch, proxies, cfg)
            + pp_loss(batch.labels, proxies, cfg, rng))
     return rep + sns_loss(batch, cfg) if cfg.lambda_sns > 0 else rep

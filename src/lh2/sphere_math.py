@@ -14,11 +14,16 @@ with r = hypot(nu, x) and p = nu / r,
 for k = 0..13, with the polynomials U_k and Q_k of DLMF 10.41.10-11
 tabulated once at import.  Tabulating Q_k keeps the factor 1 - p^2 =
 (x/r)^2 out of the float polynomial, where it would cancel as x -> 0.
-The backward recurrence (DLMF 10.29.1) then goes down the m orders,
-R_{a-1} = 1 / (2a / x + R_a) and log I_{a-1} = log I_a - log R_{a-1} for
-a = nu, ..., alpha + 1.  For alpha < 1 at x <= 1, where log I_0(x) ~
-x^2/4 tends to 0 and the telescoped sum keeps only its absolute error,
-log I comes from the ascending series, 10 terms in log1p form, instead.
+The backward recurrence (DLMF 10.29.1) then goes down the m orders:
+I_{a-1} = (2a / x) I_a + I_{a+1} is linear in (I_{a+1}, I_a), so from
+(R_nu, 1), R_nu = I_{nu+1} / I_nu, the m steps a = nu, ..., alpha + 1 end
+at (J_1, J_0) = (I_{alpha+1}, I_alpha) / I_nu with J_0 = A(1/x) + B(1/x)
+R_nu and J_1 = A'(1/x) + B'(1/x) R_nu.  A, B, A' and B' are polynomials
+of degree m with non-negative coefficients, tabulated once per (alpha, m),
+so their evaluation does not cancel: log I_alpha = log I_nu + log J_0 and
+R_alpha = J_1 / J_0.  For alpha < 1 at x <= 1, where log I_0(x) ~ x^2/4
+tends to 0 and that sum keeps only its absolute error, log I comes from
+the ascending series, 10 terms in log1p form, instead.
 
 The cost does not depend on x; an infinite or nan argument gives a nan
 result.  A naive evaluation of I_alpha underflows to 0 (hence log -inf)
@@ -34,6 +39,7 @@ one backward, _adjoint_grads, takes to z and W.  All floats are 64-bit.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -71,27 +77,56 @@ def _debye_tables(k_count: int = 14) -> np.ndarray:
 _DEBYE_TABLES = _debye_tables()
 
 
+@functools.lru_cache(maxsize=64)
+def _debye_coefficients(nu: float) -> np.ndarray:
+    """The width x 2 power-series coefficients in p of U and Q at order nu:
+    the tables with nu^-k folded in, one read-only array per order."""
+    k_count, width, _ = _DEBYE_TABLES.shape
+    coef = (nu ** -np.arange(k_count) @ _DEBYE_TABLES.reshape(k_count, -1)).reshape(width, 2)
+    coef.setflags(write=False)
+    return coef
+
+
+@functools.lru_cache(maxsize=64)
+def _recurrence_table(alpha: float, m: int) -> np.ndarray:
+    """The (m+1) x 4 power-series coefficients in t = 1/x of A, B, A' and
+    B': m steps (J_1, J_0) <- (J_0, 2a t J_0 + J_1), a = alpha + m, ...,
+    alpha + 1, from (J_1, J_0) = (R_nu, 1) give J_0 = A + B R_nu and J_1 =
+    A' + B' R_nu."""
+    j0 = np.zeros((m + 1, 2))                  # columns: the 1 and R_nu parts
+    j0[0, 0] = 1.0
+    j1 = np.zeros((m + 1, 2))
+    j1[0, 1] = 1.0
+    for step in range(m, 0, -1):
+        t_j0 = np.zeros_like(j0)
+        t_j0[1:] = j0[:-1]
+        j1, j0 = j0, 2.0 * (alpha + step) * t_j0 + j1
+    table = np.hstack([j0, j1])
+    table.setflags(write=False)
+    return table
+
+
 def _log_bessel(alpha: float, x: np.ndarray):
     """(log I_alpha(x), I_{alpha+1}(x) / I_alpha(x)) over an array of
     positive x: the Debye expansion at order alpha + m, m = max(0,
-    ceil(15 - alpha)), recurred down m orders; for alpha < 1 at x <= 1
-    log I comes from the ascending series instead."""
+    ceil(15 - alpha)), taken down m orders by the tabulated recurrence; for
+    alpha < 1 at x <= 1 log I comes from the ascending series instead."""
     m = max(0, math.ceil(_DEBYE_ORDER - alpha))
     nu = alpha + m
     r = np.hypot(nu, x)
-    # fold nu^-k into one coefficient vector per polynomial table
-    k_count, width, _ = _DEBYE_TABLES.shape
-    coef = nu ** -np.arange(k_count) @ _DEBYE_TABLES.reshape(k_count, -1)
-    u, q = (np.vander(nu / r, width, increasing=True) @ coef.reshape(width, 2)).T
+    coef = _debye_coefficients(nu)
+    u, q = (np.vander(nu / r, len(coef), increasing=True) @ coef).T
     x_nu_r = x / (nu + r)
     log_i = r + nu * np.log(x_nu_r) - 0.5 * LOG_2PI - 0.5 * np.log(r) + np.log(u)
     ratio = x_nu_r + x * q / (u * r)
-    # m steps of DLMF 10.29.1 down to alpha, a = alpha + step
-    for step in range(m, 0, -1):
-        ratio = 1.0 / (2.0 * (alpha + step) / x + ratio)
-        log_i -= np.log(ratio)
+    if m:
+        a, b, a1, b1 = (np.vander(1.0 / x, m + 1, increasing=True)
+                        @ _recurrence_table(alpha, m)).T
+        j0 = a + b * ratio
+        log_i += np.log(j0)
+        ratio = (a1 + b1 * ratio) / j0
     if alpha < 1.0:
-        # log I_alpha(x) ~ x^2/4 as x -> 0 at alpha = 0: the telescoped sum
+        # log I_alpha(x) ~ x^2/4 as x -> 0 at alpha = 0: log I_nu + log J_0
         # keeps that to about 1e-14 absolute, the ascending series in log1p
         # form keeps it relative.  Ten terms leave the tail below 1e-19.
         small = x <= 1.0
@@ -101,6 +136,12 @@ def _log_bessel(alpha: float, x: np.ndarray):
             rest = quarter_x2 / (k * (alpha + k)) * (1.0 + rest)
         log_i[small] = alpha * np.log(0.5 * xs) - math.lgamma(alpha + 1.0) + np.log1p(rest)
     return log_i, ratio
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """The Euclidean norms of the rows of a 2-d array: np.linalg.norm(a,
+    axis=1)'s arithmetic without its dispatch."""
+    return np.sqrt((a * a).sum(axis=1))
 
 
 def _divide_rows(a: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -128,7 +169,7 @@ def vmf_similarity_batch(S: np.ndarray, norms: np.ndarray, n: int):
     kappa = np.maximum(norms, KAPPA_MIN)
     scale = kappa / np.where(norms > 0.0, norms, np.inf)
     g, ratio = _log_normalizer(kappa, n)
-    sims = S * scale[:, None] + g[:, None]
+    sims = (S * scale[:, None] if (scale != 1.0).any() else S) + g[:, None]
     return sims, kappa, ratio, scale
 
 

@@ -92,23 +92,6 @@ def monte_carlo_pairwise(C: int, d: int, trials: int, seed) -> dict:
             "mean_cos_emp": mean, "pairs": count}
 
 
-def _selection_gram(unit: np.ndarray, sel: np.ndarray):
-    """(rows, gram): the selected unit rows and their cosines with the
-    diagonal zeroed, so that every entry is a pair and each pair counts
-    twice."""
-    rows = unit[sel]
-    gram = rows @ rows.T
-    np.fill_diagonal(gram, 0.0)
-    return rows, gram
-
-
-def _distinct_label_pairs(labels: np.ndarray):
-    """(mask, count): the N x N mask of sample pairs with different labels
-    (False on the diagonal) and its number of entries, each pair twice."""
-    pair = labels[:, None] != labels[None, :]
-    return pair, int(np.count_nonzero(pair))
-
-
 def proxy_spread_trackers(proxies, C: int, d: int, batch_selection) -> dict:
     """Spread statistics over the pp-style selection of a ProxyMatrix:
 
@@ -124,7 +107,7 @@ def proxy_spread_trackers(proxies, C: int, d: int, batch_selection) -> dict:
     k = len(sel)
     if k < 2:
         return {"std": 0.0, "std_mean": 0.0}
-    _, gram = _selection_gram(proxies.unit, sel)
+    _, gram = proxies.selection_gram(sel)
     ordered = k * (k - 1)
     thr = math.sqrt(min(2.0 * math.log(C) / d, 1.0))
     excess = np.maximum(gram - thr, 0.0).ravel()
@@ -137,8 +120,10 @@ def sns_tracker(batch) -> float:
     """sqrt(mean cos^2) over distinct-label sample pairs of an
     EmbeddingBatch; 0 when the batch has fewer than two labels.  It reads
     the batch's Gram matrix and pair mask as proxy_losses.sns_loss does."""
-    pair, ordered = _distinct_label_pairs(batch.labels)
+    pair = batch.distinct_labels
+    ordered = int(np.count_nonzero(pair))
     if ordered == 0:
         return 0.0
-    gram = batch.gram
-    return math.sqrt(float(np.sum(gram * gram, where=pair)) / ordered)
+    squares = np.square(batch.gram)
+    squares[~pair] = 0.0
+    return math.sqrt(float(squares.sum()) / ordered)

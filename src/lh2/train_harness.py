@@ -13,6 +13,7 @@ point is to isolate the losses, not to model capacity.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from typing import Optional
 
@@ -27,7 +28,7 @@ from .recon_losses import (PerceptualExtractor, laplace_nll, laplace_nll_grad,
                            perceptual_nll, perceptual_nll_grad, smoothness_grad,
                            smoothness_loss, view_variance_grad, view_variance_loss)
 from .depth_renderer import DepthMap
-from .sphere_math import _similarity_adjoint, vmf_similarity_batch
+from .sphere_math import _row_norms, _similarity_adjoint, vmf_similarity_batch
 from .sphere_stats import proxy_spread_trackers, sns_tracker
 from .uamf import EmbeddingBatch, LossReport, ProxyMatrix, uamf_loss, update_norm_tracker
 
@@ -161,11 +162,11 @@ def train(cfg: RunConfig, out_dir: str) -> TrainResult:
                 idx = perm[lo:lo + cfg.batch_size]
                 xb = X[idx]
                 zb = xb @ state.embedder
-                _require(np.all(np.isfinite(zb)), "non-finite features")
+                _require(np.isfinite(zb).all(), "non-finite features")
                 batch = EmbeddingBatch(zb, labels[idx])
                 # a finite row whose norm overflows fails the same check
                 with np.errstate(over="ignore"):
-                    _require(np.all(np.isfinite(batch.norms)), "non-finite features")
+                    _require(np.isfinite(batch.norms).all(), "non-finite features")
                 state.mu_norm, margin = update_norm_tracker(state.mu_norm, batch,
                                                             cfg.ema_alpha, cfg.margin_coeff)
                 # one report of the whole step: its gradients take one backward
@@ -181,9 +182,9 @@ def train(cfg: RunConfig, out_dir: str) -> TrainResult:
                 emb = state.embedder + state.vel_emb
                 state.vel_W = cfg.momentum * state.vel_W - lr * step.grad_W
                 w = state.proxies.W + state.vel_W
-                w_norms = np.linalg.norm(w, axis=1)
+                w_norms = _row_norms(w)
                 # a proxy row norm that overflows fails like a non-finite entry
-                _require(np.all(np.isfinite(emb)) and np.all(np.isfinite(w_norms)),
+                _require(np.isfinite(emb).all() and np.isfinite(w_norms).all(),
                          "non-finite update")
                 state.embedder = emb
                 state.proxies = ProxyMatrix.from_rows(w, w_norms)
@@ -216,25 +217,46 @@ def train(cfg: RunConfig, out_dir: str) -> TrainResult:
                        epochs_run=epochs_run, metrics_path=metrics_path, reason=reason)
 
 
+def _merge_moments(acc, values):
+    """(count, mean, sum of squared deviations) of the values behind acc
+    and the array values together (Chan, Golub and LeVeque's update)."""
+    n_a, mean_a, m2_a = acc
+    n_b = values.size
+    mean_b = float(values.mean()) if n_b else 0.0
+    dev = values - mean_b
+    m2_b = float((dev * dev).sum())
+    if n_a == 0:
+        return n_b, mean_b, m2_b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * n_b / n, m2_a + m2_b + delta * delta * n_a * n_b / n
+
+
 def histogram_dump(embedder, proxies: ProxyMatrix, X, labels):
     """Histograms (64 bins over [-1, 1]) of the positive and negative
-    cosines of the samples X @ embedder against the proxies; returns
+    cosines of the samples X @ embedder against the proxies, scored in
+    blocks of rows that hold at most MAX_WORK cosines each; returns
     (records, summary with means/stds/counts)."""
-    batch = EmbeddingBatch(X @ embedder, labels)
-    cos = batch.product(proxies).cos
-    pad = positive_cosines(batch, proxies)
-    neg = np.ones_like(cos, dtype=bool)
-    neg[np.arange(len(labels)), labels] = False
-    nad = cos[neg]
-
     edges = np.linspace(-1.0, 1.0, 65)
-    # clipped for binning only: a cosine at 1 + ulp misses the last bin
-    pad_counts, nad_counts = (np.histogram(np.clip(c, -1.0, 1.0), edges)[0] for c in (pad, nad))
+    counts = np.zeros((2, 64), dtype=np.int64)         # pad, nad
+    moments = [(0, 0.0, 0.0), (0, 0.0, 0.0)]
+    rows = max(1, MAX_WORK // proxies.W.shape[0])
+    for lo in range(0, len(labels), rows):
+        batch = EmbeddingBatch(X[lo:lo + rows] @ embedder, labels[lo:lo + rows])
+        product = batch.product(proxies)
+        neg = np.ones(product.cos.shape, dtype=bool)
+        neg.ravel()[product.target] = False
+        for k, cos in enumerate((positive_cosines(batch, proxies), product.cos[neg])):
+            # clipped for binning only: a cosine at 1 + ulp misses the last bin
+            counts[k] += np.histogram(np.clip(cos, -1.0, 1.0), edges)[0]
+            moments[k] = _merge_moments(moments[k], cos)
     records = [{"bin_lo": lo, "bin_hi": hi, "pad_count": int(p), "nad_count": int(q)}
-               for lo, hi, p, q in zip(edges[:-1], edges[1:], pad_counts, nad_counts)]
-    summary = {"pad_mean": float(pad.mean()), "pad_std": float(pad.std()),
-               "nad_mean": float(nad.mean()), "nad_std": float(nad.std()),
-               "pad_count": int(pad.size), "nad_count": int(nad.size)}
+               for lo, hi, p, q in zip(edges[:-1], edges[1:], *counts)]
+    summary = {}
+    for name, (n, mean, m2) in zip(("pad", "nad"), moments):
+        summary.update({f"{name}_mean": mean if n else math.nan,
+                        f"{name}_std": math.sqrt(m2 / n) if n else math.nan,
+                        f"{name}_count": n})
     return records, summary
 
 
@@ -258,11 +280,16 @@ def _central_diff(f, x, h: float = 1e-5) -> np.ndarray:
     return g
 
 
+def _error_scale(analytic, fd) -> float:
+    """The scale _max_rel_err divides by: the larger gradient's largest
+    entry, at least 1e-8."""
+    return max(float(np.abs(fd).max()), float(np.abs(analytic).max()), 1e-8)
+
+
 def _max_rel_err(analytic, fd) -> float:
     analytic = np.asarray(analytic, dtype=np.float64)
     fd = np.asarray(fd, dtype=np.float64)
-    denom = max(float(np.abs(fd).max()), float(np.abs(analytic).max()), 1e-8)
-    return float(np.abs(analytic - fd).max()) / denom
+    return float(np.abs(analytic - fd).max()) / _error_scale(analytic, fd)
 
 
 def _away_from(values, kinks, margin):
@@ -298,7 +325,7 @@ def _similarity_sum(batch: EmbeddingBatch, proxies: ProxyMatrix, n: int) -> Loss
     sims, _, ratio, scale = vmf_similarity_batch(S, batch.norms, n)
     total = float(sims.sum())
     return LossReport(total, {"vmf_similarity": total}, batch=batch, proxies=proxies,
-                      adjoint=_similarity_adjoint(np.ones_like(S), S, ratio, scale))
+                      adjoint=(lambda: _similarity_adjoint(np.ones_like(S), S, ratio, scale),))
 
 
 def _gradcheck_cases(rng: np.random.Generator):
@@ -436,8 +463,10 @@ def grad_check(repeats: int = 5, corrupt_op: Optional[str] = None, seed: int = 0
             for k, (analytic, fd) in enumerate(pairs):
                 analytic = np.asarray(analytic, dtype=np.float64)
                 if corrupt_op == name and k == 0:
+                    # 1e-3 of the error scale: ten times the gate, whatever
+                    # the gradient's size
                     analytic = analytic.copy()
-                    analytic.flat[0] += 1e-3
+                    analytic.flat[0] += 1e-3 * _error_scale(analytic, fd)
                 err = _max_rel_err(analytic, fd)
                 worst[name] = max(worst.get(name, 0.0), err)
     rows = [{"op": name, "max_rel_err": err, "pass": err <= 1e-4}

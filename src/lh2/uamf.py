@@ -16,8 +16,10 @@ Every sample-to-proxy quantity of a training step comes from one product
 S = z W^T (ProxyProduct), which a batch builds on first use with a proxy
 matrix and keeps: the similarities read the raw S, and the proxy losses
 (proxy_losses) read the cosines S / (||z|| ||W||^T) of the same matrix.
-Each such loss reports its adjoint; the reports of a step add up with +, and
-their gradients run the one backward, sphere_math._adjoint_grads, on first read.
+Each such loss reports what its backward needs; the reports of a step add
+up with +, and the first gradient read forms the adjoints and runs the one
+backward, sphere_math._adjoint_grads.  A finite-difference probe that reads
+the total only forms none.
 """
 
 from __future__ import annotations
@@ -29,15 +31,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .sphere_math import (_adjoint_grads, _divide_rows, _similarity_adjoint,
+from .sphere_math import (_adjoint_grads, _divide_rows, _row_norms, _similarity_adjoint,
                           vmf_similarity_batch)
 
 
 @dataclasses.dataclass
 class EmbeddingBatch:
     """N unnormalized feature vectors with integer class labels; norms,
-    zhat, gram and the product with a proxy matrix are computed on first
-    use and kept (z is never changed)."""
+    zhat, gram, the distinct-label mask and the product with a proxy matrix
+    are computed on first use and kept (z is never changed)."""
 
     z: np.ndarray
     labels: np.ndarray
@@ -49,7 +51,7 @@ class EmbeddingBatch:
         labels = np.asarray(self.labels, dtype=np.int64)
         if z.ndim != 2 or z.shape[0] < 1:
             raise DomainError(f"z must be a nonempty N x d matrix, got shape {z.shape}")
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise DomainError("z contains non-finite values")
         if labels.shape != (z.shape[0],):
             raise DomainError(f"labels shape {labels.shape} does not match N = {z.shape[0]}")
@@ -60,7 +62,7 @@ class EmbeddingBatch:
 
     @functools.cached_property
     def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.z, axis=1)
+        return _row_norms(self.z)
 
     @functools.cached_property
     def zhat(self) -> np.ndarray:
@@ -69,8 +71,16 @@ class EmbeddingBatch:
 
     @functools.cached_property
     def gram(self) -> np.ndarray:
-        """N x N cosines between the samples."""
-        return self.zhat @ self.zhat.T
+        """N x N cosines between the samples.  The product takes a
+        contiguous copy of the transpose: BLAS's symmetric-product path for
+        zhat zhat^T costs about twice the general one at these sizes."""
+        return self.zhat @ np.ascontiguousarray(self.zhat.T)
+
+    @functools.cached_property
+    def distinct_labels(self) -> np.ndarray:
+        """N x N mask of the sample pairs with different labels (False on
+        the diagonal)."""
+        return self.labels[:, None] != self.labels
 
     def product(self, proxies: "ProxyMatrix") -> "ProxyProduct":
         """The product with these proxies, built on the first call and kept
@@ -86,24 +96,39 @@ class ProxyMatrix:
     computed on first use, also for unvalidated finite-difference probes."""
 
     W: np.ndarray
+    _selection: tuple = dataclasses.field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=np.float64)
         if W.ndim != 2 or W.shape[0] < 1:
             raise DomainError(f"W must be a nonempty C x d matrix, got shape {W.shape}")
         self.W = W
-        if not np.all(np.abs(self.norms - 1.0) <= 1e-6):   # nan fails too
+        if not (np.abs(self.norms - 1.0) <= 1e-6).all():   # nan fails too
             raise DomainError(f"proxy rows must be unit norm, worst deviation "
                               f"{np.abs(self.norms - 1.0).max():.3e}")
 
     @functools.cached_property
     def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.W, axis=1)
+        return _row_norms(self.W)
 
     @functools.cached_property
     def unit(self) -> np.ndarray:
         """W scaled to unit rows; zero rows stay zero."""
         return _divide_rows(self.W, self.norms)
+
+    def selection_gram(self, sel: np.ndarray):
+        """(rows, gram): the unit rows in sel and their cosines with the
+        diagonal zeroed, so that every entry is a pair and each pair counts
+        twice.  Kept for the last selection: the spread tracker reads the
+        proxies after an update, and the next step's pp_loss the same ones,
+        with every proxy selected whenever C <= N."""
+        kept = self._selection
+        if not (kept and len(kept[0]) == len(sel) and (kept[0] == sel).all()):
+            rows = self.unit[sel]
+            gram = rows @ np.ascontiguousarray(rows.T)
+            np.fill_diagonal(gram, 0.0)
+            self._selection = kept = (sel, rows, gram)
+        return kept[1:]
 
     @staticmethod
     def from_rows(rows, norms=None) -> "ProxyMatrix":
@@ -111,8 +136,8 @@ class ProxyMatrix:
         given, are the rows' norms."""
         rows = np.asarray(rows, dtype=np.float64)
         if norms is None:
-            norms = np.linalg.norm(rows, axis=1)
-        if np.any(norms == 0.0):
+            norms = _row_norms(rows)
+        if (norms == 0.0).any():
             raise DomainError("zero proxy row")
         return ProxyMatrix(rows / norms[:, None])
 
@@ -121,14 +146,17 @@ class ProxyProduct:
     """S = z W^T of one batch against one proxy matrix, with the cosines
     S / (||z|| ||W||^T) read from it.  That quotient is the renormalized
     cosine also when W's rows are not unit; zero rows give zero cosines.
-    The row norms are the batch's and the proxies' own."""
+    The row norms are the batch's and the proxies' own.  target holds the
+    flat indices of the entries (i, label_i) of the N x C arrays."""
 
     def __init__(self, batch: EmbeddingBatch, proxies: ProxyMatrix):
         self.proxies = proxies
         self.S = batch.z @ proxies.W.T
+        N, C = self.S.shape
+        self.target = np.arange(0, N * C, C) + batch.labels
         # the row norms with zeros read as 1, their outer product and the cosines
         self.nz, self.nw = (np.where(n > 0.0, n, 1.0) for n in (batch.norms, proxies.norms))
-        self.denom = np.outer(self.nz, self.nw)
+        self.denom = self.nz[:, None] * self.nw
         self.cos = self.S / self.denom
 
     def cos_adjoint(self, d_cos: np.ndarray):
@@ -142,16 +170,28 @@ def _plus(a, b):
     return b if a is None else a if b is None else a + b
 
 
+def _sum_parts(parts, width):
+    """The entrywise sum of tuples of arrays in which None stands for a zero."""
+    total = (None,) * width
+    for part in parts:
+        total = tuple(map(_plus, total, part))
+    return total
+
+
 @dataclasses.dataclass
 class LossReport:
     """A named loss total with per-term breakdown and gradients.
 
     total always equals the sum of terms; stats carries non-loss values
-    that callers read (fractions, cosines, the pp selection).  A loss of S,
-    ||z|| and ||W|| carries its adjoint (dS, dnz, dnw), pp and sns their
-    gradients as direct (grad_z, grad_W); grad_z and grad_W sum both on first
-    read (None when nothing reaches them).  a + b adds the losses of one
-    batch and proxy matrix.
+    that callers read (fractions, cosines, the pp selection).  A loss keeps
+    what its gradients need and forms them on the first read of grad_z or
+    grad_W (None when nothing reaches them): d_cos, d loss / d cos of the
+    batch's ProxyProduct (pps, pns); adjoint, callables each returning an
+    adjoint (dS, dnz, dnw) of a loss of S, ||z|| and ||W|| (uamf); direct,
+    callables each returning (grad_z, grad_W) with None for a side it does
+    not reach (pp, sns).  a + b adds the losses of one batch and proxy
+    matrix and sums their d_cos, so one read runs cos_adjoint once and one
+    backward.
     """
 
     total: float
@@ -159,8 +199,9 @@ class LossReport:
     stats: dict = dataclasses.field(default_factory=dict)
     batch: Optional[EmbeddingBatch] = None
     proxies: Optional[ProxyMatrix] = None
-    adjoint: tuple = (None, None, None)
-    direct: tuple = (None, None)
+    d_cos: Optional[np.ndarray] = None
+    adjoint: tuple = ()
+    direct: tuple = ()
 
     def __add__(self, other: "LossReport") -> "LossReport":
         batch, proxies = self.batch or other.batch, self.proxies or other.proxies
@@ -169,16 +210,19 @@ class LossReport:
             raise DomainError("cannot add reports of different batches or proxy matrices")
         return LossReport(self.total + other.total, {**self.terms, **other.terms},
                           {**self.stats, **other.stats}, batch, proxies,
-                          tuple(map(_plus, self.adjoint, other.adjoint)),
-                          tuple(map(_plus, self.direct, other.direct)))
+                          _plus(self.d_cos, other.d_cos), self.adjoint + other.adjoint,
+                          self.direct + other.direct)
 
     @functools.cached_property
     def _grads(self):
-        if self.adjoint[0] is None:
-            return self.direct
         b, p = self.batch, self.proxies
-        return tuple(map(_plus, _adjoint_grads(*self.adjoint, b.z, b.zhat, p.W, p.unit),
-                         self.direct))
+        adjoints = [part() for part in self.adjoint]
+        if self.d_cos is not None:
+            adjoints.append(b.product(p).cos_adjoint(self.d_cos))
+        grads = (None, None)
+        if adjoints:
+            grads = _adjoint_grads(*_sum_parts(adjoints, 3), b.z, b.zhat, p.W, p.unit)
+        return _sum_parts([grads, *(part() for part in self.direct)], 2)
 
     grad_z = property(lambda self: self._grads[0])
     grad_W = property(lambda self: self._grads[1])
@@ -187,7 +231,8 @@ class LossReport:
 def update_norm_tracker(mu_norm: float, batch: EmbeddingBatch, alpha: float,
                         margin_coeff: float):
     """One EMA step on the mean feature norm; returns (mu_norm, margin)."""
-    mu = alpha * float(np.mean(batch.norms)) + (1.0 - alpha) * mu_norm
+    norms = batch.norms
+    mu = alpha * float(norms.sum() / len(norms)) + (1.0 - alpha) * mu_norm
     return mu, margin_coeff * mu
 
 
@@ -211,23 +256,27 @@ def uamf_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, margin: float,
     if batch.labels.max() >= C:
         raise DomainError(f"label {batch.labels.max()} out of range for C = {C}")
     N = batch.z.shape[0]
-    target = (np.arange(N), batch.labels)
+    product = batch.product(proxies)
+    target = product.target
 
-    S = batch.product(proxies).S
-    sims, _, ratio, scale = vmf_similarity_batch(S, batch.norms, n)
-    logits = sims / tau
-    logits[target] -= margin / tau
+    sims, _, ratio, scale = vmf_similarity_batch(product.S, batch.norms, n)
+    logits = sims                                # a new array, scaled in place
+    logits /= tau
+    logits.ravel()[target] -= margin / tau
     logits -= logits.max(axis=1, keepdims=True)
 
     e = np.exp(logits)
     sum_e = e.sum(axis=1)
-    loss = float(np.mean(np.log(sum_e) - logits[target]))
-    coeff = e / sum_e[:, None]                   # the softmax p
-    mean_target_prob = float(np.mean(coeff[target]))
-    coeff[target] -= 1.0
-    coeff /= N * tau                             # d loss / d sim_ij
+    loss = float((np.log(sum_e) - logits.ravel()[target]).sum() / N)
+    mean_target_prob = float((e.ravel()[target] / sum_e).sum() / N)
+
+    def adjoint():
+        dsim = e / sum_e[:, None]                # the softmax p
+        dsim.ravel()[target] -= 1.0
+        dsim /= N * tau                          # d loss / d sim_ij
+        return _similarity_adjoint(dsim, product.S, ratio, scale)
 
     return LossReport(loss, {"uamf": loss},
                       {"clamped_rows": int(np.count_nonzero(scale != 1.0)),
                        "mean_target_prob": mean_target_prob}, batch, proxies,
-                      _similarity_adjoint(coeff, S, ratio, scale))
+                      adjoint=(adjoint,))

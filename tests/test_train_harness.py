@@ -389,6 +389,30 @@ def test_histogram_collinear_positives_land_in_top_bin():
     assert sum(r["nad_count"] for r in records) == summary["nad_count"]
 
 
+def test_histogram_scores_in_blocks_under_the_work_cap(monkeypatch):
+    cfg = RunConfig(seed=4, C=7, d=6, n=6, d_in=8, samples_per_class=9)
+    X, labels = generate_dataset(cfg)
+    st = init_state(cfg)
+    one_records, one_summary = histogram_dump(st.embedder, st.proxies, X, labels)
+    # blocks of 5 rows, the last one partial (63 = 12 * 5 + 3)
+    monkeypatch.setattr(train_harness, "MAX_WORK", 7 * 5 + 3)
+    calls = collections.Counter()
+    batch_init = EmbeddingBatch.__post_init__
+
+    def counted(self):
+        calls[len(self.labels)] += 1
+        batch_init(self)
+
+    monkeypatch.setattr(EmbeddingBatch, "__post_init__", counted)
+    records, summary = histogram_dump(st.embedder, st.proxies, X, labels)
+    assert calls == {5: 12, 3: 1}
+    assert records == one_records
+    assert summary["pad_count"] == one_summary["pad_count"] == 63
+    assert summary["nad_count"] == one_summary["nad_count"] == 63 * 6
+    for key in ("pad_mean", "pad_std", "nad_mean", "nad_std"):
+        assert summary[key] == pytest.approx(one_summary[key], rel=1e-12, abs=0.0)
+
+
 # --------------------------------------------------------- gradient check
 
 def test_grad_check_all_ops_pass():
@@ -436,3 +460,13 @@ def test_grad_check_detects_a_corrupted_similarity_gradient():
         rows, ok = grad_check(repeats=1, seed=seed, corrupt_op="vmf_similarity")
         assert not ok
         assert [r["op"] for r in rows if not r["pass"]] == ["vmf_similarity"]
+
+
+def test_grad_check_detects_a_corruption_of_every_op():
+    # the bias scales with the gradient, so ops whose gradients reach far
+    # above 1 (pp, sns) fail too
+    for op in GRADCHECK_OPS:
+        for seed in range(3):
+            rows, ok = grad_check(repeats=1, seed=seed, corrupt_op=op)
+            assert not ok
+            assert [r["op"] for r in rows if not r["pass"]] == [op], (op, seed)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lh2 import proxy_losses, sphere_math, uamf
+from lh2 import proxy_losses, sphere_math, train_harness, uamf
 from lh2.errors import ConfigError, DomainError
 from lh2.io_formats import RunConfig
 from lh2.uamf import EmbeddingBatch, ProxyMatrix, update_norm_tracker, uamf_loss
@@ -43,6 +43,19 @@ def test_proxy_matrix_validation():
         ProxyMatrix.from_rows(np.array([[0.0, 0.0]]))
     w = ProxyMatrix.from_rows(np.array([[3.0, 4.0]]))
     np.testing.assert_allclose(w.W, [[0.6, 0.8]])
+
+
+def test_selection_gram_is_kept_for_the_last_selection_only():
+    rng = np.random.default_rng(13)
+    proxies = ProxyMatrix(_unit_rows(rng, 6, 4))
+    first = proxies.selection_gram(np.arange(6))
+    assert proxies.selection_gram(np.arange(6))[1] is first[1]
+    for sel in (np.array([0, 2, 5]), np.array([1, 2, 5]), np.arange(6)):
+        rows, gram = proxies.selection_gram(sel)
+        np.testing.assert_array_equal(rows, proxies.unit[sel])
+        want = proxies.unit[sel] @ proxies.unit[sel].T
+        np.fill_diagonal(want, 0.0)
+        np.testing.assert_allclose(gram, want, rtol=0.0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +251,25 @@ def test_gradients_vs_finite_differences_50_instances():
 
 
 def _count_backward(monkeypatch):
-    """Count the calls of sphere_math._adjoint_grads, also through uamf."""
+    """Count the calls of the one backward, sphere_math._adjoint_grads, and
+    of the adjoints it reads, ProxyProduct.cos_adjoint and
+    sphere_math._similarity_adjoint, also where other modules import them."""
     calls = collections.Counter()
-    backward = sphere_math._adjoint_grads
 
-    def counted(*args):
-        calls["backward"] += 1
-        return backward(*args)
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
 
-    for mod in (sphere_math, uamf):
-        monkeypatch.setattr(mod, "_adjoint_grads", counted)
+    for attr, name, mods in (("_adjoint_grads", "backward", (sphere_math, uamf)),
+                             ("_similarity_adjoint", "similarity",
+                              (sphere_math, uamf, train_harness))):
+        counted = counting(name, getattr(sphere_math, attr))
+        for mod in mods:
+            monkeypatch.setattr(mod, attr, counted)
+    monkeypatch.setattr(uamf.ProxyProduct, "cos_adjoint",
+                        counting("cos", uamf.ProxyProduct.cos_adjoint))
     return calls
 
 
@@ -258,26 +280,36 @@ def test_gradients_take_one_backward_per_report_and_none_for_the_total(monkeypat
     proxies = ProxyMatrix(_unit_rows(rng, 3, 4))
     cfg = proxy_losses.ProxyLossConfig(lambda_sns=150.0)
     state = proxy_losses.EpochMidState(mid=0.9)
+    losses = {
+        "uamf": lambda: uamf_loss(batch, proxies, 0.5, 1.0, 8),
+        "similarity_sum": lambda: _similarity_sum(batch, proxies, 8),
+        "pps": lambda: proxy_losses.pps_loss(batch, proxies, state, cfg),
+        "pns": lambda: proxy_losses.pns_loss(batch, proxies, cfg),
+        "pp": lambda: proxy_losses.pp_loss(batch.labels, proxies, cfg, rng),
+        "sns": lambda: proxy_losses.sns_loss(batch, cfg),
+        "proxy_based_total": lambda: proxy_losses.proxy_based_total(batch, proxies, state,
+                                                                    cfg, rng),
+        # the step's report: pps and pns sum their d loss / d cos, so the
+        # cosine chain rule runs once
+        "step": lambda: (uamf_loss(batch, proxies, 0.5, 1.0, 8)
+                         + proxy_losses.proxy_based_total(batch, proxies, state, cfg, rng)),
+    }
+    # (backward, cos_adjoint, _similarity_adjoint) calls of one gradient read;
+    # pp and sns take their gradients directly
+    expected = {"uamf": (1, 0, 1), "similarity_sum": (1, 0, 1), "pps": (1, 1, 0),
+                "pns": (1, 1, 0), "pp": (0, 0, 0), "sns": (0, 0, 0),
+                "proxy_based_total": (1, 1, 0), "step": (1, 1, 1)}
 
-    # a finite-difference probe reads the total only
-    uamf_loss(batch, proxies, 0.5, 1.0, 8).total
-    proxy_losses.proxy_based_total(batch, proxies, state, cfg, rng).total
-    assert calls["backward"] == 0
+    # a finite-difference probe reads the total only and forms no adjoint
+    for make in losses.values():
+        make().total
+    assert calls == {}
 
-    rep = uamf_loss(batch, proxies, 0.5, 1.0, 8)
-    rep.grad_z, rep.grad_W, rep.grad_z
-    assert calls["backward"] == 1
-    # the grad-check's similarity case reads its gradients through the same backward
-    rep = _similarity_sum(batch, proxies, 8)
-    rep.grad_z, rep.grad_W
-    assert calls["backward"] == 2
-    rep = proxy_losses.proxy_based_total(batch, proxies, state, cfg, rng)
-    rep.grad_W, rep.grad_z
-    assert calls["backward"] == 3
-    # the sum of the two reads both through one backward
-    both = uamf_loss(batch, proxies, 0.5, 1.0, 8) + rep
-    both.grad_z, both.grad_W
-    assert calls["backward"] == 4
+    for name, make in losses.items():
+        calls.clear()
+        rep = make()
+        rep.grad_z, rep.grad_W, rep.grad_z
+        assert (calls["backward"], calls["cos"], calls["similarity"]) == expected[name], name
 
 
 def test_reports_of_different_batches_or_proxies_do_not_add():
