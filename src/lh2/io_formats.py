@@ -191,7 +191,7 @@ class RunConfig:
     # synthetic dataset
     C: int = 64                      # number of classes / proxies
     d: int = 512                     # feature dimension
-    n: int = 256                     # distribution dimension in the similarity normalizer
+    n: int = 256                     # vMF dimension: has no effect on train
     d_in: int = 64                   # raw input dimension before the linear embedder
     samples_per_class: int = 500
     noise_angle_deg: float = 10.0    # angular noise around each class direction

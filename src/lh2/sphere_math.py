@@ -31,10 +31,12 @@ already for moderate orders at small arguments; every step here works in
 log domain and avoids it.
 
 The vMF similarity has one implementation, vmf_similarity_batch, and one
-adjoint, _similarity_adjoint; both read S = z W^T and the row norms of z.
-A loss of S and the row norms of z and W (these similarities, the
-cosines of uamf.ProxyProduct) has an adjoint (dS N x C, dnz N, dnw C) that
-one backward, _adjoint_grads, takes to z and W.  All floats are 64-bit.
+adjoint, _similarity_adjoint; both read S = z W^T and the row norms of z,
+and only the grad-check's vmf_similarity op and the tests call them (the
+margin softmax cancels the normalizer).  A loss of S and the row norms of z
+and W (the margin softmax, these similarities, the cosines of
+uamf.ProxyProduct) has an adjoint (dS N x C, dnz N, dnw C) that one
+backward, _adjoint_grads, takes to z and W.  All floats are 64-bit.
 """
 
 from __future__ import annotations

@@ -170,7 +170,7 @@ def train(cfg: RunConfig, out_dir: str) -> TrainResult:
                 state.mu_norm, margin = update_norm_tracker(state.mu_norm, batch,
                                                             cfg.ema_alpha, cfg.margin_coeff)
                 # one report of the whole step: its gradients take one backward
-                step = (uamf_loss(batch, state.proxies, margin, cfg.tau, cfg.n)
+                step = (uamf_loss(batch, state.proxies, margin, cfg.tau)
                         + proxy_based_total(batch, state.proxies, state.mid_state,
                                             plcfg, state.rng))
                 state.mid_state = observe_positive_cosines(state.mid_state,
@@ -348,13 +348,13 @@ def _gradcheck_cases(rng: np.random.Generator):
     # margin softmax over similarities.  Wider norm scales saturate the
     # softmax, whose gradients (about 1e-11) then fall under the
     # finite-difference noise.
-    N, C, d, n = 3, 5, 6, 6
+    N, C, d = 3, 5, 6
     z = rng.standard_normal((N, d)) * rng.uniform(2.0, 20.0, (N, 1))
     y = rng.integers(0, C, N)
     W = rng.standard_normal((C, d))
     W /= np.linalg.norm(W, axis=1, keepdims=True)
     mgn, tau = rng.uniform(0.0, 2.0), rng.uniform(0.5, 2.0)
-    cases.append(("uamf_loss", _z_and_W_pairs(lambda b, p: uamf_loss(b, p, mgn, tau, n),
+    cases.append(("uamf_loss", _z_and_W_pairs(lambda b, p: uamf_loss(b, p, mgn, tau),
                                               z, y, W, h)))
 
     plcfg = ProxyLossConfig(lambda_pps=5.0, lambda_pns=20.0, lambda_pp=150.0,

@@ -7,10 +7,10 @@ updated per batch as
     margin   = margin_coeff * mu_norm
 
 and the loss subtracts the margin from the true-class similarity before
-the temperature division, then takes softmax cross-entropy.  Because the
-per-sample normalizer terms of the similarity are shared across classes,
-their gradient contributions cancel through the softmax; the adjoint
-(sphere_math._similarity_adjoint) still carries them.
+the temperature division, then takes softmax cross-entropy.  The vMF
+similarity kappa_i mu_j^T x_i + g(kappa_i), kappa_i = ||z_i||, is S_ij =
+z_i . w_j plus a log-normalizer shared by every class of row i, which the
+row softmax cancels: the loss reads S alone and evaluates no Bessel function.
 
 Every sample-to-proxy quantity of a training step comes from one product
 S = z W^T (ProxyProduct), which a batch builds on first use with a proxy
@@ -31,8 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .sphere_math import (_adjoint_grads, _divide_rows, _row_norms, _similarity_adjoint,
-                          vmf_similarity_batch)
+from .sphere_math import _adjoint_grads, _divide_rows, _row_norms
 
 
 @dataclasses.dataclass
@@ -237,14 +236,14 @@ def update_norm_tracker(mu_norm: float, batch: EmbeddingBatch, alpha: float,
 
 
 def uamf_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, margin: float,
-              tau: float, n: int) -> LossReport:
+              tau: float) -> LossReport:
     """Softmax cross-entropy over vMF similarities with the true-class
     similarity reduced by the margin.
 
-    Logits are (sim - margin * onehot) / tau, shifted by their row maximum
-    before the one exp.  The similarities read the batch's product with
-    the proxies, and grad_W is taken through the raw W, so it holds for
-    rows off the sphere too.
+    Logits are (S - margin * onehot) / tau, S = z W^T the batch's product
+    with the proxies: the similarity's normalizer g(||z_i||), a per-row
+    shift, cancels in the softmax.  They are shifted by their row maximum
+    before the one exp; grad_W is taken through the raw W, off the sphere too.
     """
     if tau <= 0.0:
         raise DomainError(f"tau must be positive, got {tau}")
@@ -259,24 +258,19 @@ def uamf_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, margin: float,
     product = batch.product(proxies)
     target = product.target
 
-    sims, _, ratio, scale = vmf_similarity_batch(product.S, batch.norms, n)
-    logits = sims                                # a new array, scaled in place
-    logits /= tau
+    logits = product.S / tau
     logits.ravel()[target] -= margin / tau
     logits -= logits.max(axis=1, keepdims=True)
 
     e = np.exp(logits)
     sum_e = e.sum(axis=1)
     loss = float((np.log(sum_e) - logits.ravel()[target]).sum() / N)
-    mean_target_prob = float((e.ravel()[target] / sum_e).sum() / N)
 
     def adjoint():
-        dsim = e / sum_e[:, None]                # the softmax p
-        dsim.ravel()[target] -= 1.0
-        dsim /= N * tau                          # d loss / d sim_ij
-        return _similarity_adjoint(dsim, product.S, ratio, scale)
+        dS = e / sum_e[:, None]                  # the softmax p
+        dS.ravel()[target] -= 1.0
+        dS /= N * tau                            # d loss / d S_ij
+        return dS, np.zeros(N), np.zeros(C)
 
-    return LossReport(loss, {"uamf": loss},
-                      {"clamped_rows": int(np.count_nonzero(scale != 1.0)),
-                       "mean_target_prob": mean_target_prob}, batch, proxies,
+    return LossReport(loss, {"uamf": loss}, batch=batch, proxies=proxies,
                       adjoint=(adjoint,))

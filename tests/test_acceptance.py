@@ -237,7 +237,7 @@ def test_trivial_identities():
     z = rng.standard_normal((4, 6)) * 5.0
     batch = EmbeddingBatch(z, np.zeros(4, dtype=int))
     proxies = ProxyMatrix(np.eye(6)[:1])
-    assert uamf_loss(batch, proxies, margin=7.0, tau=1.0, n=8).total == \
+    assert uamf_loss(batch, proxies, margin=7.0, tau=1.0).total == \
         pytest.approx(0.0, abs=1e-12)
 
     image = rng.uniform(0.0, 1.0, (5, 7, 3))

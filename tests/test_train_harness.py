@@ -245,6 +245,7 @@ def test_train_takes_positive_cosines_once_per_step(tmp_path, monkeypatch):
 
 def test_train_builds_one_product_and_one_similarity_batch_per_step(tmp_path,
                                                                     monkeypatch):
+    # the margin softmax reads S alone: no Bessel function in a training step
     counts = collections.Counter()
 
     def counting(name, fn):
@@ -256,7 +257,7 @@ def test_train_builds_one_product_and_one_similarity_batch_per_step(tmp_path,
 
     # rebind every module attribute that refers to the function, so calls
     # through any import of it are seen
-    for fn in (uamf.uamf_loss, sphere_math.vmf_similarity_batch):
+    for fn in (uamf.uamf_loss, sphere_math._log_bessel):
         wrapper = counting(fn.__name__, fn)
         for name, mod in list(sys.modules.items()):
             if name.startswith("lh2") and getattr(mod, fn.__name__, None) is fn:
@@ -270,8 +271,8 @@ def test_train_builds_one_product_and_one_similarity_batch_per_step(tmp_path,
             monkeypatch.setattr(mod, "_adjoint_grads", counting("backward", backward))
     res = train(RunConfig(**TINY), str(tmp_path))
     assert len(_read_metrics(res.metrics_path)[1]) == 15
-    assert counts == {"uamf_loss": 15, "vmf_similarity_batch": 15, "ProxyProduct": 15,
-                      "backward": 15}
+    assert counts == {"uamf_loss": 15, "ProxyProduct": 15, "backward": 15}
+    assert counts["_log_bessel"] == 0
 
 
 def _assert_rel(got, want, rel=1e-12):
@@ -283,18 +284,18 @@ def _check_step_matches_standalone(z, labels, W, mid, plcfg, rng_seed, raw=False
     """The training step's calls on one batch (uamf_loss then
     proxy_based_total, which share the batch's product) against every
     public loss called on its own fresh batch and proxies."""
-    margin, tau, n = 0.7, 0.8, 8
+    margin, tau = 0.7, 0.8
     make = _raw_proxies if raw else ProxyMatrix
     state = EpochMidState(mid=mid)
     batch, proxies = EmbeddingBatch(z, labels), make(W)
-    rep_u = uamf_loss(batch, proxies, margin, tau, n)
+    rep_u = uamf_loss(batch, proxies, margin, tau)
     rep_p = proxy_based_total(batch, proxies, state, plcfg,
                               np.random.default_rng(rng_seed))
 
     def fresh():
         return EmbeddingBatch(z, labels), make(W)
 
-    parts = {"uamf": uamf_loss(*fresh(), margin, tau, n),
+    parts = {"uamf": uamf_loss(*fresh(), margin, tau),
              "pps": pps_loss(*fresh(), state, plcfg),
              "pns": pns_loss(*fresh(), plcfg),
              "pp": pp_loss(labels, make(W), plcfg, np.random.default_rng(rng_seed))}

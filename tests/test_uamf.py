@@ -94,7 +94,7 @@ def test_tracker_validation():
 
 def test_single_class_loss_zero():
     batch = EmbeddingBatch(np.array([[5.0, 1.0]]), np.array([0]))
-    rep = uamf_loss(batch, ProxyMatrix(np.array([[1.0, 0.0]])), 0.5, 1.0, 8)
+    rep = uamf_loss(batch, ProxyMatrix(np.array([[1.0, 0.0]])), 0.5, 1.0)
     assert rep.total == 0.0
     np.testing.assert_array_equal(rep.grad_z, np.zeros((1, 2)))
     np.testing.assert_array_equal(rep.grad_W, np.zeros((1, 2)))
@@ -104,28 +104,29 @@ def test_two_class_hand_value():
     # aligned z, orthogonal negative: logit gap is exactly ||z|| = 10
     batch = EmbeddingBatch(np.array([[10.0, 0.0]]), np.array([0]))
     proxies = ProxyMatrix(np.eye(2))
-    rep = uamf_loss(batch, proxies, 0.0, 1.0, 2)
+    rep = uamf_loss(batch, proxies, 0.0, 1.0)
     assert rep.total == pytest.approx(math.log1p(math.exp(-10.0)), rel=1e-12)
 
 
 def test_loss_matches_scalar_oracle():
+    # the oracle keeps the vMF normalizer g(||z||) in every similarity, which
+    # the softmax cancels: desk-scale norms, then norms up to about 1e4 at n
+    # up to 256 (train_highkappa's range), where g is largest
     rng = np.random.default_rng(3)
-    for _ in range(10):
+    for norm_hi, n_hi in [(15.0, 20)] * 10 + [(5e3, 257)] * 10:
         N, C, d = 3, 5, 4
-        n = int(rng.integers(2, 20))
-        z = rng.standard_normal((N, d)) * rng.uniform(1.0, 15.0, (N, 1))
+        n = int(rng.integers(2, n_hi))
+        z = rng.standard_normal((N, d)) * rng.uniform(1.0, norm_hi, (N, 1))
         y = rng.integers(0, C, N)
         W = _unit_rows(rng, C, d)
         margin = float(rng.uniform(0.0, 2.0))
         tau = float(rng.uniform(0.5, 2.0))
-        rep = uamf_loss(EmbeddingBatch(z, y), ProxyMatrix(W), margin, tau, n)
+        rep = uamf_loss(EmbeddingBatch(z, y), ProxyMatrix(W), margin, tau)
         want = oracles.scalar_margin_softmax(z, y, W, margin, tau, n)
         assert rep.total == pytest.approx(want, rel=1e-10)
-        assert rep.stats["clamped_rows"] == 0
-        assert 0.0 < rep.stats["mean_target_prob"] < 1.0
         # at tau = 1e-3 the logits run to thousands in magnitude, where an
         # exp without the row-max shift overflows or underflows
-        sharp = uamf_loss(EmbeddingBatch(z, y), ProxyMatrix(W), margin, 1e-3, n)
+        sharp = uamf_loss(EmbeddingBatch(z, y), ProxyMatrix(W), margin, 1e-3)
         want = oracles.scalar_margin_softmax(z, y, W, margin, 1e-3, n)
         assert sharp.total == pytest.approx(want, rel=1e-10)
 
@@ -136,7 +137,7 @@ def test_loss_increases_with_margin():
     y = np.array([0, 1, 2, 0])
     W = _unit_rows(rng, 3, 3)
     batch = EmbeddingBatch(z, y)
-    losses = [uamf_loss(batch, ProxyMatrix(W), m, 1.0, 6).total
+    losses = [uamf_loss(batch, ProxyMatrix(W), m, 1.0).total
               for m in (0.0, 0.5, 1.0, 2.0)]
     assert all(b > a for a, b in zip(losses, losses[1:]))
 
@@ -146,9 +147,9 @@ def test_nontarget_permutation_invariance():
     z = rng.standard_normal((3, 4)) * 8.0
     y = np.zeros(3, dtype=int)
     W = _unit_rows(rng, 5, 4)
-    base = uamf_loss(EmbeddingBatch(z, y), ProxyMatrix(W), 0.3, 1.0, 8).total
+    base = uamf_loss(EmbeddingBatch(z, y), ProxyMatrix(W), 0.3, 1.0).total
     perm = np.array([0, 3, 1, 4, 2])                   # fixes the target row 0
-    swapped = uamf_loss(EmbeddingBatch(z, y), ProxyMatrix(W[perm]), 0.3, 1.0, 8).total
+    swapped = uamf_loss(EmbeddingBatch(z, y), ProxyMatrix(W[perm]), 0.3, 1.0).total
     assert swapped == pytest.approx(base, rel=1e-14)
 
 
@@ -163,7 +164,7 @@ def test_monotone_link_to_target_cosine():
     per_sample = []
     for i in range(4):
         rep = uamf_loss(EmbeddingBatch(z[i:i + 1], batch.labels[i:i + 1]),
-                        proxies, 0.0, 1.0, 4)
+                        proxies, 0.0, 1.0)
         per_sample.append(rep.total)
     assert np.array_equal(np.argsort(per_sample), np.argsort(-np.cos(angles)))
 
@@ -172,7 +173,7 @@ def test_grad_W_is_dense():
     rng = np.random.default_rng(31)
     z = rng.standard_normal((2, 3)) * 6.0
     rep = uamf_loss(EmbeddingBatch(z, np.array([0, 0])),
-                    ProxyMatrix(_unit_rows(rng, 6, 3)), 0.2, 1.0, 6)
+                    ProxyMatrix(_unit_rows(rng, 6, 3)), 0.2, 1.0)
     assert np.all(np.linalg.norm(rep.grad_W, axis=1) > 0.0)
 
 
@@ -180,18 +181,20 @@ def test_uamf_validation():
     batch = EmbeddingBatch(np.ones((1, 2)), np.array([0]))
     proxies = ProxyMatrix(np.array([[1.0, 0.0]]))
     with pytest.raises(DomainError):
-        uamf_loss(batch, proxies, 0.0, 0.0, 4)
+        uamf_loss(batch, proxies, 0.0, 0.0)
     with pytest.raises(DomainError):
-        uamf_loss(batch, proxies, -0.1, 1.0, 4)
+        uamf_loss(batch, proxies, -0.1, 1.0)
     with pytest.raises(DomainError):
-        uamf_loss(EmbeddingBatch(np.ones((1, 2)), np.array([1])), proxies, 0.0, 1.0, 4)
+        uamf_loss(EmbeddingBatch(np.ones((1, 2)), np.array([1])), proxies, 0.0, 1.0)
 
 
 def test_clamped_rows_reported():
+    # a zero row, below KAPPA_MIN: its logits are all zero, a uniform softmax
     z = np.array([[0.0, 0.0], [4.0, 1.0]])
-    rep = uamf_loss(EmbeddingBatch(z, np.array([0, 1])),
-                    ProxyMatrix(np.eye(2)), 0.0, 1.0, 4)
-    assert rep.stats["clamped_rows"] == 1
+    assert np.linalg.norm(z[0]) < sphere_math.KAPPA_MIN
+    rep = uamf_loss(EmbeddingBatch(z, np.array([0, 1])), ProxyMatrix(np.eye(2)), 0.0, 1.0)
+    assert rep.total == pytest.approx(
+        (math.log(2.0) + 3.0 + math.log1p(math.exp(-3.0))) / 2.0, rel=1e-14)
     assert np.all(np.isfinite(rep.grad_z))
 
 
@@ -202,13 +205,13 @@ def test_clamped_row_gradients_match_finite_differences():
     z[1] *= 5e-7 / np.linalg.norm(z[1])
     y = np.array([0, 1, 2])
     W = _unit_rows(rng, 4, 4)
-    rep = uamf_loss(EmbeddingBatch(z, y), ProxyMatrix(W), 0.3, 1.0, 8)
-    assert rep.stats["clamped_rows"] == 1
+    assert np.linalg.norm(z[1]) < sphere_math.KAPPA_MIN
+    rep = uamf_loss(EmbeddingBatch(z, y), ProxyMatrix(W), 0.3, 1.0)
     fd_z = oracles.fd_grad(
-        lambda zz: uamf_loss(EmbeddingBatch(zz, y), ProxyMatrix(W), 0.3, 1.0, 8).total,
+        lambda zz: uamf_loss(EmbeddingBatch(zz, y), ProxyMatrix(W), 0.3, 1.0).total,
         z, h=1e-10)
     fd_W = oracles.fd_grad(
-        lambda ww: uamf_loss(EmbeddingBatch(z, y), _raw_proxies(ww), 0.3, 1.0, 8).total, W)
+        lambda ww: uamf_loss(EmbeddingBatch(z, y), _raw_proxies(ww), 0.3, 1.0).total, W)
     assert oracles.rel_err(rep.grad_z[1], fd_z[1]) <= 1e-4
     assert oracles.rel_err(rep.grad_z, fd_z) <= 1e-4
     assert oracles.rel_err(rep.grad_W, fd_W) <= 1e-5
@@ -226,13 +229,12 @@ def test_gradients_vs_finite_differences_50_instances():
         N = int(rng.integers(1, 5))
         C = int(rng.integers(2, 9))
         d = int(rng.integers(2, 17))
-        n = int(rng.integers(2, 33))
         z = rng.standard_normal((N, d)) * rng.uniform(2.0, 20.0, (N, 1))
         y = rng.integers(0, C, N)
         W = _unit_rows(rng, C, d)
         margin = float(rng.uniform(0.0, 2.0))
         tau = float(rng.uniform(0.5, 2.0))
-        rep = uamf_loss(EmbeddingBatch(z, y), ProxyMatrix(W), margin, tau, n)
+        rep = uamf_loss(EmbeddingBatch(z, y), ProxyMatrix(W), margin, tau)
         if rep.total < 1e-3:
             # saturated softmax: the gradient falls below what an h = 1e-5
             # central difference resolves, so the comparison is meaningless
@@ -241,10 +243,10 @@ def test_gradients_vs_finite_differences_50_instances():
 
         fd_z = oracles.fd_grad(
             lambda zz: uamf_loss(EmbeddingBatch(zz, y), ProxyMatrix(W),
-                                 margin, tau, n).total, z)
+                                 margin, tau).total, z)
         fd_W = oracles.fd_grad(
             lambda ww: uamf_loss(EmbeddingBatch(z, y), _raw_proxies(ww),
-                                 margin, tau, n).total, W)
+                                 margin, tau).total, W)
         assert oracles.rel_err(rep.grad_z, fd_z) <= 1e-5
         assert oracles.rel_err(rep.grad_W, fd_W) <= 1e-5
     assert checked == 50
@@ -264,7 +266,7 @@ def _count_backward(monkeypatch):
 
     for attr, name, mods in (("_adjoint_grads", "backward", (sphere_math, uamf)),
                              ("_similarity_adjoint", "similarity",
-                              (sphere_math, uamf, train_harness))):
+                              (sphere_math, train_harness))):
         counted = counting(name, getattr(sphere_math, attr))
         for mod in mods:
             monkeypatch.setattr(mod, attr, counted)
@@ -281,7 +283,7 @@ def test_gradients_take_one_backward_per_report_and_none_for_the_total(monkeypat
     cfg = proxy_losses.ProxyLossConfig(lambda_sns=150.0)
     state = proxy_losses.EpochMidState(mid=0.9)
     losses = {
-        "uamf": lambda: uamf_loss(batch, proxies, 0.5, 1.0, 8),
+        "uamf": lambda: uamf_loss(batch, proxies, 0.5, 1.0),
         "similarity_sum": lambda: _similarity_sum(batch, proxies, 8),
         "pps": lambda: proxy_losses.pps_loss(batch, proxies, state, cfg),
         "pns": lambda: proxy_losses.pns_loss(batch, proxies, cfg),
@@ -291,14 +293,15 @@ def test_gradients_take_one_backward_per_report_and_none_for_the_total(monkeypat
                                                                     cfg, rng),
         # the step's report: pps and pns sum their d loss / d cos, so the
         # cosine chain rule runs once
-        "step": lambda: (uamf_loss(batch, proxies, 0.5, 1.0, 8)
+        "step": lambda: (uamf_loss(batch, proxies, 0.5, 1.0)
                          + proxy_losses.proxy_based_total(batch, proxies, state, cfg, rng)),
     }
     # (backward, cos_adjoint, _similarity_adjoint) calls of one gradient read;
-    # pp and sns take their gradients directly
-    expected = {"uamf": (1, 0, 1), "similarity_sum": (1, 0, 1), "pps": (1, 1, 0),
+    # pp and sns take their gradients directly, and uamf's adjoint is its
+    # softmax gradient in S
+    expected = {"uamf": (1, 0, 0), "similarity_sum": (1, 0, 1), "pps": (1, 1, 0),
                 "pns": (1, 1, 0), "pp": (0, 0, 0), "sns": (0, 0, 0),
-                "proxy_based_total": (1, 1, 0), "step": (1, 1, 1)}
+                "proxy_based_total": (1, 1, 0), "step": (1, 1, 0)}
 
     # a finite-difference probe reads the total only and forms no adjoint
     for make in losses.values():
@@ -317,7 +320,7 @@ def test_reports_of_different_batches_or_proxies_do_not_add():
     z, y = rng.standard_normal((4, 3)) * 5.0, np.arange(4) % 2
     batch, proxies = EmbeddingBatch(z, y), ProxyMatrix(_unit_rows(rng, 2, 3))
     cfg = proxy_losses.ProxyLossConfig()
-    rep = uamf_loss(batch, proxies, 0.5, 1.0, 8)
+    rep = uamf_loss(batch, proxies, 0.5, 1.0)
     with pytest.raises(DomainError):
         rep + proxy_losses.pns_loss(EmbeddingBatch(z, y), proxies, cfg)
     with pytest.raises(DomainError):
