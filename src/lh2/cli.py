@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, FormatError
+from .errors import CanvasError, ConfigError, DomainError, FormatError
 from .io_formats import (MAX_WORK, RunConfig, emit_metrics, parse_config, read_pgm,
                          read_ppm, read_tensor, write_pgm, write_ppm)
 from .depth_renderer import (DEFAULT_LIGHT, MIN_SIZE, DepthMap, Pose, depth_centroid,
@@ -145,12 +145,11 @@ def _cmd_render(args) -> int:
     pose = Pose(R=np.array(vals[:9]).reshape(3, 3), t=np.array(vals[9:]),
                 pivot=depth_centroid(depth, K))
     source = shade(depth, albedo, DEFAULT_LIGHT, K)
-    canvas = make_canvas([pose], depth, K)
-    # a point just in front of the camera projects arbitrarily far out
-    if canvas.H_new * canvas.W_new > MAX_WORK:
-        raise ConfigError(f"--pose puts the scene too near the camera: a canvas of "
-                          f"{canvas.H_new} x {canvas.W_new} pixels exceeds the cap of "
-                          f"{MAX_WORK}")
+    try:
+        canvas = make_canvas([pose], depth, K)
+    except CanvasError as exc:
+        raise ConfigError(f"--pose puts the scene too near the camera or behind it: "
+                          f"{exc}") from exc
     image, _, frame_depth = warp_image(source, depth, pose, K, canvas, args.radius)
     os.makedirs(args.out_dir, exist_ok=True)
     write_ppm(source, os.path.join(args.out_dir, "canonical.ppm"))

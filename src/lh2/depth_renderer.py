@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from .errors import CanvasError, DomainError
+from .io_formats import MAX_WORK
 
 _BACKGROUND = np.inf
 
@@ -187,7 +188,9 @@ def make_canvas(poses, template: DepthMap, K: CameraIntrinsics) -> CanvasSpec:
 
     The template, back-projected once, is projected under every pose; the
     bounds are then padded out to exact symmetry about the source center,
-    preserving aspect and enforcing W_new >= 2.5 W.
+    preserving aspect and enforcing W_new >= 2.5 W.  A canvas of more than
+    MAX_WORK pixels is a CanvasError: a point just in front of the camera
+    projects arbitrarily far out.
     """
     poses = list(poses)
     if not poses:
@@ -215,6 +218,9 @@ def make_canvas(poses, template: DepthMap, K: CameraIntrinsics) -> CanvasSpec:
     while (W_new * H) % W != 0:        # keep H_new integral at the same aspect
         W_new += 1
     H_new = W_new * H // W
+    if H_new * W_new > MAX_WORK:
+        raise CanvasError(f"a canvas of {H_new} x {W_new} pixels exceeds the cap of "
+                          f"{MAX_WORK}")
 
     # unit pixel spacing, the W_new - 1 extent centred on W/2
     return CanvasSpec(H_new=int(H_new), W_new=int(W_new),

@@ -33,25 +33,45 @@ from .sphere_stats import proxy_spread_trackers, sns_tracker
 from .uamf import EmbeddingBatch, LossReport, ProxyMatrix, uamf_loss, update_norm_tracker
 
 
+# elements of one block of row-wise work: 512 KB of float64, which stays in
+# cache between the passes over it
+_BLOCK = 2 ** 16
+
+
+def _block_rows(width: int) -> int:
+    """Rows of a block of row-wise work on rows of the given width: at most
+    _BLOCK and MAX_WORK elements, and at least one row."""
+    return max(1, min(MAX_WORK, _BLOCK) // width)
+
+
 def generate_dataset(cfg: RunConfig):
     """Returns (X raw inputs M x d_in, labels M) of the configured synthetic
-    dataset; fully determined by the config's seed."""
+    dataset; fully determined by the config's seed.  X is the tangent draw,
+    turned into the samples in place one block of rows at a time."""
     rng = np.random.default_rng(cfg.seed)
     dirs = rng.standard_normal((cfg.C, cfg.d_in))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
     m = cfg.C * cfg.samples_per_class
     labels = np.repeat(np.arange(cfg.C), cfg.samples_per_class)
-    base = dirs[labels]
-
-    tang = rng.standard_normal((m, cfg.d_in))
-    tang -= np.sum(tang * base, axis=1, keepdims=True) * base
-    tang /= np.linalg.norm(tang, axis=1, keepdims=True)
+    X = rng.standard_normal((m, cfg.d_in))
     phi = rng.normal(0.0, np.radians(cfg.noise_angle_deg), m) if cfg.noise_angle_deg > 0 \
         else np.zeros(m)
-    unit = base * np.cos(phi)[:, None] + tang * np.sin(phi)[:, None]
     norms = rng.lognormal(cfg.norm_logmean, cfg.norm_logstd, m)
-    return unit * norms[:, None], labels
+
+    rows = _block_rows(cfg.d_in)
+    for lo in range(0, m, rows):
+        hi = lo + rows
+        tang, base, ph = X[lo:hi], dirs[labels[lo:hi]], phi[lo:hi, None]
+        # the tangent's part across its class direction, at unit length
+        tang -= np.sum(tang * base, axis=1, keepdims=True) * base
+        tang /= np.linalg.norm(tang, axis=1, keepdims=True)
+        # turned phi away from the direction, then scaled to its norm
+        tang *= np.sin(ph)
+        base *= np.cos(ph)
+        tang += base
+        tang *= norms[lo:hi, None]
+    return X, labels
 
 
 @dataclasses.dataclass
@@ -87,10 +107,10 @@ def proxy_config(cfg: RunConfig) -> ProxyLossConfig:
 
 def train_accuracy(X, labels, embedder, proxies: ProxyMatrix) -> float:
     """Fraction of samples whose nearest proxy by cosine is their class,
-    scored in blocks of rows that hold at most MAX_WORK scores each."""
+    scored in blocks of _block_rows(max(C, d)) rows."""
     # the proxies are unit rows, so dividing each row of scores by its
     # sample's norm would not move the argmax
-    rows = max(1, MAX_WORK // proxies.W.shape[0])
+    rows = _block_rows(max(proxies.W.shape))
     hits = 0
     for lo in range(0, len(labels), rows):
         pred = np.argmax((X[lo:lo + rows] @ embedder) @ proxies.W.T, axis=1)
@@ -235,12 +255,12 @@ def _merge_moments(acc, values):
 def histogram_dump(embedder, proxies: ProxyMatrix, X, labels):
     """Histograms (64 bins over [-1, 1]) of the positive and negative
     cosines of the samples X @ embedder against the proxies, scored in
-    blocks of rows that hold at most MAX_WORK cosines each; returns
-    (records, summary with means/stds/counts)."""
+    blocks of _block_rows(max(C, d)) rows; returns (records, summary with
+    means/stds/counts)."""
     edges = np.linspace(-1.0, 1.0, 65)
     counts = np.zeros((2, 64), dtype=np.int64)         # pad, nad
     moments = [(0, 0.0, 0.0), (0, 0.0, 0.0)]
-    rows = max(1, MAX_WORK // proxies.W.shape[0])
+    rows = _block_rows(max(proxies.W.shape))
     for lo in range(0, len(labels), rows):
         batch = EmbeddingBatch(X[lo:lo + rows] @ embedder, labels[lo:lo + rows])
         product = batch.product(proxies)

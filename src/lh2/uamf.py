@@ -235,6 +235,10 @@ def update_norm_tracker(mu_norm: float, batch: EmbeddingBatch, alpha: float,
     return mu, margin_coeff * mu
 
 
+# exp rounds every argument below -745.1332 to exactly 0
+_EXP_ZERO = -745.14
+
+
 def uamf_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, margin: float,
               tau: float) -> LossReport:
     """Softmax cross-entropy over vMF similarities with the true-class
@@ -243,7 +247,10 @@ def uamf_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, margin: float,
     Logits are (S - margin * onehot) / tau, S = z W^T the batch's product
     with the proxies: the similarity's normalizer g(||z_i||), a per-row
     shift, cancels in the softmax.  They are shifted by their row maximum
-    before the one exp; grad_W is taken through the raw W, off the sphere too.
+    before the one exp, which skips the lanes at or below _EXP_ZERO: their
+    exp is 0, which numpy's exp reaches on a slow path, and at large
+    feature norms most lanes are there.  grad_W is taken through the raw W,
+    off the sphere too.
     """
     if tau <= 0.0:
         raise DomainError(f"tau must be positive, got {tau}")
@@ -262,7 +269,8 @@ def uamf_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, margin: float,
     logits.ravel()[target] -= margin / tau
     logits -= logits.max(axis=1, keepdims=True)
 
-    e = np.exp(logits)
+    e = np.zeros(logits.shape)
+    np.exp(logits, out=e, where=logits > _EXP_ZERO)
     sum_e = e.sum(axis=1)
     loss = float((np.log(sum_e) - logits.ravel()[target]).sum() / N)
 

@@ -6,6 +6,10 @@ quadrature and rotations, nested Python loops instead of
 vectorized array code.  An agreement failure therefore points at the
 implementation under test rather than at a shared bug.
 
+The whole-array formulas at the end are the exception: they keep the
+package's own arithmetic on whole arrays, so that a blocked or
+masked rewrite of it can be checked for bit-identical results.
+
 The frozen constants were computed once with mpmath at 60 significant
 digits (direct series summation cross-checked against mpmath.besseli to
 ~1e-59 relative) and inlined so the tests do not re-derive their own
@@ -280,3 +284,43 @@ def scalar_smoothness(values, lo: float, hi: float) -> float:
         for j in range(w - 1):
             total += abs(values[i, j + 1] - values[i, j])
     return total / (rng * h * w)
+
+
+# ---------------------------------------------------------------------------
+# whole-array formulas, for bit-identity checks
+
+def whole_array_dataset(seed, C, samples_per_class, d_in, noise_angle_deg,
+                        norm_logmean, norm_logstd):
+    """(X, labels) of train_harness.generate_dataset, built one whole M x
+    d_in array per step from the same rng draws in the same order."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((C, d_in))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    m = C * samples_per_class
+    labels = np.repeat(np.arange(C), samples_per_class)
+    base = dirs[labels]
+    tang = rng.standard_normal((m, d_in))
+    tang -= np.sum(tang * base, axis=1, keepdims=True) * base
+    tang /= np.linalg.norm(tang, axis=1, keepdims=True)
+    phi = rng.normal(0.0, np.radians(noise_angle_deg), m) if noise_angle_deg > 0 \
+        else np.zeros(m)
+    unit = base * np.cos(phi)[:, None] + tang * np.sin(phi)[:, None]
+    norms = rng.lognormal(norm_logmean, norm_logstd, m)
+    return unit * norms[:, None], labels
+
+
+def plain_exp_margin_softmax(z, labels, W, margin: float, tau: float):
+    """(loss, grad_z, grad_W) of uamf.uamf_loss with exp taken on every
+    lane, the underflowing ones too."""
+    N, C = len(z), len(W)
+    target = np.arange(0, N * C, C) + labels
+    logits = z @ W.T / tau
+    logits.ravel()[target] -= margin / tau
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    sum_e = e.sum(axis=1)
+    loss = float((np.log(sum_e) - logits.ravel()[target]).sum() / N)
+    dS = e / sum_e[:, None]
+    dS.ravel()[target] -= 1.0
+    dS /= N * tau
+    return loss, dS @ W, dS.T @ z

@@ -322,7 +322,8 @@ def test_other_subcommands_exit_with_a_documented_code(subcommand_inputs, drawn)
     (("nan", "0", "0"), "t and pivot must be finite"),
     # the far side of the 8 x 8 scene lands 1e-5 in front of the camera
     (("0", "0", "-9.99999"), "--pose puts the scene too near the camera"),
-], ids=["nan", "near_the_camera"])
+    (("0", "0", "-20"), "no pose projects any point in front of the camera"),
+], ids=["nan", "near_the_camera", "behind_the_camera"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_render_custom_translation_off_the_scene_is_a_usage_error(subcommand_inputs, tmp_path,
                                                                   capsys, shift, message):

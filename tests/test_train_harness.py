@@ -20,6 +20,8 @@ from lh2.train_harness import (GRADCHECK_OPS, _gradcheck_cases, _raw_proxies,
                                load_checkpoint, train, train_accuracy)
 from lh2.uamf import EmbeddingBatch, ProxyMatrix, uamf_loss
 
+import oracles
+
 HEADER = ("step,epoch,lr,loss_total,uamf,pps,pns,pp,sns,margin,mu_norm,"
           "mid,below_mid_frac,std,std_mean,std_sns,train_acc")
 
@@ -52,6 +54,37 @@ def test_generate_dataset_deterministic():
 def test_generate_dataset_labels_layout():
     _, labels = generate_dataset(RunConfig(seed=7, C=5, d_in=6, samples_per_class=11))
     assert np.array_equal(labels, np.repeat(np.arange(5), 11))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("shape", [
+    # 2100 rows of 64: two blocks of 1024 rows, then a partial one
+    dict(C=3, samples_per_class=700, d_in=64, noise_angle_deg=10.0),
+    dict(C=3, samples_per_class=700, d_in=64, noise_angle_deg=0.0),
+    # 40000 rows of 2: one block of 32768 rows, then a partial one
+    dict(C=4, samples_per_class=10000, d_in=2, noise_angle_deg=10.0),
+], ids=["partial_block", "no_noise", "d_in_2"])
+def test_generate_dataset_matches_the_whole_array_formula(seed, shape):
+    cfg = RunConfig(seed=seed, norm_logmean=2.0, norm_logstd=0.5, **shape)
+    X, labels = generate_dataset(cfg)
+    want_X, want_labels = oracles.whole_array_dataset(
+        seed, cfg.C, cfg.samples_per_class, cfg.d_in, cfg.noise_angle_deg,
+        cfg.norm_logmean, cfg.norm_logstd)
+    assert np.array_equal(X, want_X)
+    assert np.array_equal(labels, want_labels)
+
+
+def test_generate_dataset_peaks_at_the_dataset_plus_a_block():
+    # the desk dataset, 32000 x 64 (16.4 MB); the whole-array formula peaks
+    # at about four times that
+    cfg = RunConfig(C=64, samples_per_class=500, d_in=64)
+    tracemalloc.start()
+    try:
+        X, _ = generate_dataset(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= X.nbytes + 4 * 2 ** 20
 
 
 def test_zero_noise_samples_collinear_with_class_dirs():
@@ -169,6 +202,26 @@ def test_train_accuracy_scores_in_blocks_under_the_work_cap(monkeypatch):
     labels[::1000] = (labels[::1000] + 1) % 128
     assert train_accuracy(X, labels, embedder, proxies) == 1.0 - 8 / 8000
     assert peak < 2 * 8 * cap
+
+
+def test_train_accuracy_extra_memory_does_not_grow_with_the_dataset():
+    rng = np.random.default_rng(0)
+    embedder = rng.standard_normal((16, 32))
+    proxies = ProxyMatrix.from_rows(rng.standard_normal((64, 32)))
+    extra = []
+    for m in (4096, 65536):
+        X = rng.standard_normal((m, 16))
+        labels = rng.integers(0, 64, m)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_accuracy(X, labels, embedder, proxies)
+            extra.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+    # blocks of 1024 rows whatever m: 1024 x 64 scores take 512 KB
+    assert extra[1] <= extra[0] + 4096
+    assert extra[1] < 2 ** 20
 
 
 def test_train_loss_decreases_across_epochs(tiny_run):

@@ -131,6 +131,32 @@ def test_loss_matches_scalar_oracle():
         assert sharp.total == pytest.approx(want, rel=1e-10)
 
 
+def test_exp_zero_is_where_exp_rounds_to_zero():
+    assert np.exp(uamf._EXP_ZERO) == 0.0
+    # just above -745.1332 exp still rounds to the least subnormal
+    assert np.exp(-745.13) > 0.0
+
+
+def test_loss_matches_plain_exp_bitwise_where_most_lanes_underflow():
+    # norms about 1e4, train_highkappa's range: the skipped lanes are the
+    # ones whose exp is exactly 0
+    rng = np.random.default_rng(5)
+    N, C, d = 64, 32, 8
+    for _ in range(5):
+        z = rng.standard_normal((N, d)) * rng.lognormal(math.log(1e4), 0.3, (N, 1))
+        y = rng.integers(0, C, N)
+        W = _unit_rows(rng, C, d)
+        margin = float(rng.uniform(0.0, 1e3))
+        tau = float(rng.uniform(0.5, 2.0))
+        S = z @ W.T / tau
+        assert np.mean(S - S.max(axis=1, keepdims=True) <= uamf._EXP_ZERO) > 0.5
+        rep = uamf_loss(EmbeddingBatch(z, y), ProxyMatrix(W), margin, tau)
+        loss, grad_z, grad_W = oracles.plain_exp_margin_softmax(z, y, W, margin, tau)
+        assert rep.total == loss
+        assert np.array_equal(rep.grad_z, grad_z)
+        assert np.array_equal(rep.grad_W, grad_W)
+
+
 def test_loss_increases_with_margin():
     rng = np.random.default_rng(9)
     z = rng.standard_normal((4, 3)) * 5.0
