@@ -173,11 +173,6 @@ def _cmd_grad_check(args) -> int:
 
 def _cmd_hist(args) -> int:
     cfg = _load_config(args)
-    # the histogram scores every sample against every proxy at once
-    scores = cfg.C * cfg.samples_per_class * cfg.C
-    if scores > MAX_WORK:
-        raise ConfigError(f"C * samples_per_class * C = {scores} scores exceed the cap of "
-                          f"{MAX_WORK} elements per array")
     embedder, proxies = load_checkpoint(args.checkpoint)
     if cfg.C != proxies.W.shape[0]:
         raise ConfigError(f"checkpoint has {proxies.W.shape[0]} proxies "

@@ -5,11 +5,12 @@ image warp built on top.
 
 Geometry conventions: pixel (u, v) = (column, row), camera looks down +z,
 all depths positive.  The unified canvas is sized once for a whole set of
-poses so every rendered frame shares one output geometry: W_new >= 2.5 W
-columns at the source aspect ratio, centred on (W/2, H/2).  The canvas
-stores only its origin (x_min_g, y_min_g); its pixel (i, j) sits at image
-coordinate (x_min_g + j, y_min_g + i), one canvas pixel per source pixel,
-so placing points on it introduces no resampling of its own.
+poses: W_new >= 2.5 W columns at the source aspect ratio, centred on
+(W/2, H/2).  It fixes two things, the origin (x_min_g, y_min_g) shared by
+every frame and the MAX_WORK cap on its size; its pixel (i, j) sits at
+image coordinate (x_min_g + j, y_min_g + i), one canvas pixel per source
+pixel, so placing points on it introduces no resampling of its own.  A
+frame rasterizes only its central H x W window of the canvas.
 """
 
 from __future__ import annotations
@@ -184,13 +185,15 @@ def depth_centroid(depth: DepthMap, K: CameraIntrinsics) -> np.ndarray:
 
 
 def make_canvas(poses, template: DepthMap, K: CameraIntrinsics) -> CanvasSpec:
-    """Shared output geometry for a set of poses.
+    """Shared output geometry for a set of poses: the origin every frame's
+    window is placed by, and the cap on the scene's projected extent.
 
     The template, back-projected once, is projected under every pose; the
     bounds are then padded out to exact symmetry about the source center,
     preserving aspect and enforcing W_new >= 2.5 W.  A canvas of more than
     MAX_WORK pixels is a CanvasError: a point just in front of the camera
-    projects arbitrarily far out.
+    projects arbitrarily far out.  No frame allocates the whole canvas;
+    warp_image rasterizes only its central window.
     """
     poses = list(poses)
     if not poses:
@@ -263,22 +266,13 @@ def scatter_min_render(projected, canvas: CanvasSpec, radius: int = 1) -> np.nda
     return flat.reshape(canvas.H_new, canvas.W_new)
 
 
-def _crop_offsets(h_new: int, w_new: int, H: int, W: int):
-    """(row, column) offset of the central H x W window of an h_new x w_new
-    array."""
-    if h_new < H or w_new < W:
-        raise DomainError(f"cannot crop {h_new} x {w_new} to {H} x {W}")
-    return (h_new - H) // 2, (w_new - W) // 2
-
-
 def shade(depth: DepthMap, albedo: np.ndarray, light: LightingParams,
-          K: CameraIntrinsics = None) -> np.ndarray:
+          K: CameraIntrinsics) -> np.ndarray:
     """Lambertian shading of the depth surface.
 
     Normals come from central differences of the back-projected surface
-    (one-sided at borders); with no intrinsics the surface is treated
-    orthographically as (u, v, depth).  The 2-D light direction is lifted
-    to normalize(l_dx, l_dy, 1) and I = albedo * (k_a + k_d * s) with
+    (one-sided at borders).  The 2-D light direction is lifted to
+    normalize(l_dx, l_dy, 1) and I = albedo * (k_a + k_d * s) with
     s = max(0, <l, n>), clamped to [0, 1].
     """
     albedo = np.asarray(albedo, dtype=np.float64)
@@ -288,14 +282,7 @@ def shade(depth: DepthMap, albedo: np.ndarray, light: LightingParams,
     if albedo.min() < 0.0 or albedo.max() > 1.0:
         raise DomainError("albedo must lie in [0, 1]")
 
-    if K is not None:
-        pts = depth_to_pointcloud(depth, K)
-    else:
-        h, w = depth.shape
-        pts = np.empty((h, w, 3))
-        pts[..., 0] = np.arange(w, dtype=np.float64)[None, :]
-        pts[..., 1] = np.arange(h, dtype=np.float64)[:, None]
-        pts[..., 2] = depth.values
+    pts = depth_to_pointcloud(depth, K)
     # tangents along the pixel axes, central differences inside, one-sided edges
     t_u = np.stack([np.gradient(pts[..., k], axis=1, edge_order=1) for k in range(3)],
                    axis=-1)
@@ -319,19 +306,27 @@ def shade(depth: DepthMap, albedo: np.ndarray, light: LightingParams,
 
 def warp_image(source: np.ndarray, depth: DepthMap, pose: Pose,
                K: CameraIntrinsics, canvas: CanvasSpec, radius: int = 1):
-    """Render the depth under the pose on the canvas and keep its central
-    K.H x K.W window; for every window pixel with a non-background depth,
-    bilinearly sample the source at the inverse-mapped coordinate.  Only
-    the window is inverse-mapped.  Background pixels are black with mask 0.
+    """Render the depth under the pose on the central K.H x K.W window of
+    the canvas, rasterizing that window alone; points outside it still
+    stamp the neighbors that fall inside.  For every window pixel with a
+    non-background depth, bilinearly sample the source at the
+    inverse-mapped coordinate.  Background pixels are black with mask 0.
     Returns (image H x W x 3, mask H x W, depth H x W) with +inf depth on
     the background."""
     source = np.asarray(source, dtype=np.float64)
+    # the central window starts at canvas pixel (oy, ox); its image origin
+    # lands at 0.5 px, not 0, when W_new - W is even, as make_canvas centres
+    # on W/2
+    ox = (canvas.W_new - K.W) // 2
+    oy = (canvas.H_new - K.H) // 2
+    x = canvas.x_min_g + ox + np.arange(K.W)
+    y = canvas.y_min_g + oy + np.arange(K.H)
+    # points move to canvas coordinates first, so each one rounds to the
+    # pixel it takes on the whole canvas
     pts = transform_pointcloud(depth_to_pointcloud(depth, K), pose)
-    rendered = scatter_min_render(project_points(pts, K), canvas, radius)
-    oy, ox = _crop_offsets(canvas.H_new, canvas.W_new, K.H, K.W)
-    window = rendered[oy:oy + K.H, ox:ox + K.W].copy()
-    x = canvas.x_min_g + np.arange(ox, ox + K.W)
-    y = canvas.y_min_g + np.arange(oy, oy + K.H)
+    u, v, d, in_view = project_points(pts, K)
+    window = scatter_min_render((u - canvas.x_min_g, v - canvas.y_min_g, d, in_view),
+                                CanvasSpec(K.H, K.W, float(ox), float(oy)), radius)
 
     valid = np.isfinite(window)
     pts_c = _back_project(x[None, :], y[:, None], np.where(valid, window, 1.0), K)

@@ -171,7 +171,7 @@ def vmf_similarity_batch(S: np.ndarray, norms: np.ndarray, n: int):
     kappa = np.maximum(norms, KAPPA_MIN)
     scale = kappa / np.where(norms > 0.0, norms, np.inf)
     g, ratio = _log_normalizer(kappa, n)
-    sims = (S * scale[:, None] if (scale != 1.0).any() else S) + g[:, None]
+    sims = S * scale[:, None] + g[:, None]
     return sims, kappa, ratio, scale
 
 

@@ -7,8 +7,8 @@ vectorized array code.  An agreement failure therefore points at the
 implementation under test rather than at a shared bug.
 
 The whole-array formulas at the end are the exception: they keep the
-package's own arithmetic on whole arrays, so that a blocked or
-masked rewrite of it can be checked for bit-identical results.
+package's own arithmetic on whole arrays, so that a blocked, masked or
+windowed rewrite of it can be checked for bit-identical results.
 
 The frozen constants were computed once with mpmath at 60 significant
 digits (direct series summation cross-checked against mpmath.besseli to
@@ -145,9 +145,20 @@ def reference_scatter(u, v, d, valid, canvas, radius: int):
     return vals
 
 
-def reference_shade(depth_values, albedo, k_a, k_d, l_dx, l_dy):
-    """Per-pixel scalar shading of the orthographic surface (u, v, depth)."""
+def reference_shade(depth_values, albedo, f, cx, cy, k_a, k_d, l_dx, l_dy):
+    """Per-pixel scalar shading of the perspective surface: each neighbor
+    the normal differences is back-projected through the pinhole (f, cx,
+    cy) on its own."""
     h, w = depth_values.shape
+
+    def point(i, j):
+        z = depth_values[i, j]
+        return ((j - cx) / f * z, (i - cy) / f * z, z)
+
+    def diff(a, b, scale):
+        pa, pb = point(*a), point(*b)
+        return [(pa[k] - pb[k]) / scale for k in range(3)]
+
     lx, ly, lz = l_dx, l_dy, 1.0
     ln = math.sqrt(lx * lx + ly * ly + lz * lz)
     lx, ly, lz = lx / ln, ly / ln, lz / ln
@@ -155,20 +166,25 @@ def reference_shade(depth_values, albedo, k_a, k_d, l_dx, l_dy):
     for i in range(h):
         for j in range(w):
             if 0 < j < w - 1:
-                dzdu = (depth_values[i, j + 1] - depth_values[i, j - 1]) / 2.0
+                tu = diff((i, j + 1), (i, j - 1), 2.0)
             elif j == 0:
-                dzdu = depth_values[i, 1] - depth_values[i, 0]
+                tu = diff((i, 1), (i, 0), 1.0)
             else:
-                dzdu = depth_values[i, w - 1] - depth_values[i, w - 2]
+                tu = diff((i, w - 1), (i, w - 2), 1.0)
             if 0 < i < h - 1:
-                dzdv = (depth_values[i + 1, j] - depth_values[i - 1, j]) / 2.0
+                tv = diff((i + 1, j), (i - 1, j), 2.0)
             elif i == 0:
-                dzdv = depth_values[1, j] - depth_values[0, j]
+                tv = diff((1, j), (0, j), 1.0)
             else:
-                dzdv = depth_values[h - 1, j] - depth_values[h - 2, j]
-            # cross((1,0,dzdu), (0,1,dzdv)) = (-dzdu, -dzdv, 1), already +z
-            nx, ny, nz = -dzdu, -dzdv, 1.0
+                tv = diff((h - 1, j), (h - 2, j), 1.0)
+            nx = tu[1] * tv[2] - tu[2] * tv[1]
+            ny = tu[2] * tv[0] - tu[0] * tv[2]
+            nz = tu[0] * tv[1] - tu[1] * tv[0]
+            if nz < 0.0:                    # toward the camera-facing side
+                nx, ny, nz = -nx, -ny, -nz
             nn = math.sqrt(nx * nx + ny * ny + nz * nz)
+            if nn < 1e-300:
+                nx, ny, nz, nn = 0.0, 0.0, 1.0, 1.0
             s = max(0.0, (nx * lx + ny * ly + nz * lz) / nn)
             for c in range(3):
                 out[i, j, c] = min(1.0, max(0.0, albedo[i, j, c] * (k_a + k_d * s)))
@@ -324,3 +340,36 @@ def plain_exp_margin_softmax(z, labels, W, margin: float, tau: float):
     dS.ravel()[target] -= 1.0
     dS /= N * tau
     return loss, dS @ W, dS.T @ z
+
+
+def whole_canvas_warp(source, depth, pose, K, canvas, radius: int):
+    """(image, mask, depth) of depth_renderer.warp_image with the scatter
+    run on the whole canvas and its central K.H x K.W window cropped out
+    afterwards."""
+    from lh2.depth_renderer import (_back_project, depth_to_pointcloud, project_points,
+                                    scatter_min_render, transform_pointcloud)
+    pts = transform_pointcloud(depth_to_pointcloud(depth, K), pose)
+    rendered = scatter_min_render(project_points(pts, K), canvas, radius)
+    oy = (canvas.H_new - K.H) // 2
+    ox = (canvas.W_new - K.W) // 2
+    window = rendered[oy:oy + K.H, ox:ox + K.W].copy()
+    x = canvas.x_min_g + np.arange(ox, ox + K.W)
+    y = canvas.y_min_g + np.arange(oy, oy + K.H)
+
+    valid = np.isfinite(window)
+    pts_c = _back_project(x[None, :], y[:, None], np.where(valid, window, 1.0), K)
+    back = (pts_c - pose.pivot - pose.t) @ pose.R + pose.pivot
+    u0, v0, _, in_front = project_points(back, K)
+    valid &= in_front & (u0 >= 0.0) & (u0 <= K.W - 1) & (v0 >= 0.0) & (v0 <= K.H - 1)
+
+    out = np.zeros((K.H, K.W, 3))
+    uu = u0[valid]
+    vv = v0[valid]
+    u_lo = np.clip(np.floor(uu).astype(np.int64), 0, K.W - 2)
+    v_lo = np.clip(np.floor(vv).astype(np.int64), 0, K.H - 2)
+    fu = (uu - u_lo)[:, None]
+    fv = (vv - v_lo)[:, None]
+    out[valid] = ((1 - fv) * ((1 - fu) * source[v_lo, u_lo] + fu * source[v_lo, u_lo + 1])
+                  + fv * ((1 - fu) * source[v_lo + 1, u_lo]
+                          + fu * source[v_lo + 1, u_lo + 1]))
+    return out, valid, window

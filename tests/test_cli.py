@@ -544,20 +544,21 @@ def test_hist_subcommand(tiny_config, tmp_path, capsys):
     assert lines[0] == "bin_lo,bin_hi,pad_count,nad_count"
 
 
-def test_hist_over_the_score_cap_names_both_keys(tmp_path, capsys, monkeypatch):
-    # every RunConfig cap passes, but the histogram would score 2^34 pairs
-    def no_dataset(cfg):
-        raise AssertionError("the dataset was generated")
-
-    monkeypatch.setattr(cli, "generate_dataset", no_dataset)
+def test_hist_scores_more_pairs_than_one_array_holds(tmp_path, capsys):
+    # 320000 samples against 64 proxies: 20480000 scores, over MAX_WORK,
+    # which histogram_dump takes a block of rows at a time
+    rng = np.random.default_rng(0)
+    stem = tmp_path / "ckpt"
+    write_tensor(str(stem) + ".embedder.lh2t", rng.standard_normal((8, 8)))
+    write_tensor(str(stem) + ".proxies.lh2t", rng.standard_normal((64, 8)))
     cfg = tmp_path / "wide.cfg"
-    cfg.write_text("C = 4096\nsamples_per_class = 1024\nd_in = 2\nd = 1\nbatch_size = 1\n")
-    rc = main(["hist", "--checkpoint", str(tmp_path / "absent"), "--config", str(cfg),
+    cfg.write_text("C = 64\nd = 8\nd_in = 8\nsamples_per_class = 5000\n")
+    rc = main(["hist", "--checkpoint", str(stem), "--config", str(cfg),
                "--out-dir", str(tmp_path / "hist")])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert err.startswith("lh2: error: C * samples_per_class * C = 17179869184 ")
-    assert not (tmp_path / "hist").exists()
+    assert rc == 0
+    printed = _parse_stats(capsys.readouterr().out)
+    assert printed["pad_count"] == "320000"
+    assert printed["nad_count"] == str(320000 * 63)
 
 
 def test_hist_dimension_mismatch(tiny_config, tmp_path, capsys):

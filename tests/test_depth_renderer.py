@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from lh2.depth_renderer import (CanvasSpec, DepthMap, LightingParams, Pose,
-                                _crop_offsets, depth_centroid,
-                                depth_to_pointcloud, hemisphere_scene,
-                                intrinsics_from_fov, make_canvas,
+from lh2.depth_renderer import (DEFAULT_LIGHT, CanvasSpec, DepthMap, LightingParams,
+                                Pose, depth_centroid, depth_to_pointcloud,
+                                hemisphere_scene, intrinsics_from_fov, make_canvas,
                                 neighborhood_offsets, project_points,
                                 render_hemisphere_demo, rotation_about_axis,
                                 scatter_min_render, shade,
@@ -362,31 +361,21 @@ def test_scatter_matches_reference_on_random_scenes():
 
 
 # ---------------------------------------------------------------------------
-# crop and identity reconstruction
+# the frame window and identity reconstruction
 
-def _center_crop(values, H, W):
-    oy, ox = _crop_offsets(values.shape[0], values.shape[1], H, W)
-    return values[oy:oy + H, ox:ox + W]
-
-
-def test_center_crop():
-    a = np.arange(25).reshape(5, 5)
-    np.testing.assert_array_equal(_center_crop(a, 5, 5), a)
-    np.testing.assert_array_equal(_center_crop(a, 3, 3), a[1:4, 1:4])
-    b = np.arange(24).reshape(6, 4)
-    np.testing.assert_array_equal(_center_crop(b, 3, 4), b[1:4, :])
-    with pytest.raises(DomainError):
-        _center_crop(a, 6, 5)
+def _window(canvas, H, W):
+    """The central H x W window of the canvas as a canvas of its own."""
+    return CanvasSpec(H, W, canvas.x_min_g + (canvas.W_new - W) // 2,
+                      canvas.y_min_g + (canvas.H_new - H) // 2)
 
 
 def test_identity_render_reconstructs_depth():
     d, _, K, _ = hemisphere_scene(30)
-    canvas = make_canvas([_IDENTITY], d, K)
+    window = _window(make_canvas([_IDENTITY], d, K), 30, 30)
     res = scatter_min_render(
-        project_points(depth_to_pointcloud(d, K), K), canvas, radius=0)
-    crop = _center_crop(res, 30, 30)
-    assert np.isfinite(crop).all()
-    np.testing.assert_allclose(crop, d.values, atol=1e-9)
+        project_points(depth_to_pointcloud(d, K), K), window, radius=0)
+    assert np.isfinite(res).all()
+    np.testing.assert_allclose(res, d.values, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +386,8 @@ def test_shade_flat_plane_uniform():
     albedo = np.full((6, 6, 3), 0.6)
     light = LightingParams(k_a=0.3, k_d=0.5, l_dx=0.0, l_dy=0.0)
     want = np.clip(albedo * (0.3 + 0.5), 0.0, 1.0)
-    np.testing.assert_array_equal(shade(depth, albedo, light), want)
     K = intrinsics_from_fov(6, 6, 50.0)
-    np.testing.assert_allclose(shade(depth, albedo, light, K), want, rtol=1e-12)
+    np.testing.assert_array_equal(shade(depth, albedo, light, K), want)
 
 
 def test_shade_ambient_only():
@@ -409,25 +397,30 @@ def test_shade_ambient_only():
                                   np.clip(albedo * 0.4, 0.0, 1.0))
 
 
-def test_shade_matches_reference_orthographic():
-    d, albedo, _, light = hemisphere_scene(14)
-    got = shade(d, albedo, light, K=None)
-    want = oracles.reference_shade(d.values, albedo, light.k_a, light.k_d,
-                                   light.l_dx, light.l_dy)
-    np.testing.assert_allclose(got, want, atol=1e-12)
+def _random_scene(seed, size=9):
+    rng = np.random.default_rng(seed)
+    d = DepthMap.from_values(rng.uniform(2.0, 6.0, (size, size)))
+    albedo = rng.uniform(0.0, 1.0, (size, size, 3))
+    return d, albedo, intrinsics_from_fov(size, size, 50.0)
+
+
+def test_shade_matches_reference():
+    for d, albedo, K, light in (hemisphere_scene(14), (*_random_scene(5), DEFAULT_LIGHT)):
+        got = shade(d, albedo, light, K)
+        want = oracles.reference_shade(d.values, albedo, K.K[0, 0], K.K[0, 2], K.K[1, 2],
+                                       light.k_a, light.k_d, light.l_dx, light.l_dy)
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_shade_output_range_and_validation():
-    rng = np.random.default_rng(3)
-    d = DepthMap.from_values(rng.uniform(2.0, 6.0, (9, 9)))
-    albedo = rng.uniform(0.0, 1.0, (9, 9, 3))
+    d, albedo, K = _random_scene(3)
     light = LightingParams(k_a=0.9, k_d=1.0, l_dx=1.5, l_dy=-2.0)
-    img = shade(d, albedo, light)
+    img = shade(d, albedo, light, K)
     assert img.min() >= 0.0 and img.max() <= 1.0
     with pytest.raises(DomainError):
-        shade(d, albedo[..., :2], light)
+        shade(d, albedo[..., :2], light, K)
     with pytest.raises(DomainError):
-        shade(d, albedo * 2.0, light)
+        shade(d, albedo * 2.0, light, K)
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +476,36 @@ def test_warp_compose_round_trip():
     img, mask, _ = warp_image(canonical, d, round_trip, K, canvas, radius=1)
     assert mask.mean() > 0.9
     assert oracles.psnr(img, canonical, mask) >= 30.0
+
+
+@pytest.mark.parametrize("size", [30, 64, 128])
+@pytest.mark.parametrize("radius", [0, 1, 2])
+@pytest.mark.parametrize("angle", [0.0, 25.0])
+def test_warp_window_matches_whole_canvas_crop(size, radius, angle):
+    # the zero-angle pose puts the hemisphere's points on half-pixel
+    # boundaries when W_new - W is even; the 25 degree turn tilts the
+    # scene's near edge past the window's
+    d, albedo, K, light = hemisphere_scene(size)
+    canonical = shade(d, albedo, light, K)
+    pivot = depth_centroid(d, K)
+    poses = [Pose(rotation_about_axis(1, a), np.zeros(3), pivot) for a in (0.0, angle)]
+    canvas = make_canvas(poses, d, K)
+    assert (canvas.W_new - size) % 2 == (size == 30)
+
+    got = warp_image(canonical, d, poses[1], K, canvas, radius)
+    want = oracles.whole_canvas_warp(canonical, d, poses[1], K, canvas, radius)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    if angle and radius:
+        # points outside the window win some of the pixels inside it
+        window = _window(canvas, size, size)
+        u, v, dep, valid = project_points(
+            transform_pointcloud(depth_to_pointcloud(d, K), poses[1]), K)
+        j = np.floor(u - window.x_min_g + 0.5)
+        i = np.floor(v - window.y_min_g + 0.5)
+        inside = (j >= 0) & (j < size) & (i >= 0) & (i < size)
+        assert not np.array_equal(
+            scatter_min_render((u, v, dep, valid & inside), window, radius), got[2])
 
 
 def test_hemisphere_demo_frames():
