@@ -52,7 +52,7 @@ def _load_config(args) -> RunConfig:
 def _cmd_train(args) -> int:
     cfg = _load_config(args)
     result = train(cfg, args.out_dir)
-    if result.status == 2:
+    if result.reason is not None:
         print(f"training diverged: {result.reason}; last finite state saved",
               file=sys.stderr)
         return 2
@@ -120,6 +120,12 @@ def _cmd_render(args) -> int:
         raise ConfigError(f"--radius must be >= 0, got {args.radius}")
     if args.demo is not None:
         _check_render_work(args.size ** 2, args.radius, "--size")
+        # the demo holds every frame (3 axes x --frames) until they are written
+        pixels = 3 * args.frames * args.size ** 2
+        if pixels > MAX_WORK:
+            flag = "--frames" if 3 * args.frames > args.size ** 2 else "--size"
+            raise ConfigError(f"{flag} too large: 3 x {args.frames} frames of {args.size}^2 "
+                              f"pixels = {pixels} exceeds the cap of {MAX_WORK}")
         os.makedirs(args.out_dir, exist_ok=True)
         demo = render_hemisphere_demo(size=args.size, rotations=args.rotations,
                                       frames_per_axis=args.frames,

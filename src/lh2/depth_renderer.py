@@ -125,8 +125,6 @@ class LightingParams:
     def __post_init__(self):
         if not (0.0 <= self.k_a <= 1.0 and 0.0 <= self.k_d <= 1.0):
             raise DomainError("k_a and k_d must lie in [0, 1]")
-        if self.k_a + self.k_d > 2.0:
-            raise DomainError("k_a + k_d must not exceed 2")
 
 
 DEFAULT_LIGHT = LightingParams(k_a=0.35, k_d=0.65, l_dx=0.4, l_dy=0.25)
@@ -284,10 +282,8 @@ def shade(depth: DepthMap, albedo: np.ndarray, light: LightingParams,
 
     pts = depth_to_pointcloud(depth, K)
     # tangents along the pixel axes, central differences inside, one-sided edges
-    t_u = np.stack([np.gradient(pts[..., k], axis=1, edge_order=1) for k in range(3)],
-                   axis=-1)
-    t_v = np.stack([np.gradient(pts[..., k], axis=0, edge_order=1) for k in range(3)],
-                   axis=-1)
+    t_u = np.gradient(pts, axis=1, edge_order=1)
+    t_v = np.gradient(pts, axis=0, edge_order=1)
     n = np.cross(t_u, t_v)
     # orient toward the camera-facing half space (+z here)
     flip = n[..., 2] < 0.0
@@ -402,5 +398,4 @@ def render_hemisphere_demo(size: int = 30, rotations=(10.0, 10.0, 10.0),
     canvas = make_canvas(poses, depth, K)
     frames = [(name, *warp_image(canonical, depth, pose, K, canvas, radius)[:2])
               for name, pose in zip(names, poses)]
-    return {"depth": depth, "albedo": albedo, "intrinsics": K, "light": light,
-            "canonical": canonical, "canvas": canvas, "frames": frames}
+    return {"depth": depth, "canonical": canonical, "canvas": canvas, "frames": frames}

@@ -297,26 +297,26 @@ def _convert(key, value, lineno):
         raise ConfigError(f"bad value for {key!r}: {exc}", line=lineno) from exc
 
 
-def emit_metrics(records, path) -> None:
+def emit_metrics(records, path, append=False) -> None:
     """Write records (mappings with one shared key set) as CSV.
 
     Floats are printed with 9 significant digits; an empty record sequence
-    yields an empty file.
+    yields an empty file.  append=True adds the rows to the end of the file,
+    with the header only when the file is empty, so appending the record
+    sequence piece by piece writes the same bytes as writing it at once.
     """
     records = list(records)
     fields = list(records[0].keys()) if records else []
     fieldset = set(fields)
     lines = []
-    if fields:
-        lines.append(",".join(fields))
     for i, rec in enumerate(records):
         if set(rec.keys()) != fieldset:
             raise SchemaError(f"record {i} keys {sorted(rec)} != header {sorted(fieldset)}")
-        lines.append(",".join(_format_value(rec[k]) for k in fields))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines))
-        if lines:
-            fh.write("\n")
+        lines.append(",".join(_format_value(rec[k]) for k in fields) + "\n")
+    with open(path, "a" if append else "w", encoding="utf-8", newline="") as fh:
+        if fields and fh.tell() == 0:
+            fh.write(",".join(fields) + "\n")
+        fh.writelines(lines)
 
 
 def _format_value(v):

@@ -8,6 +8,8 @@ Three losses constrain cosines directly rather than through the softmax:
          of the batch's proxies plus randomly sampled ones
 
 plus the sample-to-sample sns variant (first power, on when lambda_sns > 0).
+The weights lambda_* and the mid clip [cos_min, cos_max] are fields of the
+run's io_formats.RunConfig, which checks their values however it is made.
 pps and pns read their cosines from the batch's product with the proxies
 (uamf.ProxyProduct), the same S = z W^T the margin softmax reads, so the
 cosines are renormalized on both sides.  Each reports its d loss / d cos
@@ -28,21 +30,13 @@ import dataclasses
 
 import numpy as np
 
+from .io_formats import RunConfig
 from .sphere_math import _divide_rows
 from .uamf import EmbeddingBatch, LossReport, ProxyMatrix
 
 
-@dataclasses.dataclass(frozen=True)
-class ProxyLossConfig:
-    """The regularizer weights and the mid clip; io_formats.RunConfig checks
-    the values of a run."""
-
-    lambda_pps: float = 5.0
-    lambda_pns: float = 20.0
-    lambda_pp: float = 150.0
-    lambda_sns: float = 0.0         # the sns term runs when positive
-    cos_min: float = 0.5
-    cos_max: float = 0.9
+# the benchmark's tests still build the run config by this name
+ProxyLossConfig = RunConfig
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,7 +49,7 @@ class EpochMidState:
     acc_count: int = 0
 
     @staticmethod
-    def initial(cfg: ProxyLossConfig) -> "EpochMidState":
+    def initial(cfg: RunConfig) -> "EpochMidState":
         return EpochMidState(mid=cfg.cos_min)
 
 
@@ -73,7 +67,7 @@ def observe_positive_cosines(state: EpochMidState, cos: np.ndarray) -> EpochMidS
                          acc_count=state.acc_count + len(cos))
 
 
-def end_epoch(state: EpochMidState, cfg: ProxyLossConfig) -> EpochMidState:
+def end_epoch(state: EpochMidState, cfg: RunConfig) -> EpochMidState:
     """Roll the accumulated mean into the mid, clipped to [cos_min, cos_max];
     an empty accumulator leaves the mid unchanged."""
     if state.acc_count == 0:
@@ -91,7 +85,7 @@ def _quotient_rule(d_cos, cos, other_unit, own_unit, own_norms):
 
 
 def pps_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, state: EpochMidState,
-             cfg: ProxyLossConfig) -> LossReport:
+             cfg: RunConfig) -> LossReport:
     """lambda_pps * mean over samples with cos < mid of (cos - mid)^2.
 
     The mid is a constant of the epoch; gradients flow through the cosines
@@ -111,7 +105,7 @@ def pps_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, state: EpochMidState,
 
 
 def pns_loss(batch: EmbeddingBatch, proxies: ProxyMatrix,
-             cfg: ProxyLossConfig) -> LossReport:
+             cfg: RunConfig) -> LossReport:
     """lambda_pns * sum over samples and non-target proxies of cos^2,
     divided by N * (C - 1); zero for a single class."""
     product = batch.product(proxies)
@@ -134,7 +128,7 @@ def pp_selection(batch_labels, C: int, rng: np.random.Generator) -> np.ndarray:
     return np.flatnonzero(chosen)
 
 
-def pp_loss(batch_labels, proxies: ProxyMatrix, cfg: ProxyLossConfig,
+def pp_loss(batch_labels, proxies: ProxyMatrix, cfg: RunConfig,
             rng: np.random.Generator) -> LossReport:
     """lambda_pp * mean over unordered proxy pairs in the selection of
     cos^2; gradient with respect to the proxies only."""
@@ -156,7 +150,7 @@ def pp_loss(batch_labels, proxies: ProxyMatrix, cfg: ProxyLossConfig,
                       direct=(direct,))
 
 
-def sns_loss(batch: EmbeddingBatch, cfg: ProxyLossConfig) -> LossReport:
+def sns_loss(batch: EmbeddingBatch, cfg: RunConfig) -> LossReport:
     """lambda_sns * mean over distinct-label sample pairs of cos (first
     power); lambda_sns defaults to 0 since the term buys nothing in practice.
     It reads the batch's Gram matrix, which sphere_stats.sns_tracker reads too."""
@@ -172,7 +166,7 @@ def sns_loss(batch: EmbeddingBatch, cfg: ProxyLossConfig) -> LossReport:
 
 
 def proxy_based_total(batch: EmbeddingBatch, proxies: ProxyMatrix,
-                      state: EpochMidState, cfg: ProxyLossConfig,
+                      state: EpochMidState, cfg: RunConfig,
                       rng: np.random.Generator) -> LossReport:
     """Sum of pps, pns, pp and, when lambda_sns > 0, sns; the term map keeps
     each value.  The reports add up their gradient parts, so reading a

@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .io_formats import MAX_WORK, RunConfig, emit_metrics, read_tensor, write_tensor
-from .proxy_losses import (EpochMidState, ProxyLossConfig, end_epoch,
-                           observe_positive_cosines, positive_cosines, pp_loss,
-                           pns_loss, pps_loss, proxy_based_total, sns_loss)
+from .proxy_losses import (EpochMidState, end_epoch, observe_positive_cosines,
+                           positive_cosines, pp_loss, pns_loss, pps_loss,
+                           proxy_based_total, sns_loss)
 from .recon_losses import (PerceptualExtractor, laplace_nll, laplace_nll_grad,
                            perceptual_nll, perceptual_nll_grad, smoothness_grad,
                            smoothness_loss, view_variance_grad, view_variance_loss)
@@ -87,22 +87,15 @@ class TrainState:
 
 
 def init_state(cfg: RunConfig) -> TrainState:
-    plcfg = proxy_config(cfg)
     rng_init = np.random.default_rng([cfg.seed, 1])
     emb = rng_init.standard_normal((cfg.d_in, cfg.d)) / np.sqrt(cfg.d_in)
     proxies = ProxyMatrix.from_rows(rng_init.standard_normal((cfg.C, cfg.d)))
     return TrainState(embedder=emb, proxies=proxies,
                       mu_norm=cfg.mu_norm_init,
-                      mid_state=EpochMidState.initial(plcfg),
+                      mid_state=EpochMidState.initial(cfg),
                       vel_emb=np.zeros_like(emb),
                       vel_W=np.zeros_like(proxies.W),
                       step=0, rng=np.random.default_rng([cfg.seed, 2]))
-
-
-def proxy_config(cfg: RunConfig) -> ProxyLossConfig:
-    return ProxyLossConfig(lambda_pps=cfg.lambda_pps, lambda_pns=cfg.lambda_pns,
-                           lambda_pp=cfg.lambda_pp, lambda_sns=cfg.lambda_sns,
-                           cos_min=cfg.cos_min, cos_max=cfg.cos_max)
 
 
 def train_accuracy(X, labels, embedder, proxies: ProxyMatrix) -> float:
@@ -139,11 +132,10 @@ def load_checkpoint(path):
 
 @dataclasses.dataclass
 class TrainResult:
-    status: int                     # 0 ok, 2 divergence
     final_accuracy: float
     epochs_run: int
     metrics_path: str
-    reason: Optional[str] = None    # the check that stopped a diverged run
+    reason: Optional[str] = None    # the check that stopped a diverged run, or None
 
 
 class _Diverged(Exception):
@@ -158,16 +150,18 @@ def _require(ok, reason: str) -> None:
 def train(cfg: RunConfig, out_dir: str) -> TrainResult:
     """Mini-batch SGD with momentum on the margin softmax plus the proxy
     regularizers; per-step metrics, per-epoch mid/accuracy updates, and
-    checkpoints under out_dir.  Non-finite features (an entry or a row
-    norm), loss or update abort with status 2, the failed check as the
-    reason and the newest state whose loss evaluated finite saved."""
+    checkpoints under out_dir.  Each epoch's metrics rows are appended to
+    metrics.csv as the epoch ends, so a stopped run keeps the epochs it
+    finished.  Non-finite features (an entry or a row norm), loss or update
+    abort the run with the failed check as the reason, the diverged epoch's
+    rows written and the newest state whose loss evaluated finite saved."""
     X, labels = generate_dataset(cfg)
     m = len(labels)
-    plcfg = proxy_config(cfg)
     state = init_state(cfg)
     _checkpoint(out_dir, "epoch_000", state)
+    metrics_path = os.path.join(out_dir, "metrics.csv")
+    emit_metrics([], metrics_path)      # empty until an epoch appends its rows
 
-    records = []
     acc = train_accuracy(X, labels, state.embedder, state.proxies)
     reason = None
     epochs_run = 0
@@ -177,6 +171,7 @@ def train(cfg: RunConfig, out_dir: str) -> TrainResult:
     try:
         for epoch in range(1, cfg.epochs + 1):
             lr = cfg.lr * 0.5 ** ((epoch - 1) // cfg.lr_halve_every)
+            records = []
             perm = state.rng.permutation(m)
             for lo in range(0, m, cfg.batch_size):
                 idx = perm[lo:lo + cfg.batch_size]
@@ -192,7 +187,7 @@ def train(cfg: RunConfig, out_dir: str) -> TrainResult:
                 # one report of the whole step: its gradients take one backward
                 step = (uamf_loss(batch, state.proxies, margin, cfg.tau)
                         + proxy_based_total(batch, state.proxies, state.mid_state,
-                                            plcfg, state.rng))
+                                            cfg, state.rng))
                 state.mid_state = observe_positive_cosines(state.mid_state,
                                                            step.stats["positive_cos"])
                 _require(np.isfinite(step.total), "non-finite loss")
@@ -222,19 +217,19 @@ def train(cfg: RunConfig, out_dir: str) -> TrainResult:
                     "std": spread["std"], "std_mean": spread["std_mean"],
                     "std_sns": sns_tracker(batch), "train_acc": acc,
                 })
-            state.mid_state = end_epoch(state.mid_state, plcfg)
+            emit_metrics(records, metrics_path, append=True)
+            state.mid_state = end_epoch(state.mid_state, cfg)
             acc = train_accuracy(X, labels, state.embedder, state.proxies)
             epochs_run = epoch
             _checkpoint(out_dir, f"epoch_{epoch:03d}", state)
     except _Diverged as exc:
         reason = str(exc)
+        emit_metrics(records, metrics_path, append=True)
         state.embedder, state.proxies = good
 
     _checkpoint(out_dir, "final", state)
-    metrics_path = os.path.join(out_dir, "metrics.csv")
-    emit_metrics(records, metrics_path)
-    return TrainResult(status=0 if reason is None else 2, final_accuracy=acc,
-                       epochs_run=epochs_run, metrics_path=metrics_path, reason=reason)
+    return TrainResult(final_accuracy=acc, epochs_run=epochs_run,
+                       metrics_path=metrics_path, reason=reason)
 
 
 def _merge_moments(acc, values):
@@ -377,8 +372,7 @@ def _gradcheck_cases(rng: np.random.Generator):
     cases.append(("uamf_loss", _z_and_W_pairs(lambda b, p: uamf_loss(b, p, mgn, tau),
                                               z, y, W, h)))
 
-    plcfg = ProxyLossConfig(lambda_pps=5.0, lambda_pns=20.0, lambda_pp=150.0,
-                            lambda_sns=150.0)
+    cfg = RunConfig(lambda_sns=150.0)
 
     # pps: keep every cosine away from the mid kink
     mid = 0.5
@@ -389,18 +383,18 @@ def _gradcheck_cases(rng: np.random.Generator):
         y = rng.integers(0, C, N)
         if _away_from(positive_cosines(EmbeddingBatch(z, y), proxies), [mid], margin):
             break
-    cases.append(("pps_loss", _z_and_W_pairs(lambda b, p: pps_loss(b, p, state, plcfg),
+    cases.append(("pps_loss", _z_and_W_pairs(lambda b, p: pps_loss(b, p, state, cfg),
                                              z, y, W, h)))
     # pns: smooth everywhere
-    cases.append(("pns_loss", _z_and_W_pairs(lambda b, p: pns_loss(b, p, plcfg), z, y, W, h)))
+    cases.append(("pns_loss", _z_and_W_pairs(lambda b, p: pns_loss(b, p, cfg), z, y, W, h)))
 
     # pp: freeze the random selection by reseeding per evaluation
     sel_seed = int(rng.integers(0, 2 ** 31))
     cases.append(("pp_loss", _z_and_W_pairs(
-        lambda b, p: pp_loss(y, p, plcfg, np.random.default_rng(sel_seed)), z, y, W, h)))
+        lambda b, p: pp_loss(y, p, cfg, np.random.default_rng(sel_seed)), z, y, W, h)))
 
     # sns: linear in the cosines, smooth
-    cases.append(("sns_loss", _z_and_W_pairs(lambda b, p: sns_loss(b, plcfg),
+    cases.append(("sns_loss", _z_and_W_pairs(lambda b, p: sns_loss(b, cfg),
                                              z, np.arange(N) % 2, W, h)))
 
     # reconstruction losses on a small image

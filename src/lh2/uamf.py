@@ -257,8 +257,6 @@ def uamf_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, margin: float,
     if margin < 0.0:
         raise DomainError(f"margin must be non-negative, got {margin}")
     C = proxies.W.shape[0]
-    if C < 1:
-        raise DomainError("need at least one class")
     if batch.labels.max() >= C:
         raise DomainError(f"label {batch.labels.max()} out of range for C = {C}")
     N = batch.z.shape[0]

@@ -177,7 +177,7 @@ def test_default_config_trains_to_accuracy_reproducibly(tmp_path):
     t0 = time.perf_counter()
     first = train(cfg, str(tmp_path / "a"))
     assert time.perf_counter() - t0 < 300.0
-    assert first.status == 0
+    assert first.reason is None
     assert first.final_accuracy >= 0.95
     second = train(cfg, str(tmp_path / "b"))
     assert (open(first.metrics_path, "rb").read()
@@ -215,7 +215,7 @@ def test_epoch_mid_schedule_and_below_mid_fraction(tmp_path):
                     noise_angle_deg=10.0, epochs=30, batch_size=128, lr=0.02,
                     lr_halve_every=6)
     res = train(cfg, str(tmp_path))
-    assert res.status == 0
+    assert res.reason is None
     with open(res.metrics_path, newline="") as fh:
         rows = list(csv.DictReader(fh))
     mids, frac = {}, {}

@@ -514,6 +514,8 @@ def test_grad_check_corruption_fails(capsys):
     (["render", "--demo", "hemisphere", "--size", "8", "--radius", "256"], "--radius"),
     (["stats", "--C", "10", "--d", "16", "--trials", "1", "--seed", "-1"], "--seed"),
     (["grad-check", "--repeats", "1", "--seed", "-1"], "--seed"),
+    # 3 x 100000 demo frames of 30 x 30 pixels, all held until written
+    (["render", "--demo", "hemisphere", "--size", "30", "--frames", "100000"], "--frames"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_flag_value_is_a_usage_error_naming_the_flag(tmp_path, capsys,

@@ -4,11 +4,16 @@ own definition.
 
 A name counts as reached when it is read as a Name or an Attribute; an
 import alias alone does not count, so a definition that only the tests
-call fails here, and so does a helper whose last caller went away."""
+call fails here, and so does a helper whose last caller went away.  In the
+same way, every RunConfig field but n is read somewhere besides io_formats,
+which parses and checks it."""
 
 import ast
+import dataclasses
 from collections import defaultdict
 from pathlib import Path
+
+from lh2.io_formats import RunConfig
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lh2"
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -55,3 +60,11 @@ def test_scan_ignores_imports_and_self_reference(tmp_path):
     (tmp_path / "b.py").write_text("from .a import only_imported, used\n\n"
                                    "value = used()\n")
     assert unreached_definitions(tmp_path) == ["a.Node", "a._orphan", "a.only_imported"]
+
+
+def test_every_config_field_but_n_is_read():
+    read = {node.attr for path in sorted(PACKAGE.glob("*.py")) if path.stem != "io_formats"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+            if isinstance(node, ast.Attribute)}
+    # n has no effect on a run; perfbench's workload configs still set it
+    assert {f.name for f in dataclasses.fields(RunConfig)} - read == {"n"}

@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lh2 import proxy_losses
 from lh2.errors import ConfigError
 from lh2.io_formats import RunConfig
-from lh2.proxy_losses import (EpochMidState, ProxyLossConfig, end_epoch,
-                              observe_positive_cosines, pns_loss, pp_loss,
-                              pp_selection, positive_cosines, pps_loss,
-                              proxy_based_total, sns_loss)
+from lh2.proxy_losses import (EpochMidState, end_epoch, observe_positive_cosines,
+                              pns_loss, pp_loss, pp_selection, positive_cosines,
+                              pps_loss, proxy_based_total, sns_loss)
 from lh2.train_harness import _raw_proxies
 from lh2.uamf import EmbeddingBatch, ProxyMatrix
 
 import oracles
 
-CFG = ProxyLossConfig()
-SNS_CFG = ProxyLossConfig(lambda_sns=150.0)      # sns is off at the default 0
+CFG = RunConfig()
+SNS_CFG = RunConfig(lambda_sns=150.0)      # sns is off at the default 0
 
 
 def _unit_rows(rng, c, d):
@@ -36,18 +36,24 @@ def _random_instance(seed, N=4, C=5, d=4):
 # config and mid state
 
 def test_config_validation():
-    # the regularizers' values are checked by RunConfig itself
+    # the losses read the run config itself, so a bad weight fails wherever
+    # the config is built, not only when it comes from a file
+    assert proxy_losses.ProxyLossConfig is RunConfig
     with pytest.raises(ConfigError, match="cos_min .* cos_max"):
         RunConfig(cos_min=0.9, cos_max=0.5)
     with pytest.raises(ConfigError, match="bad value for 'cos_max'"):
         RunConfig(cos_max=1.5)
     with pytest.raises(ConfigError, match="bad value for 'lambda_pp'"):
         RunConfig(lambda_pp=-1.0)
+    with pytest.raises(ConfigError, match="bad value for 'lambda_pps'"):
+        RunConfig(lambda_pps=-1.0)
+    with pytest.raises(ConfigError, match="bad value for 'lambda_sns'"):
+        RunConfig(lambda_sns=float("nan"))
 
 
 def test_initial_mid_is_cos_min():
     assert EpochMidState.initial(CFG).mid == 0.5
-    assert EpochMidState.initial(ProxyLossConfig(cos_min=0.6)).mid == 0.6
+    assert EpochMidState.initial(RunConfig(cos_min=0.6)).mid == 0.6
 
 
 def test_end_epoch_clipping():

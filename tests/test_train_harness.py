@@ -13,8 +13,8 @@ import pytest
 from lh2 import proxy_losses, sphere_math, train_harness, uamf
 from lh2.errors import ConfigError
 from lh2.io_formats import RunConfig
-from lh2.proxy_losses import (EpochMidState, ProxyLossConfig, pns_loss, pp_loss,
-                              pp_selection, pps_loss, proxy_based_total, sns_loss)
+from lh2.proxy_losses import (EpochMidState, pns_loss, pp_loss, pp_selection, pps_loss,
+                              proxy_based_total, sns_loss)
 from lh2.train_harness import (GRADCHECK_OPS, _gradcheck_cases, _raw_proxies,
                                generate_dataset, grad_check, histogram_dump, init_state,
                                load_checkpoint, train, train_accuracy)
@@ -159,7 +159,7 @@ def tiny_run(tmp_path_factory):
 
 def test_train_completes_with_metrics(tiny_run):
     cfg, res, _ = tiny_run
-    assert res.status == 0
+    assert res.reason is None
     assert res.epochs_run == 3
     header, rows = _read_metrics(res.metrics_path)
     assert header == HEADER
@@ -267,11 +267,53 @@ def test_train_deterministic_bytes(tmp_path):
         assert fa.read_bytes() == fb.read_bytes()
 
 
+def _metrics_lines(path):
+    with open(path, "rb") as fh:
+        return fh.read().splitlines(keepends=True)
+
+
+def test_a_stopped_run_keeps_the_metrics_of_its_finished_epochs(tiny_run, tmp_path,
+                                                                monkeypatch):
+    # the third accuracy pass closes epoch 2; the run dies inside it
+    calls = []
+    scored = train_harness.train_accuracy
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise RuntimeError("killed")
+        return scored(*args)
+
+    monkeypatch.setattr(train_harness, "train_accuracy", failing)
+    with pytest.raises(RuntimeError, match="killed"):
+        train(RunConfig(**TINY), str(tmp_path))
+    # the header and the 5 + 5 rows of epochs 1 and 2, as the full run wrote them
+    full = _metrics_lines(tiny_run[1].metrics_path)
+    assert _metrics_lines(tmp_path / "metrics.csv") == full[:11]
+
+
+def test_a_diverged_run_writes_the_rows_of_its_last_epoch(tiny_run, tmp_path, monkeypatch):
+    # the loss check fails on step 7, the second step of epoch 2
+    checks = []
+    require = train_harness._require
+
+    def failing(ok, reason):
+        if reason == "non-finite loss":
+            checks.append(1)
+            ok = ok and len(checks) < 7
+        require(ok, reason)
+
+    monkeypatch.setattr(train_harness, "_require", failing)
+    res = train(RunConfig(**TINY), str(tmp_path))
+    assert (res.reason, res.epochs_run) == ("non-finite loss", 1)
+    full = _metrics_lines(tiny_run[1].metrics_path)
+    assert _metrics_lines(res.metrics_path) == full[:7]
+
+
 def test_train_divergence_restores_last_good_state(tmp_path):
     cfg = RunConfig(**{**TINY, "lr": 1e308})
     with np.errstate(over="ignore", invalid="ignore"):
         res = train(cfg, str(tmp_path))
-    assert res.status == 2
     assert res.reason == "non-finite update"    # the first step's update overflows
     assert res.epochs_run < cfg.epochs
     emb, proxies = load_checkpoint(str(tmp_path / "checkpoints" / "final"))
@@ -364,7 +406,7 @@ def _check_step_matches_standalone(z, labels, W, mid, plcfg, rng_seed, raw=False
 
 
 def test_training_step_losses_equal_the_standalone_losses():
-    cfg = ProxyLossConfig()
+    cfg = RunConfig()
     for seed in range(10):
         rng = np.random.default_rng(seed)
         N, C, d = 12, 6, 5
@@ -389,7 +431,7 @@ def test_training_step_losses_equal_the_standalone_losses():
         assert rep.stats["below_frac"] == 0
         # sns switched on
         _check_step_matches_standalone(z, y, unit, 0.5,
-                                       ProxyLossConfig(lambda_sns=150.0), seed)
+                                       RunConfig(lambda_sns=150.0), seed)
         # one class and two classes
         rep = _check_step_matches_standalone(z, np.zeros(N, dtype=int), unit[:1],
                                              0.5, cfg, seed)
@@ -406,7 +448,7 @@ def test_training_step_with_a_single_proxy_pp_selection():
     rep = _check_step_matches_standalone(rng.standard_normal((1, 3)) * 5.0,
                                          np.array([1]),
                                          W / np.linalg.norm(W, axis=1, keepdims=True),
-                                         0.5, ProxyLossConfig(), seed)
+                                         0.5, RunConfig(), seed)
     assert len(rep.stats["pp_selection"]) == 1
 
 

@@ -306,7 +306,7 @@ def test_gradients_take_one_backward_per_report_and_none_for_the_total(monkeypat
     rng = np.random.default_rng(11)
     batch = EmbeddingBatch(rng.standard_normal((6, 4)) * 5.0, np.arange(6) % 3)
     proxies = ProxyMatrix(_unit_rows(rng, 3, 4))
-    cfg = proxy_losses.ProxyLossConfig(lambda_sns=150.0)
+    cfg = RunConfig(lambda_sns=150.0)
     state = proxy_losses.EpochMidState(mid=0.9)
     losses = {
         "uamf": lambda: uamf_loss(batch, proxies, 0.5, 1.0),
@@ -345,7 +345,7 @@ def test_reports_of_different_batches_or_proxies_do_not_add():
     rng = np.random.default_rng(12)
     z, y = rng.standard_normal((4, 3)) * 5.0, np.arange(4) % 2
     batch, proxies = EmbeddingBatch(z, y), ProxyMatrix(_unit_rows(rng, 2, 3))
-    cfg = proxy_losses.ProxyLossConfig()
+    cfg = RunConfig()
     rep = uamf_loss(batch, proxies, 0.5, 1.0)
     with pytest.raises(DomainError):
         rep + proxy_losses.pns_loss(EmbeddingBatch(z, y), proxies, cfg)
