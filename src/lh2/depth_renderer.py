@@ -59,7 +59,12 @@ class DepthMap:
 
 @dataclasses.dataclass
 class CameraIntrinsics:
-    K: np.ndarray
+    """Square-pixel pinhole camera: focal length f and principal point
+    (cx, cy), in pixels, on a W x H image."""
+
+    f: float
+    cx: float
+    cy: float
     W: int
     H: int
 
@@ -71,11 +76,8 @@ def intrinsics_from_fov(W: int, H: int, fov_deg: float) -> CameraIntrinsics:
         raise DomainError(f"need W, H >= 2, got ({W}, {H})")
     if not 0.0 < fov_deg < 180.0:
         raise DomainError(f"fov must be in (0, 180) degrees, got {fov_deg}")
-    f = (W - 1) / (2.0 * math.tan(math.radians(fov_deg) / 2.0))
-    K = np.array([[f, 0.0, (W - 1) / 2.0],
-                  [0.0, f, (H - 1) / 2.0],
-                  [0.0, 0.0, 1.0]])
-    return CameraIntrinsics(K=K, W=int(W), H=int(H))
+    return CameraIntrinsics(f=(W - 1) / (2.0 * math.tan(math.radians(fov_deg) / 2.0)),
+                            cx=(W - 1) / 2.0, cy=(H - 1) / 2.0, W=int(W), H=int(H))
 
 
 @dataclasses.dataclass
@@ -143,9 +145,7 @@ class CanvasSpec:
 def _back_project(u, v, d, K: CameraIntrinsics) -> np.ndarray:
     """Points d * K^-1 [u, v, 1] for pixel coordinates u, v broadcast
     against the depths d; the z component equals the depth exactly."""
-    f = K.K[0, 0]
-    cx, cy = K.K[0, 2], K.K[1, 2]
-    return np.stack([(u - cx) / f * d, (v - cy) / f * d, d], axis=-1)
+    return np.stack([(u - K.cx) / K.f * d, (v - K.cy) / K.f * d, d], axis=-1)
 
 
 def depth_to_pointcloud(depth: DepthMap, K: CameraIntrinsics) -> np.ndarray:
@@ -166,13 +166,11 @@ def project_points(points: np.ndarray, K: CameraIntrinsics):
     """Perspective projection; returns (u, v, d, valid) with d = depth w
     and valid false where w <= 0 (those points are excluded downstream)."""
     p = np.asarray(points, dtype=np.float64)
-    f = K.K[0, 0]
-    cx, cy = K.K[0, 2], K.K[1, 2]
     w = p[..., 2]
     valid = w > 0.0
     safe = np.where(valid, w, 1.0)
-    u = f * p[..., 0] / safe + cx
-    v = f * p[..., 1] / safe + cy
+    u = K.f * p[..., 0] / safe + K.cx
+    v = K.f * p[..., 1] / safe + K.cy
     return np.where(valid, u, 0.0), np.where(valid, v, 0.0), w.copy(), valid
 
 

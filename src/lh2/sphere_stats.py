@@ -56,7 +56,9 @@ def monte_carlo_pairwise(C: int, d: int, trials: int, seed) -> dict:
     """Sample C uniform unit vectors per trial; report the nearest-neighbor
     statistic the closed form estimates (each vector's largest |cos| to any
     other, i.e. its minimum angle, averaged over vectors and trials) and the
-    pooled empirical std of pairwise cosines."""
+    pooled empirical mean and std of pairwise cosines over the ordered
+    pairs; pairs counts the unordered ones.  A run holds one trial's sample
+    and one row block of its Gram matrix at a time."""
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if C < 2 or d < 1:
@@ -64,36 +66,32 @@ def monte_carlo_pairwise(C: int, d: int, trials: int, seed) -> dict:
     if C * d * trials > _MAX_MC_SCALARS:
         raise DomainError(f"C*d*trials = {C * d * trials} exceeds the "
                           f"{_MAX_MC_SCALARS} desk-scale bound")
-    seeds = np.random.SeedSequence(seed).spawn(trials)
-    s1 = 0.0
-    s2 = 0.0
-    count = 0
-    max_sum = 0.0
-    block = max(1, 2_000_000 // max(C, 1))
-    for trial_seed in seeds:
-        rng = np.random.default_rng(trial_seed)
+    root = np.random.SeedSequence(seed)
+    s1 = s2 = max_sum = 0.0
+    block = max(1, 2_000_000 // C)
+    for _ in range(trials):
+        rng = np.random.default_rng(root.spawn(1)[0])
         x = rng.standard_normal((C, d))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         nn_sum = 0.0
         for r0 in range(0, C, block):
-            rows = np.arange(r0, min(r0 + block, C))
-            gram = x[rows] @ x.T
-            upper = gram[np.arange(C)[None, :] > rows[:, None]]
-            if upper.size:
-                s1 += float(upper.sum())
-                s2 += float((upper ** 2).sum())
-                count += upper.size
-            gram[np.arange(len(rows)), rows] = 0.0    # drop the self-cosines
-            nn_sum += float(np.abs(gram).max(axis=1).sum())
+            gram = x[r0:r0 + block] @ x.T
+            np.fill_diagonal(gram[:, r0:], 0.0)     # drop the self-cosines
+            s1 += float(gram.sum())
+            s2 += float(np.vdot(gram, gram))
+            # the largest |cos| of each row, without an abs copy of the block
+            nn_sum += float(np.maximum(gram.max(axis=1), -gram.min(axis=1)).sum())
         max_sum += nn_sum / C
-    mean = s1 / count
-    var = max(s2 / count - mean ** 2, 0.0)
+    ordered = trials * C * (C - 1)
+    mean = s1 / ordered
+    var = max(s2 / ordered - mean ** 2, 0.0)
     return {"max_cos_mean": max_sum / trials, "std_cos_emp": math.sqrt(var),
-            "mean_cos_emp": mean, "pairs": count}
+            "mean_cos_emp": mean, "pairs": ordered // 2}
 
 
-def proxy_spread_trackers(proxies, C: int, d: int, batch_selection) -> dict:
-    """Spread statistics over the pp-style selection of a ProxyMatrix:
+def proxy_spread_trackers(proxies, batch_selection) -> dict:
+    """Spread statistics over the pp-style selection of a ProxyMatrix of
+    C proxies in R^d (both read from its shape):
 
         std      = sqrt(mean pairwise cos^2)
         std_mean = sqrt(mean relu(cos - sqrt(2 ln C / d))^2)
@@ -107,13 +105,13 @@ def proxy_spread_trackers(proxies, C: int, d: int, batch_selection) -> dict:
     k = len(sel)
     if k < 2:
         return {"std": 0.0, "std_mean": 0.0}
-    _, gram = proxies.selection_gram(sel)
+    C, d = proxies.W.shape
+    _, gram = proxies.selection_gram(sel)     # zero diagonal: ordered pairs
     ordered = k * (k - 1)
     thr = math.sqrt(min(2.0 * math.log(C) / d, 1.0))
-    excess = np.maximum(gram - thr, 0.0).ravel()
-    gram = gram.ravel()
-    return {"std": math.sqrt(float(gram @ gram) / ordered),
-            "std_mean": math.sqrt(float(excess @ excess) / ordered)}
+    excess = np.maximum(gram - thr, 0.0)
+    return {"std": math.sqrt(float(np.vdot(gram, gram)) / ordered),
+            "std_mean": math.sqrt(float(np.vdot(excess, excess)) / ordered)}
 
 
 def sns_tracker(batch) -> float:
@@ -124,6 +122,5 @@ def sns_tracker(batch) -> float:
     ordered = int(np.count_nonzero(pair))
     if ordered == 0:
         return 0.0
-    squares = np.square(batch.gram)
-    squares[~pair] = 0.0
-    return math.sqrt(float(squares.sum()) / ordered)
+    g = batch.gram * pair
+    return math.sqrt(float(np.vdot(g, g)) / ordered)

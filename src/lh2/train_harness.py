@@ -205,8 +205,7 @@ def train(cfg: RunConfig, out_dir: str) -> TrainResult:
                 state.proxies = ProxyMatrix.from_rows(w, w_norms)
                 state.step += 1
 
-                spread = proxy_spread_trackers(state.proxies, cfg.C, cfg.d,
-                                               step.stats["pp_selection"])
+                spread = proxy_spread_trackers(state.proxies, step.stats["pp_selection"])
                 records.append({
                     "step": state.step, "epoch": epoch, "lr": lr,
                     "loss_total": step.total, **step.terms,   # uamf, pps, pns, pp

@@ -342,6 +342,24 @@ def plain_exp_margin_softmax(z, labels, W, margin: float, tau: float):
     return loss, dS @ W, dS.T @ z
 
 
+def whole_gram_pairwise(C: int, d: int, trials: int, seed) -> dict:
+    """monte_carlo_pairwise's documented scheme on whole Gram matrices:
+    trial t draws C standard-normal rows of R^d from the t-th child of
+    SeedSequence(seed) and normalizes them; the moments run over the
+    unordered pairs and the nearest neighbor excludes the vector itself."""
+    nn, upper = [], []
+    self_pair = np.eye(C, dtype=bool)
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        x = np.random.default_rng(child).standard_normal((C, d))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        gram = x @ x.T
+        upper.append(gram[np.triu_indices(C, 1)])
+        nn.append(np.where(self_pair, -np.inf, np.abs(gram)).max(axis=1).mean())
+    cos = np.concatenate(upper)
+    return {"max_cos_mean": float(np.mean(nn)), "std_cos_emp": float(np.std(cos)),
+            "mean_cos_emp": float(np.mean(cos)), "pairs": cos.size}
+
+
 def whole_canvas_warp(source, depth, pose, K, canvas, radius: int):
     """(image, mask, depth) of depth_renderer.warp_image with the scatter
     run on the whole canvas and its central K.H x K.W window cropped out

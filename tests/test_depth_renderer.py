@@ -32,14 +32,14 @@ def _plane(size, z0):
 
 def test_intrinsics_square_90deg():
     K = intrinsics_from_fov(3, 3, 90.0)
-    want = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
-    np.testing.assert_allclose(K.K, want, rtol=1e-14, atol=0)
+    assert K.f == pytest.approx(1.0, rel=1e-14)
+    assert (K.cx, K.cy, K.W, K.H) == (1.0, 1.0, 3, 3)
 
 
 def test_intrinsics_narrow_fov_focal():
     K = intrinsics_from_fov(112, 112, 10.0)
-    assert K.K[0, 0] == pytest.approx(oracles.FOCAL_112_10DEG, rel=1e-12)
-    assert K.K[0, 2] == 55.5 and K.K[1, 2] == 55.5
+    assert K.f == pytest.approx(oracles.FOCAL_112_10DEG, rel=1e-12)
+    assert K.cx == 55.5 and K.cy == 55.5
 
 
 def test_intrinsics_validation():
@@ -215,7 +215,7 @@ def _auxiliary_poses(canvas: CanvasSpec, template: DepthMap, K):
     corners exactly on the canvas bounds.  Returns (probe_depth, [pose_lo,
     pose_hi])."""
     z0 = template.min_depth
-    f = K.K[0, 0]
+    f = K.f
     probe = DepthMap(values=np.full(template.shape, z0), min_depth=z0, max_depth=z0)
     x_max, y_max = _far_corner(canvas)
     t_lo = np.array([canvas.x_min_g * z0 / f, canvas.y_min_g * z0 / f, 0.0])
@@ -407,7 +407,7 @@ def _random_scene(seed, size=9):
 def test_shade_matches_reference():
     for d, albedo, K, light in (hemisphere_scene(14), (*_random_scene(5), DEFAULT_LIGHT)):
         got = shade(d, albedo, light, K)
-        want = oracles.reference_shade(d.values, albedo, K.K[0, 0], K.K[0, 2], K.K[1, 2],
+        want = oracles.reference_shade(d.values, albedo, K.f, K.cx, K.cy,
                                        light.k_a, light.k_d, light.l_dx, light.l_dy)
         np.testing.assert_allclose(got, want, atol=1e-12)
 

@@ -6,10 +6,12 @@ A name counts as reached when it is read as a Name or an Attribute; an
 import alias alone does not count, so a definition that only the tests
 call fails here, and so does a helper whose last caller went away.  In the
 same way, every RunConfig field but n is read somewhere besides io_formats,
-which parses and checks it."""
+which parses and checks it, and every parameter of a function, method or
+lambda is read in its body."""
 
 import ast
 import dataclasses
+import math
 from collections import defaultdict
 from pathlib import Path
 
@@ -68,3 +70,54 @@ def test_every_config_field_but_n_is_read():
             if isinstance(node, ast.Attribute)}
     # n has no effect on a run; perfbench's workload configs still set it
     assert {f.name for f in dataclasses.fields(RunConfig)} - read == {"n"}
+
+
+def unread_parameters(package=PACKAGE):
+    """Sorted "module.function(line).parameter" of the parameters that their
+    function's body never reads before it rebinds them: a Name must load
+    the parameter no later than the last line of the first statement that
+    assigns it.  self is exempt, and so are the lambdas handed to
+    train_harness._z_and_W_pairs, which calls every loss as
+    loss(batch, proxies) whether it reads both or not."""
+    found = []
+    for path in sorted(Path(package).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        fixed = {id(node.args[0]) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id == "_z_and_W_pairs" and node.args}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) \
+                    or id(node) in fixed:
+                continue
+            args = node.args
+            body = node.body if isinstance(node.body, list) else [node.body]
+            loads, rebound = defaultdict(list), defaultdict(list)
+            for inner in (n for stmt in body for n in ast.walk(stmt)):
+                if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load):
+                    loads[inner.id].append(inner.lineno)
+                elif isinstance(inner, ast.stmt):
+                    for name in ast.walk(inner):
+                        if isinstance(name, ast.Name) and not isinstance(name.ctx, ast.Load):
+                            rebound[name.id].append(inner.end_lineno)
+            for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+                if a is None or a.arg == "self":
+                    continue
+                deadline = min(rebound[a.arg], default=math.inf)
+                if not any(line <= deadline for line in loads[a.arg]):
+                    found.append(f"{path.stem}.{getattr(node, 'name', '<lambda>')}"
+                                 f"({node.lineno}).{a.arg}")
+    return sorted(found)
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []
+
+
+def test_parameter_scan_flags_unread_parameters(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(a, b, *args, c=1, **kw):\n    return a\n\n\n"
+        "def g(u, v, w):\n    u = 2\n    v = (1,\n         v)\n    return u + v + w\n\n\n"
+        "class K:\n    def m(self, x):\n        return lambda y: x\n\n\n"
+        "pairs = _z_and_W_pairs(lambda b, p: p, 1)\n")
+    assert unread_parameters(tmp_path) == ["a.<lambda>(14).y", "a.f(1).args", "a.f(1).b",
+                                           "a.f(1).c", "a.f(1).kw", "a.g(5).u"]

@@ -2,6 +2,7 @@
 the spread trackers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from lh2.sphere_stats import (EvtEstimate, evt_estimate, half_quarter_cosines,
                               monte_carlo_pairwise, proxy_spread_trackers,
                               sns_tracker)
 from lh2.uamf import EmbeddingBatch, ProxyMatrix
+
+import oracles
 
 # minimum-angle estimate at (C, d) = (70722, 512), frozen from mpmath
 EVT_COS = 0.20885207064315192
@@ -133,6 +136,27 @@ def test_mc_agrees_with_direct_replay():
     assert res["pairs"] == trials * C * (C - 1) // 2
 
 
+def test_mc_across_row_blocks_matches_whole_gram():
+    # 2 000 000 // 1500 = 1333 rows a block: two blocks, the second partial
+    res = monte_carlo_pairwise(1500, 4, 2, 5)
+    want = oracles.whole_gram_pairwise(1500, 4, 2, 5)
+    assert res["max_cos_mean"] == pytest.approx(want["max_cos_mean"], rel=1e-12)
+    assert res["std_cos_emp"] == pytest.approx(want["std_cos_emp"], rel=1e-9)
+    assert res["mean_cos_emp"] == pytest.approx(want["mean_cos_emp"], abs=1e-12)
+    assert res["pairs"] == want["pairs"]
+
+
+def test_mc_memory_does_not_grow_with_trials():
+    monte_carlo_pairwise(2, 2, 2, 0)                  # warm-up: imports, caches
+    tracemalloc.start()
+    try:
+        monte_carlo_pairwise(2, 2, 2000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def test_mc_domain_errors():
     with pytest.raises(DomainError):
         monte_carlo_pairwise(100, 8, 0, 0)
@@ -154,16 +178,21 @@ def _equal_cos_rows(k: int, d: int, t: float) -> np.ndarray:
     return rows
 
 
+def _padded(rows: np.ndarray, C: int) -> ProxyMatrix:
+    """The given unit rows, then random unit rows up to C proxies."""
+    rest = np.random.default_rng(0).standard_normal((C - len(rows), rows.shape[1]))
+    return ProxyMatrix(np.vstack([rows, rest / np.linalg.norm(rest, axis=1, keepdims=True)]))
+
+
 def test_trackers_orthogonal_selection():
-    out = proxy_spread_trackers(ProxyMatrix(np.eye(6)), 6, 6, np.arange(4))
+    out = proxy_spread_trackers(ProxyMatrix(np.eye(6)), np.arange(4))
     assert out == {"std": 0.0, "std_mean": 0.0}
 
 
 def test_trackers_all_pairs_at_threshold():
     C, d = 16, 8
     thr = math.sqrt(min(2.0 * math.log(C) / d, 1.0))
-    rows = _equal_cos_rows(5, d, thr)
-    out = proxy_spread_trackers(ProxyMatrix(rows), C, d, np.arange(5))
+    out = proxy_spread_trackers(_padded(_equal_cos_rows(5, d, thr), C), np.arange(5))
     assert out["std"] == pytest.approx(thr, rel=1e-12)
     assert out["std_mean"] <= 1e-7
 
@@ -171,28 +200,26 @@ def test_trackers_all_pairs_at_threshold():
 def test_trackers_single_pair_above_threshold():
     C, d = 16, 8
     thr = math.sqrt(min(2.0 * math.log(C) / d, 1.0))
-    rows = _equal_cos_rows(2, d, 0.95)
-    out = proxy_spread_trackers(ProxyMatrix(rows), C, d, np.arange(2))
+    out = proxy_spread_trackers(_padded(_equal_cos_rows(2, d, 0.95), C), np.arange(2))
     assert out["std"] == pytest.approx(0.95, rel=1e-12)
     assert out["std_mean"] == pytest.approx(0.95 - thr, rel=1e-9)
 
 
 def test_trackers_threshold_clamps_at_one():
-    # 2 ln C / d > 1 clamps the threshold to 1, so nothing can exceed it
-    rows = _equal_cos_rows(3, 8, 0.99)
-    out = proxy_spread_trackers(ProxyMatrix(rows), 200, 2, np.arange(3))
+    # 2 ln 200 / 8 > 1 clamps the threshold to 1, so nothing can exceed it
+    out = proxy_spread_trackers(_padded(_equal_cos_rows(3, 8, 0.99), 200), np.arange(3))
     assert out["std_mean"] == 0.0
 
 
 def test_trackers_small_selection():
-    assert proxy_spread_trackers(ProxyMatrix(np.eye(4)), 4, 4, [2]) == \
+    assert proxy_spread_trackers(ProxyMatrix(np.eye(4)), [2]) == \
         {"std": 0.0, "std_mean": 0.0}
 
 
 def test_trackers_uniform_high_dim_std():
     rng = np.random.default_rng(2)
     w = rng.standard_normal((1000, 512))
-    out = proxy_spread_trackers(ProxyMatrix.from_rows(w), 1000, 512, np.arange(1000))
+    out = proxy_spread_trackers(ProxyMatrix.from_rows(w), np.arange(1000))
     assert abs(out["std"] - math.sqrt(1.0 / 512)) <= 0.005
     assert 0.0 <= out["std_mean"] <= 0.01
 
@@ -244,6 +271,6 @@ def test_proxy_spread_trackers_match_direct_loop():
                 sq += cos ** 2
                 ex += max(cos - thr, 0.0) ** 2
                 n += 1
-        out = proxy_spread_trackers(ProxyMatrix.from_rows(w), C, d, sel)
+        out = proxy_spread_trackers(ProxyMatrix.from_rows(w), sel)
         assert out["std"] == pytest.approx(math.sqrt(sq / n), rel=1e-12)
         assert out["std_mean"] == pytest.approx(math.sqrt(ex / n), rel=1e-12, abs=1e-15)

@@ -115,7 +115,7 @@ def test_lognormal_norms_match_config():
     assert abs(ln.std() - 0.25) < 0.05
 
 
-def test_spec_converts_noise_to_radians():
+def test_generate_dataset_reads_noise_angle_in_degrees():
     # each sample lies |phi| from its class direction, phi ~ N(0, 10 degrees)
     X, labels = generate_dataset(RunConfig(seed=5, C=2, d_in=16, samples_per_class=2000,
                                            noise_angle_deg=10.0))
@@ -124,7 +124,7 @@ def test_spec_converts_noise_to_radians():
     assert math.sqrt(np.mean(angles ** 2)) == pytest.approx(math.radians(10.0), rel=0.03)
 
 
-def test_spec_validation():
+def test_run_config_rejects_bad_dataset_values():
     # the dataset's values are checked by RunConfig itself
     for bad in ({"samples_per_class": 0}, {"noise_angle_deg": -1.0}, {"d_in": 1}):
         with pytest.raises(ConfigError, match=f"bad value for '{next(iter(bad))}'"):
@@ -338,8 +338,7 @@ def test_train_takes_positive_cosines_once_per_step(tmp_path, monkeypatch):
     assert len(calls) == 15
 
 
-def test_train_builds_one_product_and_one_similarity_batch_per_step(tmp_path,
-                                                                    monkeypatch):
+def test_train_step_builds_one_product_one_backward_and_no_bessel(tmp_path, monkeypatch):
     # the margin softmax reads S alone: no Bessel function in a training step
     counts = collections.Counter()
 

@@ -214,7 +214,7 @@ def test_uamf_validation():
         uamf_loss(EmbeddingBatch(np.ones((1, 2)), np.array([1])), proxies, 0.0, 1.0)
 
 
-def test_clamped_rows_reported():
+def test_zero_norm_row_gives_uniform_logits_and_finite_gradient():
     # a zero row, below KAPPA_MIN: its logits are all zero, a uniform softmax
     z = np.array([[0.0, 0.0], [4.0, 1.0]])
     assert np.linalg.norm(z[0]) < sphere_math.KAPPA_MIN
@@ -224,7 +224,7 @@ def test_clamped_rows_reported():
     assert np.all(np.isfinite(rep.grad_z))
 
 
-def test_clamped_row_gradients_match_finite_differences():
+def test_tiny_norm_row_gradients_match_finite_differences():
     # row 1 sits at ||z|| = 5e-7, below KAPPA_MIN; steps of 1e-10 keep it there
     rng = np.random.default_rng(5)
     z = rng.standard_normal((3, 4)) * 5.0
