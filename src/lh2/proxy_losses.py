@@ -15,7 +15,8 @@ pps and pns read their cosines from the batch's product with the proxies
 cosines are renormalized on both sides.  Each reports its d loss / d cos
 as an N x C matrix; the reports of a step sum them, and a gradient read
 takes the sum through ProxyProduct.cos_adjoint and the one backward,
-sphere_math._adjoint_grads, to z and W.  pp and sns read Gram matrices;
+sphere_math.adjoint_grads, to z and W.  pp and sns read Gram matrices (pp
+reports its selection's as stats["pp_gram"] for the spread tracker);
 _quotient_rule takes their gradients when they are read.  Both hold even
 when inputs drift slightly off the sphere.
 
@@ -131,7 +132,8 @@ def pp_selection(batch_labels, C: int, rng: np.random.Generator) -> np.ndarray:
 def pp_loss(batch_labels, proxies: ProxyMatrix, cfg: RunConfig,
             rng: np.random.Generator) -> LossReport:
     """lambda_pp * mean over unordered proxy pairs in the selection of
-    cos^2; gradient with respect to the proxies only."""
+    cos^2; gradient with respect to the proxies only.  stats["pp_gram"]
+    holds the selection's cosines with the diagonal zeroed."""
     C = proxies.W.shape[0]
     # one class draws no random proxy; a selection of one has no pair and a zero loss
     sel = pp_selection(batch_labels, C, rng) if C > 1 else np.arange(C, dtype=np.int64)
@@ -146,7 +148,7 @@ def pp_loss(batch_labels, proxies: ProxyMatrix, cfg: RunConfig,
                                      proxies.norms[sel])
         return None, grad_W
 
-    return LossReport(loss, {"pp": loss}, {"pp_selection": sel}, proxies=proxies,
+    return LossReport(loss, {"pp": loss}, {"pp_gram": gram}, proxies=proxies,
                       direct=(direct,))
 
 

@@ -36,7 +36,7 @@ and only the grad-check's vmf_similarity op and the tests call them (the
 margin softmax cancels the normalizer).  A loss of S and the row norms of z
 and W (the margin softmax, these similarities, the cosines of
 uamf.ProxyProduct) has an adjoint (dS N x C, dnz N, dnw C) that one
-backward, _adjoint_grads, takes to z and W.  All floats are 64-bit.
+backward, adjoint_grads, takes to z and W.  All floats are 64-bit.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def _similarity_adjoint(dsim, S, ratio, scale):
     return dsim, dnz, np.zeros(dsim.shape[1])
 
 
-def _adjoint_grads(dS, dnz, dnw, z, zhat, W, what):
+def adjoint_grads(dS, dnz, dnw, z, zhat, W, what):
     """(grad_z, grad_W) of a loss of S = z W^T, ||z|| and ||W|| from its
     adjoint (dS, dnz, dnw), with zhat and what the unit rows of z and W."""
     return dS @ W + dnz[:, None] * zhat, dS.T @ z + dnw[:, None] * what

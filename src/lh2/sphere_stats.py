@@ -18,8 +18,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, RangeError
-
-_MAX_MC_SCALARS = int(1e8)
+from .io_formats import MAX_WORK
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,14 +57,19 @@ def monte_carlo_pairwise(C: int, d: int, trials: int, seed) -> dict:
     other, i.e. its minimum angle, averaged over vectors and trials) and the
     pooled empirical mean and std of pairwise cosines over the ordered
     pairs; pairs counts the unordered ones.  A run holds one trial's sample
-    and one row block of its Gram matrix at a time."""
+    and one row block of its Gram matrix at a time.  One DomainError names
+    each product over its cap: C*d*trials <= 1e8, C*d <= MAX_WORK,
+    trials*C^2 <= 2^32 cosines, trials*C^2*d <= 2^37 multiply-adds."""
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if C < 2 or d < 1:
         raise DomainError(f"need C >= 2 and d >= 1, got ({C}, {d})")
-    if C * d * trials > _MAX_MC_SCALARS:
-        raise DomainError(f"C*d*trials = {C * d * trials} exceeds the "
-                          f"{_MAX_MC_SCALARS} desk-scale bound")
+    over = [f"{name} = {size} exceeds {cap}" for name, size, cap in (
+        ("C*d*trials", C * d * trials, int(1e8)), ("C*d", C * d, MAX_WORK),
+        ("trials*C^2", trials * C * C, 2 ** 32), ("trials*C^2*d", trials * C * C * d, 2 ** 37))
+        if size > cap]
+    if over:
+        raise DomainError("Monte Carlo work over its caps: " + "; ".join(over))
     root = np.random.SeedSequence(seed)
     s1 = s2 = max_sum = 0.0
     block = max(1, 2_000_000 // C)
@@ -89,25 +93,22 @@ def monte_carlo_pairwise(C: int, d: int, trials: int, seed) -> dict:
             "mean_cos_emp": mean, "pairs": ordered // 2}
 
 
-def proxy_spread_trackers(proxies, batch_selection) -> dict:
-    """Spread statistics over the pp-style selection of a ProxyMatrix of
-    C proxies in R^d (both read from its shape):
+def proxy_spread_trackers(proxies, gram) -> dict:
+    """Spread statistics of k proxies of a ProxyMatrix of C proxies in R^d
+    (C and d read from its shape), from their k x k cosines with the
+    diagonal zeroed (ProxyMatrix.selection_gram; pp_loss reports its
+    selection's as stats["pp_gram"]):
 
         std      = sqrt(mean pairwise cos^2)
         std_mean = sqrt(mean relu(cos - sqrt(2 ln C / d))^2)
 
     std_mean only charges pairs closer than the expected minimum angle.
-    The training loop calls it with the proxies after the step's update,
-    so it reads the spread the next step starts from, not the Gram matrix
-    pp_loss saw before the update.
     """
-    sel = np.asarray(batch_selection, dtype=np.int64)
-    k = len(sel)
+    k = len(gram)
     if k < 2:
         return {"std": 0.0, "std_mean": 0.0}
     C, d = proxies.W.shape
-    _, gram = proxies.selection_gram(sel)     # zero diagonal: ordered pairs
-    ordered = k * (k - 1)
+    ordered = k * (k - 1)       # the zero diagonal leaves the ordered pairs
     thr = math.sqrt(min(2.0 * math.log(C) / d, 1.0))
     excess = np.maximum(gram - thr, 0.0)
     return {"std": math.sqrt(float(np.vdot(gram, gram)) / ordered),

@@ -78,6 +78,9 @@ def generate_dataset(cfg: RunConfig):
 class TrainState:
     embedder: np.ndarray            # d_in x d
     proxies: ProxyMatrix
+    # the newest (embedder, proxies) whose loss evaluated finite; updates
+    # build new arrays rather than writing into these, so no copy is needed
+    good: tuple
     mu_norm: float                  # EMA of the batch-mean feature norm
     mid_state: EpochMidState
     vel_emb: np.ndarray
@@ -90,7 +93,7 @@ def init_state(cfg: RunConfig) -> TrainState:
     rng_init = np.random.default_rng([cfg.seed, 1])
     emb = rng_init.standard_normal((cfg.d_in, cfg.d)) / np.sqrt(cfg.d_in)
     proxies = ProxyMatrix.from_rows(rng_init.standard_normal((cfg.C, cfg.d)))
-    return TrainState(embedder=emb, proxies=proxies,
+    return TrainState(embedder=emb, proxies=proxies, good=(emb, proxies),
                       mu_norm=cfg.mu_norm_init,
                       mid_state=EpochMidState.initial(cfg),
                       vel_emb=np.zeros_like(emb),
@@ -147,14 +150,54 @@ def _require(ok, reason: str) -> None:
         raise _Diverged(reason)
 
 
+def train_step(state: TrainState, xb, yb, cfg: RunConfig, lr: float) -> dict:
+    """One momentum-SGD step on inputs xb with labels yb; returns its metrics
+    record (lr to std_sns).  The forward pass, the losses and the diagnostics
+    read the parameters the step starts from; the backward and the update come
+    last, so a failed check raises _Diverged with the parameters unchanged."""
+    zb = xb @ state.embedder
+    _require(np.isfinite(zb).all(), "non-finite features")
+    batch = EmbeddingBatch(zb, yb)
+    # a finite row whose norm overflows fails the same check
+    with np.errstate(over="ignore"):
+        _require(np.isfinite(batch.norms).all(), "non-finite features")
+    state.mu_norm, margin = update_norm_tracker(state.mu_norm, batch,
+                                                cfg.ema_alpha, cfg.margin_coeff)
+    # one report of the whole step: its gradients take one backward
+    step = (uamf_loss(batch, state.proxies, margin, cfg.tau)
+            + proxy_based_total(batch, state.proxies, state.mid_state, cfg, state.rng))
+    state.mid_state = observe_positive_cosines(state.mid_state, step.stats["positive_cos"])
+    _require(np.isfinite(step.total), "non-finite loss")
+    state.good = state.embedder, state.proxies
+
+    record = {"lr": lr, "loss_total": step.total, **step.terms,   # uamf, pps, pns, pp
+              "sns": step.terms.get("sns", 0.0),
+              "margin": margin, "mu_norm": state.mu_norm, "mid": state.mid_state.mid,
+              "below_mid_frac": step.stats["below_frac"],
+              **proxy_spread_trackers(state.proxies, step.stats["pp_gram"]),  # std, std_mean
+              "std_sns": sns_tracker(batch)}
+
+    state.vel_emb = cfg.momentum * state.vel_emb - lr * (xb.T @ step.grad_z)
+    emb = state.embedder + state.vel_emb
+    state.vel_W = cfg.momentum * state.vel_W - lr * step.grad_W
+    w = state.proxies.W + state.vel_W
+    w_norms = _row_norms(w)
+    # a proxy row norm that overflows fails like a non-finite entry
+    _require(np.isfinite(emb).all() and np.isfinite(w_norms).all(), "non-finite update")
+    state.embedder = emb
+    state.proxies = ProxyMatrix.from_rows(w, w_norms)
+    state.step += 1
+    return record
+
+
 def train(cfg: RunConfig, out_dir: str) -> TrainResult:
-    """Mini-batch SGD with momentum on the margin softmax plus the proxy
-    regularizers; per-step metrics, per-epoch mid/accuracy updates, and
-    checkpoints under out_dir.  Each epoch's metrics rows are appended to
-    metrics.csv as the epoch ends, so a stopped run keeps the epochs it
-    finished.  Non-finite features (an entry or a row norm), loss or update
-    abort the run with the failed check as the reason, the diverged epoch's
-    rows written and the newest state whose loss evaluated finite saved."""
+    """Mini-batch SGD with momentum, one train_step per batch; per-epoch
+    mid/accuracy updates and checkpoints under out_dir.  Each epoch's rows
+    (a step's record with its step, epoch and the epoch's starting
+    accuracy) are appended to metrics.csv as the epoch ends, so a stopped
+    run keeps the epochs it finished.  A failed check aborts the run with
+    the check as the reason, the diverged epoch's rows written and the
+    newest state whose loss evaluated finite saved."""
     X, labels = generate_dataset(cfg)
     m = len(labels)
     state = init_state(cfg)
@@ -165,9 +208,6 @@ def train(cfg: RunConfig, out_dir: str) -> TrainResult:
     acc = train_accuracy(X, labels, state.embedder, state.proxies)
     reason = None
     epochs_run = 0
-    # the newest parameters whose loss evaluated finite; updates build new
-    # arrays rather than writing into these, so no copy is needed
-    good = state.embedder, state.proxies
     try:
         for epoch in range(1, cfg.epochs + 1):
             lr = cfg.lr * 0.5 ** ((epoch - 1) // cfg.lr_halve_every)
@@ -175,47 +215,9 @@ def train(cfg: RunConfig, out_dir: str) -> TrainResult:
             perm = state.rng.permutation(m)
             for lo in range(0, m, cfg.batch_size):
                 idx = perm[lo:lo + cfg.batch_size]
-                xb = X[idx]
-                zb = xb @ state.embedder
-                _require(np.isfinite(zb).all(), "non-finite features")
-                batch = EmbeddingBatch(zb, labels[idx])
-                # a finite row whose norm overflows fails the same check
-                with np.errstate(over="ignore"):
-                    _require(np.isfinite(batch.norms).all(), "non-finite features")
-                state.mu_norm, margin = update_norm_tracker(state.mu_norm, batch,
-                                                            cfg.ema_alpha, cfg.margin_coeff)
-                # one report of the whole step: its gradients take one backward
-                step = (uamf_loss(batch, state.proxies, margin, cfg.tau)
-                        + proxy_based_total(batch, state.proxies, state.mid_state,
-                                            cfg, state.rng))
-                state.mid_state = observe_positive_cosines(state.mid_state,
-                                                           step.stats["positive_cos"])
-                _require(np.isfinite(step.total), "non-finite loss")
-                good = state.embedder, state.proxies
-
-                state.vel_emb = cfg.momentum * state.vel_emb - lr * (xb.T @ step.grad_z)
-                emb = state.embedder + state.vel_emb
-                state.vel_W = cfg.momentum * state.vel_W - lr * step.grad_W
-                w = state.proxies.W + state.vel_W
-                w_norms = _row_norms(w)
-                # a proxy row norm that overflows fails like a non-finite entry
-                _require(np.isfinite(emb).all() and np.isfinite(w_norms).all(),
-                         "non-finite update")
-                state.embedder = emb
-                state.proxies = ProxyMatrix.from_rows(w, w_norms)
-                state.step += 1
-
-                spread = proxy_spread_trackers(state.proxies, step.stats["pp_selection"])
-                records.append({
-                    "step": state.step, "epoch": epoch, "lr": lr,
-                    "loss_total": step.total, **step.terms,   # uamf, pps, pns, pp
-                    "sns": step.terms.get("sns", 0.0),
-                    "margin": margin, "mu_norm": state.mu_norm,
-                    "mid": state.mid_state.mid,
-                    "below_mid_frac": step.stats["below_frac"],
-                    "std": spread["std"], "std_mean": spread["std_mean"],
-                    "std_sns": sns_tracker(batch), "train_acc": acc,
-                })
+                record = train_step(state, X[idx], labels[idx], cfg, lr)
+                records.append({"step": state.step, "epoch": epoch, **record,
+                                "train_acc": acc})
             emit_metrics(records, metrics_path, append=True)
             state.mid_state = end_epoch(state.mid_state, cfg)
             acc = train_accuracy(X, labels, state.embedder, state.proxies)
@@ -224,7 +226,7 @@ def train(cfg: RunConfig, out_dir: str) -> TrainResult:
     except _Diverged as exc:
         reason = str(exc)
         emit_metrics(records, metrics_path, append=True)
-        state.embedder, state.proxies = good
+        state.embedder, state.proxies = state.good
 
     _checkpoint(out_dir, "final", state)
     return TrainResult(final_accuracy=acc, epochs_run=epochs_run,

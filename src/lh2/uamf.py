@@ -18,7 +18,7 @@ matrix and keeps: the similarities read the raw S, and the proxy losses
 (proxy_losses) read the cosines S / (||z|| ||W||^T) of the same matrix.
 Each such loss reports what its backward needs; the reports of a step add
 up with +, and the first gradient read forms the adjoints and runs the one
-backward, sphere_math._adjoint_grads.  A finite-difference probe that reads
+backward, sphere_math.adjoint_grads.  A finite-difference probe that reads
 the total only forms none.
 """
 
@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .sphere_math import _adjoint_grads, _divide_rows, _row_norms
+from .sphere_math import _divide_rows, _row_norms, adjoint_grads
 
 
 @dataclasses.dataclass
@@ -95,7 +95,6 @@ class ProxyMatrix:
     computed on first use, also for unvalidated finite-difference probes."""
 
     W: np.ndarray
-    _selection: tuple = dataclasses.field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=np.float64)
@@ -118,16 +117,11 @@ class ProxyMatrix:
     def selection_gram(self, sel: np.ndarray):
         """(rows, gram): the unit rows in sel and their cosines with the
         diagonal zeroed, so that every entry is a pair and each pair counts
-        twice.  Kept for the last selection: the spread tracker reads the
-        proxies after an update, and the next step's pp_loss the same ones,
-        with every proxy selected whenever C <= N."""
-        kept = self._selection
-        if not (kept and len(kept[0]) == len(sel) and (kept[0] == sel).all()):
-            rows = self.unit[sel]
-            gram = rows @ np.ascontiguousarray(rows.T)
-            np.fill_diagonal(gram, 0.0)
-            self._selection = kept = (sel, rows, gram)
-        return kept[1:]
+        twice."""
+        rows = self.unit[sel]
+        gram = rows @ np.ascontiguousarray(rows.T)
+        np.fill_diagonal(gram, 0.0)
+        return rows, gram
 
     @staticmethod
     def from_rows(rows, norms=None) -> "ProxyMatrix":
@@ -182,7 +176,7 @@ class LossReport:
     """A named loss total with per-term breakdown and gradients.
 
     total always equals the sum of terms; stats carries non-loss values
-    that callers read (fractions, cosines, the pp selection).  A loss keeps
+    that callers read (fractions, cosines, the pp Gram).  A loss keeps
     what its gradients need and forms them on the first read of grad_z or
     grad_W (None when nothing reaches them): d_cos, d loss / d cos of the
     batch's ProxyProduct (pps, pns); adjoint, callables each returning an
@@ -220,7 +214,7 @@ class LossReport:
             adjoints.append(b.product(p).cos_adjoint(self.d_cos))
         grads = (None, None)
         if adjoints:
-            grads = _adjoint_grads(*_sum_parts(adjoints, 3), b.z, b.zhat, p.W, p.unit)
+            grads = adjoint_grads(*_sum_parts(adjoints, 3), b.z, b.zhat, p.W, p.unit)
         return _sum_parts([grads, *(part() for part in self.direct)], 2)
 
     grad_z = property(lambda self: self._grads[0])

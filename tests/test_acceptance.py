@@ -198,7 +198,8 @@ def test_proxy_spread_shrinks_without_collapsing(tmp_path):
         cfg = dataclasses.replace(base, lambda_pp=lam)
         train(cfg, str(tmp_path / tag))
         _, proxies = load_checkpoint(str(tmp_path / tag / "checkpoints" / "final"))
-        stds[tag] = proxy_spread_trackers(proxies, np.arange(cfg.C))["std"]
+        stds[tag] = proxy_spread_trackers(
+            proxies, proxies.selection_gram(np.arange(cfg.C))[1])["std"]
     assert stds["on"] < stds["off"]
     assert stds["on"] >= math.sqrt(1.0 / 32) - 0.005
 

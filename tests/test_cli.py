@@ -367,6 +367,16 @@ def test_stats_out_of_domain(capsys):
     assert capsys.readouterr().err.startswith("lh2: error:")
 
 
+def test_stats_over_the_monte_carlo_caps_exits_3(capsys):
+    # 2 ln C / d = 0.994 and C*d*trials = 9e7 pass, but one trial's sample
+    # (9e7 values) and its 9e12 cosines would not finish
+    assert main(["stats", "--C", "3000000", "--d", "30", "--trials", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("lh2: error:")
+    assert all(f"{name} = " in captured.err for name in ("C*d", "trials*C^2", "trials*C^2*d"))
+
+
 def test_stats_writes_csv(tmp_path, capsys):
     out = tmp_path / "stats"
     assert main(["stats", "--C", "200", "--d", "512", "--out-dir", str(out)]) == 0

@@ -6,8 +6,9 @@ A name counts as reached when it is read as a Name or an Attribute; an
 import alias alone does not count, so a definition that only the tests
 call fails here, and so does a helper whose last caller went away.  In the
 same way, every RunConfig field but n is read somewhere besides io_formats,
-which parses and checks it, and every parameter of a function, method or
-lambda is read in its body."""
+which parses and checks it, every parameter of a function, method or
+lambda is read in its body, and every key a LossReport's stats dict is
+built with is read by a subscript."""
 
 import ast
 import dataclasses
@@ -70,6 +71,38 @@ def test_every_config_field_but_n_is_read():
             if isinstance(node, ast.Attribute)}
     # n has no effect on a run; perfbench's workload configs still set it
     assert {f.name for f in dataclasses.fields(RunConfig)} - read == {"n"}
+
+
+def unread_stats_keys(package=PACKAGE):
+    """Sorted constant keys of the dict displays passed as a LossReport's
+    stats (its third positional argument or the stats keyword) that no
+    subscript with that constant reads anywhere in the package."""
+    built, read = set(), set()
+    for path in sorted(Path(package).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "LossReport":
+                stats = node.args[2:3] + [k.value for k in node.keywords if k.arg == "stats"]
+                built |= {key.value for d in stats if isinstance(d, ast.Dict)
+                          for key in d.keys if isinstance(key, ast.Constant)}
+            elif isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+                read.add(node.slice.value)
+    return sorted(built - read)
+
+
+def test_every_stats_key_is_read():
+    assert unread_stats_keys() == []
+
+
+def test_stats_key_scan_flags_keys_nothing_reads(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def loss():\n"
+        "    return LossReport(1.0, {\"t\": 1.0}, {\"read\": 1, \"orphan\": 2, **{}})\n\n\n"
+        "def other():\n"
+        "    return LossReport(1.0, {}, stats={\"kw_read\": 3, \"kw_orphan\": 4})\n")
+    (tmp_path / "b.py").write_text("rep = loss()\nvalue = rep.stats[\"read\"]\n"
+                                   "other = {\"orphan\": 0}\nx = other().stats[\"kw_read\"]\n")
+    assert unread_stats_keys(tmp_path) == ["kw_orphan", "orphan"]
 
 
 def unread_parameters(package=PACKAGE):

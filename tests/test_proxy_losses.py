@@ -219,8 +219,8 @@ def test_pp_pair_count_disjoint_sets():
         probe = pp_selection(labels, C, np.random.default_rng(seed))
         if len(probe) == 5:
             rep = pp_loss(labels, proxies, CFG, np.random.default_rng(seed))
-            assert len(rep.stats["pp_selection"]) == 5
-            rows = proxies.W[rep.stats["pp_selection"]]
+            assert len(rep.stats["pp_gram"]) == 5
+            rows = proxies.W[probe]
             cos = (rows @ rows.T)[np.triu_indices(5, 1)]
             assert rep.total == pytest.approx(CFG.lambda_pp * float(cos @ cos) / 10,
                                               rel=1e-12)
@@ -233,14 +233,14 @@ def test_pp_degenerate_cases():
     rep = pp_loss(np.array([0]), ProxyMatrix(np.eye(1)), CFG,
                   np.random.default_rng(0))
     assert rep.total == 0.0
-    np.testing.assert_array_equal(rep.stats["pp_selection"], [0])
+    assert len(rep.stats["pp_gram"]) == 1
     # C = 2 with a single label can sample that same proxy: selection of 1
     for seed in range(50):
         if len(pp_selection(np.array([0]), 2, np.random.default_rng(seed))) == 1:
             rep = pp_loss(np.array([0]), ProxyMatrix(np.eye(2)), CFG,
                           np.random.default_rng(seed))
             assert rep.total == 0.0
-            assert len(rep.stats["pp_selection"]) == 1
+            assert len(rep.stats["pp_gram"]) == 1
             break
     else:
         pytest.fail("no singleton selection found in 50 seeds")
@@ -354,4 +354,4 @@ def test_total_additivity_and_sns_toggle():
     grad_W = parts[0].grad_W + parts[1].grad_W + parts[2].grad_W
     np.testing.assert_allclose(rep.grad_z, grad_z, rtol=1e-14, atol=0)
     np.testing.assert_allclose(rep.grad_W, grad_W, rtol=1e-14, atol=0)
-    assert "pp_selection" in rep.stats
+    assert "pp_gram" in rep.stats

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lh2.sphere_math import (KAPPA_MIN, _adjoint_grads, _divide_rows, _log_bessel,
+from lh2.sphere_math import (KAPPA_MIN, _divide_rows, _log_bessel, adjoint_grads,
                              _similarity_adjoint, vmf_similarity_batch)
 
 import oracles
@@ -110,7 +110,7 @@ def test_bessel_recurrence_across_orders_property(alpha, x):
 
 # ---------------------------------------------------------------------------
 # one sample against one unit proxy: vmf_similarity_batch on 1 x d arrays,
-# and its gradient through _similarity_adjoint and _adjoint_grads
+# and its gradient through _similarity_adjoint and adjoint_grads
 
 def _sim(proxy, z, n):
     """The similarity of the 1 x d batch [z] to the 1 x d proxies [proxy]."""
@@ -126,7 +126,7 @@ def _sim_grads(proxy, z, n):
     S = z @ W.T
     _, _, ratio, scale = vmf_similarity_batch(S, norms, n)
     adjoint = _similarity_adjoint(np.ones((1, 1)), S, ratio, scale)
-    grad_z, grad_W = _adjoint_grads(*adjoint, z, _divide_rows(z, norms), W, W)
+    grad_z, grad_W = adjoint_grads(*adjoint, z, _divide_rows(z, norms), W, W)
     return grad_z[0], grad_W[0]
 
 

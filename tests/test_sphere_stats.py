@@ -2,6 +2,7 @@
 the spread trackers."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -164,6 +165,50 @@ def test_mc_domain_errors():
         monte_carlo_pairwise(1, 8, 2, 0)
     with pytest.raises(DomainError):
         monte_carlo_pairwise(10000, 1000, 11, 0)      # 1.1e8 scalars
+    # one error names each product over its cap, and only those
+    for C, d, trials, over in (
+            (3_000_000, 30, 1, ["C*d", "trials*C^2", "trials*C^2*d"]),  # 9e12 cosines
+            (20_000, 2, 100, ["trials*C^2"]),           # 4e10 cosines at d = 2
+            (65_536, 256, 1, ["trials*C^2*d"]),         # 2^40 multiply-adds only
+            (2, 8_388_609, 1, ["C*d"])):                # one sample over MAX_WORK only
+        with pytest.raises(DomainError) as info:
+            monte_carlo_pairwise(C, d, trials, 0)
+        assert re.findall(r"(\S+) = \d+ exceeds", str(info.value)) == over
+
+
+def test_mc_rejects_over_cap_work_before_allocating(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError):
+            monte_carlo_pairwise(3_000_000, 30, 1, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize("C, d, trials", [
+    (5000, 256, 10),        # the acceptance test's largest case: 2.5e8 cosines
+    (1000, 128, 10),        # the README's
+    (4096, 4096, 1),        # one sample of exactly MAX_WORK
+    (65_536, 2, 1),         # exactly 2^32 cosines
+    (8192, 2048, 1),        # exactly 2^37 multiply-adds
+])
+def test_mc_accepts_work_up_to_every_cap(monkeypatch, C, d, trials):
+    # the caps are checked before the seed is expanded: stop the run there
+    class Started(Exception):
+        pass
+
+    def started(*args, **kwargs):
+        raise Started
+
+    monkeypatch.setattr(np.random, "SeedSequence", started)
+    with pytest.raises(Started):
+        monte_carlo_pairwise(C, d, trials, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +229,20 @@ def _padded(rows: np.ndarray, C: int) -> ProxyMatrix:
     return ProxyMatrix(np.vstack([rows, rest / np.linalg.norm(rest, axis=1, keepdims=True)]))
 
 
+def _spread(proxies: ProxyMatrix, sel) -> dict:
+    """The spread trackers over the Gram of the selected proxies."""
+    return proxy_spread_trackers(proxies, proxies.selection_gram(np.asarray(sel))[1])
+
+
 def test_trackers_orthogonal_selection():
-    out = proxy_spread_trackers(ProxyMatrix(np.eye(6)), np.arange(4))
+    out = _spread(ProxyMatrix(np.eye(6)), np.arange(4))
     assert out == {"std": 0.0, "std_mean": 0.0}
 
 
 def test_trackers_all_pairs_at_threshold():
     C, d = 16, 8
     thr = math.sqrt(min(2.0 * math.log(C) / d, 1.0))
-    out = proxy_spread_trackers(_padded(_equal_cos_rows(5, d, thr), C), np.arange(5))
+    out = _spread(_padded(_equal_cos_rows(5, d, thr), C), np.arange(5))
     assert out["std"] == pytest.approx(thr, rel=1e-12)
     assert out["std_mean"] <= 1e-7
 
@@ -200,26 +250,26 @@ def test_trackers_all_pairs_at_threshold():
 def test_trackers_single_pair_above_threshold():
     C, d = 16, 8
     thr = math.sqrt(min(2.0 * math.log(C) / d, 1.0))
-    out = proxy_spread_trackers(_padded(_equal_cos_rows(2, d, 0.95), C), np.arange(2))
+    out = _spread(_padded(_equal_cos_rows(2, d, 0.95), C), np.arange(2))
     assert out["std"] == pytest.approx(0.95, rel=1e-12)
     assert out["std_mean"] == pytest.approx(0.95 - thr, rel=1e-9)
 
 
 def test_trackers_threshold_clamps_at_one():
     # 2 ln 200 / 8 > 1 clamps the threshold to 1, so nothing can exceed it
-    out = proxy_spread_trackers(_padded(_equal_cos_rows(3, 8, 0.99), 200), np.arange(3))
+    out = _spread(_padded(_equal_cos_rows(3, 8, 0.99), 200), np.arange(3))
     assert out["std_mean"] == 0.0
 
 
 def test_trackers_small_selection():
-    assert proxy_spread_trackers(ProxyMatrix(np.eye(4)), [2]) == \
+    assert _spread(ProxyMatrix(np.eye(4)), [2]) == \
         {"std": 0.0, "std_mean": 0.0}
 
 
 def test_trackers_uniform_high_dim_std():
     rng = np.random.default_rng(2)
     w = rng.standard_normal((1000, 512))
-    out = proxy_spread_trackers(ProxyMatrix.from_rows(w), np.arange(1000))
+    out = _spread(ProxyMatrix.from_rows(w), np.arange(1000))
     assert abs(out["std"] - math.sqrt(1.0 / 512)) <= 0.005
     assert 0.0 <= out["std_mean"] <= 0.01
 
@@ -271,6 +321,6 @@ def test_proxy_spread_trackers_match_direct_loop():
                 sq += cos ** 2
                 ex += max(cos - thr, 0.0) ** 2
                 n += 1
-        out = proxy_spread_trackers(ProxyMatrix.from_rows(w), sel)
+        out = _spread(ProxyMatrix.from_rows(w), sel)
         assert out["std"] == pytest.approx(math.sqrt(sq / n), rel=1e-12)
         assert out["std_mean"] == pytest.approx(math.sqrt(ex / n), rel=1e-12, abs=1e-15)

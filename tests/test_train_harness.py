@@ -15,6 +15,7 @@ from lh2.errors import ConfigError
 from lh2.io_formats import RunConfig
 from lh2.proxy_losses import (EpochMidState, pns_loss, pp_loss, pp_selection, pps_loss,
                               proxy_based_total, sns_loss)
+from lh2.sphere_stats import proxy_spread_trackers
 from lh2.train_harness import (GRADCHECK_OPS, _gradcheck_cases, _raw_proxies,
                                generate_dataset, grad_check, histogram_dump, init_state,
                                load_checkpoint, train, train_accuracy)
@@ -28,6 +29,8 @@ HEADER = ("step,epoch,lr,loss_total,uamf,pps,pns,pp,sns,margin,mu_norm,"
 TINY = dict(seed=1, C=8, d=8, n=8, d_in=16, samples_per_class=20,
             noise_angle_deg=10.0, epochs=3, batch_size=32, lr=0.05,
             lr_halve_every=2)
+# more proxies than a batch holds: pp selects a subset of them
+WIDE = dict(TINY, C=40, samples_per_class=8, batch_size=16, epochs=1)
 
 
 def _class_dirs(seed, C, d_in):
@@ -338,8 +341,11 @@ def test_train_takes_positive_cosines_once_per_step(tmp_path, monkeypatch):
     assert len(calls) == 15
 
 
-def test_train_step_builds_one_product_one_backward_and_no_bessel(tmp_path, monkeypatch):
-    # the margin softmax reads S alone: no Bessel function in a training step
+@pytest.mark.parametrize("cfg, steps", [(TINY, 15), (WIDE, 20)], ids=["tiny", "wide"])
+def test_train_step_builds_one_product_one_backward_and_no_bessel(tmp_path, monkeypatch,
+                                                                  cfg, steps):
+    # the margin softmax reads S alone: no Bessel function in a training step;
+    # the pp loss and the spread tracker read one proxy Gram
     counts = collections.Counter()
 
     def counting(name, fn):
@@ -358,15 +364,37 @@ def test_train_step_builds_one_product_one_backward_and_no_bessel(tmp_path, monk
                 monkeypatch.setattr(mod, fn.__name__, wrapper)
     monkeypatch.setattr(uamf.ProxyProduct, "__init__",
                         counting("ProxyProduct", uamf.ProxyProduct.__init__))
+    monkeypatch.setattr(uamf.ProxyMatrix, "selection_gram",
+                        counting("selection_gram", uamf.ProxyMatrix.selection_gram))
     # the one backward of a step's adjoint, however it is bound
-    backward = sphere_math._adjoint_grads
+    backward = sphere_math.adjoint_grads
     for name, mod in list(sys.modules.items()):
-        if name.startswith("lh2") and getattr(mod, "_adjoint_grads", None) is backward:
-            monkeypatch.setattr(mod, "_adjoint_grads", counting("backward", backward))
-    res = train(RunConfig(**TINY), str(tmp_path))
-    assert len(_read_metrics(res.metrics_path)[1]) == 15
-    assert counts == {"uamf_loss": 15, "ProxyProduct": 15, "backward": 15}
+        if name.startswith("lh2") and getattr(mod, "adjoint_grads", None) is backward:
+            monkeypatch.setattr(mod, "adjoint_grads", counting("backward", backward))
+    res = train(RunConfig(**cfg), str(tmp_path))
+    assert len(_read_metrics(res.metrics_path)[1]) == steps
+    assert counts == {"uamf_loss": steps, "ProxyProduct": steps, "backward": steps,
+                      "selection_gram": steps}
     assert counts["_log_bessel"] == 0
+
+
+def test_the_first_row_reads_the_spread_of_the_initial_proxies(tmp_path, monkeypatch):
+    cfg = RunConfig(**TINY)
+    records = []
+    step = train_harness.train_step
+
+    def recording(*args):
+        records.append(step(*args))
+        return records[-1]
+
+    monkeypatch.setattr(train_harness, "train_step", recording)
+    res = train(cfg, str(tmp_path))
+    # C = 8 <= batch_size: every proxy is selected
+    proxies = init_state(cfg).proxies
+    want = proxy_spread_trackers(proxies, proxies.selection_gram(np.arange(cfg.C))[1])
+    assert {key: records[0][key] for key in want} == want
+    row = _read_metrics(res.metrics_path)[1][0]
+    assert (row["std"], row["std_mean"]) == (f"{want['std']:.9g}", f"{want['std_mean']:.9g}")
 
 
 def _assert_rel(got, want, rel=1e-12):
@@ -448,7 +476,7 @@ def test_training_step_with_a_single_proxy_pp_selection():
                                          np.array([1]),
                                          W / np.linalg.norm(W, axis=1, keepdims=True),
                                          0.5, RunConfig(), seed)
-    assert len(rep.stats["pp_selection"]) == 1
+    assert len(rep.stats["pp_gram"]) == 1
 
 
 # -------------------------------------------------------- histogram dump
