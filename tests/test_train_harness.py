@@ -341,11 +341,9 @@ def test_train_takes_positive_cosines_once_per_step(tmp_path, monkeypatch):
     assert len(calls) == 15
 
 
-@pytest.mark.parametrize("cfg, steps", [(TINY, 15), (WIDE, 20)], ids=["tiny", "wide"])
-def test_train_step_builds_one_product_one_backward_and_no_bessel(tmp_path, monkeypatch,
-                                                                  cfg, steps):
-    # the margin softmax reads S alone: no Bessel function in a training step;
-    # the pp loss and the spread tracker read one proxy Gram
+def _count_step_builds(tmp_path, monkeypatch, cfg, steps):
+    """Train on cfg and check that each of its steps builds one product,
+    one proxy Gram and one backward, and no Bessel function."""
     counts = collections.Counter()
 
     def counting(name, fn):
@@ -376,6 +374,16 @@ def test_train_step_builds_one_product_one_backward_and_no_bessel(tmp_path, monk
     assert counts == {"uamf_loss": steps, "ProxyProduct": steps, "backward": steps,
                       "selection_gram": steps}
     assert counts["_log_bessel"] == 0
+
+
+def test_train_step_builds_one_product_one_backward_and_no_bessel(tmp_path, monkeypatch):
+    # the margin softmax reads S alone: no Bessel function in a training step;
+    # the pp loss and the spread tracker read one proxy Gram
+    _count_step_builds(tmp_path, monkeypatch, TINY, 15)
+
+
+def test_a_step_selecting_a_subset_of_proxies_builds_one_proxy_gram(tmp_path, monkeypatch):
+    _count_step_builds(tmp_path, monkeypatch, WIDE, 20)
 
 
 def test_the_first_row_reads_the_spread_of_the_initial_proxies(tmp_path, monkeypatch):
