@@ -21,8 +21,7 @@ from .io_formats import (MAX_WORK, RunConfig, emit_metrics, parse_config, read_p
 from .depth_renderer import (DEFAULT_LIGHT, MIN_SIZE, DepthMap, Pose, depth_centroid,
                              intrinsics_from_fov, make_canvas,
                              render_hemisphere_demo, shade, warp_image)
-from .sphere_stats import (evt_estimate, half_quarter_cosines,
-                           monte_carlo_pairwise)
+from .sphere_stats import evt_estimate, monte_carlo_pairwise
 from .train_harness import (generate_dataset, grad_check, histogram_dump,
                             load_checkpoint, train)
 
@@ -66,11 +65,7 @@ def _cmd_stats(args) -> int:
         raise ConfigError(f"--trials must be >= 0, got {args.trials}")
     if args.trials > 0 and args.seed < 0:       # the seed draws the trials only
         raise ConfigError(f"--seed must be >= 0 with --trials, got {args.seed}")
-    est = evt_estimate(args.C, args.d)
-    half, quarter = half_quarter_cosines(est)
-    row = {"C": est.C, "d": est.d, "cos_min": est.cos_min,
-           "theta_min_rad": est.theta_min_rad, "theta_min_deg": est.theta_min_deg,
-           "std_cos": est.std_cos, "cos_half": half, "cos_quarter": quarter}
+    row = evt_estimate(args.C, args.d)
     if args.trials > 0:
         row.update(monte_carlo_pairwise(args.C, args.d, args.trials, args.seed))
     for key, value in row.items():

@@ -76,8 +76,10 @@ def intrinsics_from_fov(W: int, H: int, fov_deg: float) -> CameraIntrinsics:
         raise DomainError(f"need W, H >= 2, got ({W}, {H})")
     if not 0.0 < fov_deg < 180.0:
         raise DomainError(f"fov must be in (0, 180) degrees, got {fov_deg}")
-    return CameraIntrinsics(f=(W - 1) / (2.0 * math.tan(math.radians(fov_deg) / 2.0)),
-                            cx=(W - 1) / 2.0, cy=(H - 1) / 2.0, W=int(W), H=int(H))
+    f = (W - 1) / (2.0 * math.tan(math.radians(fov_deg) / 2.0))
+    if not math.isfinite(f):
+        raise DomainError(f"fov of {fov_deg} degrees gives an infinite focal length")
+    return CameraIntrinsics(f=f, cx=(W - 1) / 2.0, cy=(H - 1) / 2.0, W=int(W), H=int(H))
 
 
 @dataclasses.dataclass
@@ -202,7 +204,8 @@ def make_canvas(poses, template: DepthMap, K: CameraIntrinsics) -> CanvasSpec:
     points = depth_to_pointcloud(template, K)
     for pose in poses:
         pts = transform_pointcloud(points, pose)
-        u, v, _, valid = project_points(pts, K)
+        with np.errstate(over="ignore", invalid="ignore"):     # the width test rejects these
+            u, v, _, valid = project_points(pts, K)
         if not np.any(valid):
             continue
         any_valid = True
@@ -211,9 +214,11 @@ def make_canvas(poses, template: DepthMap, K: CameraIntrinsics) -> CanvasSpec:
     if not any_valid:
         raise CanvasError("no pose projects any point in front of the camera")
 
-    W_new = max(math.ceil(2.5 * W),
-                math.ceil(2.0 * ex + 1.0),
-                math.ceil((2.0 * ey + 1.0) * W / H))
+    # Python floats overflow to inf without a warning, and inf fails the test
+    width = max(2.5 * W, 2.0 * float(ex) + 1.0, (2.0 * float(ey) + 1.0) * W / H)
+    if not width <= MAX_WORK:
+        raise CanvasError(f"a canvas {width:.3g} pixels wide exceeds the cap of {MAX_WORK}")
+    W_new = math.ceil(width)
     while (W_new * H) % W != 0:        # keep H_new integral at the same aspect
         W_new += 1
     H_new = W_new * H // W

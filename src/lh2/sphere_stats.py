@@ -12,8 +12,8 @@ with Std(cos theta) = sqrt(1/d).  Natural log throughout.
 
 from __future__ import annotations
 
-import dataclasses
 import math
+import sys
 
 import numpy as np
 
@@ -21,18 +21,12 @@ from .errors import DomainError, RangeError
 from .io_formats import MAX_WORK
 
 
-@dataclasses.dataclass(frozen=True)
-class EvtEstimate:
-    C: int
-    d: int
-    cos_min: float          # cosine of the expected minimum pairwise angle
-    theta_min_rad: float
-    theta_min_deg: float
-    std_cos: float          # sqrt(1/d)
-
-
-def evt_estimate(C: int, d: int) -> EvtEstimate:
-    """Closed-form minimum-angle and cosine-spread estimates."""
+def evt_estimate(C: int, d: int) -> dict:
+    """Closed-form minimum-angle and cosine-spread estimates, the record
+    `lh2 stats` prints; cos_half = cos(theta_min / 2) marks a fully
+    successful classification boundary."""
+    if d > sys.float_info.max:      # first, so that no message prints such a d
+        raise DomainError(f"d must be at most {sys.float_info.max:.3e}")
     if C < 2 or d < 2:
         raise DomainError(f"need C >= 2 and d >= 2, got ({C}, {d})")
     v = 2.0 * math.log(C) / d
@@ -41,14 +35,9 @@ def evt_estimate(C: int, d: int) -> EvtEstimate:
                          f"breaks down for C = {C}, d = {d}")
     cos_min = math.sqrt(v)
     theta = math.acos(cos_min)
-    return EvtEstimate(C=C, d=d, cos_min=cos_min, theta_min_rad=theta,
-                       theta_min_deg=math.degrees(theta), std_cos=math.sqrt(1.0 / d))
-
-
-def half_quarter_cosines(est: EvtEstimate):
-    """(cos(theta_min/2), cos(theta_min/4)): the half-angle marks a fully
-    successful classification boundary."""
-    return math.cos(est.theta_min_rad / 2.0), math.cos(est.theta_min_rad / 4.0)
+    return {"C": C, "d": d, "cos_min": cos_min, "theta_min_rad": theta,
+            "theta_min_deg": math.degrees(theta), "std_cos": math.sqrt(1.0 / d),
+            "cos_half": math.cos(theta / 2.0), "cos_quarter": math.cos(theta / 4.0)}
 
 
 def monte_carlo_pairwise(C: int, d: int, trials: int, seed) -> dict:

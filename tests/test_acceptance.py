@@ -27,8 +27,8 @@ from lh2.depth_renderer import (DepthMap, Pose, depth_centroid,
 from lh2.io_formats import RunConfig, parse_config
 from lh2.recon_losses import laplace_nll, smoothness_loss
 from lh2.sphere_math import _log_bessel, vmf_similarity_batch
-from lh2.sphere_stats import (evt_estimate, half_quarter_cosines,
-                              monte_carlo_pairwise, proxy_spread_trackers)
+from lh2.sphere_stats import (evt_estimate, monte_carlo_pairwise,
+                              proxy_spread_trackers)
 from lh2.train_harness import (generate_dataset, grad_check, histogram_dump,
                                init_state, load_checkpoint, train)
 from lh2.uamf import EmbeddingBatch, ProxyMatrix, uamf_loss
@@ -40,10 +40,10 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 def test_minimum_angle_headline_numbers():
     est = evt_estimate(70722, 512)
-    assert est.cos_min == pytest.approx(0.2089, abs=0.0005)
-    assert est.theta_min_deg == pytest.approx(77.94, abs=0.05)
-    assert est.std_cos == pytest.approx(0.0442, abs=0.0001)
-    half, quarter = half_quarter_cosines(est)
+    assert est["cos_min"] == pytest.approx(0.2089, abs=0.0005)
+    assert est["theta_min_deg"] == pytest.approx(77.94, abs=0.05)
+    assert est["std_cos"] == pytest.approx(0.0442, abs=0.0001)
+    half, quarter = est["cos_half"], est["cos_quarter"]
     assert half == pytest.approx(0.78, abs=0.01)
     assert quarter == pytest.approx(0.94, abs=0.005)
     evt_estimate(70722, 512)    # warm

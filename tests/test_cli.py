@@ -249,7 +249,8 @@ _OTHER_SUBCOMMANDS = st.one_of(
     _subcommand("stats", {"--C": st.integers(2, 40), "--d": st.integers(2, 40),
                           "--trials": st.integers(0, 3), "--seed": st.integers(0, 3),
                           "--out-dir": st.none() | st.just("{tmp}/out")},
-                [{"--C": 1}, {"--d": 0}, {"--trials": -1}, {"--trials": 1, "--seed": -1}],
+                [{"--C": 1}, {"--d": 0}, {"--d": 10 ** 400}, {"--trials": -1},
+                 {"--trials": 1, "--seed": -1}],
                 {0, 3}),
     _subcommand("render", {"--demo": st.just("hemisphere"), "--size": st.integers(8, 16),
                            "--frames": st.integers(1, 3),
@@ -271,7 +272,7 @@ _OTHER_SUBCOMMANDS = st.one_of(
                 [{"--pose": (1.0,) * 9 + (0.0, 0.0, 0.0)},
                  {"--pose": _IDENTITY + (math.nan, 0.0, 0.0)},
                  {"--pose": _IDENTITY + (0.0, 0.0, -9.99999)},
-                 {"--fov": 0.0}, {"--fov": 180.0}, {"--radius": -1},
+                 {"--fov": 0.0}, {"--fov": 180.0}, {"--fov": 1e-320}, {"--radius": -1},
                  {"--albedo": "{inputs}/absent.ppm"}],
                 {0, 3}),
     _subcommand("grad-check", {"--repeats": st.integers(1, 2), "--seed": st.integers(0, 3),
@@ -336,6 +337,32 @@ def test_render_custom_translation_off_the_scene_is_a_usage_error(subcommand_inp
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["stats", "--C", "2", "--d", str(10 ** 400)],
+    # the projection overflows to an infinite canvas width
+    ["render", "--fov", "1e-300", "--pose", "1e10", "0", "0"],
+    # the focal length (W - 1) / (2 tan(fov / 2)) is infinite
+    ["render", "--fov", "1e-320", "--pose", "0", "0", "0"],
+    # a finite canvas width of 301 digits
+    ["render", "--fov", "40", "--pose", "1e300", "0", "0"],
+], ids=["stats_huge_d", "render_overflowing_projection", "render_infinite_focal_length",
+        "render_huge_canvas"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_out_of_float_range_inputs_are_short_usage_errors(subcommand_inputs, tmp_path,
+                                                           capsys, argv):
+    if argv[0] == "render":
+        identity = ["1", "0", "0", "0", "1", "0", "0", "0", "1"]
+        pose = argv.index("--pose") + 1
+        argv = [*argv[:pose], *identity, *argv[pose:],
+                "--depth", str(subcommand_inputs / "depth.lh2t"),
+                "--albedo", str(subcommand_inputs / "albedo.ppm"),
+                "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("lh2: error:")
+    assert len(err) <= 300
+
+
 def _parse_stats(stdout):
     rows = {}
     for line in stdout.strip().splitlines():
@@ -350,8 +377,9 @@ def test_stats_closed_form(capsys):
     assert set(rows) == {"C", "d", "cos_min", "theta_min_rad", "theta_min_deg",
                          "std_cos", "cos_half", "cos_quarter"}
     est = evt_estimate(200, 512)
-    assert float(rows["cos_min"]) == pytest.approx(est.cos_min, rel=1e-12)
-    assert float(rows["std_cos"]) == pytest.approx(est.std_cos, rel=1e-12)
+    assert list(rows) == list(est)
+    assert float(rows["cos_min"]) == pytest.approx(est["cos_min"], rel=1e-12)
+    assert float(rows["std_cos"]) == pytest.approx(est["std_cos"], rel=1e-12)
 
 
 def test_stats_with_monte_carlo(capsys):

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from lh2.errors import DomainError, RangeError
-from lh2.sphere_stats import (EvtEstimate, evt_estimate, half_quarter_cosines,
-                              monte_carlo_pairwise, proxy_spread_trackers,
-                              sns_tracker)
+from lh2.sphere_stats import (evt_estimate, monte_carlo_pairwise,
+                              proxy_spread_trackers, sns_tracker)
 from lh2.uamf import EmbeddingBatch, ProxyMatrix
 
 import oracles
@@ -29,20 +28,21 @@ EVT_QUARTER = 0.942721701587065
 
 def test_evt_reference_point():
     est = evt_estimate(70722, 512)
-    assert est.cos_min == pytest.approx(EVT_COS, rel=1e-12)
-    assert est.theta_min_deg == pytest.approx(EVT_DEG, rel=1e-12)
-    assert est.std_cos == pytest.approx(EVT_STD, rel=1e-12)
-    assert est.theta_min_rad == pytest.approx(math.radians(est.theta_min_deg),
-                                              rel=1e-12)
-    assert math.cos(est.theta_min_rad) == pytest.approx(est.cos_min, rel=1e-12)
+    assert est["cos_min"] == pytest.approx(EVT_COS, rel=1e-12)
+    assert est["theta_min_deg"] == pytest.approx(EVT_DEG, rel=1e-12)
+    assert est["std_cos"] == pytest.approx(EVT_STD, rel=1e-12)
+    assert est["theta_min_rad"] == pytest.approx(math.radians(est["theta_min_deg"]),
+                                                 rel=1e-12)
+    assert math.cos(est["theta_min_rad"]) == pytest.approx(est["cos_min"], rel=1e-12)
     # headline bands
-    assert abs(est.cos_min - 0.2089) <= 0.0005
-    assert abs(est.theta_min_deg - 77.94) <= 0.05
-    assert abs(est.std_cos - 0.0442) <= 0.0001
+    assert abs(est["cos_min"] - 0.2089) <= 0.0005
+    assert abs(est["theta_min_deg"] - 77.94) <= 0.05
+    assert abs(est["std_cos"] - 0.0442) <= 0.0001
 
 
 def test_half_quarter_reference_point():
-    half, quarter = half_quarter_cosines(evt_estimate(70722, 512))
+    est = evt_estimate(70722, 512)
+    half, quarter = est["cos_half"], est["cos_quarter"]
     assert half == pytest.approx(EVT_HALF, rel=1e-12)
     assert quarter == pytest.approx(EVT_QUARTER, rel=1e-12)
     assert abs(half - 0.78) <= 0.01
@@ -50,14 +50,10 @@ def test_half_quarter_reference_point():
 
 
 def test_half_quarter_degenerate_angles():
-    flat = EvtEstimate(C=2, d=2, cos_min=1.0, theta_min_rad=0.0,
-                       theta_min_deg=0.0, std_cos=1.0)
-    assert half_quarter_cosines(flat) == (1.0, 1.0)
-    wide = EvtEstimate(C=2, d=2, cos_min=-1.0, theta_min_rad=math.pi,
-                       theta_min_deg=180.0, std_cos=1.0)
-    half, quarter = half_quarter_cosines(wide)
-    assert half == pytest.approx(0.0, abs=1e-15)
-    assert quarter == pytest.approx(math.cos(math.pi / 4.0), rel=1e-15)
+    # 2 ln C / d is exactly 1 here: the minimum angle closes to zero
+    flat = evt_estimate(int(math.exp(50)), 100)
+    assert flat["theta_min_rad"] == 0.0
+    assert (flat["cos_min"], flat["cos_half"], flat["cos_quarter"]) == (1.0, 1.0, 1.0)
 
 
 def test_evt_out_of_range():
@@ -72,17 +68,17 @@ def test_evt_out_of_range():
 def test_evt_monotonicity():
     d = 256
     cs = [10, 100, 1000, 10000]
-    vals = [evt_estimate(c, d).cos_min for c in cs]
+    vals = [evt_estimate(c, d)["cos_min"] for c in cs]
     assert all(a < b for a, b in zip(vals, vals[1:]))
     C = 100
     ds = [16, 64, 256, 1024]
-    vals = [evt_estimate(C, d).cos_min for d in ds]
+    vals = [evt_estimate(C, d)["cos_min"] for d in ds]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_std_cos_closed_form():
     for d in (2, 32, 512):
-        assert evt_estimate(2, d).std_cos == math.sqrt(1.0 / d)
+        assert evt_estimate(2, d)["std_cos"] == math.sqrt(1.0 / d)
 
 
 # ---------------------------------------------------------------------------
