@@ -19,8 +19,8 @@ from .errors import CanvasError, ConfigError, DomainError, FormatError
 from .io_formats import (MAX_WORK, RunConfig, emit_metrics, parse_config, read_pgm,
                          read_ppm, read_tensor, write_pgm, write_ppm)
 from .depth_renderer import (DEFAULT_LIGHT, MIN_SIZE, DepthMap, Pose, depth_centroid,
-                             intrinsics_from_fov, make_canvas,
-                             render_hemisphere_demo, shade, warp_image)
+                             hemisphere_demo, intrinsics_from_fov, make_canvas, shade,
+                             warp_image)
 from .sphere_stats import evt_estimate, monte_carlo_pairwise
 from .train_harness import (generate_dataset, grad_check, histogram_dump,
                             load_checkpoint, train)
@@ -115,21 +115,23 @@ def _cmd_render(args) -> int:
         raise ConfigError(f"--radius must be >= 0, got {args.radius}")
     if args.demo is not None:
         _check_render_work(args.size ** 2, args.radius, "--size")
-        # the demo holds every frame (3 axes x --frames) until they are written
+        # frames are written as they are rendered, so this caps the run's
+        # total output (3 axes x --frames frames), not its memory
         pixels = 3 * args.frames * args.size ** 2
         if pixels > MAX_WORK:
             flag = "--frames" if 3 * args.frames > args.size ** 2 else "--size"
             raise ConfigError(f"{flag} too large: 3 x {args.frames} frames of {args.size}^2 "
                               f"pixels = {pixels} exceeds the cap of {MAX_WORK}")
         os.makedirs(args.out_dir, exist_ok=True)
-        demo = render_hemisphere_demo(size=args.size, rotations=args.rotations,
-                                      frames_per_axis=args.frames,
-                                      radius=args.radius)
+        demo = hemisphere_demo(size=args.size, rotations=args.rotations,
+                               frames_per_axis=args.frames)
         write_ppm(demo["canonical"], os.path.join(args.out_dir, "canonical.ppm"))
         write_pgm(demo["depth"].values, os.path.join(args.out_dir, "depth.pgm"))
-        for name, image, mask in demo["frames"]:
+        for name, pose in demo["poses"]:
+            image = warp_image(demo["canonical"], demo["depth"], pose, demo["K"],
+                               demo["canvas"], args.radius)[0]
             write_ppm(image, os.path.join(args.out_dir, f"{name}.ppm"))
-        print(f"wrote {len(demo['frames'])} frames to {args.out_dir}")
+        print(f"wrote {len(demo['poses'])} frames to {args.out_dir}")
         return 0
 
     if args.depth is None or args.albedo is None or args.pose is None:
@@ -149,8 +151,8 @@ def _cmd_render(args) -> int:
     try:
         canvas = make_canvas([pose], depth, K)
     except CanvasError as exc:
-        raise ConfigError(f"--pose puts the scene too near the camera or behind it: "
-                          f"{exc}") from exc
+        raise ConfigError(f"--pose puts the scene too near the camera or behind it, "
+                          f"or --fov is too narrow for it: {exc}") from exc
     image, _, frame_depth = warp_image(source, depth, pose, K, canvas, args.radius)
     os.makedirs(args.out_dir, exist_ok=True)
     write_ppm(source, os.path.join(args.out_dir, "canonical.ppm"))

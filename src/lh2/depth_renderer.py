@@ -11,6 +11,12 @@ every frame and the MAX_WORK cap on its size; its pixel (i, j) sits at
 image coordinate (x_min_g + j, y_min_g + i), one canvas pixel per source
 pixel, so placing points on it introduces no resampling of its own.  A
 frame rasterizes only its central H x W window of the canvas.
+
+Memory is bounded by the output, not by the scene: make_canvas and
+warp_image work in blocks of pixel rows (io_formats._block_rows, the block
+rule the training data path uses), so no per-point array outgrows one
+block, and the demo hands out the poses of its frames, so that each frame
+is warped and written before the next one is rendered.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import CanvasError, DomainError
-from .io_formats import MAX_WORK
+from .io_formats import MAX_WORK, _block_rows
 
 _BACKGROUND = np.inf
 
@@ -150,6 +156,24 @@ def _back_project(u, v, d, K: CameraIntrinsics) -> np.ndarray:
     return np.stack([(u - K.cx) / K.f * d, (v - K.cy) / K.f * d, d], axis=-1)
 
 
+def _row_spans(h: int, w: int):
+    """(lo, hi) of each block of rows of an h x w grid of 3-D points:
+    _block_rows(3 w) rows, so that a block's coordinates fit in one block of
+    work, and the rest in the last."""
+    rows = _block_rows(3 * w)
+    return [(lo, min(lo + rows, h)) for lo in range(0, h, rows)]
+
+
+def _point_blocks(depth: DepthMap, K: CameraIntrinsics):
+    """depth_to_pointcloud one block of rows at a time: yields the points of
+    each of the _row_spans of the depth."""
+    h, w = depth.shape
+    cols = np.arange(w, dtype=np.float64)[None, :]
+    for r0, r1 in _row_spans(h, w):
+        yield _back_project(cols, np.arange(r0, r1, dtype=np.float64)[:, None],
+                            depth.values[r0:r1], K)
+
+
 def depth_to_pointcloud(depth: DepthMap, K: CameraIntrinsics) -> np.ndarray:
     """Back-project every pixel: point = depth * K^-1 [u, v, 1]; the z
     component equals the depth exactly."""
@@ -186,12 +210,14 @@ def make_canvas(poses, template: DepthMap, K: CameraIntrinsics) -> CanvasSpec:
     """Shared output geometry for a set of poses: the origin every frame's
     window is placed by, and the cap on the scene's projected extent.
 
-    The template, back-projected once, is projected under every pose; the
-    bounds are then padded out to exact symmetry about the source center,
-    preserving aspect and enforcing W_new >= 2.5 W.  A canvas of more than
-    MAX_WORK pixels is a CanvasError: a point just in front of the camera
-    projects arbitrarily far out.  No frame allocates the whole canvas;
-    warp_image rasterizes only its central window.
+    The template is back-projected one block of rows at a time, and each
+    block is projected under every pose, keeping a running min and max of
+    each pose's u and v; the bounds are then padded out to exact symmetry
+    about the source center, preserving aspect and enforcing
+    W_new >= 2.5 W.  A canvas of more than MAX_WORK pixels is a
+    CanvasError: a point just in front of the camera projects arbitrarily
+    far out.  No frame allocates the whole canvas; warp_image rasterizes
+    only its central window.
     """
     poses = list(poses)
     if not poses:
@@ -199,20 +225,28 @@ def make_canvas(poses, template: DepthMap, K: CameraIntrinsics) -> CanvasSpec:
 
     W, H = K.W, K.H
     cx, cy = W / 2.0, H / 2.0
-    ex = ey = 0.0
-    any_valid = False
-    points = depth_to_pointcloud(template, K)
-    for pose in poses:
-        pts = transform_pointcloud(points, pose)
-        with np.errstate(over="ignore", invalid="ignore"):     # the width test rejects these
-            u, v, _, valid = project_points(pts, K)
-        if not np.any(valid):
-            continue
-        any_valid = True
-        ex = max(ex, cx - u[valid].min(), u[valid].max() - cx)
-        ey = max(ey, cy - v[valid].min(), v[valid].max() - cy)
-    if not any_valid:
+    # per pose, the (u, v) minima and maxima over its valid points; np.minimum
+    # and np.maximum keep a nan, as a min or max over all the points would
+    seen = np.zeros(len(poses), dtype=bool)
+    lo = np.full((len(poses), 2), np.inf)
+    hi = np.full((len(poses), 2), -np.inf)
+    for points in _point_blocks(template, K):
+        for k, pose in enumerate(poses):
+            pts = transform_pointcloud(points, pose)
+            with np.errstate(over="ignore", invalid="ignore"):     # the width test rejects these
+                u, v, _, valid = project_points(pts, K)
+            if not np.any(valid):
+                continue
+            seen[k] = True
+            for c, coord in enumerate((u[valid], v[valid])):
+                lo[k, c] = np.minimum(lo[k, c], coord.min())
+                hi[k, c] = np.maximum(hi[k, c], coord.max())
+    if not seen.any():
         raise CanvasError("no pose projects any point in front of the camera")
+    ex = ey = 0.0
+    for k in np.flatnonzero(seen):
+        ex = max(ex, cx - lo[k, 0], hi[k, 0] - cx)
+        ey = max(ey, cy - lo[k, 1], hi[k, 1] - cy)
 
     # Python floats overflow to inf without a warning, and inf fails the test
     width = max(2.5 * W, 2.0 * float(ex) + 1.0, (2.0 * float(ey) + 1.0) * W / H)
@@ -242,10 +276,13 @@ def neighborhood_offsets(radius: int):
             if di * di + dj * dj <= r2]
 
 
-def scatter_min_render(projected, canvas: CanvasSpec, radius: int = 1) -> np.ndarray:
+def scatter_min_render(projected, canvas: CanvasSpec, radius: int = 1,
+                       out=None) -> np.ndarray:
     """Vectorized z-buffer: each valid projected point writes its depth to
     the nearest canvas pixel and every neighbor within the radius, keeping
-    the minimum depth per pixel, +inf where none lands.  Order-independent."""
+    the minimum depth per pixel, +inf where none lands.  Order-independent,
+    so points may arrive in batches: given out, a C-contiguous H_new x W_new
+    array, each depth is min-accumulated into it in place."""
     u, v, d, valid = projected
     u = np.asarray(u, dtype=np.float64).ravel()
     v = np.asarray(v, dtype=np.float64).ravel()
@@ -258,13 +295,17 @@ def scatter_min_render(projected, canvas: CanvasSpec, radius: int = 1) -> np.nda
     i = np.floor(fy + 0.5).astype(np.int64)
     dep = d[keep]
 
-    flat = np.full(canvas.H_new * canvas.W_new, _BACKGROUND)
+    if out is None:
+        out = np.full((canvas.H_new, canvas.W_new), _BACKGROUND)
+    elif out.shape != (canvas.H_new, canvas.W_new) or not out.flags.c_contiguous:
+        raise DomainError(f"out must be a C-contiguous {canvas.H_new} x {canvas.W_new} array")
+    flat = out.reshape(-1)
     for di, dj in neighborhood_offsets(radius):
         ii = i + di
         jj = j + dj
         inb = (ii >= 0) & (ii < canvas.H_new) & (jj >= 0) & (jj < canvas.W_new)
         np.minimum.at(flat, ii[inb] * canvas.W_new + jj[inb], dep[inb])
-    return flat.reshape(canvas.H_new, canvas.W_new)
+    return out
 
 
 def shade(depth: DepthMap, albedo: np.ndarray, light: LightingParams,
@@ -311,7 +352,12 @@ def warp_image(source: np.ndarray, depth: DepthMap, pose: Pose,
     non-background depth, bilinearly sample the source at the
     inverse-mapped coordinate.  Background pixels are black with mask 0.
     Returns (image H x W x 3, mask H x W, depth H x W) with +inf depth on
-    the background."""
+    the background.
+
+    Both passes take the rows a block at a time: the forward pass scatters
+    each block of source rows into the one window, and the inverse map
+    samples each block of window rows, so the arrays returned are the only
+    ones the size of the image."""
     source = np.asarray(source, dtype=np.float64)
     # the central window starts at canvas pixel (oy, ox); its image origin
     # lands at 0.5 px, not 0, when W_new - W is even, as make_canvas centres
@@ -322,36 +368,41 @@ def warp_image(source: np.ndarray, depth: DepthMap, pose: Pose,
     y = canvas.y_min_g + oy + np.arange(K.H)
     # points move to canvas coordinates first, so each one rounds to the
     # pixel it takes on the whole canvas
-    pts = transform_pointcloud(depth_to_pointcloud(depth, K), pose)
-    u, v, d, in_view = project_points(pts, K)
-    window = scatter_min_render((u - canvas.x_min_g, v - canvas.y_min_g, d, in_view),
-                                CanvasSpec(K.H, K.W, float(ox), float(oy)), radius)
+    window = np.full((K.H, K.W), _BACKGROUND)
+    on_window = CanvasSpec(K.H, K.W, float(ox), float(oy))
+    for points in _point_blocks(depth, K):
+        u, v, d, in_view = project_points(transform_pointcloud(points, pose), K)
+        scatter_min_render((u - canvas.x_min_g, v - canvas.y_min_g, d, in_view),
+                           on_window, radius, out=window)
 
     valid = np.isfinite(window)
-    pts_c = _back_project(x[None, :], y[:, None], np.where(valid, window, 1.0), K)
-    back = (pts_c - pose.pivot - pose.t) @ pose.R + pose.pivot   # R^T via right-multiply
-    u0, v0, _, in_front = project_points(back, K)
-    valid &= in_front & (u0 >= 0.0) & (u0 <= K.W - 1) & (v0 >= 0.0) & (v0 <= K.H - 1)
-
     out = np.zeros((K.H, K.W, 3))
-    if np.any(valid):
-        uu = u0[valid]
-        vv = v0[valid]
+    # the four corners as flat indices into the source's pixel rows;
+    # np.take on axis 0 gathers rows faster than fancy indexing
+    flat = source.reshape(-1, 3)
+
+    def corner(i):
+        return np.take(flat, i, axis=0)
+
+    for r0, r1 in _row_spans(K.H, K.W):
+        ok = valid[r0:r1]                 # a view: narrowed in place below
+        pts_c = _back_project(x[None, :], y[r0:r1, None],
+                              np.where(ok, window[r0:r1], 1.0), K)
+        back = (pts_c - pose.pivot - pose.t) @ pose.R + pose.pivot   # R^T via right-multiply
+        u0, v0, _, in_front = project_points(back, K)
+        ok &= in_front & (u0 >= 0.0) & (u0 <= K.W - 1) & (v0 >= 0.0) & (v0 <= K.H - 1)
+        if not np.any(ok):
+            continue
+        uu = u0[ok]
+        vv = v0[ok]
         u_lo = np.clip(np.floor(uu).astype(np.int64), 0, K.W - 2)
         v_lo = np.clip(np.floor(vv).astype(np.int64), 0, K.H - 2)
         fu = (uu - u_lo)[:, None]
         fv = (vv - v_lo)[:, None]
-        # the four corners as flat indices into the source's pixel rows;
-        # np.take on axis 0 gathers rows faster than fancy indexing
-        flat = source.reshape(-1, 3)
         i00 = v_lo * source.shape[1] + u_lo
         i10 = i00 + source.shape[1]
-
-        def corner(i):
-            return np.take(flat, i, axis=0)
-
-        out[valid] = ((1 - fv) * ((1 - fu) * corner(i00) + fu * corner(i00 + 1))
-                      + fv * ((1 - fu) * corner(i10) + fu * corner(i10 + 1)))
+        out[r0:r1][ok] = ((1 - fv) * ((1 - fu) * corner(i00) + fu * corner(i00 + 1))
+                          + fv * ((1 - fu) * corner(i10) + fu * corner(i10 + 1)))
     return out, valid, window
 
 
@@ -382,23 +433,19 @@ def hemisphere_scene(size: int = 30):
     return depth, albedo, K, DEFAULT_LIGHT
 
 
-def render_hemisphere_demo(size: int = 30, rotations=(10.0, 10.0, 10.0),
-                           frames_per_axis: int = 5, radius: int = 1):
+def hemisphere_demo(size: int = 30, rotations=(10.0, 10.0, 10.0),
+                    frames_per_axis: int = 5):
     """Rotation sweeps of the shaded hemisphere about each camera axis with
-    fixed lighting.  Returns a dict with the canonical shaded image, the
-    shared canvas, and (name, image, mask) frames."""
+    fixed lighting, to be warped one frame at a time.  Returns a dict with
+    the scene's depth and intrinsics K, the canonical shaded image, the
+    canvas the frames share, and the (name, pose) of every frame."""
     depth, albedo, K, light = hemisphere_scene(size)
     canonical = shade(depth, albedo, light, K)
     pivot = depth_centroid(depth, K)
-
-    poses = []
-    names = []
-    for axis, max_angle in enumerate(rotations):
-        for angle in np.linspace(-max_angle, max_angle, frames_per_axis):
-            poses.append(Pose(R=rotation_about_axis(axis, float(angle)),
-                              t=np.zeros(3), pivot=pivot))
-            names.append(f"axis{axis}_{angle:+07.2f}deg")
-    canvas = make_canvas(poses, depth, K)
-    frames = [(name, *warp_image(canonical, depth, pose, K, canvas, radius)[:2])
-              for name, pose in zip(names, poses)]
-    return {"depth": depth, "canonical": canonical, "canvas": canvas, "frames": frames}
+    poses = [(f"axis{axis}_{angle:+07.2f}deg",
+              Pose(R=rotation_about_axis(axis, float(angle)), t=np.zeros(3), pivot=pivot))
+             for axis, max_angle in enumerate(rotations)
+             for angle in np.linspace(-max_angle, max_angle, frames_per_axis)]
+    canvas = make_canvas([pose for _, pose in poses], depth, K)
+    return {"depth": depth, "K": K, "canonical": canonical, "canvas": canvas,
+            "poses": poses}

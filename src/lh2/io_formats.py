@@ -173,6 +173,16 @@ def _parse_netpbm_header(data, magic):
 # input pixels x dilation cells
 MAX_WORK = 2 ** 24
 
+# elements of one block of row-wise work: 512 KB of float64, which stays in
+# cache between the passes over it
+_BLOCK = 2 ** 16
+
+
+def _block_rows(width: int) -> int:
+    """Rows of a block of row-wise work on rows of the given width: at most
+    _BLOCK and MAX_WORK elements, and at least one row."""
+    return max(1, min(MAX_WORK, _BLOCK) // width)
+
 
 @dataclasses.dataclass
 class RunConfig:

@@ -21,6 +21,15 @@ from .errors import DomainError, RangeError
 from .io_formats import MAX_WORK
 
 
+def _shown(n: int):
+    """n as it is, or in scientific notation past the float range, so that
+    no message prints hundreds of digits."""
+    if abs(n) <= sys.float_info.max:
+        return n
+    from decimal import Decimal      # imported on this error path alone
+    return f"{Decimal(n):.3e}"
+
+
 def evt_estimate(C: int, d: int) -> dict:
     """Closed-form minimum-angle and cosine-spread estimates, the record
     `lh2 stats` prints; cos_half = cos(theta_min / 2) marks a fully
@@ -28,11 +37,11 @@ def evt_estimate(C: int, d: int) -> dict:
     if d > sys.float_info.max:      # first, so that no message prints such a d
         raise DomainError(f"d must be at most {sys.float_info.max:.3e}")
     if C < 2 or d < 2:
-        raise DomainError(f"need C >= 2 and d >= 2, got ({C}, {d})")
+        raise DomainError(f"need C >= 2 and d >= 2, got ({_shown(C)}, {_shown(d)})")
     v = 2.0 * math.log(C) / d
     if v > 1.0:
         raise RangeError(f"2 ln C / d = {v:.4f} > 1: the minimum-angle formula "
-                         f"breaks down for C = {C}, d = {d}")
+                         f"breaks down for C = {_shown(C)}, d = {d}")
     cos_min = math.sqrt(v)
     theta = math.acos(cos_min)
     return {"C": C, "d": d, "cos_min": cos_min, "theta_min_rad": theta,
@@ -52,8 +61,8 @@ def monte_carlo_pairwise(C: int, d: int, trials: int, seed) -> dict:
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
     if C < 2 or d < 1:
-        raise DomainError(f"need C >= 2 and d >= 1, got ({C}, {d})")
-    over = [f"{name} = {size} exceeds {cap}" for name, size, cap in (
+        raise DomainError(f"need C >= 2 and d >= 1, got ({_shown(C)}, {_shown(d)})")
+    over = [f"{name} = {_shown(size)} exceeds {cap}" for name, size, cap in (
         ("C*d*trials", C * d * trials, int(1e8)), ("C*d", C * d, MAX_WORK),
         ("trials*C^2", trials * C * C, 2 ** 32), ("trials*C^2*d", trials * C * C * d, 2 ** 37))
         if size > cap]

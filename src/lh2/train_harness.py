@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .io_formats import MAX_WORK, RunConfig, emit_metrics, read_tensor, write_tensor
+from .io_formats import RunConfig, _block_rows, emit_metrics, read_tensor, write_tensor
 from .proxy_losses import (EpochMidState, end_epoch, observe_positive_cosines,
                            positive_cosines, pp_loss, pns_loss, pps_loss,
                            proxy_based_total, sns_loss)
@@ -31,17 +31,6 @@ from .depth_renderer import DepthMap
 from .sphere_math import _row_norms, _similarity_adjoint, vmf_similarity_batch
 from .sphere_stats import proxy_spread_trackers, sns_tracker
 from .uamf import EmbeddingBatch, LossReport, ProxyMatrix, uamf_loss, update_norm_tracker
-
-
-# elements of one block of row-wise work: 512 KB of float64, which stays in
-# cache between the passes over it
-_BLOCK = 2 ** 16
-
-
-def _block_rows(width: int) -> int:
-    """Rows of a block of row-wise work on rows of the given width: at most
-    _BLOCK and MAX_WORK elements, and at least one row."""
-    return max(1, min(MAX_WORK, _BLOCK) // width)
 
 
 def generate_dataset(cfg: RunConfig):

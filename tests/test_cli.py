@@ -5,6 +5,7 @@ import dataclasses
 import math
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -322,7 +323,8 @@ def test_other_subcommands_exit_with_a_documented_code(subcommand_inputs, drawn)
 @pytest.mark.parametrize("shift, message", [
     (("nan", "0", "0"), "t and pivot must be finite"),
     # the far side of the 8 x 8 scene lands 1e-5 in front of the camera
-    (("0", "0", "-9.99999"), "--pose puts the scene too near the camera"),
+    (("0", "0", "-9.99999"), "--pose puts the scene too near the camera or behind it, "
+                             "or --fov is too narrow for it: a canvas"),
     (("0", "0", "-20"), "no pose projects any point in front of the camera"),
 ], ids=["nan", "near_the_camera", "behind_the_camera"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -339,13 +341,14 @@ def test_render_custom_translation_off_the_scene_is_a_usage_error(subcommand_inp
 
 @pytest.mark.parametrize("argv", [
     ["stats", "--C", "2", "--d", str(10 ** 400)],
+    ["stats", "--C", str(10 ** 400), "--d", "512"],
     # the projection overflows to an infinite canvas width
     ["render", "--fov", "1e-300", "--pose", "1e10", "0", "0"],
     # the focal length (W - 1) / (2 tan(fov / 2)) is infinite
     ["render", "--fov", "1e-320", "--pose", "0", "0", "0"],
     # a finite canvas width of 301 digits
     ["render", "--fov", "40", "--pose", "1e300", "0", "0"],
-], ids=["stats_huge_d", "render_overflowing_projection", "render_infinite_focal_length",
+], ids=["stats_huge_d", "stats_huge_C", "render_overflowing_projection", "render_infinite_focal_length",
         "render_huge_canvas"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_float_range_inputs_are_short_usage_errors(subcommand_inputs, tmp_path,
@@ -361,6 +364,8 @@ def test_out_of_float_range_inputs_are_short_usage_errors(subcommand_inputs, tmp
     err = capsys.readouterr().err
     assert err.startswith("lh2: error:")
     assert len(err) <= 300
+    if "1e-300" in argv:
+        assert "--fov" in err
 
 
 def _parse_stats(stdout):
@@ -429,6 +434,27 @@ def test_render_demo(tmp_path, capsys):
     assert read_pgm(out / "depth.pgm").shape == (16, 16)
     img = read_ppm(out / frames[0])
     assert img.ndim == 3 and img.shape[2] == 3
+
+
+def _demo_peak_bytes(out, frames):
+    tracemalloc.start()
+    try:
+        rc = main(["render", "--demo", "hemisphere", "--size", "128",
+                   "--frames", str(frames), "--out-dir", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    return peak
+
+
+def test_render_demo_memory_does_not_grow_with_the_frames(tmp_path, capsys):
+    # 3 frames against 18: each frame is written before the next is rendered
+    one = _demo_peak_bytes(tmp_path / "one", 1)
+    six = _demo_peak_bytes(tmp_path / "six", 6)
+    assert "wrote 18 frames" in capsys.readouterr().out
+    frame_bytes = 128 * 128 * (3 * 8 + 1)      # a float64 image and its mask
+    assert six - one < frame_bytes
 
 
 def test_render_custom_pose(tmp_path, capsys, monkeypatch):

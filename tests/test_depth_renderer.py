@@ -3,17 +3,18 @@ the inverse warp."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from lh2 import io_formats
 from lh2.depth_renderer import (DEFAULT_LIGHT, CanvasSpec, DepthMap, LightingParams,
                                 Pose, depth_centroid, depth_to_pointcloud,
-                                hemisphere_scene, intrinsics_from_fov, make_canvas,
-                                neighborhood_offsets, project_points,
-                                render_hemisphere_demo, rotation_about_axis,
-                                scatter_min_render, shade,
+                                hemisphere_demo, hemisphere_scene, intrinsics_from_fov,
+                                make_canvas, neighborhood_offsets, project_points,
+                                rotation_about_axis, scatter_min_render, shade,
                                 transform_pointcloud, warp_image)
 from lh2.errors import CanvasError, DomainError
 
@@ -482,6 +483,10 @@ def test_warp_compose_round_trip():
 @pytest.mark.parametrize("radius", [0, 1, 2])
 @pytest.mark.parametrize("angle", [0.0, 25.0])
 def test_warp_window_matches_whole_canvas_crop(size, radius, angle):
+    _assert_warp_matches_whole_canvas_crop(size, radius, angle)
+
+
+def _assert_warp_matches_whole_canvas_crop(size, radius, angle):
     # the zero-angle pose puts the hemisphere's points on half-pixel
     # boundaries when W_new - W is even; the 25 degree turn tilts the
     # scene's near edge past the window's
@@ -508,16 +513,75 @@ def test_warp_window_matches_whole_canvas_crop(size, radius, angle):
             scatter_min_render((u, v, dep, valid & inside), window, radius), got[2])
 
 
+def _use_row_blocks(monkeypatch, size, rows):
+    """Blocks of `rows` rows of a size x size scene's points."""
+    monkeypatch.setattr(io_formats, "_BLOCK", 3 * size * rows)
+    assert io_formats._block_rows(3 * size) == rows
+
+
+@pytest.mark.parametrize("size, rows", [(30, 7), (64, 5), (128, 1)],
+                         ids=["30_in_5_blocks", "64_in_13_blocks", "128_in_128_blocks"])
+@pytest.mark.parametrize("radius", [0, 2])
+@pytest.mark.parametrize("angle", [0.0, 25.0])
+def test_warp_across_row_blocks_matches_whole_canvas_crop(monkeypatch, size, rows, radius,
+                                                          angle):
+    # 30 = 4 * 7 + 2 and 64 = 12 * 5 + 4 end in a partial block; a block's
+    # points stamp window rows that the next block's points stamp too
+    _use_row_blocks(monkeypatch, size, rows)
+    _assert_warp_matches_whole_canvas_crop(size, radius, angle)
+
+
+@pytest.mark.parametrize("size, rows", [(30, 7), (64, 5)])
+def test_make_canvas_across_row_blocks_matches_one_block(monkeypatch, size, rows):
+    d, _, K, _ = hemisphere_scene(size)
+    pivot = depth_centroid(d, K)
+    poses = [Pose(rotation_about_axis(axis, a), np.zeros(3), pivot)
+             for axis in range(3) for a in (-25.0, 0.0, 25.0)]
+    # tilted 45 degrees about x and moved 5 units nearer, the bottom rows,
+    # in the last, partial block, set a canvas wider than the 2.5 W floor
+    poses.append(Pose(rotation_about_axis(0, -45.0), np.array([0.0, 0.0, -5.0]), pivot))
+    one_block = make_canvas(poses, d, K)
+    assert one_block.W_new > 3 * size
+    _use_row_blocks(monkeypatch, size, rows)
+    assert make_canvas(poses, d, K) == one_block
+
+
+def _warp_extra_bytes(size):
+    """tracemalloc peak of one warp_image call at the given scene size, less
+    the arrays it returns."""
+    d, albedo, K, light = hemisphere_scene(size)
+    canonical = shade(d, albedo, light, K)
+    pose = Pose(rotation_about_axis(1, 10.0), np.zeros(3), depth_centroid(d, K))
+    canvas = make_canvas([pose], d, K)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = warp_image(canonical, d, pose, K, canvas, radius=1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak - sum(a.nbytes for a in result)
+
+
+def test_warp_extra_memory_does_not_grow_with_the_image():
+    # 128^2 points fit in one block of 170 rows, and 256^2 take four blocks
+    # of at most 85 rows, 21760 points: four times the pixels, but a block
+    # only 4/3 the size.  Whole-image passes took 4.5 MB and 17.8 MB.
+    small, large = _warp_extra_bytes(128), _warp_extra_bytes(256)
+    assert large < 1.5 * small
+
+
 def test_hemisphere_demo_frames():
     # size 30 keeps W_new - W odd, so zero-angle projections round cleanly
     # instead of sitting on the half-pixel boundary
-    demo = render_hemisphere_demo(size=30, rotations=(10.0, 10.0, 10.0),
-                                  frames_per_axis=3, radius=1)
-    names = [name for name, _, _ in demo["frames"]]
+    demo = hemisphere_demo(size=30, rotations=(10.0, 10.0, 10.0), frames_per_axis=3)
+    names = [name for name, _ in demo["poses"]]
     assert names == [f"axis{a}_{s}deg" for a in range(3)
                      for s in ("-010.00", "+000.00", "+010.00")]
     assert demo["canvas"].W_new >= 2.5 * 30
-    for name, img, mask in demo["frames"]:
+    frames = [warp_image(demo["canonical"], demo["depth"], pose, demo["K"],
+                         demo["canvas"], radius=1)[:2] for _, pose in demo["poses"]]
+    for img, mask in frames:
         assert np.isfinite(img).all()
         assert img.shape == (30, 30, 3) and mask.shape == (30, 30)
         assert mask.any()
@@ -525,7 +589,7 @@ def test_hemisphere_demo_frames():
         assert img.base is None and mask.base is None
     # the zero-angle frames are identity warps of the canonical image
     for axis in range(3):
-        _, img, mask = demo["frames"][axis * 3 + 1]
+        img, mask = frames[axis * 3 + 1]
         assert oracles.psnr(img, demo["canonical"], mask) >= 40.0
 
 

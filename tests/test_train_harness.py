@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lh2 import proxy_losses, sphere_math, train_harness, uamf
+from lh2 import io_formats, proxy_losses, sphere_math, train_harness, uamf
 from lh2.errors import ConfigError
 from lh2.io_formats import RunConfig
 from lh2.proxy_losses import (EpochMidState, pns_loss, pp_loss, pp_selection, pps_loss,
@@ -191,7 +191,7 @@ def test_train_accuracy_scores_in_blocks_under_the_work_cap(monkeypatch):
     one_shot = np.argmax((X @ embedder) @ proxies.W.T, axis=1)
     # blocks of 60 rows, the last one partial; the one-shot scores take 8 MB
     cap = 128 * 60
-    monkeypatch.setattr(train_harness, "MAX_WORK", cap)
+    monkeypatch.setattr(io_formats, "MAX_WORK", cap)
     tracemalloc.start()
     try:
         # the one-shot predictions as labels: accuracy 1 means every block
@@ -526,7 +526,7 @@ def test_histogram_scores_in_blocks_under_the_work_cap(monkeypatch):
     st = init_state(cfg)
     one_records, one_summary = histogram_dump(st.embedder, st.proxies, X, labels)
     # blocks of 5 rows, the last one partial (63 = 12 * 5 + 3)
-    monkeypatch.setattr(train_harness, "MAX_WORK", 7 * 5 + 3)
+    monkeypatch.setattr(io_formats, "MAX_WORK", 7 * 5 + 3)
     calls = collections.Counter()
     batch_init = EmbeddingBatch.__post_init__
 
