@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import CanvasError, ConfigError, DomainError, FormatError
+from .errors import CanvasError, ConfigError, DomainError, FormatError, _shown
 from .io_formats import (MAX_WORK, RunConfig, emit_metrics, parse_config, read_pgm,
                          read_ppm, read_tensor, write_pgm, write_ppm)
 from .depth_renderer import (DEFAULT_LIGHT, MIN_SIZE, DepthMap, Pose, depth_centroid,
@@ -62,9 +62,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_stats(args) -> int:
     if args.trials < 0:
-        raise ConfigError(f"--trials must be >= 0, got {args.trials}")
+        raise ConfigError(f"--trials must be >= 0, got {_shown(args.trials)}")
     if args.trials > 0 and args.seed < 0:       # the seed draws the trials only
-        raise ConfigError(f"--seed must be >= 0 with --trials, got {args.seed}")
+        raise ConfigError(f"--seed must be >= 0 with --trials, got {_shown(args.seed)}")
     row = evt_estimate(args.C, args.d)
     if args.trials > 0:
         row.update(monte_carlo_pairwise(args.C, args.d, args.trials, args.seed))
@@ -100,19 +100,19 @@ def _check_render_work(pixels: int, radius: int, pixel_flag: str) -> None:
     cells = (2 * radius + 1) ** 2
     if pixels * cells > MAX_WORK:
         flag = "--radius" if cells > pixels else pixel_flag
-        raise ConfigError(f"{flag} too large: {pixels} input pixels x {cells} dilation "
-                          f"cells exceeds the cap of {MAX_WORK}")
+        raise ConfigError(f"{flag} too large: {_shown(pixels)} input pixels x {_shown(cells)} "
+                          f"dilation cells exceeds the cap of {MAX_WORK}")
 
 
 def _cmd_render(args) -> int:
     if args.frames < 1:
-        raise ConfigError(f"--frames must be at least 1, got {args.frames}")
+        raise ConfigError(f"--frames must be at least 1, got {_shown(args.frames)}")
     if not np.all(np.abs(args.rotations) <= 360.0):      # nan fails too
         raise ConfigError(f"--rotations must be within [-360, 360] degrees, got {args.rotations}")
     if args.size < MIN_SIZE:
-        raise ConfigError(f"--size must be >= {MIN_SIZE}, got {args.size}")
+        raise ConfigError(f"--size must be >= {MIN_SIZE}, got {_shown(args.size)}")
     if args.radius < 0:
-        raise ConfigError(f"--radius must be >= 0, got {args.radius}")
+        raise ConfigError(f"--radius must be >= 0, got {_shown(args.radius)}")
     if args.demo is not None:
         _check_render_work(args.size ** 2, args.radius, "--size")
         # frames are written as they are rendered, so this caps the run's
@@ -120,8 +120,9 @@ def _cmd_render(args) -> int:
         pixels = 3 * args.frames * args.size ** 2
         if pixels > MAX_WORK:
             flag = "--frames" if 3 * args.frames > args.size ** 2 else "--size"
-            raise ConfigError(f"{flag} too large: 3 x {args.frames} frames of {args.size}^2 "
-                              f"pixels = {pixels} exceeds the cap of {MAX_WORK}")
+            raise ConfigError(f"{flag} too large: 3 x {_shown(args.frames)} frames of "
+                              f"{_shown(args.size)}^2 pixels = {_shown(pixels)} exceeds the "
+                              f"cap of {MAX_WORK}")
         os.makedirs(args.out_dir, exist_ok=True)
         demo = hemisphere_demo(size=args.size, rotations=args.rotations,
                                frames_per_axis=args.frames)
@@ -163,9 +164,9 @@ def _cmd_render(args) -> int:
 
 def _cmd_grad_check(args) -> int:
     if args.repeats < 1:
-        raise ConfigError(f"--repeats must be at least 1, got {args.repeats}")
+        raise ConfigError(f"--repeats must be at least 1, got {_shown(args.repeats)}")
     if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        raise ConfigError(f"--seed must be >= 0, got {_shown(args.seed)}")
     rows, ok = grad_check(repeats=args.repeats, seed=args.seed, corrupt_op=args.corrupt)
     width = max(len(r["op"]) for r in rows)
     for r in rows:

@@ -13,8 +13,8 @@ pixel, so placing points on it introduces no resampling of its own.  A
 frame rasterizes only its central H x W window of the canvas.
 
 Memory is bounded by the output, not by the scene: make_canvas and
-warp_image work in blocks of pixel rows (io_formats._block_rows, the block
-rule the training data path uses), so no per-point array outgrows one
+warp_image work in blocks of pixel rows (io_formats._row_blocks, the
+walker the training data path uses), so no per-point array outgrows one
 block, and the demo hands out the poses of its frames, so that each frame
 is warped and written before the next one is rendered.
 """
@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import CanvasError, DomainError
-from .io_formats import MAX_WORK, _block_rows
+from .io_formats import MAX_WORK, _row_blocks
 
 _BACKGROUND = np.inf
 
@@ -156,22 +156,15 @@ def _back_project(u, v, d, K: CameraIntrinsics) -> np.ndarray:
     return np.stack([(u - K.cx) / K.f * d, (v - K.cy) / K.f * d, d], axis=-1)
 
 
-def _row_spans(h: int, w: int):
-    """(lo, hi) of each block of rows of an h x w grid of 3-D points:
-    _block_rows(3 w) rows, so that a block's coordinates fit in one block of
-    work, and the rest in the last."""
-    rows = _block_rows(3 * w)
-    return [(lo, min(lo + rows, h)) for lo in range(0, h, rows)]
-
-
 def _point_blocks(depth: DepthMap, K: CameraIntrinsics):
     """depth_to_pointcloud one block of rows at a time: yields the points of
-    each of the _row_spans of the depth."""
+    each of the _row_blocks of the depth, 3 W wide, so that a block's
+    coordinates fit in one block of work."""
     h, w = depth.shape
     cols = np.arange(w, dtype=np.float64)[None, :]
-    for r0, r1 in _row_spans(h, w):
-        yield _back_project(cols, np.arange(r0, r1, dtype=np.float64)[:, None],
-                            depth.values[r0:r1], K)
+    for rows in _row_blocks(h, 3 * w):
+        yield _back_project(cols, np.arange(rows.start, rows.stop, dtype=np.float64)[:, None],
+                            depth.values[rows], K)
 
 
 def depth_to_pointcloud(depth: DepthMap, K: CameraIntrinsics) -> np.ndarray:
@@ -384,10 +377,9 @@ def warp_image(source: np.ndarray, depth: DepthMap, pose: Pose,
     def corner(i):
         return np.take(flat, i, axis=0)
 
-    for r0, r1 in _row_spans(K.H, K.W):
-        ok = valid[r0:r1]                 # a view: narrowed in place below
-        pts_c = _back_project(x[None, :], y[r0:r1, None],
-                              np.where(ok, window[r0:r1], 1.0), K)
+    for rows in _row_blocks(K.H, 3 * K.W):
+        ok = valid[rows]                  # a view: narrowed in place below
+        pts_c = _back_project(x[None, :], y[rows, None], np.where(ok, window[rows], 1.0), K)
         back = (pts_c - pose.pivot - pose.t) @ pose.R + pose.pivot   # R^T via right-multiply
         u0, v0, _, in_front = project_points(back, K)
         ok &= in_front & (u0 >= 0.0) & (u0 <= K.W - 1) & (v0 >= 0.0) & (v0 <= K.H - 1)
@@ -401,8 +393,8 @@ def warp_image(source: np.ndarray, depth: DepthMap, pose: Pose,
         fv = (vv - v_lo)[:, None]
         i00 = v_lo * source.shape[1] + u_lo
         i10 = i00 + source.shape[1]
-        out[r0:r1][ok] = ((1 - fv) * ((1 - fu) * corner(i00) + fu * corner(i00 + 1))
-                          + fv * ((1 - fu) * corner(i10) + fu * corner(i10 + 1)))
+        out[rows][ok] = ((1 - fv) * ((1 - fu) * corner(i00) + fu * corner(i00 + 1))
+                         + fv * ((1 - fu) * corner(i10) + fu * corner(i10 + 1)))
     return out, valid, window
 
 

@@ -1,20 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for
+printing an outside integer in their messages."""
 
 
 class FormatError(ValueError):
-    """Malformed binary or text container (bad magic, bad version, trailing bytes)."""
-
-
-class TruncationError(FormatError):
-    """Payload shorter than the header declares."""
-
-
-class DimError(FormatError):
-    """Tensor rank outside the supported range."""
-
-
-class SchemaError(ValueError):
-    """Metric records do not share a single key set."""
+    """Malformed binary or text container (bad magic, bad version, bad rank,
+    truncated or trailing bytes)."""
 
 
 class ConfigError(ValueError):
@@ -28,16 +18,18 @@ class ConfigError(ValueError):
 
 
 class DomainError(ValueError):
-    """Argument outside a function's mathematical domain."""
-
-
-class RangeError(ValueError):
-    """Closed-form estimate outside its validity range (formula breakdown)."""
+    """Argument outside a function's domain: out-of-range values, a closed
+    form past its validity range, mismatched metric records, an empty mask."""
 
 
 class CanvasError(ValueError):
     """Canvas bounds cannot be formed (no valid projected points or degenerate geometry)."""
 
 
-class MaskError(ValueError):
-    """A masked reduction received an empty mask."""
+def _shown(n):
+    """An integer beyond 2**53 in scientific notation, anything else as it
+    is, so that no message prints dozens of digits."""
+    if not isinstance(n, int) or abs(n) <= 2 ** 53:
+        return n
+    from decimal import Decimal      # imported on this error path alone
+    return f"{Decimal(n):.3e}"

@@ -21,7 +21,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError, DimError, FormatError, SchemaError, TruncationError
+from .errors import ConfigError, DomainError, FormatError, _shown
 
 _MAGIC = b"LH2T"
 _VERSION = 1
@@ -31,7 +31,7 @@ def write_tensor(path, array) -> None:
     """Write an array (rank 1..4) as a float32 tensor file."""
     arr = np.ascontiguousarray(array, dtype=np.float32)
     if not 1 <= arr.ndim <= 4:
-        raise DimError(f"tensor rank {arr.ndim} outside [1, 4]")
+        raise FormatError(f"tensor rank {arr.ndim} outside [1, 4]")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, arr.ndim))
@@ -46,21 +46,21 @@ def read_tensor(path) -> np.ndarray:
     if data[:4] != _MAGIC:
         raise FormatError(f"bad magic {data[:4]!r}, expected {_MAGIC!r}")
     if len(data) < 12:
-        raise TruncationError("header truncated")
+        raise FormatError("header truncated")
     version, ndim = struct.unpack_from("<II", data, 4)
     if version != _VERSION:
         raise FormatError(f"unsupported version {version}")
     if not 1 <= ndim <= 4:
-        raise DimError(f"tensor rank {ndim} outside [1, 4]")
+        raise FormatError(f"tensor rank {ndim} outside [1, 4]")
     header_end = 12 + 4 * ndim
     if len(data) < header_end:
-        raise TruncationError("dims truncated")
+        raise FormatError("dims truncated")
     dims = struct.unpack_from(f"<{ndim}I", data, 12)
     count = int(np.prod(dims, dtype=np.int64))
     payload_end = header_end + 4 * count
     if len(data) < payload_end:
-        raise TruncationError(f"payload needs {payload_end - header_end} bytes, "
-                              f"got {len(data) - header_end}")
+        raise FormatError(f"payload needs {payload_end - header_end} bytes, "
+                          f"got {len(data) - header_end}")
     if len(data) > payload_end:
         raise FormatError(f"{len(data) - payload_end} trailing bytes after payload")
     flat = np.frombuffer(data, dtype="<f4", count=count, offset=header_end)
@@ -100,7 +100,7 @@ def read_pgm(path) -> np.ndarray:
     lo, hi = rng
     n = w * h
     if len(data) - offset < 2 * n:
-        raise TruncationError("pixel data truncated")
+        raise FormatError("pixel data truncated")
     q = np.frombuffer(data, dtype=">u2", count=n, offset=offset).reshape(h, w)
     return lo + q.astype(np.float64) * ((hi - lo) / 65535.0)
 
@@ -130,7 +130,7 @@ def read_ppm(path) -> np.ndarray:
         raise FormatError(f"expected maxval 255, got {maxval}")
     n = w * h * 3
     if len(data) - offset < n:
-        raise TruncationError("pixel data truncated")
+        raise FormatError("pixel data truncated")
     q = np.frombuffer(data, dtype=np.uint8, count=n, offset=offset).reshape(h, w, 3)
     return q.astype(np.float64) / 255.0
 
@@ -144,14 +144,14 @@ def _parse_netpbm_header(data, magic):
     rng = None
     while len(tokens) < 3:
         if pos >= len(data):
-            raise TruncationError("header truncated")
+            raise FormatError("header truncated")
         ch = data[pos:pos + 1]
         if ch.isspace():
             pos += 1
         elif ch == b"#":
             end = data.find(b"\n", pos)
             if end < 0:
-                raise TruncationError("unterminated comment")
+                raise FormatError("unterminated comment")
             comment = data[pos + 1:end].decode("ascii", "replace").split()
             if len(comment) == 3 and comment[0] == "range":
                 rng = (float(comment[1]), float(comment[2]))
@@ -178,10 +178,12 @@ MAX_WORK = 2 ** 24
 _BLOCK = 2 ** 16
 
 
-def _block_rows(width: int) -> int:
-    """Rows of a block of row-wise work on rows of the given width: at most
-    _BLOCK and MAX_WORK elements, and at least one row."""
-    return max(1, min(MAX_WORK, _BLOCK) // width)
+def _row_blocks(n: int, width: int):
+    """Slices of n rows of the given width, one block of row-wise work each:
+    at most _BLOCK and MAX_WORK elements, and at least one row."""
+    rows = max(1, min(MAX_WORK, _BLOCK) // width)
+    for lo in range(0, n, rows):
+        yield slice(lo, min(lo + rows, n))
 
 
 @dataclasses.dataclass
@@ -240,7 +242,7 @@ class RunConfig:
                  "C * d": self.C * self.d, "d_in * d": self.d_in * self.d,
                  "min(batch_size, C * samples_per_class) * C": batch * self.C,
                  "min(batch_size, C * samples_per_class)^2": batch * batch}
-        over = [f"{keys} = {size}" for keys, size in sizes.items() if size > MAX_WORK]
+        over = [f"{keys} = {_shown(size)}" for keys, size in sizes.items() if size > MAX_WORK]
         if over:
             raise ConfigError(f"run too large: {'; '.join(over)}, over the cap of "
                               f"{MAX_WORK} elements per array")
@@ -269,7 +271,7 @@ def _check_value(key, value) -> None:
     if key in _RANGES:
         words, ok = _RANGES[key]
         if not ok(value):
-            raise ValueError(f"must be {words}, got {value}")
+            raise ValueError(f"must be {words}, got {_shown(value)}")
 
 
 def parse_config(path) -> RunConfig:
@@ -321,7 +323,7 @@ def emit_metrics(records, path, append=False) -> None:
     lines = []
     for i, rec in enumerate(records):
         if set(rec.keys()) != fieldset:
-            raise SchemaError(f"record {i} keys {sorted(rec)} != header {sorted(fieldset)}")
+            raise DomainError(f"record {i} keys {sorted(rec)} != header {sorted(fieldset)}")
         lines.append(",".join(_format_value(rec[k]) for k in fields) + "\n")
     with open(path, "a" if append else "w", encoding="utf-8", newline="") as fh:
         if fields and fh.tell() == 0:

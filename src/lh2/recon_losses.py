@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .depth_renderer import DepthMap
-from .errors import DomainError, MaskError
+from .errors import DomainError
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -55,7 +55,7 @@ def _masked_channels(I_hat, I, sigma, mask):
     if mask.shape != I.shape[:2]:
         raise DomainError(f"mask shape {mask.shape} does not match image {I.shape}")
     if not np.any(mask):
-        raise MaskError("empty mask")
+        raise DomainError("empty mask")
     sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), I.shape)
     if np.any(sigma <= 0.0):
         raise DomainError("sigma must be positive")

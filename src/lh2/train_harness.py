@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
-from .io_formats import RunConfig, _block_rows, emit_metrics, read_tensor, write_tensor
+from .io_formats import RunConfig, _row_blocks, emit_metrics, read_tensor, write_tensor
 from .proxy_losses import (EpochMidState, end_epoch, observe_positive_cosines,
                            positive_cosines, pp_loss, pns_loss, pps_loss,
                            proxy_based_total, sns_loss)
@@ -48,10 +48,8 @@ def generate_dataset(cfg: RunConfig):
         else np.zeros(m)
     norms = rng.lognormal(cfg.norm_logmean, cfg.norm_logstd, m)
 
-    rows = _block_rows(cfg.d_in)
-    for lo in range(0, m, rows):
-        hi = lo + rows
-        tang, base, ph = X[lo:hi], dirs[labels[lo:hi]], phi[lo:hi, None]
+    for rows in _row_blocks(m, cfg.d_in):
+        tang, base, ph = X[rows], dirs[labels[rows]], phi[rows, None]
         # the tangent's part across its class direction, at unit length
         tang -= np.sum(tang * base, axis=1, keepdims=True) * base
         tang /= np.linalg.norm(tang, axis=1, keepdims=True)
@@ -59,7 +57,7 @@ def generate_dataset(cfg: RunConfig):
         tang *= np.sin(ph)
         base *= np.cos(ph)
         tang += base
-        tang *= norms[lo:hi, None]
+        tang *= norms[rows, None]
     return X, labels
 
 
@@ -90,16 +88,22 @@ def init_state(cfg: RunConfig) -> TrainState:
                       step=0, rng=np.random.default_rng([cfg.seed, 2]))
 
 
+def _scored_blocks(X, labels, embedder, proxies: ProxyMatrix):
+    """(features X[rows] @ embedder, labels[rows]) of each of the _row_blocks
+    of the samples, max(C, d) wide: the width of their scores against the
+    proxies and of the features."""
+    for rows in _row_blocks(len(labels), max(proxies.W.shape)):
+        yield X[rows] @ embedder, labels[rows]
+
+
 def train_accuracy(X, labels, embedder, proxies: ProxyMatrix) -> float:
     """Fraction of samples whose nearest proxy by cosine is their class,
-    scored in blocks of _block_rows(max(C, d)) rows."""
+    scored in _scored_blocks."""
     # the proxies are unit rows, so dividing each row of scores by its
     # sample's norm would not move the argmax
-    rows = _block_rows(max(proxies.W.shape))
     hits = 0
-    for lo in range(0, len(labels), rows):
-        pred = np.argmax((X[lo:lo + rows] @ embedder) @ proxies.W.T, axis=1)
-        hits += int(np.count_nonzero(pred == labels[lo:lo + rows]))
+    for z, y in _scored_blocks(X, labels, embedder, proxies):
+        hits += int(np.count_nonzero(np.argmax(z @ proxies.W.T, axis=1) == y))
     return hits / len(labels)
 
 
@@ -240,14 +244,12 @@ def _merge_moments(acc, values):
 def histogram_dump(embedder, proxies: ProxyMatrix, X, labels):
     """Histograms (64 bins over [-1, 1]) of the positive and negative
     cosines of the samples X @ embedder against the proxies, scored in
-    blocks of _block_rows(max(C, d)) rows; returns (records, summary with
-    means/stds/counts)."""
+    _scored_blocks; returns (records, summary with means/stds/counts)."""
     edges = np.linspace(-1.0, 1.0, 65)
     counts = np.zeros((2, 64), dtype=np.int64)         # pad, nad
     moments = [(0, 0.0, 0.0), (0, 0.0, 0.0)]
-    rows = _block_rows(max(proxies.W.shape))
-    for lo in range(0, len(labels), rows):
-        batch = EmbeddingBatch(X[lo:lo + rows] @ embedder, labels[lo:lo + rows])
+    for z, y in _scored_blocks(X, labels, embedder, proxies):
+        batch = EmbeddingBatch(z, y)
         product = batch.product(proxies)
         neg = np.ones(product.cos.shape, dtype=bool)
         neg.ravel()[product.target] = False

@@ -339,6 +339,10 @@ def test_render_custom_translation_off_the_scene_is_a_usage_error(subcommand_inp
     assert not (tmp_path / "out").exists()
 
 
+_HUGE = str(10 ** 300)       # within the float range, beyond 2**53
+_DEMO = ["render", "--demo", "hemisphere"]
+
+
 @pytest.mark.parametrize("argv", [
     ["stats", "--C", "2", "--d", str(10 ** 400)],
     ["stats", "--C", str(10 ** 400), "--d", "512"],
@@ -348,18 +352,43 @@ def test_render_custom_translation_off_the_scene_is_a_usage_error(subcommand_inp
     ["render", "--fov", "1e-320", "--pose", "0", "0", "0"],
     # a finite canvas width of 301 digits
     ["render", "--fov", "40", "--pose", "1e300", "0", "0"],
+    ["stats", "--C", _HUGE, "--d", "512"],
+    ["stats", "--C", "3", "--d", _HUGE, "--trials", "1"],
+    ["stats", "--C", "200", "--d", "512", "--trials", "-" + _HUGE],
+    ["stats", "--C", "200", "--d", "512", "--trials", "1", "--seed", "-" + _HUGE],
+    [*_DEMO, "--frames", _HUGE],
+    [*_DEMO, "--frames", "-" + _HUGE],
+    [*_DEMO, "--size", _HUGE],
+    [*_DEMO, "--size", "-" + _HUGE],
+    [*_DEMO, "--radius", _HUGE],
+    [*_DEMO, "--radius", "-" + _HUGE],
+    ["grad-check", "--repeats", "-" + _HUGE],
+    ["grad-check", "--seed", "-" + _HUGE],
+    ["train", "--seed", "-" + _HUGE],
+    # the text of the config file follows --config
+    ["train", "--config", f"C = {_HUGE}"],
+    ["train", "--config", f"epochs = -{_HUGE}"],
 ], ids=["stats_huge_d", "stats_huge_C", "render_overflowing_projection", "render_infinite_focal_length",
-        "render_huge_canvas"])
+        "render_huge_canvas", "stats_C_breaks_down", "stats_monte_carlo_caps",
+        "stats_negative_trials", "stats_negative_seed", "demo_huge_frames",
+        "demo_negative_frames", "demo_huge_size", "demo_negative_size", "demo_huge_radius",
+        "demo_negative_radius", "grad_check_negative_repeats", "grad_check_negative_seed",
+        "train_negative_seed", "train_run_too_large", "train_negative_epochs"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_out_of_float_range_inputs_are_short_usage_errors(subcommand_inputs, tmp_path,
                                                            capsys, argv):
-    if argv[0] == "render":
+    if argv[0] == "render" and "--demo" not in argv:
         identity = ["1", "0", "0", "0", "1", "0", "0", "0", "1"]
         pose = argv.index("--pose") + 1
         argv = [*argv[:pose], *identity, *argv[pose:],
                 "--depth", str(subcommand_inputs / "depth.lh2t"),
-                "--albedo", str(subcommand_inputs / "albedo.ppm"),
-                "--out-dir", str(tmp_path / "out")]
+                "--albedo", str(subcommand_inputs / "albedo.ppm")]
+    if "--config" in argv:
+        at = argv.index("--config") + 1
+        (tmp_path / "run.cfg").write_text(argv[at] + "\n")
+        argv = [*argv[:at], str(tmp_path / "run.cfg"), *argv[at + 1:]]
+    if argv[0] in ("render", "train"):
+        argv = [*argv, "--out-dir", str(tmp_path / "out")]
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("lh2: error:")

@@ -516,7 +516,7 @@ def _assert_warp_matches_whole_canvas_crop(size, radius, angle):
 def _use_row_blocks(monkeypatch, size, rows):
     """Blocks of `rows` rows of a size x size scene's points."""
     monkeypatch.setattr(io_formats, "_BLOCK", 3 * size * rows)
-    assert io_formats._block_rows(3 * size) == rows
+    assert next(io_formats._row_blocks(size, 3 * size)) == slice(0, rows)
 
 
 @pytest.mark.parametrize("size, rows", [(30, 7), (64, 5), (128, 1)],

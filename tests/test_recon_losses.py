@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lh2.depth_renderer import DepthMap
-from lh2.errors import DomainError, MaskError
+from lh2.errors import DomainError
 from lh2.recon_losses import (PerceptualExtractor, laplace_nll, laplace_nll_grad,
                               perceptual_nll, perceptual_nll_grad, smoothness_grad,
                               smoothness_loss, view_variance_grad, view_variance_loss)
@@ -83,7 +83,7 @@ def test_laplace_shift_and_flip_consistency():
 
 def test_laplace_validation():
     I_hat, I, mask = _images(7)
-    with pytest.raises(MaskError):
+    with pytest.raises(DomainError, match="empty mask"):
         laplace_nll(I_hat, I, 0.5, np.zeros_like(mask))
     with pytest.raises(DomainError):
         laplace_nll(I_hat, I, 0.0, mask)
