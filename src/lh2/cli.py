@@ -162,9 +162,15 @@ def _cmd_render(args) -> int:
     return 0
 
 
+# at about 40 ms a repeat, the cap keeps a gradient check under a minute
+MAX_REPEATS = 1000
+
+
 def _cmd_grad_check(args) -> int:
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be at least 1, got {_shown(args.repeats)}")
+    if args.repeats > MAX_REPEATS:
+        raise ConfigError(f"--repeats must be at most {MAX_REPEATS}, got {_shown(args.repeats)}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {_shown(args.seed)}")
     rows, ok = grad_check(repeats=args.repeats, seed=args.seed, corrupt_op=args.corrupt)
@@ -232,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grad-check", help="finite-difference gradient checks")
     p.add_argument("--seed", type=int, default=0, help="random seed of the instances")
     p.add_argument("--repeats", type=int, default=5,
-                   help="random instances per op")
+                   help=f"random instances per op, at most {MAX_REPEATS}")
     p.add_argument("--corrupt", metavar="OP",
                    help="deliberately corrupt one op's gradient (detector test)")
     p.set_defaults(func=_cmd_grad_check)

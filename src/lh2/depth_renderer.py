@@ -12,6 +12,13 @@ image coordinate (x_min_g + j, y_min_g + i), one canvas pixel per source
 pixel, so placing points on it introduces no resampling of its own.  A
 frame rasterizes only its central H x W window of the canvas.
 
+Where the 2.5 W floor dominates, as in the demo's rotation sweeps, the
+corners of the template's back-projected bounding box prove it and decide
+the canvas without projecting a point.  The exact per-point pass still
+runs where that bound reaches the floor or a corner may fall behind the
+camera: wide shifts, scenes near the camera, large rotations of deep
+scenes.
+
 Memory is bounded by the output, not by the scene: make_canvas and
 warp_image work in blocks of pixel rows (io_formats._row_blocks, the
 walker the training data path uses), so no per-point array outgrows one
@@ -199,25 +206,49 @@ def depth_centroid(depth: DepthMap, K: CameraIntrinsics) -> np.ndarray:
     return depth_to_pointcloud(depth, K).reshape(-1, 3).mean(axis=0)
 
 
-def make_canvas(poses, template: DepthMap, K: CameraIntrinsics) -> CanvasSpec:
-    """Shared output geometry for a set of poses: the origin every frame's
-    window is placed by, and the cap on the scene's projected extent.
+def _corner_reach(poses, template: DepthMap, K: CameraIntrinsics):
+    """Upper bounds (ex, ey) on every pose's projected extent about
+    (W/2, H/2) from the 8 corners of the template's back-projected bounding
+    box, or None unless every pose keeps the box in front of the camera and
+    the bounds stay under the 2.5 W floor in both axes.
 
-    The template is back-projected one block of rows at a time, and each
-    block is projected under every pose, keeping a running min and max of
-    each pose's u and v; the bounds are then padded out to exact symmetry
-    about the source center, preserving aspect and enforcing
-    W_new >= 2.5 W.  A canvas of more than MAX_WORK pixels is a
-    CanvasError: a point just in front of the camera projects arbitrarily
-    far out.  No frame allocates the whole canvas; warp_image rasterizes
-    only its central window.
+    x = (u - cx)/f * d is bilinear in (u, d), so over the depth map its
+    extremes sit at the box's corners, and y and z likewise; a rigid motion
+    keeps every point inside the hull of the moved corners.  The moved
+    corners thus bound z' below and |x'| and |y'| above, and
+    |u - cx| <= f max|x'| / min z'.  The corners may round unlike the
+    points, so each moved coordinate is widened by a few ulps of the terms
+    that sum to it, and the extents by one pixel.
     """
-    poses = list(poses)
-    if not poses:
-        raise CanvasError("need at least one pose")
-
     W, H = K.W, K.H
-    cx, cy = W / 2.0, H / 2.0
+    cols, rows, deps = (g.ravel() for g in np.meshgrid(
+        [0.0, W - 1.0], [0.0, H - 1.0], [template.values.min(), template.values.max()]))
+    corners = _back_project(cols, rows, deps, K)                      # 8 x 3
+    R = np.stack([pose.R for pose in poses])
+    pivot = np.stack([pose.pivot for pose in poses])[:, None, :]
+    t = np.stack([pose.t for pose in poses])[:, None, :]
+    moved = (corners - pivot) @ R.transpose(0, 2, 1) + pivot + t      # poses x 8 x 3
+    terms = np.abs(corners - pivot) @ np.abs(R).transpose(0, 2, 1) + np.abs(pivot) + np.abs(t)
+    slack = 16.0 * np.finfo(np.float64).eps * terms.max(axis=1)      # poses x 3
+    z_lo = moved[..., 2].min(axis=1) - slack[:, 2]
+    x_hi = np.abs(moved[..., 0]).max(axis=1) + slack[:, 0]
+    y_hi = np.abs(moved[..., 1]).max(axis=1) + slack[:, 1]
+    if not np.all(z_lo > 0.0):                  # nan fails too
+        return None
+    ex = float((K.f * x_hi / z_lo).max()) + abs(K.cx - W / 2.0) + 1.0
+    ey = float((K.f * y_hi / z_lo).max()) + abs(K.cy - H / 2.0) + 1.0
+    floor = 2.5 * W
+    if not (2.0 * ex + 1.0 < floor and (2.0 * ey + 1.0) * W / H < floor):
+        return None
+    return ex, ey
+
+
+def _point_reach(poses, template: DepthMap, K: CameraIntrinsics):
+    """Every pose's exact projected extent (ex, ey) about (W/2, H/2): the
+    template is back-projected one block of rows at a time, and each block
+    is projected under every pose, keeping a running min and max of each
+    pose's u and v over its valid points."""
+    cx, cy = K.W / 2.0, K.H / 2.0
     # per pose, the (u, v) minima and maxima over its valid points; np.minimum
     # and np.maximum keep a nan, as a min or max over all the points would
     seen = np.zeros(len(poses), dtype=bool)
@@ -240,9 +271,36 @@ def make_canvas(poses, template: DepthMap, K: CameraIntrinsics) -> CanvasSpec:
     for k in np.flatnonzero(seen):
         ex = max(ex, cx - lo[k, 0], hi[k, 0] - cx)
         ey = max(ey, cy - lo[k, 1], hi[k, 1] - cy)
+    return float(ex), float(ey)
+
+
+def make_canvas(poses, template: DepthMap, K: CameraIntrinsics) -> CanvasSpec:
+    """Shared output geometry for a set of poses: the origin every frame's
+    window is placed by, and the cap on the scene's projected extent.
+
+    Each pose's projected u/v extent about the source center is padded out
+    to exact symmetry, preserving aspect and enforcing W_new >= 2.5 W.
+    When the corners of the template's bounding box already bound every
+    extent under that floor (_corner_reach), the floor decides and no point
+    is projected: so it is for the demo's rotation sweeps.  Otherwise the
+    exact per-point pass runs (_point_reach): for poses that shift the
+    scene wide or bring a corner near or behind the camera, and for large
+    rotations of a deep scene.  Both give the same canvas.  A canvas of
+    more than MAX_WORK pixels is a CanvasError: a point just in front of
+    the camera projects arbitrarily far out.  No frame allocates the whole
+    canvas; warp_image rasterizes only its central window.
+    """
+    poses = list(poses)
+    if not poses:
+        raise CanvasError("need at least one pose")
+
+    W, H = K.W, K.H
+    with np.errstate(over="ignore", invalid="ignore"):     # overflow leaves it undecided
+        reach = _corner_reach(poses, template, K)
+    ex, ey = reach if reach is not None else _point_reach(poses, template, K)
 
     # Python floats overflow to inf without a warning, and inf fails the test
-    width = max(2.5 * W, 2.0 * float(ex) + 1.0, (2.0 * float(ey) + 1.0) * W / H)
+    width = max(2.5 * W, 2.0 * ex + 1.0, (2.0 * ey + 1.0) * W / H)
     if not width <= MAX_WORK:
         raise CanvasError(f"a canvas {width:.3g} pixels wide exceeds the cap of {MAX_WORK}")
     W_new = math.ceil(width)
@@ -293,7 +351,16 @@ def scatter_min_render(projected, canvas: CanvasSpec, radius: int = 1,
     elif out.shape != (canvas.H_new, canvas.W_new) or not out.flags.c_contiguous:
         raise DomainError(f"out must be a C-contiguous {canvas.H_new} x {canvas.W_new} array")
     flat = out.reshape(-1)
+    # every offset of a point at least radius from each edge lands on the
+    # canvas, so those points stamp without a bounds test
+    inner = ((i >= radius) & (i < canvas.H_new - radius)
+             & (j >= radius) & (j < canvas.W_new - radius))
+    base = i[inner] * canvas.W_new + j[inner]
+    dep_in = dep[inner]
+    edge = ~inner
+    i, j, dep = i[edge], j[edge], dep[edge]
     for di, dj in neighborhood_offsets(radius):
+        np.minimum.at(flat, base + (di * canvas.W_new + dj), dep_in)
         ii = i + di
         jj = j + dj
         inb = (ii >= 0) & (ii < canvas.H_new) & (jj >= 0) & (jj < canvas.W_new)

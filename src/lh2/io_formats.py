@@ -312,30 +312,38 @@ def _convert(key, value, lineno):
 def emit_metrics(records, path, append=False) -> None:
     """Write records (mappings with one shared key set) as CSV.
 
-    Floats are printed with 9 significant digits; an empty record sequence
-    yields an empty file.  append=True adds the rows to the end of the file,
-    with the header only when the file is empty, so appending the record
-    sequence piece by piece writes the same bytes as writing it at once.
+    Ints and bools are printed as str(int(v)), floats (numpy scalars too)
+    with 9 significant digits, anything else as str(v); each row is one
+    format template, built once per sequence of value types.  An empty
+    record sequence yields an empty file.  append=True adds the rows to the
+    end of the file, with the header only when the file is empty, so
+    appending the record sequence piece by piece writes the same bytes as
+    writing it at once.
     """
     records = list(records)
     fields = list(records[0].keys()) if records else []
     fieldset = set(fields)
+    templates = {}
     lines = []
     for i, rec in enumerate(records):
-        if set(rec.keys()) != fieldset:
+        if rec.keys() != fieldset:
             raise DomainError(f"record {i} keys {sorted(rec)} != header {sorted(fieldset)}")
-        lines.append(",".join(_format_value(rec[k]) for k in fields) + "\n")
+        values = [rec[k] for k in fields]
+        kinds = tuple(map(type, values))
+        template = templates.get(kinds)
+        if template is None:
+            template = templates[kinds] = ",".join(map(_field, kinds)) + "\n"
+        lines.append(template.format(*values))
     with open(path, "a" if append else "w", encoding="utf-8", newline="") as fh:
         if fields and fh.tell() == 0:
             fh.write(",".join(fields) + "\n")
         fh.writelines(lines)
 
 
-def _format_value(v):
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.9g}"
-    return str(v)
+def _field(kind) -> str:
+    """The format field of a value of type kind."""
+    if issubclass(kind, (bool, np.bool_, int, np.integer)):
+        return "{:d}"
+    if issubclass(kind, (float, np.floating)):
+        return "{:.9g}"
+    return "{!s}"

@@ -91,9 +91,15 @@ def init_state(cfg: RunConfig) -> TrainState:
 def _scored_blocks(X, labels, embedder, proxies: ProxyMatrix):
     """(features X[rows] @ embedder, labels[rows]) of each of the _row_blocks
     of the samples, max(C, d) wide: the width of their scores against the
-    proxies and of the features."""
+    proxies and of the features.  Each block's features overwrite the
+    previous block's in one buffer, so no caller may keep them past its
+    loop body, and two blocks are never alive at once."""
+    z = None
     for rows in _row_blocks(len(labels), max(proxies.W.shape)):
-        yield X[rows] @ embedder, labels[rows]
+        n = rows.stop - rows.start
+        if z is None:           # the first block is the largest
+            z = np.empty((n, embedder.shape[1]), np.result_type(X, embedder))
+        yield np.matmul(X[rows], embedder, out=z[:n]), labels[rows]
 
 
 def train_accuracy(X, labels, embedder, proxies: ProxyMatrix) -> float:

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lh2 import cli, depth_renderer
-from lh2.cli import main
+from lh2 import cli, depth_renderer, train_harness
+from lh2.cli import MAX_REPEATS, main
 from lh2.depth_renderer import scatter_min_render
 from lh2.errors import ConfigError
 from lh2.io_formats import RunConfig, read_pgm, read_ppm, write_ppm, write_tensor
@@ -278,7 +278,8 @@ _OTHER_SUBCOMMANDS = st.one_of(
                 {0, 3}),
     _subcommand("grad-check", {"--repeats": st.integers(1, 2), "--seed": st.integers(0, 3),
                                "--corrupt": st.none() | st.sampled_from(GRADCHECK_OPS)},
-                [{"--repeats": 0}, {"--seed": -1}, {"--corrupt": "nosuchop"}],
+                [{"--repeats": 0}, {"--repeats": MAX_REPEATS + 1}, {"--seed": -1},
+                 {"--corrupt": "nosuchop"}],
                 {0, 1}),
     _subcommand("hist", {"--checkpoint": st.sampled_from(
                              [_CHECKPOINT, _CHECKPOINT + ".embedder.lh2t",
@@ -609,10 +610,18 @@ def test_grad_check_corruption_fails(capsys):
     (["grad-check", "--repeats", "1", "--seed", "-1"], "--seed"),
     # 3 x 100000 demo frames of 30 x 30 pixels, all held until written
     (["render", "--demo", "hemisphere", "--size", "30", "--frames", "100000"], "--frames"),
+    # over the cap of 1000 repeats
+    (["grad-check", "--repeats", str(10 ** 9)], "--repeats"),
+    (["grad-check", "--repeats", str(10 ** 300)], "--repeats"),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_bad_flag_value_is_a_usage_error_naming_the_flag(tmp_path, capsys,
+def test_bad_flag_value_is_a_usage_error_naming_the_flag(tmp_path, capsys, monkeypatch,
                                                          argv, flag):
+    def no_case(rng):
+        raise AssertionError("a gradient-check case was drawn")
+
+    # a bad value exits before any gradient-check instance is drawn
+    monkeypatch.setattr(train_harness, "_gradcheck_cases", no_case)
     if argv[0] == "render":
         argv = argv + ["--out-dir", str(tmp_path / "out")]
     assert main(argv) == 3

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from lh2 import io_formats
+from lh2 import depth_renderer, io_formats
 from lh2.depth_renderer import (DEFAULT_LIGHT, CanvasSpec, DepthMap, LightingParams,
                                 Pose, depth_centroid, depth_to_pointcloud,
                                 hemisphere_demo, hemisphere_scene, intrinsics_from_fov,
@@ -210,6 +210,75 @@ def test_canvas_errors():
         make_canvas([behind], d, K)
 
 
+def _per_point_canvas(monkeypatch, poses, d, K):
+    """make_canvas with the corner bound undecided, so that the per-point
+    pass sizes the canvas; a CanvasError comes back as its message."""
+    with monkeypatch.context() as m:
+        m.setattr(depth_renderer, "_corner_reach", lambda *args: None)
+        try:
+            return make_canvas(poses, d, K)
+        except CanvasError as exc:
+            return str(exc)
+
+
+def _random_canvas_case(rng):
+    """A random scene and 1 to 4 poses about its centroid.  Its wildness w,
+    most often small, scales turns of up to 60 w degrees about a random
+    axis, sideways shifts of up to 1.3 w W pixels at the scene's depth (the
+    2.5 W floor gives way near 0.75 W), and, in 30% of the poses, a move
+    toward the camera by up to 95 w % of the nearest depth."""
+    W, H = (int(n) for n in rng.integers(8, 41, 2))
+    K = intrinsics_from_fov(W, H, float(rng.uniform(20.0, 100.0)))
+    near = float(rng.uniform(0.5, 50.0))
+    d = DepthMap.from_values(rng.uniform(near, near * rng.uniform(1.0, 2.0), (H, W)))
+    pivot = depth_centroid(d, K)
+    wild = rng.uniform() ** 2
+    poses = []
+    for _ in range(int(rng.integers(1, 5))):
+        axis = rng.normal(size=3)
+        turn = np.radians(rng.uniform(0.0, 60.0 * wild)) * axis / np.linalg.norm(axis)
+        shift = rng.uniform(-1.3, 1.3, 2) * wild * np.array([W, H]) * pivot[2] / K.f
+        toward = -near * rng.uniform(0.0, 0.95 * wild) * (rng.uniform() < 0.3)
+        poses.append(Pose(Rotation.from_rotvec(turn).as_matrix(), np.append(shift, toward),
+                          pivot))
+    return poses, d, K
+
+
+def test_make_canvas_matches_the_per_point_pass_on_random_scenes(monkeypatch):
+    rng = np.random.default_rng(11)
+    decided = 0
+    for _ in range(300):
+        poses, d, K = _random_canvas_case(rng)
+        with np.errstate(over="ignore", invalid="ignore"):
+            reach = depth_renderer._corner_reach(poses, d, K)
+        if reach is not None:
+            # a decided bound bounds the exact extents, not only the canvas
+            ex, ey = depth_renderer._point_reach(poses, d, K)
+            assert ex <= reach[0] and ey <= reach[1]
+            decided += 1
+        try:
+            canvas = make_canvas(poses, d, K)
+        except CanvasError as exc:
+            canvas = str(exc)
+        assert canvas == _per_point_canvas(monkeypatch, poses, d, K)
+    # both paths ran, the bound deciding in neither almost all nor almost none
+    assert 60 <= decided <= 240
+
+
+@pytest.mark.parametrize("size", [30, 128, 256])
+@pytest.mark.parametrize("rotations", [(10.0, 10.0, 10.0), (40.0, 25.0, 60.0)])
+def test_demo_canvas_projects_no_point(monkeypatch, size, rotations):
+    calls = []
+    project = depth_renderer.project_points
+    monkeypatch.setattr(depth_renderer, "project_points",
+                        lambda *args: calls.append(1) or project(*args))
+    demo = hemisphere_demo(size, rotations, frames_per_axis=4)
+    assert calls == []
+    assert demo["canvas"].W_new == math.ceil(2.5 * size)
+    assert demo["canvas"] == _per_point_canvas(
+        monkeypatch, [pose for _, pose in demo["poses"]], demo["depth"], demo["K"])
+
+
 def _auxiliary_poses(canvas: CanvasSpec, template: DepthMap, K):
     """The two boundary probes behind a canvas: a constant-depth plane at
     the template's min depth under pure translations placing its extreme
@@ -359,6 +428,29 @@ def test_scatter_matches_reference_on_random_scenes():
         radius = case % 3
         np.testing.assert_array_equal(scatter_min_render(projected, canvas, radius),
                                       oracles.reference_scatter(*projected, canvas, radius))
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_scatter_straddling_every_edge_matches_reference(radius):
+    # an 11 x 17 canvas off the integer grid, and points from 4 pixels
+    # before each edge to 4 past it, so every row and column near an edge
+    # is some point's nearest pixel
+    canvas = CanvasSpec(H_new=11, W_new=17, x_min_g=-3.25, y_min_g=2.5)
+    rng = np.random.default_rng(radius)
+    n = 600
+    u = rng.uniform(canvas.x_min_g - 4.0, canvas.x_min_g + canvas.W_new + 4.0, n)
+    v = rng.uniform(canvas.y_min_g - 4.0, canvas.y_min_g + canvas.H_new + 4.0, n)
+    d = rng.uniform(0.5, 5.0, n)
+    valid = rng.uniform(size=n) < 0.9
+    expected = oracles.reference_scatter(u, v, d, valid, canvas, radius)
+    np.testing.assert_array_equal(scatter_min_render((u, v, d, valid), canvas, radius),
+                                  expected)
+    # the same points in three batches, min-accumulated into one array
+    out = np.full((canvas.H_new, canvas.W_new), np.inf)
+    for part in np.array_split(np.arange(n), 3):
+        assert scatter_min_render((u[part], v[part], d[part], valid[part]), canvas, radius,
+                                  out=out) is out
+    np.testing.assert_array_equal(out, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,14 @@ def test_emit_metrics_formatting(tmp_path):
     path = tmp_path / "m.csv"
     emit_metrics([{"x": 0.123456789123, "ok": True, "k": np.int64(7)}], path)
     assert path.read_text() == "x,ok,k\n0.123456789,1,7\n"
+    # a column may change type from row to row; numpy scalars print as the
+    # Python numbers they hold
+    emit_metrics([{"x": 3, "ok": np.True_, "k": "a,b"},
+                  {"x": np.float32(0.1), "ok": False, "k": None},
+                  {"x": np.float64(-1 / 3), "ok": np.uint8(200), "k": np.nan},
+                  {"x": 2 ** 70, "ok": np.int32(-2), "k": 1e-300}], path)
+    assert path.read_text() == ("x,ok,k\n3,1,a,b\n0.100000001,0,None\n"
+                                "-0.333333333,200,nan\n1180591620717411303424,-2,1e-300\n")
 
 
 def test_emit_metrics_schema_error(tmp_path):
