@@ -91,17 +91,11 @@ def read_pgm(path) -> np.ndarray:
     """Read a 16-bit PGM written by write_pgm back to float64 depths."""
     with open(path, "rb") as fh:
         data = fh.read()
-    tokens, rng, offset = _parse_netpbm_header(data, b"P5")
-    w, h, maxval = tokens
-    if maxval != 65535:
-        raise FormatError(f"expected maxval 65535, got {maxval}")
+    (w, h), rng, offset = _parse_netpbm_header(data, b"P5", 65535, 2)
     if rng is None:
         raise FormatError("missing '# range <min> <max>' comment")
     lo, hi = rng
-    n = w * h
-    if len(data) - offset < 2 * n:
-        raise FormatError("pixel data truncated")
-    q = np.frombuffer(data, dtype=">u2", count=n, offset=offset).reshape(h, w)
+    q = np.frombuffer(data, dtype=">u2", count=w * h, offset=offset).reshape(h, w)
     return lo + q.astype(np.float64) * ((hi - lo) / 65535.0)
 
 
@@ -124,19 +118,27 @@ def read_ppm(path) -> np.ndarray:
     """Read an 8-bit PPM back to float64 in [0, 1]."""
     with open(path, "rb") as fh:
         data = fh.read()
-    tokens, _, offset = _parse_netpbm_header(data, b"P6")
-    w, h, maxval = tokens
-    if maxval != 255:
-        raise FormatError(f"expected maxval 255, got {maxval}")
-    n = w * h * 3
-    if len(data) - offset < n:
-        raise FormatError("pixel data truncated")
-    q = np.frombuffer(data, dtype=np.uint8, count=n, offset=offset).reshape(h, w, 3)
+    (w, h), _, offset = _parse_netpbm_header(data, b"P6", 255, 3)
+    q = np.frombuffer(data, dtype=np.uint8, count=w * h * 3, offset=offset).reshape(h, w, 3)
     return q.astype(np.float64) / 255.0
 
 
-def _parse_netpbm_header(data, magic):
-    """Return ((w, h, maxval), range-or-None, payload offset) for P5/P6 data."""
+# the most digits a netpbm header integer may have; no file holds an image
+# 10**20 pixels wide
+_TOKEN_DIGITS = 20
+
+
+def _token(token: bytes) -> str:
+    """A header token for a message, cut after _TOKEN_DIGITS bytes."""
+    if len(token) <= _TOKEN_DIGITS:
+        return repr(token)
+    return f"{token[:_TOKEN_DIGITS]!r}... ({len(token)} bytes)"
+
+
+def _parse_netpbm_header(data, magic, maxval, pixel_bytes):
+    """Return ((w, h), range-or-None, payload offset) for P5/P6 data whose
+    header declares the given maxval, positive dimensions, and exactly
+    pixel_bytes bytes of pixel data per pixel after it."""
     if data[:2] != magic:
         raise FormatError(f"bad magic {data[:2]!r}, expected {magic!r}")
     pos = 2
@@ -152,21 +154,37 @@ def _parse_netpbm_header(data, magic):
             end = data.find(b"\n", pos)
             if end < 0:
                 raise FormatError("unterminated comment")
-            comment = data[pos + 1:end].decode("ascii", "replace").split()
-            if len(comment) == 3 and comment[0] == "range":
-                rng = (float(comment[1]), float(comment[2]))
+            comment = data[pos + 1:end].split()
+            if len(comment) == 3 and comment[0] == b"range":
+                try:
+                    rng = (float(comment[1]), float(comment[2]))
+                except ValueError as exc:
+                    raise FormatError(f"bad range comment {_token(comment[1])} "
+                                      f"{_token(comment[2])}") from exc
             pos = end + 1
         else:
             end = pos
             while end < len(data) and not data[end:end + 1].isspace():
                 end += 1
-            try:
-                tokens.append(int(data[pos:end]))
-            except ValueError as exc:
-                raise FormatError(f"bad header token {data[pos:end]!r}") from exc
+            token = data[pos:end]
+            if not (token.isdigit() and len(token) <= _TOKEN_DIGITS):
+                raise FormatError(f"bad header token {_token(token)}, expected an unsigned "
+                                  f"integer of at most {_TOKEN_DIGITS} digits")
+            tokens.append(int(token))
             pos = end
+    w, h, got = tokens
+    if got != maxval:
+        raise FormatError(f"expected maxval {maxval}, got {got}")
+    if w < 1 or h < 1:
+        raise FormatError(f"image of {w} x {h} pixels, expected at least 1 x 1")
     # single whitespace byte separates the maxval token from pixel data
-    return (tokens[0], tokens[1], tokens[2]), rng, pos + 1
+    offset = pos + 1
+    extra = len(data) - offset - w * h * pixel_bytes
+    if extra < 0:
+        raise FormatError("pixel data truncated")
+    if extra > 0:
+        raise FormatError(f"{extra} trailing bytes after the pixel data")
+    return (w, h), rng, offset
 
 
 # cap on the elements of any one array a run allocates, and on a render's

@@ -260,6 +260,31 @@ def scalar_margin_softmax(z, labels, W, margin: float, tau: float, n: int) -> fl
     return total / len(z)
 
 
+def margin_softmax_grads(z, labels, W, margin: float, tau: float):
+    """(grad_z, grad_W) of the mean margin softmax cross-entropy over the
+    raw similarities S = z W^T, at 50 digits: with the row softmax p of
+    the logits (S - margin onehot) / tau, d loss / d S = (p - onehot) /
+    (N tau), grad_z = dS W and grad_W = dS^T z.  Every float input is
+    exact in mpmath, so only the conversion back rounds to double."""
+    N, C = len(z), len(W)
+    zz = [[mp.mpf(float(x)) for x in row] for row in z]
+    ww = [[mp.mpf(float(x)) for x in row] for row in W]
+    t = mp.mpf(float(tau))
+    dS = []
+    for i in range(N):
+        logits = [(mp.fsum(a * b for a, b in zip(zz[i], ww[j]))
+                   - (mp.mpf(float(margin)) if j == labels[i] else 0)) / t for j in range(C)]
+        top = max(logits)
+        e = [mp.exp(l - top) for l in logits]
+        total = mp.fsum(e)
+        dS.append([(e[j] / total - (1 if j == labels[i] else 0)) / (N * t) for j in range(C)])
+    grad_z = [[float(mp.fsum(dS[i][j] * ww[j][k] for j in range(C))) for k in range(len(zz[i]))]
+              for i in range(N)]
+    grad_W = [[float(mp.fsum(dS[i][j] * zz[i][k] for i in range(N))) for k in range(len(ww[j]))]
+              for j in range(C)]
+    return np.array(grad_z), np.array(grad_W)
+
+
 def scalar_laplace(I_hat, I, sigma, mask) -> float:
     I_hat = np.asarray(I_hat, dtype=np.float64)
     I = np.asarray(I, dtype=np.float64)
@@ -360,12 +385,46 @@ def whole_gram_pairwise(C: int, d: int, trials: int, seed) -> dict:
             "mean_cos_emp": float(np.mean(cos)), "pairs": cos.size}
 
 
+def depth_to_pointcloud(depth, K):
+    """Every pixel of the depth map back-projected at once, H x W x 3:
+    point = depth * K^-1 [u, v, 1], whose z component equals the depth."""
+    from lh2.depth_renderer import _back_project
+    h, w = depth.shape
+    return _back_project(np.arange(w, dtype=np.float64)[None, :],
+                         np.arange(h, dtype=np.float64)[:, None], depth.values, K)
+
+
+def whole_cloud_centroid(depth, K):
+    """depth_renderer.depth_centroid as the mean of the whole point cloud."""
+    return depth_to_pointcloud(depth, K).reshape(-1, 3).mean(axis=0)
+
+
+def whole_image_shade(depth, albedo, light, K):
+    """depth_renderer.shade with the normals of the whole point cloud taken
+    at once."""
+    pts = depth_to_pointcloud(depth, K)
+    t_u = np.gradient(pts, axis=1, edge_order=1)
+    t_v = np.gradient(pts, axis=0, edge_order=1)
+    n = np.cross(t_u, t_v)
+    flip = n[..., 2] < 0.0
+    n[flip] *= -1.0
+    norms = np.linalg.norm(n, axis=-1)
+    degenerate = norms < 1e-300
+    n[degenerate] = (0.0, 0.0, 1.0)
+    norms = np.where(degenerate, 1.0, norms)
+    n /= norms[..., None]
+    l = np.array([light.l_dx, light.l_dy, 1.0])
+    l /= np.linalg.norm(l)
+    s = np.maximum(n @ l, 0.0)
+    return np.clip(albedo * (light.k_a + light.k_d * s)[..., None], 0.0, 1.0)
+
+
 def whole_canvas_warp(source, depth, pose, K, canvas, radius: int):
     """(image, mask, depth) of depth_renderer.warp_image with the scatter
     run on the whole canvas and its central K.H x K.W window cropped out
     afterwards."""
-    from lh2.depth_renderer import (_back_project, depth_to_pointcloud, project_points,
-                                    scatter_min_render, transform_pointcloud)
+    from lh2.depth_renderer import (_back_project, project_points, scatter_min_render,
+                                    transform_pointcloud)
     pts = transform_pointcloud(depth_to_pointcloud(depth, K), pose)
     rendered = scatter_min_render(project_points(pts, K), canvas, radius)
     oy = (canvas.H_new - K.H) // 2

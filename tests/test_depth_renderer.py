@@ -11,7 +11,7 @@ from scipy.spatial.transform import Rotation
 
 from lh2 import depth_renderer, io_formats
 from lh2.depth_renderer import (DEFAULT_LIGHT, CanvasSpec, DepthMap, LightingParams,
-                                Pose, depth_centroid, depth_to_pointcloud,
+                                Pose, depth_centroid,
                                 hemisphere_demo, hemisphere_scene, intrinsics_from_fov,
                                 make_canvas, neighborhood_offsets, project_points,
                                 rotation_about_axis, scatter_min_render, shade,
@@ -100,17 +100,25 @@ def test_rotation_matches_scipy():
 # ---------------------------------------------------------------------------
 # point cloud and projection
 
+def _point_cloud(depth, K):
+    """The renderer's blocks of back-projected points stacked into one
+    H x W x 3 cloud."""
+    return np.concatenate(list(depth_renderer._point_blocks(depth, K)))
+
+
 def test_pointcloud_center_pixel():
     K = intrinsics_from_fov(3, 3, 90.0)
-    pts = depth_to_pointcloud(DepthMap(np.full((3, 3), 2.0), 2.0, 2.0), K)
+    pts = _point_cloud(DepthMap(np.full((3, 3), 2.0), 2.0, 2.0), K)
     np.testing.assert_array_equal(pts[1, 1], [0.0, 0.0, 2.0])
 
 
-def test_pointcloud_z_is_depth_exactly():
+def test_pointcloud_z_is_depth_exactly(monkeypatch):
     K = intrinsics_from_fov(7, 5, 60.0)
     d = DepthMap.from_values(np.random.default_rng(0).uniform(1.0, 3.0, (5, 7)))
-    pts = depth_to_pointcloud(d, K)
-    np.testing.assert_array_equal(pts[..., 2], d.values)
+    np.testing.assert_array_equal(_point_cloud(d, K)[..., 2], d.values)
+    # blocks of two rows stack up to the whole-image back-projection
+    monkeypatch.setattr(io_formats, "_BLOCK", 2 * 3 * 7)
+    np.testing.assert_array_equal(_point_cloud(d, K), oracles.depth_to_pointcloud(d, K))
 
 
 def test_project_center_point_and_scaling():
@@ -136,7 +144,7 @@ def test_project_behind_camera():
 def test_project_pointcloud_round_trip():
     K = intrinsics_from_fov(7, 5, 55.0)
     d = DepthMap.from_values(np.random.default_rng(1).uniform(1.0, 4.0, (5, 7)))
-    u, v, dep, valid = project_points(depth_to_pointcloud(d, K), K)
+    u, v, dep, valid = project_points(oracles.depth_to_pointcloud(d, K), K)
     assert np.all(valid)
     np.testing.assert_allclose(u, np.broadcast_to(np.arange(7), (5, 7)), atol=1e-9)
     np.testing.assert_allclose(v, np.broadcast_to(np.arange(5)[:, None], (5, 7)),
@@ -302,7 +310,7 @@ def test_auxiliary_poses_reproduce_bounds():
              Pose(rotation_about_axis(1, 14.0), np.zeros(3), piv)]
     canvas = make_canvas(poses, d, K)
     probe, aux = _auxiliary_poses(canvas, d, K)
-    projected = [project_points(transform_pointcloud(depth_to_pointcloud(depth, K),
+    projected = [project_points(transform_pointcloud(oracles.depth_to_pointcloud(depth, K),
                                                      pose), K)
                  for depth, pose in zip([d, d, probe, probe], poses + aux)]
     (u_lo, v_lo, _, ok_lo), (u_hi, v_hi, _, ok_hi) = projected[2:]
@@ -424,7 +432,7 @@ def test_scatter_matches_reference_on_random_scenes():
             continue
         canvas = make_canvas([pose], d, K)
         projected = project_points(
-            transform_pointcloud(depth_to_pointcloud(d, K), pose), K)
+            transform_pointcloud(oracles.depth_to_pointcloud(d, K), pose), K)
         radius = case % 3
         np.testing.assert_array_equal(scatter_min_render(projected, canvas, radius),
                                       oracles.reference_scatter(*projected, canvas, radius))
@@ -466,7 +474,7 @@ def test_identity_render_reconstructs_depth():
     d, _, K, _ = hemisphere_scene(30)
     window = _window(make_canvas([_IDENTITY], d, K), 30, 30)
     res = scatter_min_render(
-        project_points(depth_to_pointcloud(d, K), K), window, radius=0)
+        project_points(oracles.depth_to_pointcloud(d, K), K), window, radius=0)
     assert np.isfinite(res).all()
     np.testing.assert_allclose(res, d.values, atol=1e-9)
 
@@ -503,6 +511,27 @@ def test_shade_matches_reference():
         want = oracles.reference_shade(d.values, albedo, K.f, K.cx, K.cy,
                                        light.k_a, light.k_d, light.l_dx, light.l_dy)
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def test_shade_and_centroid_in_one_row_blocks_match_the_whole_image(monkeypatch):
+    # one row a block: every row's differences across rows reach into the
+    # halo rows of its block, and the centroid's sum runs block by block
+    monkeypatch.setattr(io_formats, "_BLOCK", 1)
+    rng = np.random.default_rng(31)
+    scenes = [hemisphere_scene(size) for size in range(8, 46)]
+    for _ in range(100):
+        H, W = (int(n) for n in rng.integers(2, 25, 2))
+        values = rng.uniform(1.0, 6.0, (H, W))
+        if rng.uniform() < 0.3:
+            values = np.round(values)       # flat patches and steps
+        light = LightingParams(*rng.uniform(0.0, 1.0, 2), *rng.normal(0.0, 1.0, 2))
+        scenes.append((DepthMap.from_values(values), rng.uniform(0.0, 1.0, (H, W, 3)),
+                       intrinsics_from_fov(W, H, float(rng.uniform(20.0, 100.0))), light))
+    for d, albedo, K, light in scenes:
+        assert next(io_formats._row_blocks(d.shape[0], 3 * d.shape[1])) == slice(0, 1)
+        assert (shade(d, albedo, light, K).tobytes()
+                == oracles.whole_image_shade(d, albedo, light, K).tobytes())
+        assert depth_centroid(d, K).tobytes() == oracles.whole_cloud_centroid(d, K).tobytes()
 
 
 def test_shade_output_range_and_validation():
@@ -597,7 +626,7 @@ def _assert_warp_matches_whole_canvas_crop(size, radius, angle):
         # points outside the window win some of the pixels inside it
         window = _window(canvas, size, size)
         u, v, dep, valid = project_points(
-            transform_pointcloud(depth_to_pointcloud(d, K), poses[1]), K)
+            transform_pointcloud(oracles.depth_to_pointcloud(d, K), poses[1]), K)
         j = np.floor(u - window.x_min_g + 0.5)
         i = np.floor(v - window.y_min_g + 0.5)
         inside = (j >= 0) & (j < size) & (i >= 0) & (i < size)
@@ -638,21 +667,25 @@ def test_make_canvas_across_row_blocks_matches_one_block(monkeypatch, size, rows
     assert make_canvas(poses, d, K) == one_block
 
 
+def _extra_bytes(call):
+    """tracemalloc peak of call(), less the arrays it returns."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak - sum(a.nbytes for a in (result if isinstance(result, tuple) else [result]))
+
+
 def _warp_extra_bytes(size):
-    """tracemalloc peak of one warp_image call at the given scene size, less
-    the arrays it returns."""
+    """Extra bytes of one warp_image call at the given scene size."""
     d, albedo, K, light = hemisphere_scene(size)
     canonical = shade(d, albedo, light, K)
     pose = Pose(rotation_about_axis(1, 10.0), np.zeros(3), depth_centroid(d, K))
     canvas = make_canvas([pose], d, K)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        result = warp_image(canonical, d, pose, K, canvas, radius=1)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    return peak - sum(a.nbytes for a in result)
+    return _extra_bytes(lambda: warp_image(canonical, d, pose, K, canvas, radius=1))
 
 
 def test_warp_extra_memory_does_not_grow_with_the_image():
@@ -661,6 +694,23 @@ def test_warp_extra_memory_does_not_grow_with_the_image():
     # only 4/3 the size.  Whole-image passes took 4.5 MB and 17.8 MB.
     small, large = _warp_extra_bytes(128), _warp_extra_bytes(256)
     assert large < 1.5 * small
+
+
+def _shade_and_centroid_extra_bytes(size):
+    """Extra bytes of one shade and one depth_centroid call at the given
+    scene size."""
+    d, albedo, K, light = hemisphere_scene(size)
+    return (_extra_bytes(lambda: shade(d, albedo, light, K)),
+            _extra_bytes(lambda: depth_centroid(d, K)))
+
+
+def test_shade_and_centroid_extra_memory_does_not_grow_with_the_image():
+    # a block is 85 rows of 256 and 21 rows of 1024, each with up to two
+    # halo rows: about the same size.  Whole-image passes took 9.0 and
+    # 144.7 MB for shade, 2.6 and 42.0 MB for the centroid.
+    for small, large in zip(_shade_and_centroid_extra_bytes(256),
+                            _shade_and_centroid_extra_bytes(1024)):
+        assert large < 1.5 * small
 
 
 def test_hemisphere_demo_frames():

@@ -147,6 +147,47 @@ def test_pgm_read_errors(tmp_path):
         read_pgm(path)
 
 
+@pytest.mark.parametrize("header, pixel_bytes, message", [
+    (b"-2 3", 12, "bad header token b'-2'"),
+    (b"0 0", 0, "image of 0 x 0 pixels"),
+    (b"-1 -1", 2, "bad header token b'-1'"),
+    (b"1" * 5000 + b" 3", 12, r"b'11111111111111111111'\.\.\. \(5000 bytes\)"),
+    (b"2 3", 13, "1 trailing bytes after the pixel data"),
+], ids=["negative_width", "zero_size", "negative_size", "long_token", "trailing_bytes"])
+def test_pgm_header_faults_are_short_format_errors(tmp_path, header, pixel_bytes, message):
+    path = tmp_path / "d.pgm"
+    path.write_bytes(b"P5\n# range 1 2\n" + header + b"\n65535\n" + b"\x00" * pixel_bytes)
+    with pytest.raises(FormatError, match=message) as err:
+        read_pgm(path)
+    assert len(str(err.value)) <= 120
+
+
+def test_netpbm_long_range_and_maxval_tokens_are_cut(tmp_path):
+    path = tmp_path / "d.pgm"
+    path.write_bytes(b"P5\n# range " + b"x" * 5000 + b" 2\n2 3\n65535\n" + b"\x00" * 12)
+    with pytest.raises(FormatError, match=r"bad range comment .*\(5000 bytes\) b'2'$"):
+        read_pgm(path)
+    path = tmp_path / "i.ppm"
+    path.write_bytes(b"P6\n2 3\n" + b"9" * 4000 + b"\n" + b"\x00" * 18)
+    with pytest.raises(FormatError, match=r"\(4000 bytes\)") as err:
+        read_ppm(path)
+    assert len(str(err.value)) <= 120
+
+
+def test_ppm_read_errors(tmp_path):
+    path = tmp_path / "i.ppm"
+    write_ppm(np.zeros((2, 3, 3)), path)
+    whole = path.read_bytes()
+    for data, message in ((whole + b"\x00\x00", "2 trailing bytes after the pixel data"),
+                          (whole[:-1], "pixel data truncated"),
+                          (whole.replace(b"3 2", b"3 0"), "image of 3 x 0 pixels"),
+                          (whole.replace(b"3 2", b"3 +2"), "bad header token b'\\+2'"),
+                          (whole.replace(b"255", b"65535"), "expected maxval 255")):
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=message):
+            read_ppm(path)
+
+
 def test_ppm_roundtrip_bound(tmp_path):
     rng = np.random.default_rng(12)
     img = rng.uniform(0.0, 1.0, (6, 7, 3))

@@ -276,6 +276,31 @@ def test_gradients_vs_finite_differences_50_instances():
     assert checked == 50
 
 
+def test_gradients_match_the_50_digit_oracle_at_norm_scales_up_to_1e4():
+    # the grad-check's instance shape, at the feature norms training reaches:
+    # there the softmax saturates, and gradients of about 1e-11 fall under
+    # the finite differences' noise, which the oracle does not have.  Each
+    # row of d loss / d S sums to at most 2 / (N tau) in absolute value, so
+    # 2 max|W| / (N tau) bounds grad_z and max|z| / tau bounds grad_W; the
+    # errors are taken relative to those bounds.  Norm scales are
+    # log-uniform, so that unsaturated draws occur too.
+    rng = np.random.default_rng(2024)
+    N, C, d = 3, 5, 6
+    worst = 0.0
+    for _ in range(200):
+        scale = np.exp(rng.uniform(math.log(2.0), math.log(1e4), (N, 1)))
+        z = rng.standard_normal((N, d)) * scale
+        y = rng.integers(0, C, N)
+        W = _unit_rows(rng, C, d)
+        margin, tau = float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.5, 2.0))
+        rep = uamf_loss(EmbeddingBatch(z, y), ProxyMatrix(W), margin, tau)
+        want_z, want_W = oracles.margin_softmax_grads(z, y, W, margin, tau)
+        worst = max(worst,
+                    np.abs(rep.grad_z - want_z).max() * N * tau / (2.0 * np.abs(W).max()),
+                    np.abs(rep.grad_W - want_W).max() * tau / np.abs(z).max())
+    assert worst <= 1e-9
+
+
 def _count_backward(monkeypatch):
     """Count the calls of the one backward, sphere_math.adjoint_grads, and
     of the adjoints it reads, ProxyProduct.cos_adjoint and
