@@ -4,13 +4,19 @@ scatter-min occlusion, unified-canvas sizing, diffuse shading, and the
 image warp built on top.
 
 Geometry conventions: pixel (u, v) = (column, row), camera looks down +z,
-all depths positive.  The unified canvas is sized once for a whole set of
-poses: W_new >= 2.5 W columns at the source aspect ratio, centred on
-(W/2, H/2).  It fixes two things, the origin (x_min_g, y_min_g) shared by
-every frame and the MAX_WORK cap on its size; its pixel (i, j) sits at
-image coordinate (x_min_g + j, y_min_g + i), one canvas pixel per source
-pixel, so placing points on it introduces no resampling of its own.  A
-frame rasterizes only its central H x W window of the canvas.
+all depths positive.  Points are coordinate-first: a 3 x ... array holds
+the x, y and z planes, so that back-projection, the rigid motion (one
+(3, 3) @ (3, n) product) and projection each run along contiguous planes;
+transform_pointcloud and project_points take that layout.  shade and
+depth_centroid read their blocks as rows x W x 3 views.
+
+The unified canvas is sized once for a whole set of poses: W_new >= 2.5 W
+columns at the source aspect ratio, centred on (W/2, H/2).  It fixes two
+things, the origin (x_min_g, y_min_g) shared by every frame and the
+MAX_WORK cap on its size; its pixel (i, j) sits at image coordinate
+(x_min_g + j, y_min_g + i), one canvas pixel per source pixel, so placing
+points on it introduces no resampling of its own.  A frame rasterizes only
+its central H x W window of the canvas.
 
 Where the 2.5 W floor dominates, as in the demo's rotation sweeps, the
 corners of the template's back-projected bounding box prove it and decide
@@ -163,13 +169,19 @@ class CanvasSpec:
 
 def _back_project(u, v, d, K: CameraIntrinsics) -> np.ndarray:
     """Points d * K^-1 [u, v, 1] for pixel coordinates u, v broadcast
-    against the depths d; the z component equals the depth exactly."""
-    return np.stack([(u - K.cx) / K.f * d, (v - K.cy) / K.f * d, d], axis=-1)
+    against the depths d, as a 3 x ... array of x, y and z planes; the z
+    plane equals the depth exactly."""
+    d = np.asarray(d, dtype=np.float64)
+    out = np.empty((3,) + np.broadcast_shapes(np.shape(u), np.shape(v), d.shape))
+    np.multiply((u - K.cx) / K.f, d, out=out[0])
+    np.multiply((v - K.cy) / K.f, d, out=out[1])
+    out[2] = d
+    return out
 
 
 def _row_points(depth: DepthMap, K: CameraIntrinsics, rows: slice) -> np.ndarray:
     """The back-projected points of the given rows of the depth map,
-    rows x W x 3."""
+    3 x rows x W."""
     return _back_project(np.arange(depth.shape[1], dtype=np.float64)[None, :],
                          np.arange(rows.start, rows.stop, dtype=np.float64)[:, None],
                          depth.values[rows], K)
@@ -177,29 +189,46 @@ def _row_points(depth: DepthMap, K: CameraIntrinsics, rows: slice) -> np.ndarray
 
 def _point_blocks(depth: DepthMap, K: CameraIntrinsics):
     """The points of the depth map one block of rows at a time: yields the
-    points of each of the _row_blocks of the depth, 3 W wide, so that a
-    block's coordinates fit in one block of work."""
+    3 x rows x W points of each of the _row_blocks of the depth, 3 W wide,
+    so that a block's coordinates fit in one block of work."""
     h, w = depth.shape
     for rows in _row_blocks(h, 3 * w):
         yield _row_points(depth, K, rows)
 
 
 def transform_pointcloud(points: np.ndarray, pose: Pose) -> np.ndarray:
-    """P' = R (P - pivot) + pivot + t over any (..., 3) array."""
+    """P' = R (P - pivot) + pivot + t over any 3 x ... array of x, y and z
+    planes."""
     p = np.asarray(points, dtype=np.float64)
-    return (p - pose.pivot) @ pose.R.T + pose.pivot + pose.t
+    if p.shape[:1] != (3,):
+        raise DomainError(f"points must be 3 x ..., got shape {p.shape}")
+    out = pose.R @ (p.reshape(3, -1) - pose.pivot[:, None])
+    out += pose.pivot[:, None]
+    out += pose.t[:, None]
+    return out.reshape(p.shape)
 
 
 def project_points(points: np.ndarray, K: CameraIntrinsics):
-    """Perspective projection; returns (u, v, d, valid) with d = depth w
-    and valid false where w <= 0 (those points are excluded downstream)."""
+    """Perspective projection of a 3 x ... array of x, y and z planes;
+    returns (u, v, d, valid), each of the shape of one plane, with d = the
+    depth z and valid false where z <= 0 (those points are excluded
+    downstream, u and v reading 0 there)."""
     p = np.asarray(points, dtype=np.float64)
-    w = p[..., 2]
+    if p.shape[:1] != (3,):
+        raise DomainError(f"points must be 3 x ..., got shape {p.shape}")
+    w = p[2]
     valid = w > 0.0
+    behind = ~valid
     safe = np.where(valid, w, 1.0)
-    u = K.f * p[..., 0] / safe + K.cx
-    v = K.f * p[..., 1] / safe + K.cy
-    return np.where(valid, u, 0.0), np.where(valid, v, 0.0), w.copy(), valid
+    u = K.f * p[0]
+    u /= safe
+    u += K.cx
+    u[behind] = 0.0
+    v = K.f * p[1]
+    v /= safe
+    v += K.cy
+    v[behind] = 0.0
+    return u, v, w.copy(), valid
 
 
 def depth_centroid(depth: DepthMap, K: CameraIntrinsics) -> np.ndarray:
@@ -209,10 +238,15 @@ def depth_centroid(depth: DepthMap, K: CameraIntrinsics) -> np.ndarray:
     The points are added one block at a time onto a running sum in row
     order: numpy sums the rows of an N x 3 array one after another, so
     summing the running sum stacked on a block's points continues that
-    sum, and the centroid is the mean over the whole cloud bit for bit."""
+    sum, and the centroid is the mean over the whole cloud bit for bit.
+    The stack is a C-ordered N x 3 array, built from a block's planes, as
+    numpy sums the columns of any other layout pairwise."""
     total = np.zeros(3)
     for points in _point_blocks(depth, K):
-        total = np.concatenate([total[None], points.reshape(-1, 3)]).sum(axis=0)
+        stack = np.empty((points[0].size + 1, 3))
+        stack[0] = total
+        stack[1:] = np.moveaxis(points, 0, -1).reshape(-1, 3)
+        total = stack.sum(axis=0)
     return total / depth.values.size
 
 
@@ -233,16 +267,16 @@ def _corner_reach(poses, template: DepthMap, K: CameraIntrinsics):
     W, H = K.W, K.H
     cols, rows, deps = (g.ravel() for g in np.meshgrid(
         [0.0, W - 1.0], [0.0, H - 1.0], [template.values.min(), template.values.max()]))
-    corners = _back_project(cols, rows, deps, K)                      # 8 x 3
+    corners = _back_project(cols, rows, deps, K)                      # 3 x 8
     R = np.stack([pose.R for pose in poses])
-    pivot = np.stack([pose.pivot for pose in poses])[:, None, :]
-    t = np.stack([pose.t for pose in poses])[:, None, :]
-    moved = (corners - pivot) @ R.transpose(0, 2, 1) + pivot + t      # poses x 8 x 3
-    terms = np.abs(corners - pivot) @ np.abs(R).transpose(0, 2, 1) + np.abs(pivot) + np.abs(t)
-    slack = 16.0 * np.finfo(np.float64).eps * terms.max(axis=1)      # poses x 3
-    z_lo = moved[..., 2].min(axis=1) - slack[:, 2]
-    x_hi = np.abs(moved[..., 0]).max(axis=1) + slack[:, 0]
-    y_hi = np.abs(moved[..., 1]).max(axis=1) + slack[:, 1]
+    pivot = np.stack([pose.pivot for pose in poses])[:, :, None]
+    t = np.stack([pose.t for pose in poses])[:, :, None]
+    moved = R @ (corners - pivot) + pivot + t                          # poses x 3 x 8
+    terms = np.abs(R) @ np.abs(corners - pivot) + np.abs(pivot) + np.abs(t)
+    slack = 16.0 * np.finfo(np.float64).eps * terms.max(axis=2)      # poses x 3
+    z_lo = moved[:, 2].min(axis=1) - slack[:, 2]
+    x_hi = np.abs(moved[:, 0]).max(axis=1) + slack[:, 0]
+    y_hi = np.abs(moved[:, 1]).max(axis=1) + slack[:, 1]
     if not np.all(z_lo > 0.0):                  # nan fails too
         return None
     ex = float((K.f * x_hi / z_lo).max()) + abs(K.cx - W / 2.0) + 1.0
@@ -392,7 +426,7 @@ def shade(depth: DepthMap, albedo: np.ndarray, light: LightingParams,
     if albedo.ndim != 3 or albedo.shape[2] != 3 or albedo.shape[:2] != depth.shape:
         raise DomainError(f"albedo must be H x W x 3 matching the depth, "
                           f"got {albedo.shape}")
-    if albedo.min() < 0.0 or albedo.max() > 1.0:
+    if not (albedo.min() >= 0.0 and albedo.max() <= 1.0):     # negated, so nan fails
         raise DomainError("albedo must lie in [0, 1]")
 
     l = np.array([light.l_dx, light.l_dy, 1.0])
@@ -403,7 +437,7 @@ def shade(depth: DepthMap, albedo: np.ndarray, light: LightingParams,
         # the block with one halo row above and below where the image has
         # them, so that the differences across rows see both neighbours
         lo, hi = max(rows.start - 1, 0), min(rows.stop + 1, h)
-        pts = _row_points(depth, K, slice(lo, hi))
+        pts = np.moveaxis(_row_points(depth, K, slice(lo, hi)), 0, -1)   # rows x W x 3
         block = slice(rows.start - lo, rows.stop - lo)
         # tangents along the pixel axes, central differences inside,
         # one-sided at the image's borders
@@ -421,6 +455,21 @@ def shade(depth: DepthMap, albedo: np.ndarray, light: LightingParams,
         s = np.maximum(n @ l, 0.0)
         out[rows] = np.clip(albedo[rows] * (light.k_a + light.k_d * s)[..., None], 0.0, 1.0)
     return out
+
+
+def _inverse_map(x, y, depth, pose: Pose, K: CameraIntrinsics):
+    """Source pixel coordinates (u, v, in_front) of the window pixels at
+    image coordinates x (columns) and y (rows) with the given rendered
+    depths: each is back-projected and moved by the inverse motion
+    P = R^T (P' - pivot - t) + pivot, then projected."""
+    p = _back_project(x[None, :], y[:, None], depth, K)
+    flat = p.reshape(3, -1)             # a view: p is fresh and contiguous
+    flat -= pose.pivot[:, None]
+    flat -= pose.t[:, None]
+    back = pose.R.T @ flat
+    back += pose.pivot[:, None]
+    u, v, _, in_front = project_points(back.reshape(p.shape), K)
+    return u, v, in_front
 
 
 def warp_image(source: np.ndarray, depth: DepthMap, pose: Pose,
@@ -465,9 +514,7 @@ def warp_image(source: np.ndarray, depth: DepthMap, pose: Pose,
 
     for rows in _row_blocks(K.H, 3 * K.W):
         ok = valid[rows]                  # a view: narrowed in place below
-        pts_c = _back_project(x[None, :], y[rows, None], np.where(ok, window[rows], 1.0), K)
-        back = (pts_c - pose.pivot - pose.t) @ pose.R + pose.pivot   # R^T via right-multiply
-        u0, v0, _, in_front = project_points(back, K)
+        u0, v0, in_front = _inverse_map(x, y[rows], np.where(ok, window[rows], 1.0), pose, K)
         ok &= in_front & (u0 >= 0.0) & (u0 <= K.W - 1) & (v0 >= 0.0) & (v0 <= K.H - 1)
         if not np.any(ok):
             continue

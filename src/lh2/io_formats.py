@@ -106,7 +106,11 @@ def write_ppm(image, path) -> None:
         raise ValueError(f"image must be H x W x 3, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("image contains non-finite values")
-    q = np.rint(np.clip(arr, 0.0, 1.0) * 255.0).astype(np.uint8)
+    # quantized in one float array, in place: no frame-sized temporaries
+    q = np.clip(arr, 0.0, 1.0)
+    q *= 255.0
+    np.rint(q, out=q)
+    q = q.astype(np.uint8)
     h, w, _ = arr.shape
     header = f"P6\n{w} {h}\n255\n"
     with open(path, "wb") as fh:

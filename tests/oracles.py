@@ -385,13 +385,50 @@ def whole_gram_pairwise(C: int, d: int, trials: int, seed) -> dict:
             "mean_cos_emp": float(np.mean(cos)), "pairs": cos.size}
 
 
+# The interleaved (..., 3) forms of the renderer's point passes, kept as
+# references for its 3 x ... planes: one point per row, each coordinate a
+# stride-3 view, each rigid motion an (n, 3) @ (3, 3) product.
+
+def back_project(u, v, d, K):
+    """Points d * K^-1 [u, v, 1] as a (..., 3) array; z equals d exactly."""
+    return np.stack([(u - K.cx) / K.f * d, (v - K.cy) / K.f * d, d], axis=-1)
+
+
+def rigid_motion(points, pose):
+    """P' = R (P - pivot) + pivot + t over a (..., 3) array."""
+    return (points - pose.pivot) @ pose.R.T + pose.pivot + pose.t
+
+
+def project(points, K):
+    """(u, v, d, valid) of a (..., 3) array, as depth_renderer.project_points."""
+    w = points[..., 2]
+    valid = w > 0.0
+    safe = np.where(valid, w, 1.0)
+    u = K.f * points[..., 0] / safe + K.cx
+    v = K.f * points[..., 1] / safe + K.cy
+    return np.where(valid, u, 0.0), np.where(valid, v, 0.0), w.copy(), valid
+
+
+def inverse_map(x, y, depth, pose, K):
+    """(u, v, in_front) of depth_renderer._inverse_map: the window pixels
+    back-projected, moved by P = R^T (P' - pivot - t) + pivot and projected."""
+    pts_c = back_project(x[None, :], y[:, None], depth, K)
+    back = (pts_c - pose.pivot - pose.t) @ pose.R + pose.pivot     # R^T via right-multiply
+    u, v, _, in_front = project(back, K)
+    return u, v, in_front
+
+
+def planes(points):
+    """A (..., 3) array of points as the renderer's 3 x ... planes, a view."""
+    return np.moveaxis(points, -1, 0)
+
+
 def depth_to_pointcloud(depth, K):
     """Every pixel of the depth map back-projected at once, H x W x 3:
     point = depth * K^-1 [u, v, 1], whose z component equals the depth."""
-    from lh2.depth_renderer import _back_project
     h, w = depth.shape
-    return _back_project(np.arange(w, dtype=np.float64)[None, :],
-                         np.arange(h, dtype=np.float64)[:, None], depth.values, K)
+    return back_project(np.arange(w, dtype=np.float64)[None, :],
+                        np.arange(h, dtype=np.float64)[:, None], depth.values, K)
 
 
 def whole_cloud_centroid(depth, K):
@@ -422,11 +459,11 @@ def whole_image_shade(depth, albedo, light, K):
 def whole_canvas_warp(source, depth, pose, K, canvas, radius: int):
     """(image, mask, depth) of depth_renderer.warp_image with the scatter
     run on the whole canvas and its central K.H x K.W window cropped out
-    afterwards."""
-    from lh2.depth_renderer import (_back_project, project_points, scatter_min_render,
-                                    transform_pointcloud)
-    pts = transform_pointcloud(depth_to_pointcloud(depth, K), pose)
-    rendered = scatter_min_render(project_points(pts, K), canvas, radius)
+    afterwards, the points moved and projected in the interleaved forms
+    above."""
+    from lh2.depth_renderer import scatter_min_render
+    rendered = scatter_min_render(project(rigid_motion(depth_to_pointcloud(depth, K), pose), K),
+                                  canvas, radius)
     oy = (canvas.H_new - K.H) // 2
     ox = (canvas.W_new - K.W) // 2
     window = rendered[oy:oy + K.H, ox:ox + K.W].copy()
@@ -434,9 +471,7 @@ def whole_canvas_warp(source, depth, pose, K, canvas, radius: int):
     y = canvas.y_min_g + np.arange(oy, oy + K.H)
 
     valid = np.isfinite(window)
-    pts_c = _back_project(x[None, :], y[:, None], np.where(valid, window, 1.0), K)
-    back = (pts_c - pose.pivot - pose.t) @ pose.R + pose.pivot
-    u0, v0, _, in_front = project_points(back, K)
+    u0, v0, in_front = inverse_map(x, y, np.where(valid, window, 1.0), pose, K)
     valid &= in_front & (u0 >= 0.0) & (u0 <= K.W - 1) & (v0 >= 0.0) & (v0 <= K.H - 1)
 
     out = np.zeros((K.H, K.W, 3))

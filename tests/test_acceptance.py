@@ -117,7 +117,7 @@ def test_renderer_equivalence_and_warp_quality():
                     rng.normal(0.0, 0.3, 3), depth_centroid(d, K))
         canvas = make_canvas([pose], d, K)
         projected = project_points(
-            transform_pointcloud(oracles.depth_to_pointcloud(d, K), pose), K)
+            transform_pointcloud(oracles.planes(oracles.depth_to_pointcloud(d, K)), pose), K)
         np.testing.assert_array_equal(scatter_min_render(projected, canvas, case % 3),
                                       oracles.reference_scatter(*projected, canvas, case % 3))
 
@@ -247,7 +247,7 @@ def test_trivial_identities():
     assert smoothness_loss(DepthMap.from_values(np.full((6, 6), 3.0))) == 0.0
 
     d, _, K, _ = hemisphere_scene(16)
-    pts = transform_pointcloud(oracles.depth_to_pointcloud(d, K),
+    pts = transform_pointcloud(oracles.planes(oracles.depth_to_pointcloud(d, K)),
                                Pose(np.eye(3), np.zeros(3), depth_centroid(d, K)))
     u, v, dep, valid = project_points(pts, K)
     jj, ii = np.meshgrid(np.arange(16.0), np.arange(16.0))

@@ -102,30 +102,30 @@ def test_rotation_matches_scipy():
 
 def _point_cloud(depth, K):
     """The renderer's blocks of back-projected points stacked into one
-    H x W x 3 cloud."""
-    return np.concatenate(list(depth_renderer._point_blocks(depth, K)))
+    3 x H x W cloud."""
+    return np.concatenate(list(depth_renderer._point_blocks(depth, K)), axis=1)
 
 
 def test_pointcloud_center_pixel():
     K = intrinsics_from_fov(3, 3, 90.0)
     pts = _point_cloud(DepthMap(np.full((3, 3), 2.0), 2.0, 2.0), K)
-    np.testing.assert_array_equal(pts[1, 1], [0.0, 0.0, 2.0])
+    np.testing.assert_array_equal(pts[:, 1, 1], [0.0, 0.0, 2.0])
 
 
 def test_pointcloud_z_is_depth_exactly(monkeypatch):
     K = intrinsics_from_fov(7, 5, 60.0)
     d = DepthMap.from_values(np.random.default_rng(0).uniform(1.0, 3.0, (5, 7)))
-    np.testing.assert_array_equal(_point_cloud(d, K)[..., 2], d.values)
+    np.testing.assert_array_equal(_point_cloud(d, K)[2], d.values)
     # blocks of two rows stack up to the whole-image back-projection
     monkeypatch.setattr(io_formats, "_BLOCK", 2 * 3 * 7)
-    np.testing.assert_array_equal(_point_cloud(d, K), oracles.depth_to_pointcloud(d, K))
+    np.testing.assert_array_equal(_point_cloud(d, K), oracles.planes(oracles.depth_to_pointcloud(d, K)))
 
 
 def test_project_center_point_and_scaling():
     K = intrinsics_from_fov(3, 3, 90.0)
-    u, v, d, valid = project_points(np.array([[0.0, 0.0, 2.0]]), K)
+    u, v, d, valid = project_points(np.array([[0.0], [0.0], [2.0]]), K)
     assert (u[0], v[0], d[0], valid[0]) == (1.0, 1.0, 2.0, True)
-    p = np.array([[0.3, -0.2, 1.5]])
+    p = np.array([[0.3], [-0.2], [1.5]])
     u1, v1, d1, _ = project_points(p, K)
     u2, v2, d2, _ = project_points(3.0 * p, K)
     assert u2[0] == pytest.approx(u1[0], rel=1e-12)
@@ -135,21 +135,69 @@ def test_project_center_point_and_scaling():
 
 def test_project_behind_camera():
     K = intrinsics_from_fov(4, 4, 60.0)
-    u, v, d, valid = project_points(np.array([[0.1, 0.1, -1.0]]), K)
+    u, v, d, valid = project_points(np.array([[0.1], [0.1], [-1.0]]), K)
     assert not valid[0]
     assert u[0] == 0.0 and v[0] == 0.0
     assert d[0] == -1.0
 
 
+def test_point_passes_reject_points_not_coordinate_first():
+    K = intrinsics_from_fov(4, 4, 60.0)
+    rows = np.ones((5, 3))              # five points, one a row
+    with pytest.raises(DomainError, match="3 x"):
+        project_points(rows, K)
+    with pytest.raises(DomainError, match="3 x"):
+        transform_pointcloud(rows, _IDENTITY)
+
+
 def test_project_pointcloud_round_trip():
     K = intrinsics_from_fov(7, 5, 55.0)
     d = DepthMap.from_values(np.random.default_rng(1).uniform(1.0, 4.0, (5, 7)))
-    u, v, dep, valid = project_points(oracles.depth_to_pointcloud(d, K), K)
+    u, v, dep, valid = project_points(oracles.planes(oracles.depth_to_pointcloud(d, K)), K)
     assert np.all(valid)
     np.testing.assert_allclose(u, np.broadcast_to(np.arange(7), (5, 7)), atol=1e-9)
     np.testing.assert_allclose(v, np.broadcast_to(np.arange(5)[:, None], (5, 7)),
                                atol=1e-9)
     np.testing.assert_allclose(dep, d.values, atol=1e-9)
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_planar_point_passes_match_the_interleaved_forms_bit_for_bit(monkeypatch):
+    # turns of any size with nonzero t and pivot pin the order of the
+    # additions, + pivot + t forward and - pivot - t inverse; some turns put
+    # points behind the camera.  Blocks of 3 rows split every map into 3 to
+    # 11 blocks, the last one often partial
+    rng = np.random.default_rng(27)
+    for _ in range(40):
+        W, H = (int(n) for n in rng.integers(8, 33, 2))
+        K = intrinsics_from_fov(W, H, float(rng.uniform(30.0, 90.0)))
+        d = DepthMap.from_values(rng.uniform(1.5, 4.0, (H, W)))
+        pose = Pose(Rotation.from_rotvec(rng.normal(0.0, 1.0, 3)).as_matrix(),
+                    rng.normal(0.0, 1.0, 3), rng.normal(0.0, 2.0, 3))
+        monkeypatch.setattr(io_formats, "_BLOCK", 3 * W * 3)
+        blocks = list(depth_renderer._point_blocks(d, K))
+        assert len(blocks) == -(-H // 3)
+
+        cloud = oracles.depth_to_pointcloud(d, K)
+        moved = oracles.rigid_motion(cloud, pose)
+        got = np.concatenate([transform_pointcloud(b, pose) for b in blocks], axis=1)
+        _same_bits(got, np.ascontiguousarray(oracles.planes(moved)))
+        projected = [project_points(transform_pointcloud(b, pose), K) for b in blocks]
+        for got, want in zip(zip(*projected), oracles.project(moved, K)):
+            _same_bits(np.concatenate(got), want)
+
+        # the inverse map of window pixels at random depths, a few behind
+        # the camera once moved back
+        x = rng.uniform(-W, 0.0) + np.arange(W)
+        y = rng.uniform(-H, 0.0) + np.arange(H)
+        depth = rng.uniform(0.5, 5.0, (H, W))
+        inverse = [depth_renderer._inverse_map(x, y[rows], depth[rows], pose, K)
+                   for rows in io_formats._row_blocks(H, 3 * W)]
+        for got, want in zip(zip(*inverse), oracles.inverse_map(x, y, depth, pose, K)):
+            _same_bits(np.concatenate(got), want)
 
 
 def test_depth_centroid_plane():
@@ -310,7 +358,7 @@ def test_auxiliary_poses_reproduce_bounds():
              Pose(rotation_about_axis(1, 14.0), np.zeros(3), piv)]
     canvas = make_canvas(poses, d, K)
     probe, aux = _auxiliary_poses(canvas, d, K)
-    projected = [project_points(transform_pointcloud(oracles.depth_to_pointcloud(depth, K),
+    projected = [project_points(transform_pointcloud(oracles.planes(oracles.depth_to_pointcloud(depth, K)),
                                                      pose), K)
                  for depth, pose in zip([d, d, probe, probe], poses + aux)]
     (u_lo, v_lo, _, ok_lo), (u_hi, v_hi, _, ok_hi) = projected[2:]
@@ -432,7 +480,7 @@ def test_scatter_matches_reference_on_random_scenes():
             continue
         canvas = make_canvas([pose], d, K)
         projected = project_points(
-            transform_pointcloud(oracles.depth_to_pointcloud(d, K), pose), K)
+            transform_pointcloud(oracles.planes(oracles.depth_to_pointcloud(d, K)), pose), K)
         radius = case % 3
         np.testing.assert_array_equal(scatter_min_render(projected, canvas, radius),
                                       oracles.reference_scatter(*projected, canvas, radius))
@@ -474,7 +522,7 @@ def test_identity_render_reconstructs_depth():
     d, _, K, _ = hemisphere_scene(30)
     window = _window(make_canvas([_IDENTITY], d, K), 30, 30)
     res = scatter_min_render(
-        project_points(oracles.depth_to_pointcloud(d, K), K), window, radius=0)
+        project_points(oracles.planes(oracles.depth_to_pointcloud(d, K)), K), window, radius=0)
     assert np.isfinite(res).all()
     np.testing.assert_allclose(res, d.values, atol=1e-9)
 
@@ -543,6 +591,13 @@ def test_shade_output_range_and_validation():
         shade(d, albedo[..., :2], light, K)
     with pytest.raises(DomainError):
         shade(d, albedo * 2.0, light, K)
+
+
+def test_shade_rejects_a_nan_albedo():
+    d, albedo, K, light = hemisphere_scene(8)
+    albedo[0, 0, 0] = np.nan
+    with pytest.raises(DomainError, match="albedo"):
+        shade(d, albedo, light, K)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +681,7 @@ def _assert_warp_matches_whole_canvas_crop(size, radius, angle):
         # points outside the window win some of the pixels inside it
         window = _window(canvas, size, size)
         u, v, dep, valid = project_points(
-            transform_pointcloud(oracles.depth_to_pointcloud(d, K), poses[1]), K)
+            transform_pointcloud(oracles.planes(oracles.depth_to_pointcloud(d, K)), poses[1]), K)
         j = np.floor(u - window.x_min_g + 0.5)
         i = np.floor(v - window.y_min_g + 0.5)
         inside = (j >= 0) & (j < size) & (i >= 0) & (i < size)
