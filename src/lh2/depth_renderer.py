@@ -33,7 +33,16 @@ across rows reading one halo row on each side of its block; and the demo
 hands out the poses of its frames, so that each frame is warped and
 written before the next one is rendered.  Beyond its result, shade peaks
 at about 4.3 MB of traced allocations and depth_centroid at 1.4 MB at
-sizes 256 and 1024 alike.
+sizes 256 and 1024 alike, and warp_image at 1.5 MB at size 128 and 2.0 MB
+at 256, where a block of rows is 4/3 the size.
+
+The z-buffer writes each point once: scatter_min_render keeps the points
+whose footprint reaches the canvas, min-writes each depth at its nearest
+pixel in a buffer over their bounding box, and min-s that buffer into the
+canvas as one shifted slice per footprint offset.  The warp blends a whole
+block of window rows one channel at a time, gathering the four corners of
+every pixel from the flat source with one array of offsets, and writes
+the pixels the mask holds; the pixels it leaves out sample a dummy corner.
 """
 
 from __future__ import annotations
@@ -376,39 +385,56 @@ def scatter_min_render(projected, canvas: CanvasSpec, radius: int = 1,
     """Vectorized z-buffer: each valid projected point writes its depth to
     the nearest canvas pixel and every neighbor within the radius, keeping
     the minimum depth per pixel, +inf where none lands.  Order-independent,
-    so points may arrive in batches: given out, a C-contiguous H_new x W_new
-    array, each depth is min-accumulated into it in place."""
-    u, v, d, valid = projected
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    d = np.asarray(d, dtype=np.float64).ravel()
-    keep = np.asarray(valid, dtype=bool).ravel()
+    so points may arrive in batches: given out, a C-contiguous float64
+    H_new x W_new array, each depth is min-accumulated into it in place.
 
-    fx = u[keep] - canvas.x_min_g
-    fy = v[keep] - canvas.y_min_g
-    j = np.floor(fx + 0.5).astype(np.int64)
-    i = np.floor(fy + 0.5).astype(np.int64)
-    dep = d[keep]
-
+    A point lands on the canvas only if its shifted coordinate
+    t = coord - origin + 0.5, whose floor is its nearest pixel, lies in
+    [-radius, W_new + radius) (and likewise in rows), so no other point,
+    far or non-finite, reaches the integer cast.  Each kept point is
+    written once, into a buffer over the bounding box of the nearest
+    pixels, and that buffer is then min-ed into the canvas once per
+    offset, clipped to its edges: a minimum does not round, so this equals
+    one write per point and offset."""
+    offsets = neighborhood_offsets(radius)
+    H, W = canvas.H_new, canvas.W_new
     if out is None:
-        out = np.full((canvas.H_new, canvas.W_new), _BACKGROUND)
-    elif out.shape != (canvas.H_new, canvas.W_new) or not out.flags.c_contiguous:
-        raise DomainError(f"out must be a C-contiguous {canvas.H_new} x {canvas.W_new} array")
-    flat = out.reshape(-1)
-    # every offset of a point at least radius from each edge lands on the
-    # canvas, so those points stamp without a bounds test
-    inner = ((i >= radius) & (i < canvas.H_new - radius)
-             & (j >= radius) & (j < canvas.W_new - radius))
-    base = i[inner] * canvas.W_new + j[inner]
-    dep_in = dep[inner]
-    edge = ~inner
-    i, j, dep = i[edge], j[edge], dep[edge]
-    for di, dj in neighborhood_offsets(radius):
-        np.minimum.at(flat, base + (di * canvas.W_new + dj), dep_in)
-        ii = i + di
-        jj = j + dj
-        inb = (ii >= 0) & (ii < canvas.H_new) & (jj >= 0) & (jj < canvas.W_new)
-        np.minimum.at(flat, ii[inb] * canvas.W_new + jj[inb], dep[inb])
+        out = np.full((H, W), _BACKGROUND)
+    elif (out.dtype != np.float64 or out.shape != (H, W)
+          or not out.flags.c_contiguous):
+        raise DomainError(f"out must be a C-contiguous float64 {H} x {W} array")
+
+    u, v, d, valid = projected
+    tx = np.asarray(u, dtype=np.float64).ravel() - canvas.x_min_g
+    tx += 0.5
+    ty = np.asarray(v, dtype=np.float64).ravel() - canvas.y_min_g
+    ty += 0.5
+    # a fresh mask: the caller's valid may be viewed by asarray and ravel
+    keep = (tx >= -radius) & (tx < W + radius)
+    keep &= ty >= -radius
+    keep &= ty < H + radius
+    keep &= np.asarray(valid, dtype=bool).ravel()
+    dep = np.asarray(d, dtype=np.float64).ravel()[keep]
+    if not dep.size:
+        return out
+    j = np.floor(tx[keep]).astype(np.int64)
+    i = np.floor(ty[keep]).astype(np.int64)
+
+    top, left = int(i.min()), int(j.min())
+    bh, bw = int(i.max()) - top + 1, int(j.max()) - left + 1
+    i -= top
+    i *= bw
+    i += j
+    i -= left                   # each point's flat index in the buffer
+    nearest = np.full((bh, bw), _BACKGROUND)
+    np.minimum.at(nearest.reshape(-1), i, dep)
+    for di, dj in offsets:
+        y0, x0 = top + di, left + dj            # where the buffer's first pixel lands
+        r0, r1 = max(y0, 0), min(y0 + bh, H)
+        c0, c1 = max(x0, 0), min(x0 + bw, W)
+        if r0 < r1 and c0 < c1:
+            dst = out[r0:r1, c0:c1]
+            np.minimum(dst, nearest[r0 - y0:r1 - y0, c0 - x0:c1 - x0], out=dst)
     return out
 
 
@@ -467,8 +493,10 @@ def _inverse_map(x, y, depth, pose: Pose, K: CameraIntrinsics):
     flat -= pose.pivot[:, None]
     flat -= pose.t[:, None]
     back = pose.R.T @ flat
+    shape = p.shape
+    del p, flat
     back += pose.pivot[:, None]
-    u, v, _, in_front = project_points(back.reshape(p.shape), K)
+    u, v, _, in_front = project_points(back.reshape(shape), K)
     return u, v, in_front
 
 
@@ -485,8 +513,13 @@ def warp_image(source: np.ndarray, depth: DepthMap, pose: Pose,
     Both passes take the rows a block at a time: the forward pass scatters
     each block of source rows into the one window, and the inverse map
     samples each block of window rows, so the arrays returned are the only
-    ones the size of the image."""
+    ones the size of the image.  Each block is blended one channel at a
+    time over all of its pixels, into three buffers reused from block to
+    block, and written where the mask holds; every other array of a block
+    is dropped before the next block starts."""
     source = np.asarray(source, dtype=np.float64)
+    if source.shape != (K.H, K.W, 3):
+        raise DomainError(f"source must be {K.H} x {K.W} x 3, got shape {source.shape}")
     # the central window starts at canvas pixel (oy, ox); its image origin
     # lands at 0.5 px, not 0, when W_new - W is even, as make_canvas centres
     # on W/2
@@ -499,35 +532,74 @@ def warp_image(source: np.ndarray, depth: DepthMap, pose: Pose,
     window = np.full((K.H, K.W), _BACKGROUND)
     on_window = CanvasSpec(K.H, K.W, float(ox), float(oy))
     for points in _point_blocks(depth, K):
-        u, v, d, in_view = project_points(transform_pointcloud(points, pose), K)
+        moved = transform_pointcloud(points, pose)
+        del points
+        u, v, d, in_view = project_points(moved, K)
+        del moved
         scatter_min_render((u - canvas.x_min_g, v - canvas.y_min_g, d, in_view),
                            on_window, radius, out=window)
+        del u, v, d, in_view
 
     valid = np.isfinite(window)
     out = np.zeros((K.H, K.W, 3))
-    # the four corners as flat indices into the source's pixel rows;
-    # np.take on axis 0 gathers rows faster than fancy indexing
-    flat = source.reshape(-1, 3)
-
-    def corner(i):
-        return np.take(flat, i, axis=0)
-
-    for rows in _row_blocks(K.H, 3 * K.W):
+    # channel c of source pixel (v, u) sits at 3 (v W + u) + c of the flat
+    # source, so one array of the offsets 3 (v_lo W + u_lo) gathers each
+    # corner of each channel from the flat source shifted by the channel,
+    # one pixel (3) and one row (3 W); the offsets are in range, and
+    # mode="clip" spares np.take its buffered bounds check
+    flat = source.reshape(-1)
+    row = 3 * K.W
+    blocks = list(_row_blocks(K.H, 3 * K.W))
+    buffers = np.empty((3, (blocks[0].stop - blocks[0].start) * K.W))
+    for rows in blocks:
         ok = valid[rows]                  # a view: narrowed in place below
         u0, v0, in_front = _inverse_map(x, y[rows], np.where(ok, window[rows], 1.0), pose, K)
         ok &= in_front & (u0 >= 0.0) & (u0 <= K.W - 1) & (v0 >= 0.0) & (v0 <= K.H - 1)
+        del in_front
         if not np.any(ok):
+            del u0, v0
             continue
-        uu = u0[ok]
-        vv = v0[ok]
-        u_lo = np.clip(np.floor(uu).astype(np.int64), 0, K.W - 2)
-        v_lo = np.clip(np.floor(vv).astype(np.int64), 0, K.H - 2)
-        fu = (uu - u_lo)[:, None]
-        fv = (vv - v_lo)[:, None]
-        i00 = v_lo * source.shape[1] + u_lo
-        i10 = i00 + source.shape[1]
-        out[rows][ok] = ((1 - fv) * ((1 - fu) * corner(i00) + fu * corner(i00 + 1))
-                         + fv * ((1 - fu) * corner(i10) + fu * corner(i10 + 1)))
+        # every pixel is blended, and only those in ok are written; the
+        # others sample at (0, 0), so that their offsets stay in range and
+        # the cast sees no far or non-finite coordinate
+        miss = ~ok
+        u0[miss] = 0.0
+        v0[miss] = 0.0
+        del miss
+        u_lo = np.floor(u0).astype(np.int64)
+        np.clip(u_lo, 0, K.W - 2, out=u_lo)
+        v_lo = np.floor(v0).astype(np.int64)
+        np.clip(v_lo, 0, K.H - 2, out=v_lo)
+        fu = u0                           # in place: u0 and v0 are read no more
+        fu -= u_lo
+        fv = v0
+        fv -= v_lo
+        at = v_lo                         # in place: the offsets 3 (v_lo W + u_lo)
+        at *= K.W
+        at += u_lo
+        at *= 3
+        del u0, v0, u_lo, v_lo
+        gu = 1 - fu
+        gv = 1 - fv
+        # the blend of the top and the bottom row of corners, and a right corner
+        top, bottom, right = (buf[:at.size].reshape(at.shape) for buf in buffers)
+        for c in range(3):
+            # (1 - fv) ((1 - fu) c00 + fu c01) + fv ((1 - fu) c10 + fu c11)
+            np.take(flat[c:], at, out=top, mode="clip")
+            top *= gu
+            np.take(flat[c + 3:], at, out=right, mode="clip")
+            right *= fu
+            top += right
+            top *= gv
+            np.take(flat[c + row:], at, out=bottom, mode="clip")
+            bottom *= gu
+            np.take(flat[c + row + 3:], at, out=right, mode="clip")
+            right *= fu
+            bottom += right
+            bottom *= fv
+            top += bottom
+            np.copyto(out[rows][..., c], top, where=ok)
+        del ok, fu, fv, gu, gv, at, top, bottom, right
     return out, valid, window
 
 

@@ -118,7 +118,8 @@ def reference_scatter(u, v, d, valid, canvas, radius: int):
 
     Returns the canvas depths following the same contract: one write per
     valid point per in-radius offset, minimum depth wins, out-of-canvas
-    writes are discarded, +inf where nothing lands.
+    writes are discarded, +inf where nothing lands.  A point with a
+    non-finite coordinate has no nearest pixel and lands nowhere.
     """
     H, W = canvas.H_new, canvas.W_new
     offsets = [(di, dj)
@@ -135,6 +136,8 @@ def reference_scatter(u, v, d, valid, canvas, radius: int):
             continue
         fx = u[k] - canvas.x_min_g           # canvas pixel j sits at x_min_g + j
         fy = v[k] - canvas.y_min_g
+        if not (math.isfinite(fx) and math.isfinite(fy)):
+            continue
         j0 = math.floor(fx + 0.5)
         i0 = math.floor(fy + 0.5)
         for di, dj in offsets:

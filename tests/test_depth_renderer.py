@@ -1,6 +1,7 @@
 """Pinhole geometry, canvas construction, scatter z-buffer, shading, and
 the inverse warp."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -507,6 +508,143 @@ def test_scatter_straddling_every_edge_matches_reference(radius):
         assert scatter_min_render((u[part], v[part], d[part], valid[part]), canvas, radius,
                                   out=out) is out
     np.testing.assert_array_equal(out, expected)
+
+
+def _assert_scatter_matches_reference(u, v, d, valid, canvas, radius):
+    """The scatter equals the reference at once and in three batches
+    min-accumulated into one array with out=."""
+    expected = oracles.reference_scatter(u, v, d, valid, canvas, radius)
+    np.testing.assert_array_equal(scatter_min_render((u, v, d, valid), canvas, radius),
+                                  expected)
+    out = np.full((canvas.H_new, canvas.W_new), np.inf)
+    for part in np.array_split(np.arange(len(u)), 3):
+        scatter_min_render((u[part], v[part], d[part], valid[part]), canvas, radius, out=out)
+    np.testing.assert_array_equal(out, expected)
+
+
+def test_scatter_matches_reference_on_small_random_canvases():
+    # canvases of 1 to 12 pixels a side, radius 0 to 3, points from 5 pixels
+    # before each edge to 5 past it, and depths drawn from three values, so
+    # that many pixels see tied depths
+    rng = np.random.default_rng(28)
+    for case in range(200):
+        H, W = (int(n) for n in rng.integers(1, 13, 2))
+        radius = case % 4
+        canvas = CanvasSpec(H, W, float(rng.uniform(-4.0, 4.0)), float(rng.uniform(-4.0, 4.0)))
+        n = int(rng.integers(1, 60))
+        u = rng.uniform(canvas.x_min_g - 5.0, canvas.x_min_g + W + 5.0, n)
+        v = rng.uniform(canvas.y_min_g - 5.0, canvas.y_min_g + H + 5.0, n)
+        d = rng.choice([0.5, 1.0, 2.5], n) if case % 2 else rng.uniform(0.5, 5.0, n)
+        valid = rng.uniform(size=n) < 0.9
+        _assert_scatter_matches_reference(u, v, d, valid, canvas, radius)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_scatter_keeps_points_exactly_on_the_reach_of_the_canvas(radius):
+    # t = coord - origin + 0.5 is kept on [-radius, size + radius): at
+    # exactly -radius a point's footprint still reaches pixel 0, and just
+    # below -radius or at size + radius it reaches no pixel
+    canvas = CanvasSpec(H_new=5, W_new=7, x_min_g=-3.25, y_min_g=7.25)
+    centre = (canvas.x_min_g + 3.0, canvas.y_min_g + 2.0)
+    for axis, origin, size in ((0, canvas.x_min_g, canvas.W_new),
+                               (1, canvas.y_min_g, canvas.H_new)):
+        for edge, low in ((-radius, True), (size + radius, False)):
+            at = edge - 0.5 + origin
+            assert at - origin + 0.5 == edge
+            below = at
+            while below - origin + 0.5 >= edge:
+                below = np.nextafter(below, -np.inf)
+            for coord, lands in ((at, low), (below, not low)):
+                u = np.array([coord if axis == 0 else centre[0]])
+                v = np.array([coord if axis == 1 else centre[1]])
+                d, valid = np.array([1.5]), np.array([True])
+                got = scatter_min_render((u, v, d, valid), canvas, radius)
+                assert np.isfinite(got).any() == lands
+                _assert_scatter_matches_reference(u, v, d, valid, canvas, radius)
+
+
+def test_scatter_drops_non_finite_coordinates():
+    # a non-finite coordinate lands nowhere and raises no RuntimeWarning
+    # (pytest turns those into errors); the finite points still land
+    canvas = CanvasSpec(H_new=6, W_new=9, x_min_g=0.5, y_min_g=-1.0)
+    bad = [np.nan, np.inf, -np.inf, 1e308, -1e308]
+    u = np.array(bad + [2.0] * 5 + [3.0, 4.0])
+    v = np.array([2.0] * 5 + bad + [1.0, 3.0])
+    d = np.arange(1.0, 13.0)
+    valid = np.ones(12, bool)
+    for radius in range(4):
+        np.testing.assert_array_equal(
+            scatter_min_render((u, v, d, valid), canvas, radius),
+            scatter_min_render((u[-2:], v[-2:], d[-2:], valid[-2:]), canvas, radius))
+        _assert_scatter_matches_reference(u, v, d, valid, canvas, radius)
+
+
+def test_scatter_rejects_an_out_that_is_not_float64():
+    # a float32 out would round a depth of 1 + 1e-12 to 1.0, an int64 out
+    # to 1
+    canvas = _unit_canvas(3)
+    one = (np.array([1.0]), np.array([1.0]), np.array([1.0 + 1e-12]), np.array([True]))
+    for dtype in (np.float32, np.int64):
+        out = np.full((3, 3), 9, dtype=dtype)
+        with pytest.raises(DomainError, match="float64"):
+            scatter_min_render(one, canvas, radius=0, out=out)
+        assert (out == 9).all()
+    out = np.full((3, 3), np.inf)
+    assert scatter_min_render(one, canvas, radius=0, out=out)[1, 1] == 1.0 + 1e-12
+
+
+def _copies(*arrays):
+    return [np.array(a, copy=True) for a in arrays]
+
+
+def test_scatter_and_warp_leave_their_inputs_unchanged():
+    # valid is read through asarray and ravel, both views of a C-ordered
+    # bool array
+    canvas = CanvasSpec(H_new=6, W_new=7, x_min_g=-0.5, y_min_g=0.25)
+    rng = np.random.default_rng(3)
+    u, v = rng.uniform(-3.0, 10.0, (2, 4, 5))
+    d = rng.uniform(0.5, 2.0, (4, 5))
+    valid = rng.uniform(size=(4, 5)) < 0.8
+    before = _copies(u, v, d, valid)
+    scatter_min_render((u, v, d, valid), canvas, radius=2)
+    for a, b in zip((u, v, d, valid), before):
+        np.testing.assert_array_equal(a, b)
+
+    depth, albedo, K, light = hemisphere_scene(30)
+    source = shade(depth, albedo, light, K)
+    pose = Pose(rotation_about_axis(0, 20.0), np.array([0.2, -0.1, 0.3]), depth_centroid(depth, K))
+    canvas = make_canvas([pose], depth, K)
+    fields = (source, depth.values, pose.R, pose.t, pose.pivot)
+    before = _copies(*fields)
+    spec = dataclasses.replace(canvas)
+    warp_image(source, depth, pose, K, canvas, radius=1)
+    for a, b in zip(fields, before):
+        np.testing.assert_array_equal(a, b)
+    assert canvas == spec
+
+
+def test_warp_rejects_a_source_of_another_shape():
+    # the corners are gathered at offsets into the flat source, which a
+    # source of another shape would read out of place
+    d, albedo, K, light = hemisphere_scene(30)
+    canvas = make_canvas([_IDENTITY], d, K)
+    for shape in ((29, 30, 3), (30, 31, 3), (30, 30, 4), (30, 30)):
+        with pytest.raises(DomainError, match="source must be 30 x 30 x 3"):
+            warp_image(np.zeros(shape), d, _IDENTITY, K, canvas)
+
+
+def test_warp_reads_a_fortran_ordered_source_like_a_c_ordered_one():
+    d, albedo, K, light = hemisphere_scene(30)
+    canonical = shade(d, albedo, light, K)
+    fortran = np.asfortranarray(canonical)
+    assert not fortran.flags.c_contiguous
+    pivot = depth_centroid(d, K)
+    for pose in (Pose(rotation_about_axis(1, 10.0), np.zeros(3), pivot),
+                 Pose(rotation_about_axis(2, 180.0), np.zeros(3), pivot)):
+        canvas = make_canvas([pose], d, K)
+        for got, want in zip(warp_image(fortran, d, pose, K, canvas, radius=1),
+                             warp_image(canonical, d, pose, K, canvas, radius=1)):
+            np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
