@@ -105,15 +105,17 @@ def _check_render_work(pixels: int, radius: int, pixel_flag: str) -> None:
 
 
 def _cmd_render(args) -> int:
-    if args.frames < 1:
-        raise ConfigError(f"--frames must be at least 1, got {_shown(args.frames)}")
-    if not np.all(np.abs(args.rotations) <= 360.0):      # nan fails too
-        raise ConfigError(f"--rotations must be within [-360, 360] degrees, got {args.rotations}")
-    if args.size < MIN_SIZE:
-        raise ConfigError(f"--size must be >= {MIN_SIZE}, got {_shown(args.size)}")
     if args.radius < 0:
         raise ConfigError(f"--radius must be >= 0, got {_shown(args.radius)}")
     if args.demo is not None:
+        # --frames, --rotations and --size shape the demo alone
+        if args.frames < 1:
+            raise ConfigError(f"--frames must be at least 1, got {_shown(args.frames)}")
+        if not np.all(np.abs(args.rotations) <= 360.0):      # nan fails too
+            raise ConfigError(f"--rotations must be within [-360, 360] degrees, "
+                              f"got {args.rotations}")
+        if args.size < MIN_SIZE:
+            raise ConfigError(f"--size must be >= {MIN_SIZE}, got {_shown(args.size)}")
         _check_render_work(args.size ** 2, args.radius, "--size")
         # frames are written as they are rendered, so this caps the run's
         # total output (3 axes x --frames frames), not its memory

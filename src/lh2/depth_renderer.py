@@ -7,7 +7,9 @@ Geometry conventions: pixel (u, v) = (column, row), camera looks down +z,
 all depths positive.  Points are coordinate-first: a 3 x ... array holds
 the x, y and z planes, so that back-projection, the rigid motion (one
 (3, 3) @ (3, n) product) and projection each run along contiguous planes;
-transform_pointcloud and project_points take that layout.  shade and
+transform_pointcloud and project_points take that layout.  project_points
+returns its input's z plane as the depth, a view; its u and v mean
+nothing where z <= 0, and every caller drops those points.  shade and
 depth_centroid read their blocks as rows x W x 3 views.
 
 The unified canvas is sized once for a whole set of poses: W_new >= 2.5 W
@@ -33,7 +35,7 @@ across rows reading one halo row on each side of its block; and the demo
 hands out the poses of its frames, so that each frame is warped and
 written before the next one is rendered.  Beyond its result, shade peaks
 at about 4.3 MB of traced allocations and depth_centroid at 1.4 MB at
-sizes 256 and 1024 alike, and warp_image at 1.5 MB at size 128 and 2.0 MB
+sizes 256 and 1024 alike, and warp_image at 1.5 MB at size 128 and 1.8 MB
 at 256, where a block of rows is 4/3 the size.
 
 The z-buffer writes each point once: scatter_min_render keeps the points
@@ -219,25 +221,21 @@ def transform_pointcloud(points: np.ndarray, pose: Pose) -> np.ndarray:
 
 def project_points(points: np.ndarray, K: CameraIntrinsics):
     """Perspective projection of a 3 x ... array of x, y and z planes;
-    returns (u, v, d, valid), each of the shape of one plane, with d = the
-    depth z and valid false where z <= 0 (those points are excluded
-    downstream, u and v reading 0 there)."""
+    returns (u, v, d, valid), each of the shape of one plane: d is the z
+    plane itself, a view of the input, valid is false where z <= 0, and
+    u and v, divided by z only where valid holds, mean nothing elsewhere."""
     p = np.asarray(points, dtype=np.float64)
     if p.shape[:1] != (3,):
         raise DomainError(f"points must be 3 x ..., got shape {p.shape}")
     w = p[2]
     valid = w > 0.0
-    behind = ~valid
-    safe = np.where(valid, w, 1.0)
     u = K.f * p[0]
-    u /= safe
+    np.divide(u, w, out=u, where=valid)
     u += K.cx
-    u[behind] = 0.0
     v = K.f * p[1]
-    v /= safe
+    np.divide(v, w, out=v, where=valid)
     v += K.cy
-    v[behind] = 0.0
-    return u, v, w.copy(), valid
+    return u, v, w, valid
 
 
 def depth_centroid(depth: DepthMap, K: CameraIntrinsics) -> np.ndarray:
@@ -299,31 +297,24 @@ def _corner_reach(poses, template: DepthMap, K: CameraIntrinsics):
 def _point_reach(poses, template: DepthMap, K: CameraIntrinsics):
     """Every pose's exact projected extent (ex, ey) about (W/2, H/2): the
     template is back-projected one block of rows at a time, and each block
-    is projected under every pose, keeping a running min and max of each
-    pose's u and v over its valid points."""
+    is projected under every pose, keeping the running largest |u - W/2|
+    and |v - H/2| over the valid points."""
     cx, cy = K.W / 2.0, K.H / 2.0
-    # per pose, the (u, v) minima and maxima over its valid points; np.minimum
-    # and np.maximum keep a nan, as a min or max over all the points would
-    seen = np.zeros(len(poses), dtype=bool)
-    lo = np.full((len(poses), 2), np.inf)
-    hi = np.full((len(poses), 2), -np.inf)
+    seen = False
+    ex = ey = 0.0
     for points in _point_blocks(template, K):
-        for k, pose in enumerate(poses):
-            pts = transform_pointcloud(points, pose)
+        for pose in poses:
             with np.errstate(over="ignore", invalid="ignore"):     # the width test rejects these
-                u, v, _, valid = project_points(pts, K)
+                u, v, _, valid = project_points(transform_pointcloud(points, pose), K)
             if not np.any(valid):
                 continue
-            seen[k] = True
-            for c, coord in enumerate((u[valid], v[valid])):
-                lo[k, c] = np.minimum(lo[k, c], coord.min())
-                hi[k, c] = np.maximum(hi[k, c], coord.max())
-    if not seen.any():
+            seen = True
+            u, v = u[valid], v[valid]
+            # with ex first, Python's max skips a nan extent
+            ex = max(ex, cx - u.min(), u.max() - cx)
+            ey = max(ey, cy - v.min(), v.max() - cy)
+    if not seen:
         raise CanvasError("no pose projects any point in front of the camera")
-    ex = ey = 0.0
-    for k in np.flatnonzero(seen):
-        ex = max(ex, cx - lo[k, 0], hi[k, 0] - cx)
-        ey = max(ey, cy - lo[k, 1], hi[k, 1] - cy)
     return float(ex), float(ey)
 
 
@@ -535,10 +526,9 @@ def warp_image(source: np.ndarray, depth: DepthMap, pose: Pose,
         moved = transform_pointcloud(points, pose)
         del points
         u, v, d, in_view = project_points(moved, K)
-        del moved
         scatter_min_render((u - canvas.x_min_g, v - canvas.y_min_g, d, in_view),
                            on_window, radius, out=window)
-        del u, v, d, in_view
+        del moved, u, v, d, in_view
 
     valid = np.isfinite(window)
     out = np.zeros((K.H, K.W, 3))

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .io_formats import RunConfig, _row_blocks, emit_metrics, read_tensor, write_tensor
 from .proxy_losses import (EpochMidState, end_epoch, observe_positive_cosines,
                            positive_cosines, pp_loss, pns_loss, pps_loss,
@@ -129,6 +129,9 @@ def load_checkpoint(path):
             break
     emb = read_tensor(path + ".embedder.lh2t").astype(np.float64)
     w = read_tensor(path + ".proxies.lh2t").astype(np.float64)
+    if emb.ndim != 2 or w.ndim != 2 or emb.shape[1] != w.shape[1]:
+        raise FormatError(f"checkpoint embedder {emb.shape} and proxies {w.shape} "
+                          f"do not share one feature width")
     return emb, ProxyMatrix.from_rows(w)
 
 
@@ -277,19 +280,18 @@ def histogram_dump(embedder, proxies: ProxyMatrix, X, labels):
 # finite-difference gradient checking
 
 def _central_diff(f, x, h: float = 1e-5) -> np.ndarray:
-    """Componentwise central differences of a scalar function."""
-    x = np.asarray(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        ix = it.multi_index
-        xp = x.copy()
+    """Componentwise central differences of a scalar function, probing one
+    float64 copy of x in place: each entry is set to x + h, then 2 h
+    lower, then restored."""
+    xp = np.array(x, dtype=np.float64)
+    g = np.zeros_like(xp)
+    for ix in np.ndindex(xp.shape):
+        x0 = xp[ix]
         xp[ix] += h
         fp = f(xp)
         xp[ix] -= 2.0 * h
-        fm = f(xp)
-        g[ix] = (fp - fm) / (2.0 * h)
-        it.iternext()
+        g[ix] = (fp - f(xp)) / (2.0 * h)
+        xp[ix] = x0
     return g
 
 

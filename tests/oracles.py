@@ -403,7 +403,9 @@ def rigid_motion(points, pose):
 
 
 def project(points, K):
-    """(u, v, d, valid) of a (..., 3) array, as depth_renderer.project_points."""
+    """(u, v, d, valid) of a (..., 3) array, as depth_renderer.project_points;
+    u and v read 0 where valid is false, where project_points leaves them
+    meaningless."""
     w = points[..., 2]
     valid = w > 0.0
     safe = np.where(valid, w, 1.0)

@@ -513,6 +513,22 @@ def test_render_custom_pose(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("demo_flags", [["--size", "3"], ["--frames", "0"],
+                                        ["--rotations", "999", "0", "0"]])
+def test_render_custom_ignores_the_demo_flags(subcommand_inputs, tmp_path, capsys,
+                                              demo_flags):
+    # --size, --frames and --rotations shape the demo alone: a custom render
+    # given values the demo rejects writes the files it writes without them
+    argv = ["render", "--depth", str(subcommand_inputs / "depth.lh2t"),
+            "--albedo", str(subcommand_inputs / "albedo.ppm"),
+            "--pose", *(str(v) for v in _IDENTITY), "0", "0", "0"]
+    assert main(argv + ["--out-dir", str(tmp_path / "plain")]) == 0
+    assert main(argv + demo_flags + ["--out-dir", str(tmp_path / "flags")]) == 0
+    capsys.readouterr()
+    for name in ("canonical.ppm", "frame.ppm", "frame.pgm"):
+        assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_render_custom_pose_written_with_repr(subcommand_inputs, tmp_path, capsys, axis):
     # repr writes sin(180 deg) as 1.2246467991473532e-16, and a rotation by
@@ -613,6 +629,10 @@ def test_grad_check_corruption_fails(capsys):
     # over the cap of 1000 repeats
     (["grad-check", "--repeats", str(10 ** 9)], "--repeats"),
     (["grad-check", "--repeats", str(10 ** 300)], "--repeats"),
+    # the demo's own flags, which a custom render ignores
+    (["render", "--demo", "hemisphere", "--size", "3"], "--size"),
+    (["render", "--demo", "hemisphere", "--frames", "0"], "--frames"),
+    (["render", "--demo", "hemisphere", "--rotations", "999", "0", "0"], "--rotations"),
 ])
 def test_bad_flag_value_is_a_usage_error_naming_the_flag(tmp_path, capsys, monkeypatch,
                                                          argv, flag):
@@ -673,6 +693,23 @@ def test_hist_dimension_mismatch(tiny_config, tmp_path, capsys):
                "--config", str(wide), "--out-dir", str(tmp_path / "hist")])
     assert rc == 3
     assert "input dims" in capsys.readouterr().err
+
+
+def test_hist_feature_width_mismatch(tmp_path, capsys):
+    # a 64 x 16 embedder against 64 x 8 proxies: no feature space is shared
+    rng = np.random.default_rng(0)
+    stem = tmp_path / "ckpt"
+    write_tensor(str(stem) + ".embedder.lh2t", rng.standard_normal((64, 16)))
+    write_tensor(str(stem) + ".proxies.lh2t", rng.standard_normal((64, 8)))
+    cfg = tmp_path / "c64.cfg"
+    cfg.write_text("C = 64\nd = 8\nd_in = 64\n")
+    rc = main(["hist", "--checkpoint", str(stem), "--config", str(cfg),
+               "--out-dir", str(tmp_path / "hist")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "(64, 16)" in err and "(64, 8)" in err
+    assert "matmul" not in err
+    assert not (tmp_path / "hist").exists()
 
 
 def test_hist_class_count_mismatch(tiny_config, tmp_path, capsys):

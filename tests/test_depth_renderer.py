@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -138,7 +139,6 @@ def test_project_behind_camera():
     K = intrinsics_from_fov(4, 4, 60.0)
     u, v, d, valid = project_points(np.array([[0.1], [0.1], [-1.0]]), K)
     assert not valid[0]
-    assert u[0] == 0.0 and v[0] == 0.0
     assert d[0] == -1.0
 
 
@@ -187,8 +187,13 @@ def test_planar_point_passes_match_the_interleaved_forms_bit_for_bit(monkeypatch
         got = np.concatenate([transform_pointcloud(b, pose) for b in blocks], axis=1)
         _same_bits(got, np.ascontiguousarray(oracles.planes(moved)))
         projected = [project_points(transform_pointcloud(b, pose), K) for b in blocks]
-        for got, want in zip(zip(*projected), oracles.project(moved, K)):
-            _same_bits(np.concatenate(got), want)
+        u, v, d, valid = (np.concatenate(got) for got in zip(*projected))
+        want_u, want_v, want_d, want_valid = oracles.project(moved, K)
+        _same_bits(d, want_d)
+        _same_bits(valid, want_valid)
+        # u and v mean nothing behind the camera
+        _same_bits(u[valid], want_u[valid])
+        _same_bits(v[valid], want_v[valid])
 
         # the inverse map of window pixels at random depths, a few behind
         # the camera once moved back
@@ -197,8 +202,64 @@ def test_planar_point_passes_match_the_interleaved_forms_bit_for_bit(monkeypatch
         depth = rng.uniform(0.5, 5.0, (H, W))
         inverse = [depth_renderer._inverse_map(x, y[rows], depth[rows], pose, K)
                    for rows in io_formats._row_blocks(H, 3 * W)]
-        for got, want in zip(zip(*inverse), oracles.inverse_map(x, y, depth, pose, K)):
-            _same_bits(np.concatenate(got), want)
+        u, v, in_front = (np.concatenate(got) for got in zip(*inverse))
+        want_u, want_v, want_in_front = oracles.inverse_map(x, y, depth, pose, K)
+        _same_bits(in_front, want_in_front)
+        _same_bits(u[in_front], want_u[in_front])
+        _same_bits(v[in_front], want_v[in_front])
+
+
+def _contract_renders():
+    """The canvases and warp arrays of a size-30 demo sweep; of a wide
+    shift, which takes the per-point pass, and a move away from the camera,
+    whose inverse map sends the background behind it; and of a plane
+    turned edge-on with every other column behind the camera."""
+    demo = hemisphere_demo(30)
+    out = [demo["canvas"]]
+    for _, pose in demo["poses"]:
+        out += warp_image(demo["canonical"], demo["depth"], pose, demo["K"], demo["canvas"])
+    depth, _, K, _ = hemisphere_scene(30)
+    pivot = depth_centroid(depth, K)
+    plane, K12 = _plane(12, 5.0), intrinsics_from_fov(12, 12, 40.0)
+    for d, k, poses in [
+            (depth, K, [Pose(np.eye(3), [9.0, -3.0, 0.0], pivot),
+                        Pose(np.eye(3), [0.0, 0.0, 10.0], pivot)]),
+            (plane, K12, [Pose(rotation_about_axis(1, 90.0), [0.0, 0.0, -5.0],
+                               depth_centroid(plane, K12))])]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert depth_renderer._corner_reach(poses, d, k) is None
+        canvas = make_canvas(poses, d, k)
+        out.append(canvas)
+        for pose in poses:
+            out += warp_image(np.full(d.shape + (3,), 0.5), d, pose, k, canvas)
+    return out
+
+
+def test_point_passes_never_read_u_and_v_behind_the_camera(monkeypatch):
+    # u and v mean nothing where valid is false: written as nan there, they
+    # change no canvas and no warp array, and raise no warning
+    want = _contract_renders()
+    project = depth_renderer.project_points
+    behind = []
+
+    def nan_behind(points, K):
+        u, v, d, valid = project(points, K)
+        u[~valid] = np.nan
+        v[~valid] = np.nan
+        behind.append(int(np.count_nonzero(~valid)))
+        return u, v, d, valid
+
+    monkeypatch.setattr(depth_renderer, "project_points", nan_behind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _contract_renders()
+    assert sum(behind) > 0
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, CanvasSpec):
+            assert g == w
+        else:
+            _same_bits(g, w)
 
 
 def test_depth_centroid_plane():
