@@ -32,7 +32,6 @@ import dataclasses
 import numpy as np
 
 from .io_formats import RunConfig
-from .sphere_math import _divide_rows
 from .uamf import EmbeddingBatch, LossReport, ProxyMatrix
 
 
@@ -77,12 +76,12 @@ def end_epoch(state: EpochMidState, cfg: RunConfig) -> EpochMidState:
     return EpochMidState(mid=float(np.clip(mean, cfg.cos_min, cfg.cos_max)))
 
 
-def _quotient_rule(d_cos, cos, other_unit, own_unit, own_norms):
+def _quotient_rule(d_cos, cos, other_unit, own_unit, own_rnorms):
     """d loss / d own rows from d loss / d cos for cosines
-    cos_ij = own_i . other_j / (||own_i|| ||other_j||):
-    (d_cos @ other_unit - sum_j d_cos_ij cos_ij own_unit_i) / ||own_i||."""
+    cos_ij = own_i . other_j / (||own_i|| ||other_j||), given the own rows'
+    reciprocal norms: (d_cos @ other_unit - sum_j d_cos_ij cos_ij own_unit_i) / ||own_i||."""
     weight = np.einsum("ij,ij->i", d_cos, cos)
-    return _divide_rows(d_cos @ other_unit - weight[:, None] * own_unit, own_norms)
+    return (d_cos @ other_unit - weight[:, None] * own_unit) * own_rnorms[:, None]
 
 
 def pps_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, state: EpochMidState,
@@ -121,11 +120,16 @@ def pns_loss(batch: EmbeddingBatch, proxies: ProxyMatrix,
 
 def pp_selection(batch_labels, C: int, rng: np.random.Generator) -> np.ndarray:
     """Union of the batch's distinct proxies and N uniformly sampled ones
-    (without replacement, deduplicated), sorted for determinism."""
+    (without replacement, deduplicated), sorted for determinism.  When N >=
+    C the draw covers every proxy, so the union is arange(C); the draw is
+    still taken, since the generator's stream goes on to the batch order."""
     labels = np.asarray(batch_labels, dtype=np.int64)
+    drawn = rng.choice(C, size=min(len(labels), C), replace=False)
+    if len(labels) >= C:
+        return np.arange(C)
     chosen = np.zeros(C, dtype=bool)
     chosen[labels] = True
-    chosen[rng.choice(C, size=min(len(labels), C), replace=False)] = True
+    chosen[drawn] = True
     return np.flatnonzero(chosen)
 
 
@@ -138,14 +142,18 @@ def pp_loss(batch_labels, proxies: ProxyMatrix, cfg: RunConfig,
     # one class draws no random proxy; a selection of one has no pair and a zero loss
     sel = pp_selection(batch_labels, C, rng) if C > 1 else np.arange(C, dtype=np.int64)
     k = len(sel)
-    ws, gram = proxies.selection_gram(sel)
+    rows = slice(None) if k == C else sel      # every proxy: views, no gather
+    ws, gram = proxies.selection_gram(rows)
     npairs = max(k * (k - 1) // 2, 1)
     loss = cfg.lambda_pp * float(np.vdot(gram, gram)) / (2 * npairs)
 
     def direct():
+        grad = _quotient_rule((cfg.lambda_pp * 2.0 / npairs) * gram, gram, ws, ws,
+                              proxies.rnorms[rows])
+        if k == C:
+            return None, grad
         grad_W = np.zeros_like(proxies.W)
-        grad_W[sel] = _quotient_rule((cfg.lambda_pp * 2.0 / npairs) * gram, gram, ws, ws,
-                                     proxies.norms[sel])
+        grad_W[sel] = grad
         return None, grad_W
 
     return LossReport(loss, {"pp": loss}, {"pp_gram": gram}, proxies=proxies,
@@ -162,7 +170,7 @@ def sns_loss(batch: EmbeddingBatch, cfg: RunConfig) -> LossReport:
 
     def direct():
         d_cos = (cfg.lambda_sns * 2.0 / ordered) * pair   # symmetric; each pair once in the loss
-        return _quotient_rule(d_cos, gram, batch.zhat, batch.zhat, batch.norms), None
+        return _quotient_rule(d_cos, gram, batch.zhat, batch.zhat, batch.rnorms), None
 
     return LossReport(loss, {"sns": loss}, batch=batch, direct=(direct,))
 

@@ -35,8 +35,9 @@ adjoint, _similarity_adjoint; both read S = z W^T and the row norms of z,
 and only the grad-check's vmf_similarity op and the tests call them (the
 margin softmax cancels the normalizer).  A loss of S and the row norms of z
 and W (the margin softmax, these similarities, the cosines of
-uamf.ProxyProduct) has an adjoint (dS N x C, dnz N, dnw C) that one
-backward, adjoint_grads, takes to z and W.  All floats are 64-bit.
+uamf.ProxyProduct) has an adjoint (dS N x C, dnz N, dnw C), None standing
+for a zero part, that one backward, adjoint_grads, takes to z and W.  All
+floats are 64-bit.
 """
 
 from __future__ import annotations
@@ -141,15 +142,16 @@ def _log_bessel(alpha: float, x: np.ndarray):
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    """The Euclidean norms of the rows of a 2-d array: np.linalg.norm(a,
-    axis=1)'s arithmetic without its dispatch."""
-    return np.sqrt((a * a).sum(axis=1))
+    """The Euclidean norms of the rows of a 2-d array, from einsum's sums of
+    squares: no N x d temporary, and a norm that overflows reads inf
+    without a warning."""
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
-def _divide_rows(a: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Row i of a divided by norms[i]; a zero norm leaves its row as it is,
-    so zero rows of a matrix stay zero when it is scaled to unit rows."""
-    return a / np.where(norms > 0.0, norms, 1.0)[:, None]
+def _reciprocals(norms: np.ndarray) -> np.ndarray:
+    """1 / norms with a zero norm read as 1, so that rows scaled by them to
+    unit rows stay zero where they are zero."""
+    return 1.0 / np.where(norms > 0.0, norms, 1.0)
 
 
 def _log_normalizer(kappa: np.ndarray, n: int):
@@ -187,10 +189,12 @@ def _similarity_adjoint(dsim, S, ratio, scale):
         dnz[clamped] = -np.einsum("ij,ij->i", dsim[clamped], S[clamped]) \
             * scale[clamped] ** 2 / KAPPA_MIN
         dsim = dsim * scale[:, None]
-    return dsim, dnz, np.zeros(dsim.shape[1])
+    return dsim, dnz, None
 
 
 def adjoint_grads(dS, dnz, dnw, z, zhat, W, what):
     """(grad_z, grad_W) of a loss of S = z W^T, ||z|| and ||W|| from its
-    adjoint (dS, dnz, dnw), with zhat and what the unit rows of z and W."""
-    return dS @ W + dnz[:, None] * zhat, dS.T @ z + dnw[:, None] * what
+    adjoint (dS, dnz, dnw), with zhat and what the unit rows of z and W; a
+    dnz or dnw of None stands for zero."""
+    grad_z = dS @ W if dnz is None else dS @ W + dnz[:, None] * zhat
+    return grad_z, dS.T @ z if dnw is None else dS.T @ z + dnw[:, None] * what

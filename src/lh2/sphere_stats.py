@@ -115,5 +115,5 @@ def sns_tracker(batch) -> float:
     ordered = int(np.count_nonzero(pair))
     if ordered == 0:
         return 0.0
-    g = batch.gram * pair
+    g = batch.gram * pair.astype(np.float64)     # a float64 multiply, not a mixed one
     return math.sqrt(float(np.vdot(g, g)) / ordered)

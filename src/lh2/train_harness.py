@@ -160,16 +160,15 @@ def train_step(state: TrainState, xb, yb, cfg: RunConfig, lr: float) -> dict:
     zb = xb @ state.embedder
     _require(np.isfinite(zb).all(), "non-finite features")
     batch = EmbeddingBatch(zb, yb)
-    # a finite row whose norm overflows fails the same check
-    with np.errstate(over="ignore"):
-        _require(np.isfinite(batch.norms).all(), "non-finite features")
+    # a finite row whose norm overflows (to inf, with no warning) fails the same check
+    _require(np.isfinite(batch.norms).all(), "non-finite features")
     state.mu_norm, margin = update_norm_tracker(state.mu_norm, batch,
                                                 cfg.ema_alpha, cfg.margin_coeff)
     # one report of the whole step: its gradients take one backward
     step = (uamf_loss(batch, state.proxies, margin, cfg.tau)
             + proxy_based_total(batch, state.proxies, state.mid_state, cfg, state.rng))
     state.mid_state = observe_positive_cosines(state.mid_state, step.stats["positive_cos"])
-    _require(np.isfinite(step.total), "non-finite loss")
+    _require(math.isfinite(step.total), "non-finite loss")
     state.good = state.embedder, state.proxies
 
     record = {"lr": lr, "loss_total": step.total, **step.terms,   # uamf, pps, pns, pp
@@ -179,9 +178,11 @@ def train_step(state: TrainState, xb, yb, cfg: RunConfig, lr: float) -> dict:
               **proxy_spread_trackers(state.proxies, step.stats["pp_gram"]),  # std, std_mean
               "std_sns": sns_tracker(batch)}
 
-    state.vel_emb = cfg.momentum * state.vel_emb - lr * (xb.T @ step.grad_z)
+    state.vel_emb *= cfg.momentum              # in place: vel <- m vel - lr g
+    state.vel_emb -= lr * (xb.T @ step.grad_z)
     emb = state.embedder + state.vel_emb
-    state.vel_W = cfg.momentum * state.vel_W - lr * step.grad_W
+    state.vel_W *= cfg.momentum
+    state.vel_W -= lr * step.grad_W
     w = state.proxies.W + state.vel_W
     w_norms = _row_norms(w)
     # a proxy row norm that overflows fails like a non-finite entry

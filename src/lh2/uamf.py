@@ -31,14 +31,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .sphere_math import _divide_rows, _row_norms, adjoint_grads
+from .sphere_math import _reciprocals, _row_norms, adjoint_grads
 
 
 @dataclasses.dataclass
 class EmbeddingBatch:
-    """N unnormalized feature vectors with integer class labels; norms,
-    zhat, gram, the distinct-label mask and the product with a proxy matrix
-    are computed on first use and kept (z is never changed)."""
+    """N unnormalized feature vectors with integer class labels; the row
+    norms and their reciprocals rnorms, which every use reads, are taken at
+    construction, and zhat, gram, the distinct-label mask and the product
+    with a proxy matrix on first use, and kept (z is never changed)."""
 
     z: np.ndarray
     labels: np.ndarray
@@ -58,15 +59,13 @@ class EmbeddingBatch:
             raise DomainError("labels must be non-negative")
         self.z = z
         self.labels = labels
-
-    @functools.cached_property
-    def norms(self) -> np.ndarray:
-        return _row_norms(self.z)
+        self.norms = _row_norms(z)
+        self.rnorms = _reciprocals(self.norms)
 
     @functools.cached_property
     def zhat(self) -> np.ndarray:
         """z scaled to unit rows; zero rows stay zero."""
-        return _divide_rows(self.z, self.norms)
+        return self.z * self.rnorms[:, None]
 
     @functools.cached_property
     def gram(self) -> np.ndarray:
@@ -78,8 +77,9 @@ class EmbeddingBatch:
     @functools.cached_property
     def distinct_labels(self) -> np.ndarray:
         """N x N mask of the sample pairs with different labels (False on
-        the diagonal)."""
-        return self.labels[:, None] != self.labels
+        the diagonal), compared as int32, twice as fast, when they fit."""
+        labels = self.labels.astype(np.int32) if self.labels.max() < 2 ** 31 else self.labels
+        return labels[:, None] != labels
 
     def product(self, proxies: "ProxyMatrix") -> "ProxyProduct":
         """The product with these proxies, built on the first call and kept
@@ -89,18 +89,27 @@ class EmbeddingBatch:
         return self._product
 
 
+def _proxy_rows(W) -> np.ndarray:
+    W = np.asarray(W, dtype=np.float64)
+    if W.ndim != 2 or W.shape[0] < 1:
+        raise DomainError(f"W must be a nonempty C x d matrix, got shape {W.shape}")
+    return W
+
+
+# below this norm a row's sum of squares is subnormal: its quotient is not unit
+_MIN_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
 @dataclasses.dataclass
 class ProxyMatrix:
-    """C unit-norm class proxies, one row per class; norms and unit are
-    computed on first use, also for unvalidated finite-difference probes."""
+    """C unit-norm class proxies, one row per class; norms, rnorms (their
+    reciprocals) and unit are computed on first use, unvalidated probes too.
+    from_rows's rows are unit by construction: norms and rnorms read as 1."""
 
     W: np.ndarray
 
     def __post_init__(self):
-        W = np.asarray(self.W, dtype=np.float64)
-        if W.ndim != 2 or W.shape[0] < 1:
-            raise DomainError(f"W must be a nonempty C x d matrix, got shape {W.shape}")
-        self.W = W
+        self.W = _proxy_rows(self.W)
         if not (np.abs(self.norms - 1.0) <= 1e-6).all():   # nan fails too
             raise DomainError(f"proxy rows must be unit norm, worst deviation "
                               f"{np.abs(self.norms - 1.0).max():.3e}")
@@ -110,53 +119,67 @@ class ProxyMatrix:
         return _row_norms(self.W)
 
     @functools.cached_property
+    def rnorms(self) -> np.ndarray:
+        return _reciprocals(self.norms)
+
+    @functools.cached_property
     def unit(self) -> np.ndarray:
         """W scaled to unit rows; zero rows stay zero."""
-        return _divide_rows(self.W, self.norms)
+        return self.W * self.rnorms[:, None]
 
-    def selection_gram(self, sel: np.ndarray):
-        """(rows, gram): the unit rows in sel and their cosines with the
-        diagonal zeroed, so that every entry is a pair and each pair counts
-        twice."""
+    def selection_gram(self, sel):
+        """(rows, gram): the unit rows in sel (an index array or a slice)
+        and their cosines with the diagonal zeroed, so that every entry is
+        a pair and each pair counts twice."""
         rows = self.unit[sel]
         gram = rows @ np.ascontiguousarray(rows.T)
-        np.fill_diagonal(gram, 0.0)
+        gram.ravel()[::len(gram) + 1] = 0.0        # the diagonal
         return rows, gram
 
     @staticmethod
     def from_rows(rows, norms=None) -> "ProxyMatrix":
-        """Normalize arbitrary nonzero rows onto the sphere; norms, when
-        given, are the rows' norms."""
-        rows = np.asarray(rows, dtype=np.float64)
+        """Divide rows by their norms (measured, or given as norms) onto the
+        sphere.  A norm that is not finite or below _MIN_NORM raises a
+        DomainError naming the first such row before anything is divided."""
+        rows = _proxy_rows(rows)
         if norms is None:
             norms = _row_norms(rows)
-        if (norms == 0.0).any():
-            raise DomainError("zero proxy row")
-        return ProxyMatrix(rows / norms[:, None])
+        ok = (norms >= _MIN_NORM) & (norms < np.inf)    # nan fails too
+        if not ok.all():
+            row = int(np.argmin(ok))
+            raise DomainError(f"proxy row {row} has norm {norms[row]:.3e}; a proxy row "
+                              f"needs a finite norm of at least {_MIN_NORM:.3e}")
+        proxies = ProxyMatrix.__new__(ProxyMatrix)
+        proxies.W = proxies.unit = rows / norms[:, None]
+        proxies.norms = proxies.rnorms = np.ones(len(rows))
+        return proxies
 
 
 class ProxyProduct:
     """S = z W^T of one batch against one proxy matrix, with the cosines
     S / (||z|| ||W||^T) read from it.  That quotient is the renormalized
     cosine also when W's rows are not unit; zero rows give zero cosines.
-    The row norms are the batch's and the proxies' own.  target holds the
-    flat indices of the entries (i, label_i) of the N x C arrays."""
+    The row norms are the batch's and the proxies' own.  starts and target
+    hold the flat indices of the entries (i, 0) and (i, label_i) of the
+    N x C arrays."""
 
     def __init__(self, batch: EmbeddingBatch, proxies: ProxyMatrix):
         self.proxies = proxies
-        self.S = batch.z @ proxies.W.T
+        # a contiguous W^T gives the same bits a fifth faster at desk sizes
+        self.S = batch.z @ np.ascontiguousarray(proxies.W.T)
         N, C = self.S.shape
-        self.target = np.arange(0, N * C, C) + batch.labels
-        # the row norms with zeros read as 1, their outer product and the cosines
-        self.nz, self.nw = (np.where(n > 0.0, n, 1.0) for n in (batch.norms, proxies.norms))
-        self.denom = self.nz[:, None] * self.nw
-        self.cos = self.S / self.denom
+        self.starts = np.arange(0, N * C, C)
+        self.target = self.starts + batch.labels
+        # reciprocal row norms and their outer product: cos and dS are products
+        self.rz, self.rw = batch.rnorms, proxies.rnorms
+        self.rdenom = self.rz[:, None] * self.rw
+        self.cos = self.S * self.rdenom
 
     def cos_adjoint(self, d_cos: np.ndarray):
         """The adjoint of a loss of the cosines from its d_cos: dS = d_cos /
         (||z|| ||w||), dnz = -sum_j d_cos cos / ||z||, dnw = -sum_i d_cos cos / ||w||."""
-        return (d_cos / self.denom, -np.einsum("ij,ij->i", d_cos, self.cos) / self.nz,
-                -np.einsum("ij,ij->j", d_cos, self.cos) / self.nw)
+        return (d_cos * self.rdenom, -np.einsum("ij,ij->i", d_cos, self.cos) * self.rz,
+                -np.einsum("ij,ij->j", d_cos, self.cos) * self.rw)
 
 
 def _plus(a, b):
@@ -240,11 +263,12 @@ def uamf_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, margin: float,
 
     Logits are (S - margin * onehot) / tau, S = z W^T the batch's product
     with the proxies: the similarity's normalizer g(||z_i||), a per-row
-    shift, cancels in the softmax.  They are shifted by their row maximum
-    before the one exp, which skips the lanes at or below _EXP_ZERO: their
-    exp is 0, which numpy's exp reaches on a slow path, and at large
-    feature norms most lanes are there.  grad_W is taken through the raw W,
-    off the sphere too.
+    shift, cancels in the softmax.  They are shifted by their row maximum,
+    read at the row's argmax, before the one exp.  Only when some lane is
+    at or below _EXP_ZERO does the exp skip those lanes: their exp is 0,
+    which numpy's exp reaches on a slow path, and at large feature norms
+    most lanes are there.  grad_W is taken through the raw W, off the
+    sphere too.
     """
     if tau <= 0.0:
         raise DomainError(f"tau must be positive, got {tau}")
@@ -259,18 +283,21 @@ def uamf_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, margin: float,
 
     logits = product.S / tau
     logits.ravel()[target] -= margin / tau
-    logits -= logits.max(axis=1, keepdims=True)
+    logits -= logits.ravel()[product.starts + logits.argmax(axis=1)][:, None]
 
-    e = np.zeros(logits.shape)
-    np.exp(logits, out=e, where=logits > _EXP_ZERO)
+    if logits.min() > _EXP_ZERO:
+        e = np.exp(logits)
+    else:
+        e = np.zeros(logits.shape)
+        np.exp(logits, out=e, where=logits > _EXP_ZERO)
     sum_e = e.sum(axis=1)
     loss = float((np.log(sum_e) - logits.ravel()[target]).sum() / N)
 
     def adjoint():
-        dS = e / sum_e[:, None]                  # the softmax p
-        dS.ravel()[target] -= 1.0
-        dS /= N * tau                            # d loss / d S_ij
-        return dS, np.zeros(N), np.zeros(C)
+        # d loss / d S_ij = (p_ij - [j = label_i]) / (N tau), p the softmax
+        dS = e * (1.0 / (N * tau * sum_e))[:, None]
+        dS.ravel()[target] -= 1.0 / (N * tau)
+        return dS, None, None                    # S alone: no norm parts
 
     return LossReport(loss, {"uamf": loss}, batch=batch, proxies=proxies,
                       adjoint=(adjoint,))

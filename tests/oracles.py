@@ -22,6 +22,9 @@ import mpmath as mp
 import numpy as np
 from scipy import integrate
 
+from lh2.proxy_losses import EpochMidState
+from lh2.uamf import ProxyMatrix
+
 mp.mp.dps = 50
 
 # log I_alpha(x) and I_{alpha+1}/I_alpha reference points
@@ -364,10 +367,86 @@ def plain_exp_margin_softmax(z, labels, W, margin: float, tau: float):
     e = np.exp(logits)
     sum_e = e.sum(axis=1)
     loss = float((np.log(sum_e) - logits.ravel()[target]).sum() / N)
-    dS = e / sum_e[:, None]
-    dS.ravel()[target] -= 1.0
-    dS /= N * tau
+    dS = e * (1.0 / (N * tau * sum_e))[:, None]
+    dS.ravel()[target] -= 1.0 / (N * tau)
     return loss, dS @ W, dS.T @ z
+
+
+def reference_desk_step(state, xb, yb, cfg, lr) -> dict:
+    """train_harness.train_step in the plain formulas, for a batch of at
+    least two labels, at least two proxies and lambda_sns = 0 (the desk
+    preset): the cosines S / (||z|| ||w||), the logits shifted by
+    max(axis=1), the exp masked at -745.14, every quotient a division,
+    and the updated proxies a ProxyMatrix that measures and checks its
+    rows.  The pp selection draws from state.rng as pp_selection does.
+    Updates state as train_step does and returns its record."""
+    assert cfg.lambda_sns == 0.0
+    z, W = xb @ state.embedder, state.proxies.W
+    (N, C), rows = (len(yb), len(W)), np.arange(len(yb))
+    nz, nw = np.linalg.norm(z, axis=1), np.linalg.norm(W, axis=1)
+    zhat, what = z / nz[:, None], W / nw[:, None]
+    mu_norm = cfg.ema_alpha * nz.mean() + (1.0 - cfg.ema_alpha) * state.mu_norm
+    margin = cfg.margin_coeff * mu_norm
+    S = z @ W.T
+    cos = S / (nz[:, None] * nw)
+    onehot = np.zeros((N, C))
+    onehot[rows, yb] = 1.0
+
+    logits = (S - margin * onehot) / cfg.tau
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.zeros(logits.shape)
+    np.exp(logits, out=e, where=logits > -745.14)
+    sum_e = e.sum(axis=1)
+    uamf = float(np.mean(np.log(sum_e) - logits[rows, yb]))
+    dS = (e / sum_e[:, None] - onehot) / (N * cfg.tau)
+
+    mid = state.mid_state.mid
+    pos = cos[rows, yb]
+    below = pos < mid
+    n_left = max(int(below.sum()), 1)
+    resid = np.where(below, pos - mid, 0.0)
+    pps = cfg.lambda_pps * float(np.sum(resid ** 2)) / n_left
+    neg = cos * (1.0 - onehot)
+    pns = cfg.lambda_pns * float(np.sum(neg ** 2)) / (N * (C - 1))
+    d_cos = onehot * (2.0 * cfg.lambda_pps / n_left * resid)[:, None] \
+        + 2.0 * cfg.lambda_pns / (N * (C - 1)) * neg
+
+    sel = np.union1d(yb, state.rng.choice(C, size=min(N, C), replace=False))
+    k = len(sel)
+    ws = what[sel]
+    pg = ws @ ws.T
+    np.fill_diagonal(pg, 0.0)
+    npairs = max(k * (k - 1) // 2, 1)
+    pp = cfg.lambda_pp * float(np.sum(pg ** 2)) / (2 * npairs)
+    d_pg = 2.0 * cfg.lambda_pp / npairs * pg
+    grad_pp = np.zeros_like(W)
+    grad_pp[sel] = (d_pg @ ws - np.sum(d_pg * pg, axis=1)[:, None] * ws) / nw[sel][:, None]
+
+    dS += d_cos / (nz[:, None] * nw)
+    grad_z = dS @ W - (np.sum(d_cos * cos, axis=1) / nz)[:, None] * zhat
+    grad_W = dS.T @ z - (np.sum(d_cos * cos, axis=0) / nw)[:, None] * what + grad_pp
+
+    ordered = k * (k - 1)
+    thr = math.sqrt(min(2.0 * math.log(C) / W.shape[1], 1.0))
+    zg, pair = zhat @ zhat.T, yb[:, None] != yb
+    record = {"lr": lr, "loss_total": uamf + pps + pns + pp, "uamf": uamf, "pps": pps,
+              "pns": pns, "pp": pp, "sns": 0.0, "margin": margin, "mu_norm": mu_norm,
+              "mid": mid, "below_mid_frac": float(below.sum()) / N,
+              "std": math.sqrt(float(np.sum(pg ** 2)) / ordered),
+              "std_mean": math.sqrt(float(np.sum(np.maximum(pg - thr, 0.0) ** 2)) / ordered),
+              "std_sns": math.sqrt(float(np.sum(zg[pair] ** 2)) / pair.sum())}
+
+    state.mu_norm = mu_norm
+    state.mid_state = EpochMidState(mid, state.mid_state.acc_sum + float(pos.sum()),
+                                    state.mid_state.acc_count + N)
+    state.good = state.embedder, state.proxies
+    state.vel_emb = cfg.momentum * state.vel_emb - lr * (xb.T @ grad_z)
+    state.vel_W = cfg.momentum * state.vel_W - lr * grad_W
+    state.embedder = state.embedder + state.vel_emb
+    w = W + state.vel_W
+    state.proxies = ProxyMatrix(w / np.linalg.norm(w, axis=1, keepdims=True))
+    state.step += 1
+    return record
 
 
 def whole_gram_pairwise(C: int, d: int, trials: int, seed) -> dict:

@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -633,7 +634,14 @@ def test_grad_check_corruption_fails(capsys):
     (["render", "--demo", "hemisphere", "--size", "3"], "--size"),
     (["render", "--demo", "hemisphere", "--frames", "0"], "--frames"),
     (["render", "--demo", "hemisphere", "--rotations", "999", "0", "0"], "--rotations"),
-])
+], ids=[
+    # the ids pytest once derived from the positions, pinned: a case added
+    # anywhere takes a new id and renames no other case
+    "argv0---repeats", "argv1---repeats", "argv2---frames", "argv3---rotations",
+    "argv4---corrupt", "argv5---trials", "argv6---rotations", "argv7---size", "argv8---radius",
+    "argv9---size", "argv10---radius", "argv11---seed", "argv12---seed", "argv13---frames",
+    "argv14---repeats", "argv15---repeats", "argv16---size", "argv17---frames",
+    "argv18---rotations"])
 def test_bad_flag_value_is_a_usage_error_naming_the_flag(tmp_path, capsys, monkeypatch,
                                                          argv, flag):
     def no_case(rng):
@@ -709,6 +717,27 @@ def test_hist_feature_width_mismatch(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "(64, 16)" in err and "(64, 8)" in err
     assert "matmul" not in err
+    assert not (tmp_path / "hist").exists()
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_hist_names_the_first_proxy_row_without_a_finite_norm(tmp_path, capsys, bad):
+    rng = np.random.default_rng(0)
+    stem = tmp_path / "ckpt"
+    proxies = rng.standard_normal((8, 8))
+    proxies[5, 2] = proxies[7, 0] = bad
+    write_tensor(str(stem) + ".embedder.lh2t", rng.standard_normal((16, 8)))
+    write_tensor(str(stem) + ".proxies.lh2t", proxies)
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["hist", "--checkpoint", str(stem), "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "hist")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("lh2: error: proxy row 5 has norm ")
+    assert "RuntimeWarning" not in err and caught == []
     assert not (tmp_path / "hist").exists()
 
 

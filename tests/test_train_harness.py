@@ -1,18 +1,21 @@
 """Synthetic data, training loop, checkpoints, histogram dump, gradient check."""
 
 import collections
+import copy
 import csv
+import dataclasses
 import functools
 import math
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lh2 import io_formats, proxy_losses, sphere_math, train_harness, uamf
 from lh2.errors import ConfigError
-from lh2.io_formats import RunConfig
+from lh2.io_formats import RunConfig, parse_config
 from lh2.proxy_losses import (EpochMidState, pns_loss, pp_loss, pp_selection, pps_loss,
                               proxy_based_total, sns_loss)
 from lh2.sphere_stats import proxy_spread_trackers
@@ -343,7 +346,9 @@ def test_train_takes_positive_cosines_once_per_step(tmp_path, monkeypatch):
 
 def _count_step_builds(tmp_path, monkeypatch, cfg, steps):
     """Train on cfg and check that each of its steps builds one product,
-    one proxy Gram and one backward, and no Bessel function."""
+    one proxy Gram and one backward, measures row norms twice (the batch's
+    and the updated proxies'; init_state measures its proxies once), and
+    evaluates no Bessel function."""
     counts = collections.Counter()
 
     def counting(name, fn):
@@ -355,7 +360,7 @@ def _count_step_builds(tmp_path, monkeypatch, cfg, steps):
 
     # rebind every module attribute that refers to the function, so calls
     # through any import of it are seen
-    for fn in (uamf.uamf_loss, sphere_math._log_bessel):
+    for fn in (uamf.uamf_loss, sphere_math._log_bessel, sphere_math._row_norms):
         wrapper = counting(fn.__name__, fn)
         for name, mod in list(sys.modules.items()):
             if name.startswith("lh2") and getattr(mod, fn.__name__, None) is fn:
@@ -372,7 +377,7 @@ def _count_step_builds(tmp_path, monkeypatch, cfg, steps):
     res = train(RunConfig(**cfg), str(tmp_path))
     assert len(_read_metrics(res.metrics_path)[1]) == steps
     assert counts == {"uamf_loss": steps, "ProxyProduct": steps, "backward": steps,
-                      "selection_gram": steps}
+                      "selection_gram": steps, "_row_norms": 2 * steps + 1}
     assert counts["_log_bessel"] == 0
 
 
@@ -485,6 +490,31 @@ def test_training_step_with_a_single_proxy_pp_selection():
                                          W / np.linalg.norm(W, axis=1, keepdims=True),
                                          0.5, RunConfig(), seed)
     assert len(rep.stats["pp_gram"]) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_train_step_matches_the_reference_desk_step(seed):
+    # from one state per batch, train_step and the plain-formula step agree
+    cfg = dataclasses.replace(
+        parse_config(Path(__file__).resolve().parent.parent / "configs" / "default.cfg"),
+        seed=seed)
+    X, labels = generate_dataset(cfg)
+    state = init_state(cfg)
+    perm = state.rng.permutation(len(labels))
+    for lo in range(0, 20 * cfg.batch_size, cfg.batch_size):
+        idx = perm[lo:lo + cfg.batch_size]
+        ref = copy.deepcopy(state)
+        want = oracles.reference_desk_step(ref, X[idx], labels[idx], cfg, cfg.lr)
+        got = train_harness.train_step(state, X[idx], labels[idx], cfg, cfg.lr)
+        assert got.keys() == want.keys()
+        for key in want:
+            _assert_rel(got[key], want[key])
+        for name in ("embedder", "vel_emb", "vel_W", "mu_norm"):
+            _assert_rel(getattr(state, name), getattr(ref, name))
+        _assert_rel(state.proxies.W, ref.proxies.W)
+        assert state.mid_state.acc_count == ref.mid_state.acc_count
+        _assert_rel(state.mid_state.acc_sum, ref.mid_state.acc_sum)
+        assert state.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
 # -------------------------------------------------------- histogram dump

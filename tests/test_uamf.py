@@ -45,6 +45,117 @@ def test_proxy_matrix_validation():
     np.testing.assert_allclose(w.W, [[0.6, 0.8]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200, 0.0, 1e-160],
+                         ids=["nan", "inf", "-inf", "norm_overflow", "zero", "subnormal_norm"])
+def test_from_rows_rejects_a_row_without_a_finite_normal_norm_by_its_index(bad):
+    rows = np.random.default_rng(2).standard_normal((5, 3))
+    rows[3] = [bad, 0.0, 0.0]
+    rows[4] = [bad, 0.0, 0.0]
+    with pytest.raises(DomainError, match=r"^proxy row 3 has norm "):
+        ProxyMatrix.from_rows(rows)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+    with pytest.raises(DomainError, match=r"^proxy row 3 has norm "):
+        ProxyMatrix.from_rows(rows, norms)
+
+
+def test_from_rows_rows_are_unit_by_construction():
+    rows = np.random.default_rng(3).standard_normal((40, 16)) * np.logspace(-150, 150, 40)[:, None]
+    proxies = ProxyMatrix.from_rows(rows)
+    assert np.array_equal(proxies.norms, np.ones(40))
+    assert proxies.unit is proxies.W
+    np.testing.assert_allclose(np.linalg.norm(proxies.W, axis=1), 1.0, rtol=0.0, atol=4e-16)
+    # the quotients pass the measured matrix's check
+    ProxyMatrix(proxies.W)
+
+
+@pytest.mark.parametrize("N, C, lambda_sns", [(128, 64, 0.0), (16, 40, 150.0)])
+def test_from_rows_proxies_give_the_losses_of_measured_proxies(N, C, lambda_sns):
+    # from_rows's norms read 1; a ProxyMatrix of the same rows measures them
+    rng = np.random.default_rng(4)
+    d = 32
+    given = ProxyMatrix.from_rows(rng.standard_normal((C, d)))
+    measured = ProxyMatrix(given.W)
+    z = rng.standard_normal((N, d)) * rng.uniform(1.0, 60.0, (N, 1))
+    y = rng.integers(0, C, N)
+    cfg = RunConfig(lambda_sns=lambda_sns)
+    state = proxy_losses.EpochMidState(mid=0.3)
+    reps = [uamf_loss(batch, p, 4.0, 1.0)
+            + proxy_losses.proxy_based_total(batch, p, state, cfg, np.random.default_rng(5))
+            for batch, p in ((EmbeddingBatch(z, y), given), (EmbeddingBatch(z, y), measured))]
+    assert reps[0].terms == pytest.approx(reps[1].terms, rel=1e-14, abs=0.0)
+    for name in ("grad_z", "grad_W"):
+        got, want = (getattr(r, name) for r in reps)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("N, C, d", [(128, 64, 32), (1024, 64, 32), (3, 5, 6), (127, 63, 31),
+                                     (256, 4096, 64)])
+def test_proxy_product_S_is_z_times_W_transpose_bitwise(N, C, d):
+    rng = np.random.default_rng(N + C)
+    z = rng.standard_normal((N, d)) * 20.0
+    proxies = ProxyMatrix(_unit_rows(rng, C, d))
+    product = EmbeddingBatch(z, rng.integers(0, C, N)).product(proxies)
+    assert np.array_equal(product.S, z @ proxies.W.T)
+
+
+def _desk_instance(rng, N=128, C=64, d=32):
+    """A batch at the desk preset's sizes and feature norms (1 to 60), its
+    labels and unit proxies, two of them equal so that rows tie."""
+    z = rng.standard_normal((N, d)) * rng.uniform(1.0, 60.0, (N, 1))
+    W = _unit_rows(rng, C, d)
+    W[1] = W[0]
+    return z, rng.integers(0, C, N), W
+
+
+def test_uamf_row_maximum_is_the_max_along_rows_bitwise():
+    # the oracle shifts by max(axis=1); uamf_loss reads the maximum at the
+    # row's argmax.  At desk norms no lane underflows, so both take the plain exp.
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        z, y, W = _desk_instance(rng)
+        margin, tau = float(rng.uniform(0.0, 20.0)), float(rng.uniform(0.5, 2.0))
+        logits = z @ W.T / tau
+        assert (logits - logits.max(axis=1, keepdims=True)).min() > uamf._EXP_ZERO
+        rep = uamf_loss(EmbeddingBatch(z, y), ProxyMatrix(W), margin, tau)
+        loss, grad_z, grad_W = oracles.plain_exp_margin_softmax(z, y, W, margin, tau)
+        assert rep.total == loss
+        assert np.array_equal(rep.grad_z, grad_z)
+        assert np.array_equal(rep.grad_W, grad_W)
+
+
+def test_plain_and_masked_exp_agree_bitwise_at_desk_norms():
+    rng = np.random.default_rng(7)
+    # numpy's exp with and without the mask, on shifted desk logits
+    for N, C in [(128, 64), (3, 5), (127, 63), (1000, 64)]:
+        z, _, W = _desk_instance(rng, N, C)
+        logits = z @ W.T
+        logits -= logits.max(axis=1, keepdims=True)
+        masked = np.zeros(logits.shape)
+        np.exp(logits, out=masked, where=logits > uamf._EXP_ZERO)
+        assert np.array_equal(masked, np.exp(logits))
+    # one row at norm 1e4 sends the whole batch through the masked exp; the
+    # desk rows then match the oracle's plain exp bit for bit
+    for _ in range(5):
+        z, y, W = _desk_instance(rng)
+        z[0] *= 1e4 / np.linalg.norm(z[0])
+        logits = z @ W.T
+        assert (logits - logits.max(axis=1, keepdims=True)).min() <= uamf._EXP_ZERO
+        rep = uamf_loss(EmbeddingBatch(z, y), ProxyMatrix(W), 3.0, 1.0)
+        loss, grad_z, grad_W = oracles.plain_exp_margin_softmax(z, y, W, 3.0, 1.0)
+        assert rep.total == loss
+        assert np.array_equal(rep.grad_z, grad_z)
+        assert np.array_equal(rep.grad_W, grad_W)
+
+
+def test_distinct_labels_beyond_int32_do_not_wrap():
+    # 0 and 2^32 are equal as int32: labels that do not fit compare as int64
+    for labels, want in (([0, 2 ** 32, 0], [[0, 1, 0], [1, 0, 1], [0, 1, 0]]),
+                         ([3, 1, 3], [[0, 1, 0], [1, 0, 1], [0, 1, 0]])):
+        batch = EmbeddingBatch(np.ones((3, 2)), np.array(labels))
+        assert np.array_equal(batch.distinct_labels, np.array(want, dtype=bool))
+
+
 def test_selection_gram_is_the_zero_diagonal_gram_of_the_selected_rows():
     rng = np.random.default_rng(13)
     proxies = ProxyMatrix(_unit_rows(rng, 6, 4))
