@@ -10,15 +10,15 @@ Three losses constrain cosines directly rather than through the softmax:
 plus the sample-to-sample sns variant (first power, on when lambda_sns > 0).
 The weights lambda_* and the mid clip [cos_min, cos_max] are fields of the
 run's io_formats.RunConfig, which checks their values however it is made.
-pps and pns read their cosines from the batch's product with the proxies
-(uamf.ProxyProduct), the same S = z W^T the margin softmax reads, so the
-cosines are renormalized on both sides.  Each reports its d loss / d cos
-as an N x C matrix; the reports of a step sum them, and a gradient read
-takes the sum through ProxyProduct.cos_adjoint and the one backward,
-sphere_math.adjoint_grads, to z and W.  pp and sns read Gram matrices (pp
-reports its selection's as stats["pp_gram"] for the spread tracker);
-_quotient_rule takes their gradients when they are read.  Both hold even
-when inputs drift slightly off the sphere.
+pps and pns read their cosines from the batch's product with the unit
+proxies (uamf.ProxyProduct), the same S = z W^T the margin softmax reads.
+Each reports its d loss / d cos as an N x C matrix; the reports of a step
+sum them, and a gradient read takes the sum through ProxyProduct.cos_adjoint
+and the one backward, sphere_math.adjoint_grads, to z and W.  pp and sns
+read Gram matrices (pp reports its selection's as stats["pp_gram"] for the
+spread tracker); _quotient_rule takes their gradients when they are read.
+A gradient in W is that of the loss of W's rows put back on the sphere, as
+the update puts them after every step.
 
 The epoch mid is the clipped mean positive cosine of the previous epoch,
 accumulated with observe_positive_cosines from the cosines pps_loss reports
@@ -76,12 +76,13 @@ def end_epoch(state: EpochMidState, cfg: RunConfig) -> EpochMidState:
     return EpochMidState(mid=float(np.clip(mean, cfg.cos_min, cfg.cos_max)))
 
 
-def _quotient_rule(d_cos, cos, other_unit, own_unit, own_rnorms):
+def _quotient_rule(d_cos, cos, other_unit, own_unit):
     """d loss / d own rows from d loss / d cos for cosines
-    cos_ij = own_i . other_j / (||own_i|| ||other_j||), given the own rows'
-    reciprocal norms: (d_cos @ other_unit - sum_j d_cos_ij cos_ij own_unit_i) / ||own_i||."""
+    cos_ij = own_i . other_j / (||own_i|| ||other_j||), where the own rows
+    are unit: d_cos @ other_unit - sum_j d_cos_ij cos_ij own_unit_i.  At
+    other norms it is ||own_i|| times the derivative."""
     weight = np.einsum("ij,ij->i", d_cos, cos)
-    return (d_cos @ other_unit - weight[:, None] * own_unit) * own_rnorms[:, None]
+    return d_cos @ other_unit - weight[:, None] * own_unit
 
 
 def pps_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, state: EpochMidState,
@@ -148,8 +149,7 @@ def pp_loss(batch_labels, proxies: ProxyMatrix, cfg: RunConfig,
     loss = cfg.lambda_pp * float(np.vdot(gram, gram)) / (2 * npairs)
 
     def direct():
-        grad = _quotient_rule((cfg.lambda_pp * 2.0 / npairs) * gram, gram, ws, ws,
-                              proxies.rnorms[rows])
+        grad = _quotient_rule((cfg.lambda_pp * 2.0 / npairs) * gram, gram, ws, ws)
         if k == C:
             return None, grad
         grad_W = np.zeros_like(proxies.W)
@@ -170,7 +170,7 @@ def sns_loss(batch: EmbeddingBatch, cfg: RunConfig) -> LossReport:
 
     def direct():
         d_cos = (cfg.lambda_sns * 2.0 / ordered) * pair   # symmetric; each pair once in the loss
-        return _quotient_rule(d_cos, gram, batch.zhat, batch.zhat, batch.rnorms), None
+        return _quotient_rule(d_cos, gram, batch.zhat, batch.zhat) * batch.rnorms[:, None], None
 
     return LossReport(loss, {"sns": loss}, batch=batch, direct=(direct,))
 

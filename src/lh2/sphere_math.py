@@ -34,10 +34,10 @@ The vMF similarity has one implementation, vmf_similarity_batch, and one
 adjoint, _similarity_adjoint; both read S = z W^T and the row norms of z,
 and only the grad-check's vmf_similarity op and the tests call them (the
 margin softmax cancels the normalizer).  A loss of S and the row norms of z
-and W (the margin softmax, these similarities, the cosines of
-uamf.ProxyProduct) has an adjoint (dS N x C, dnz N, dnw C), None standing
-for a zero part, that one backward, adjoint_grads, takes to z and W.  All
-floats are 64-bit.
+and of the unit proxy rows W (the margin softmax, these similarities, the
+cosines of uamf.ProxyProduct) has an adjoint (dS N x C, dnz N, dnw C), None
+standing for a zero part, that one backward, adjoint_grads, takes to z and
+W.  All floats are 64-bit.
 """
 
 from __future__ import annotations
@@ -192,9 +192,10 @@ def _similarity_adjoint(dsim, S, ratio, scale):
     return dsim, dnz, None
 
 
-def adjoint_grads(dS, dnz, dnw, z, zhat, W, what):
-    """(grad_z, grad_W) of a loss of S = z W^T, ||z|| and ||W|| from its
-    adjoint (dS, dnz, dnw), with zhat and what the unit rows of z and W; a
-    dnz or dnw of None stands for zero."""
+def adjoint_grads(dS, dnz, dnw, z, zhat, W):
+    """(grad_z, grad_W) of a loss of S = z W^T, ||z|| and ||W|| on unit
+    proxy rows W from its adjoint (dS, dnz, dnw), with zhat the unit rows
+    of z.  W serves as its own unit rows, and dnw is the part through the
+    proxies' normalization; a dnz or dnw of None stands for zero."""
     grad_z = dS @ W if dnz is None else dS @ W + dnz[:, None] * zhat
-    return grad_z, dS.T @ z if dnw is None else dS.T @ z + dnw[:, None] * what
+    return grad_z, dS.T @ z if dnw is None else dS.T @ z + dnw[:, None] * W

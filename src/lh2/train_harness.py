@@ -47,6 +47,9 @@ def generate_dataset(cfg: RunConfig):
     phi = rng.normal(0.0, np.radians(cfg.noise_angle_deg), m) if cfg.noise_angle_deg > 0 \
         else np.zeros(m)
     norms = rng.lognormal(cfg.norm_logmean, cfg.norm_logstd, m)
+    if not np.isfinite(norms).all():
+        raise ConfigError(f"norm_logmean = {cfg.norm_logmean} and norm_logstd = "
+                          f"{cfg.norm_logstd} draw a sample norm that overflows to inf")
 
     for rows in _row_blocks(m, cfg.d_in):
         tang, base, ph = X[rows], dirs[labels[rows]], phi[rows, None]
@@ -321,7 +324,9 @@ GRADCHECK_OPS = ("vmf_similarity", "uamf_loss", "pps_loss", "pns_loss", "pp_loss
 def _z_and_W_pairs(loss, z, y, W, h):
     """The (analytic, finite-difference) gradient pairs in z and in W of
     loss(batch, proxies) on unit proxy rows W, one for each side whose
-    analytic gradient is not None; the probes read totals only."""
+    analytic gradient is not None; the probes read totals only.  The W
+    probes step off the sphere: a loss of the proxies' cosines puts them
+    back with ProxyMatrix.from_rows, as the training update does."""
     batch, proxies = EmbeddingBatch(z, y), ProxyMatrix(W)
     rep = loss(batch, proxies)
     pairs = []
@@ -384,15 +389,17 @@ def _gradcheck_cases(rng: np.random.Generator):
         y = rng.integers(0, C, N)
         if _away_from(positive_cosines(EmbeddingBatch(z, y), proxies), [mid], margin):
             break
-    cases.append(("pps_loss", _z_and_W_pairs(lambda b, p: pps_loss(b, p, state, cfg),
-                                             z, y, W, h)))
+    cases.append(("pps_loss", _z_and_W_pairs(
+        lambda b, p: pps_loss(b, ProxyMatrix.from_rows(p.W), state, cfg), z, y, W, h)))
     # pns: smooth everywhere
-    cases.append(("pns_loss", _z_and_W_pairs(lambda b, p: pns_loss(b, p, cfg), z, y, W, h)))
+    cases.append(("pns_loss", _z_and_W_pairs(
+        lambda b, p: pns_loss(b, ProxyMatrix.from_rows(p.W), cfg), z, y, W, h)))
 
     # pp: freeze the random selection by reseeding per evaluation
     sel_seed = int(rng.integers(0, 2 ** 31))
     cases.append(("pp_loss", _z_and_W_pairs(
-        lambda b, p: pp_loss(y, p, cfg, np.random.default_rng(sel_seed)), z, y, W, h)))
+        lambda b, p: pp_loss(y, ProxyMatrix.from_rows(p.W), cfg,
+                             np.random.default_rng(sel_seed)), z, y, W, h)))
 
     # sns: linear in the cosines, smooth
     cases.append(("sns_loss", _z_and_W_pairs(lambda b, p: sns_loss(b, cfg),
@@ -456,7 +463,9 @@ def _gradcheck_cases(rng: np.random.Generator):
 
 
 def _raw_proxies(w):
-    """Bypass the unit-norm validation for finite-difference probes."""
+    """Proxies with rows off the sphere, unchecked, for the W probes:
+    uamf_loss and the vMF similarity read S alone and probe them as they
+    are; the cosine losses first put them back on the sphere."""
     p = ProxyMatrix.__new__(ProxyMatrix)
     p.W = np.asarray(w, dtype=np.float64)
     return p

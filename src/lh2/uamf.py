@@ -15,7 +15,7 @@ row softmax cancels: the loss reads S alone and evaluates no Bessel function.
 Every sample-to-proxy quantity of a training step comes from one product
 S = z W^T (ProxyProduct), which a batch builds on first use with a proxy
 matrix and keeps: the similarities read the raw S, and the proxy losses
-(proxy_losses) read the cosines S / (||z|| ||W||^T) of the same matrix.
+(proxy_losses) read the cosines S / ||z||, as the proxy rows are unit.
 Each such loss reports what its backward needs; the reports of a step add
 up with +, and the first gradient read forms the adjoints and runs the one
 backward, sphere_math.adjoint_grads.  A finite-difference probe that reads
@@ -102,36 +102,24 @@ _MIN_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
 
 @dataclasses.dataclass
 class ProxyMatrix:
-    """C unit-norm class proxies, one row per class; norms, rnorms (their
-    reciprocals) and unit are computed on first use, unvalidated probes too.
-    from_rows's rows are unit by construction: norms and rnorms read as 1."""
+    """C class proxies, one unit-norm row per class.  The constructor checks
+    the rows to 1e-12, the error bound of every cosine read from them, since
+    no loss renormalizes them; from_rows divides rows onto the sphere."""
 
     W: np.ndarray
 
     def __post_init__(self):
         self.W = _proxy_rows(self.W)
-        if not (np.abs(self.norms - 1.0) <= 1e-6).all():   # nan fails too
+        deviation = np.abs(_row_norms(self.W) - 1.0)
+        if not (deviation <= 1e-12).all():   # nan fails too
             raise DomainError(f"proxy rows must be unit norm, worst deviation "
-                              f"{np.abs(self.norms - 1.0).max():.3e}")
-
-    @functools.cached_property
-    def norms(self) -> np.ndarray:
-        return _row_norms(self.W)
-
-    @functools.cached_property
-    def rnorms(self) -> np.ndarray:
-        return _reciprocals(self.norms)
-
-    @functools.cached_property
-    def unit(self) -> np.ndarray:
-        """W scaled to unit rows; zero rows stay zero."""
-        return self.W * self.rnorms[:, None]
+                              f"{deviation.max():.3e}")
 
     def selection_gram(self, sel):
-        """(rows, gram): the unit rows in sel (an index array or a slice)
-        and their cosines with the diagonal zeroed, so that every entry is
-        a pair and each pair counts twice."""
-        rows = self.unit[sel]
+        """(rows, gram): the rows in sel (an index array or a slice) and
+        their cosines with the diagonal zeroed, so that every entry is a
+        pair and each pair counts twice."""
+        rows = self.W[sel]
         gram = rows @ np.ascontiguousarray(rows.T)
         gram.ravel()[::len(gram) + 1] = 0.0        # the diagonal
         return rows, gram
@@ -150,18 +138,15 @@ class ProxyMatrix:
             raise DomainError(f"proxy row {row} has norm {norms[row]:.3e}; a proxy row "
                               f"needs a finite norm of at least {_MIN_NORM:.3e}")
         proxies = ProxyMatrix.__new__(ProxyMatrix)
-        proxies.W = proxies.unit = rows / norms[:, None]
-        proxies.norms = proxies.rnorms = np.ones(len(rows))
+        proxies.W = rows / norms[:, None]
         return proxies
 
 
 class ProxyProduct:
     """S = z W^T of one batch against one proxy matrix, with the cosines
-    S / (||z|| ||W||^T) read from it.  That quotient is the renormalized
-    cosine also when W's rows are not unit; zero rows give zero cosines.
-    The row norms are the batch's and the proxies' own.  starts and target
-    hold the flat indices of the entries (i, 0) and (i, label_i) of the
-    N x C arrays."""
+    S / ||z|| read from it: the proxies' rows are unit.  Zero rows of z give
+    zero cosines.  starts and target hold the flat indices of the entries
+    (i, 0) and (i, label_i) of the N x C arrays."""
 
     def __init__(self, batch: EmbeddingBatch, proxies: ProxyMatrix):
         self.proxies = proxies
@@ -170,16 +155,15 @@ class ProxyProduct:
         N, C = self.S.shape
         self.starts = np.arange(0, N * C, C)
         self.target = self.starts + batch.labels
-        # reciprocal row norms and their outer product: cos and dS are products
-        self.rz, self.rw = batch.rnorms, proxies.rnorms
-        self.rdenom = self.rz[:, None] * self.rw
-        self.cos = self.S * self.rdenom
+        self.rz = batch.rnorms                 # cos and dS are products
+        self.cos = self.S * self.rz[:, None]
 
     def cos_adjoint(self, d_cos: np.ndarray):
         """The adjoint of a loss of the cosines from its d_cos: dS = d_cos /
-        (||z|| ||w||), dnz = -sum_j d_cos cos / ||z||, dnw = -sum_i d_cos cos / ||w||."""
-        return (d_cos * self.rdenom, -np.einsum("ij,ij->i", d_cos, self.cos) * self.rz,
-                -np.einsum("ij,ij->j", d_cos, self.cos) * self.rw)
+        ||z||, dnz = -sum_j d_cos cos / ||z|| and dnw = -sum_i d_cos cos, the
+        part through the proxies' normalization, at their unit norms."""
+        return (d_cos * self.rz[:, None], -np.einsum("ij,ij->i", d_cos, self.cos) * self.rz,
+                -np.einsum("ij,ij->j", d_cos, self.cos))
 
 
 def _plus(a, b):
@@ -237,7 +221,7 @@ class LossReport:
             adjoints.append(b.product(p).cos_adjoint(self.d_cos))
         grads = (None, None)
         if adjoints:
-            grads = adjoint_grads(*_sum_parts(adjoints, 3), b.z, b.zhat, p.W, p.unit)
+            grads = adjoint_grads(*_sum_parts(adjoints, 3), b.z, b.zhat, p.W)
         return _sum_parts([grads, *(part() for part in self.direct)], 2)
 
     grad_z = property(lambda self: self._grads[0])

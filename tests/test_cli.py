@@ -1,7 +1,9 @@
 """End-to-end command-line behavior through main(), in process."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import math
 import os
 import tempfile
@@ -104,6 +106,31 @@ def test_train_overflowed_feature_norm_is_a_divergence(tmp_path, capsys):
     assert "diverged: non-finite features" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["norm_logmean = 800", "norm_logstd = 1e6"],
+                         ids=["logmean", "logstd"])
+@pytest.mark.parametrize("command", ["train", "hist"])
+def test_a_sample_norm_past_float_range_is_a_config_error(tmp_path, capsys, command, line):
+    # the norms are checked as drawn, before a sample holds inf or a product reads it
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(TINY_CONFIG + line + "\n")
+    argv = ["--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+    if command == "hist":
+        rng = np.random.default_rng(0)
+        stem = tmp_path / "ckpt"
+        write_tensor(str(stem) + ".embedder.lh2t", rng.standard_normal((16, 8)))
+        write_tensor(str(stem) + ".proxies.lh2t", np.eye(8))
+        argv += ["--checkpoint", str(stem)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([command, *argv])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("lh2: error: norm_logmean = ")
+    assert "norm_logstd = " in err and "draw a sample norm that overflows to inf" in err
+    assert "RuntimeWarning" not in err and caught == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_missing_config_file(tmp_path, capsys):
     rc = main(["train", "--config", str(tmp_path / "absent.cfg"),
                "--out-dir", str(tmp_path / "run")])
@@ -160,7 +187,8 @@ def test_train_seed_flag_is_checked_like_the_config(tmp_path, capsys):
 
 # tiny sizes are always drawn (the defaults are a full-size run), the other
 # keys may be left out; norm_logmean stays at most 8 (finite Bessel
-# arguments) or reaches 16 and above (large arguments, then overflow)
+# arguments) or reaches 16 and above (large arguments, then overflow of the
+# features and, past about 709, of the drawn sample norms)
 _SIZES = {
     "C": st.integers(1, 4), "d": st.integers(1, 4), "n": st.integers(2, 6),
     "d_in": st.integers(2, 4), "samples_per_class": st.integers(1, 4),
@@ -214,9 +242,16 @@ def test_train_any_config_exits_with_a_documented_code(values, bad):
         cfg = os.path.join(tmp, "drawn.cfg")
         with open(cfg, "w", encoding="utf-8") as fh:
             fh.writelines(f"{key} = {value}\n" for key, value in values.items())
-        with np.errstate(all="ignore"):
+        err = io.StringIO()
+        with np.errstate(all="ignore"), contextlib.redirect_stderr(err):
             rc = main(["train", "--config", cfg, "--out-dir", os.path.join(tmp, "run")])
-    assert rc == 3 if bad is not None else rc in (0, 2)
+    if bad is None and rc == 3:
+        # an in-range config fails only by a sample norm past float range,
+        # which only a mean near log(max float) draws
+        assert "draw a sample norm that overflows to inf" in err.getvalue()
+        assert float(values.get("norm_logmean", 0.0)) > 700.0
+    else:
+        assert rc == 3 if bad is not None else rc in (0, 2)
 
 
 def _argv(flags):

@@ -4,8 +4,10 @@ own definition.
 
 A name counts as reached when it is read as a Name or an Attribute; an
 import alias alone does not count, so a definition that only the tests
-call fails here, and so does a helper whose last caller went away.  In the
-same way, every RunConfig field but n is read somewhere besides io_formats,
+call fails here, and so does a helper whose last caller went away.  A
+definition must also be reached, transitively, from the commands in cli.py
+other than grad-check, save three named groups.  In the same way, every
+RunConfig field but n is read somewhere besides io_formats,
 which parses and checks it, every parameter of a function, method or
 lambda is read in its body, and every key a LossReport's stats dict is
 built with is read by a subscript."""
@@ -22,21 +24,31 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lh2"
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def _trees(package):
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for path in sorted(Path(package).glob("*.py"))}
+
+
+def _read_names(node):
+    """The names node reads as a Name or an Attribute."""
+    for inner in ast.walk(node):
+        if isinstance(inner, ast.Name):
+            yield inner.id
+        elif isinstance(inner, ast.Attribute):
+            yield inner.attr
+
+
 def unreached_definitions(package=PACKAGE):
     """Sorted "module.name" of the top-level definitions that no Name or
     Attribute outside their own definition reads."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
-             for path in sorted(Path(package).glob("*.py"))}
+    trees = _trees(package)
     # name -> the (module, enclosing top-level definition) of each read
     reads = defaultdict(set)
     for module, tree in trees.items():
         for top in tree.body:
             owner = top.name if isinstance(top, _DEFINITIONS) else None
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    reads[node.id].add((module, owner))
-                elif isinstance(node, ast.Attribute):
-                    reads[node.attr].add((module, owner))
+            for name in _read_names(top):
+                reads[name].add((module, owner))
     return sorted(f"{module}.{top.name}"
                   for module, tree in trees.items() for top in tree.body
                   if isinstance(top, _DEFINITIONS)
@@ -63,6 +75,70 @@ def test_scan_ignores_imports_and_self_reference(tmp_path):
     (tmp_path / "b.py").write_text("from .a import only_imported, used\n\n"
                                    "value = used()\n")
     assert unreached_definitions(tmp_path) == ["a.Node", "a._orphan", "a.only_imported"]
+
+
+# the grad-check's entry points: neither a root nor followed
+_GRAD_CHECK_ENTRIES = {"_cmd_grad_check", "grad_check"}
+
+
+def unreached_from_commands(package=PACKAGE):
+    """Sorted "module.name" of the top-level definitions that the commands
+    do not reach.  The roots are the top-level definitions of cli.py; a
+    reached definition reaches every top-level definition, in any module,
+    whose name it reads as a Name or an Attribute.  The grad-check's entry
+    points are cut out, so what only the grad-check reads is unreached."""
+    tops = [(module, top) for module, tree in _trees(package).items() for top in tree.body
+            if isinstance(top, _DEFINITIONS)]
+    followed = defaultdict(list)
+    for module, top in tops:
+        if top.name not in _GRAD_CHECK_ENTRIES:
+            followed[top.name].append(top)
+    todo = [top for module, top in tops if module == "cli" and top.name in followed]
+    reached = set(map(id, todo))
+    while todo:
+        for name in _read_names(todo.pop()):
+            for top in followed.get(name, ()):
+                if id(top) not in reached:
+                    reached.add(id(top))
+                    todo.append(top)
+    return sorted(f"{module}.{top.name}" for module, top in tops if id(top) not in reached)
+
+
+def test_the_commands_reach_every_definition_but_three_groups():
+    # the gradcheck benchmark workload runs the four recon ops
+    recon = {f"recon_losses.{name}" for name in (
+        "PerceptualExtractor", "_masked_channels", "laplace_nll", "laplace_nll_grad",
+        "perceptual_nll", "perceptual_nll_grad", "smoothness_grad", "smoothness_loss",
+        "view_variance_grad", "view_variance_loss")}
+    # the vMF similarity, which the margin softmax cancels to S; the choice
+    # of margin decides whether training reads it
+    vmf = {"sphere_math.vmf_similarity_batch", "sphere_math._log_normalizer",
+           "sphere_math._log_bessel", "sphere_math._debye_tables",
+           "sphere_math._debye_coefficients", "sphere_math._recurrence_table",
+           "sphere_math._similarity_adjoint", "train_harness._similarity_sum"}
+    # the grad-check itself
+    grad_check = {"cli._cmd_grad_check", "train_harness.grad_check",
+                  "train_harness._gradcheck_cases", "train_harness._z_and_W_pairs",
+                  "train_harness._raw_proxies", "train_harness._central_diff",
+                  "train_harness._max_rel_err", "train_harness._error_scale",
+                  "train_harness._away_from"}
+    assert unreached_from_commands() == sorted(recon | vmf | grad_check)
+
+
+def test_command_reach_flags_what_only_the_grad_check_reads(tmp_path):
+    (tmp_path / "cli.py").write_text(
+        "def main():\n    return _cmd_train() + _cmd_grad_check()\n\n\n"
+        "def _cmd_train():\n    return train()\n\n\n"
+        "def _cmd_grad_check():\n    return grad_check()\n")
+    (tmp_path / "harness.py").write_text(
+        "def train():\n    return Model().step()\n\n\n"
+        "class Model:\n    def step(self):\n        return _shared()\n\n\n"
+        "def _shared():\n    return 1\n\n\n"
+        "def grad_check():\n    return _probe()\n\n\n"
+        "def _probe():\n    return _shared() + _probe_only()\n\n\n"
+        "def _probe_only():\n    return 2\n")
+    assert unreached_from_commands(tmp_path) == ["cli._cmd_grad_check", "harness._probe",
+                                                 "harness._probe_only", "harness.grad_check"]
 
 
 def test_every_config_field_but_n_is_read():

@@ -10,7 +10,6 @@ from lh2.io_formats import RunConfig
 from lh2.proxy_losses import (EpochMidState, end_epoch, observe_positive_cosines,
                               pns_loss, pp_loss, pp_selection, positive_cosines,
                               pps_loss, proxy_based_total, sns_loss)
-from lh2.train_harness import _raw_proxies
 from lh2.uamf import EmbeddingBatch, ProxyMatrix
 
 import oracles
@@ -165,7 +164,7 @@ def test_pns_gradients_50_seeds():
             lambda zz: pns_loss(EmbeddingBatch(zz, batch.labels), proxies,
                                 CFG).total, batch.z)
         fd_W = oracles.fd_grad(
-            lambda ww: pns_loss(batch, _raw_proxies(ww), CFG).total, proxies.W)
+            lambda ww: pns_loss(batch, ProxyMatrix.from_rows(ww), CFG).total, proxies.W)
         assert oracles.rel_err(rep.grad_z, fd_z) <= 1e-6
         assert oracles.rel_err(rep.grad_W, fd_W) <= 1e-6
 
@@ -257,7 +256,7 @@ def test_pp_matches_scalar_oracle_and_grad():
         want = oracles.scalar_pp(proxies.W, sel, CFG.lambda_pp)
         assert rep.total == pytest.approx(want, rel=1e-12, abs=1e-15)
         fd_W = oracles.fd_grad(
-            lambda ww: pp_loss(labels, _raw_proxies(ww), CFG,
+            lambda ww: pp_loss(labels, ProxyMatrix.from_rows(ww), CFG,
                                np.random.default_rng(seed)).total, proxies.W)
         assert oracles.rel_err(rep.grad_W, fd_W) <= 1e-6
 

@@ -126,7 +126,7 @@ def _sim_grads(proxy, z, n):
     S = z @ W.T
     _, _, ratio, scale = vmf_similarity_batch(S, norms, n)
     adjoint = _similarity_adjoint(np.ones((1, 1)), S, ratio, scale)
-    grad_z, grad_W = adjoint_grads(*adjoint, z, z * _reciprocals(norms)[:, None], W, W)
+    grad_z, grad_W = adjoint_grads(*adjoint, z, z * _reciprocals(norms)[:, None], W)
     return grad_z[0], grad_W[0]
 
 

@@ -458,7 +458,7 @@ def test_training_step_losses_equal_the_standalone_losses():
         z = (unit[y] + 0.6 * rng.standard_normal((N, d))) * rng.uniform(0.5, 60.0, (N, 1))
         rep = _check_step_matches_standalone(z, y, unit, 0.5, cfg, seed)
         assert 0 < rep.stats["below_frac"] < 1
-        # raw proxies off the sphere, as the grad-check probes pass them
+        # raw proxies off the sphere, as the grad-check's uamf and vMF probes pass them
         _check_step_matches_standalone(z, y, W * rng.uniform(0.5, 2.0, (C, 1)),
                                        0.5, cfg, seed, raw=True)
         # a zero row and a row below KAPPA_MIN
@@ -621,6 +621,39 @@ def test_grad_check_detects_a_corrupted_similarity_gradient():
         rows, ok = grad_check(repeats=1, seed=seed, corrupt_op="vmf_similarity")
         assert not ok
         assert [r["op"] for r in rows if not r["pass"]] == ["vmf_similarity"]
+
+
+# --corrupt biases an op's first pair, its z gradient; these drop a part of
+# the W gradient that only the W probes through from_rows can miss
+
+def test_grad_check_catches_cosine_adjoints_without_their_proxy_norm_part(monkeypatch):
+    cos_adjoint = uamf.ProxyProduct.cos_adjoint
+
+    def no_dnw(self, d_cos):
+        dS, dnz, _ = cos_adjoint(self, d_cos)
+        return dS, dnz, None
+
+    monkeypatch.setattr(uamf.ProxyProduct, "cos_adjoint", no_dnw)
+    for seed in range(3):
+        rows, ok = grad_check(repeats=1, seed=seed)
+        assert not ok
+        assert [r["op"] for r in rows if not r["pass"]] == ["pps_loss", "pns_loss"], seed
+
+
+def test_grad_check_catches_a_pp_gradient_without_its_normalization_term(monkeypatch):
+    quotient_rule = proxy_losses._quotient_rule
+
+    def pp_without_weight(d_cos, cos, other_unit, own_unit):
+        # pp's call alone: sns takes the same quotient rule on the samples
+        if sys._getframe(1).f_code.co_qualname == "pp_loss.<locals>.direct":
+            return d_cos @ other_unit
+        return quotient_rule(d_cos, cos, other_unit, own_unit)
+
+    monkeypatch.setattr(proxy_losses, "_quotient_rule", pp_without_weight)
+    for seed in range(3):
+        rows, ok = grad_check(repeats=1, seed=seed)
+        assert not ok
+        assert [r["op"] for r in rows if not r["pass"]] == ["pp_loss"], seed
 
 
 def test_grad_check_detects_a_corruption_of_every_op():
