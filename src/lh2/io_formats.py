@@ -56,10 +56,10 @@ def read_tensor(path) -> np.ndarray:
     if len(data) < header_end:
         raise FormatError("dims truncated")
     dims = struct.unpack_from(f"<{ndim}I", data, 12)
-    count = int(np.prod(dims, dtype=np.int64))
+    count = math.prod(dims)         # exact: an int64 product of four dims can wrap
     payload_end = header_end + 4 * count
     if len(data) < payload_end:
-        raise FormatError(f"payload needs {payload_end - header_end} bytes, "
+        raise FormatError(f"payload needs {_shown(4 * count)} bytes, "
                           f"got {len(data) - header_end}")
     if len(data) > payload_end:
         raise FormatError(f"{len(data) - payload_end} trailing bytes after payload")

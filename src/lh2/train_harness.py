@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, DomainError, FormatError
 from .io_formats import RunConfig, _row_blocks, emit_metrics, read_tensor, write_tensor
 from .proxy_losses import (EpochMidState, end_epoch, observe_positive_cosines,
                            positive_cosines, pp_loss, pns_loss, pps_loss,
@@ -28,7 +28,7 @@ from .recon_losses import (PerceptualExtractor, laplace_nll, laplace_nll_grad,
                            perceptual_nll, perceptual_nll_grad, smoothness_grad,
                            smoothness_loss, view_variance_grad, view_variance_loss)
 from .depth_renderer import DepthMap
-from .sphere_math import _row_norms, _similarity_adjoint, vmf_similarity_batch
+from .sphere_math import _similarity_adjoint, vmf_similarity_batch
 from .sphere_stats import proxy_spread_trackers, sns_tracker
 from .uamf import EmbeddingBatch, LossReport, ProxyMatrix, uamf_loss, update_norm_tracker
 
@@ -159,12 +159,14 @@ def train_step(state: TrainState, xb, yb, cfg: RunConfig, lr: float) -> dict:
     """One momentum-SGD step on inputs xb with labels yb; returns its metrics
     record (lr to std_sns).  The forward pass, the losses and the diagnostics
     read the parameters the step starts from; the backward and the update come
-    last, so a failed check raises _Diverged with the parameters unchanged."""
-    zb = xb @ state.embedder
-    _require(np.isfinite(zb).all(), "non-finite features")
-    batch = EmbeddingBatch(zb, yb)
-    # a finite row whose norm overflows (to inf, with no warning) fails the same check
-    _require(np.isfinite(batch.norms).all(), "non-finite features")
+    last, so a failed check raises _Diverged with the parameters unchanged:
+    "non-finite features" when EmbeddingBatch rejects the features' norms,
+    "non-finite update" when from_rows rejects an updated proxy row or the
+    updated embedder, which the step checks itself, holds a non-finite entry."""
+    try:
+        batch = EmbeddingBatch(xb @ state.embedder, yb)
+    except DomainError:
+        raise _Diverged("non-finite features") from None
     state.mu_norm, margin = update_norm_tracker(state.mu_norm, batch,
                                                 cfg.ema_alpha, cfg.margin_coeff)
     # one report of the whole step: its gradients take one backward
@@ -186,12 +188,12 @@ def train_step(state: TrainState, xb, yb, cfg: RunConfig, lr: float) -> dict:
     emb = state.embedder + state.vel_emb
     state.vel_W *= cfg.momentum
     state.vel_W -= lr * step.grad_W
-    w = state.proxies.W + state.vel_W
-    w_norms = _row_norms(w)
-    # a proxy row norm that overflows fails like a non-finite entry
-    _require(np.isfinite(emb).all() and np.isfinite(w_norms).all(), "non-finite update")
-    state.embedder = emb
-    state.proxies = ProxyMatrix.from_rows(w, w_norms)
+    _require(np.isfinite(emb).all(), "non-finite update")
+    try:
+        proxies = ProxyMatrix.from_rows(state.proxies.W + state.vel_W)
+    except DomainError:
+        raise _Diverged("non-finite update") from None
+    state.embedder, state.proxies = emb, proxies
     state.step += 1
     return record
 
@@ -283,10 +285,11 @@ def histogram_dump(embedder, proxies: ProxyMatrix, X, labels):
 # ---------------------------------------------------------------------------
 # finite-difference gradient checking
 
-def _central_diff(f, x, h: float = 1e-5) -> np.ndarray:
+def _central_diff(f, x) -> np.ndarray:
     """Componentwise central differences of a scalar function, probing one
     float64 copy of x in place: each entry is set to x + h, then 2 h
-    lower, then restored."""
+    lower, then restored, with h = _FD_STEP."""
+    h = _FD_STEP
     xp = np.array(x, dtype=np.float64)
     g = np.zeros_like(xp)
     for ix in np.ndindex(xp.shape):
@@ -316,12 +319,13 @@ def _away_from(values, kinks, margin):
                          - np.asarray(kinks)[None, :]) > margin)
 
 
-# the ops _gradcheck_cases yields, in its order
+# the ops _gradcheck_cases yields, in its order, and the step of every probe
 GRADCHECK_OPS = ("vmf_similarity", "uamf_loss", "pps_loss", "pns_loss", "pp_loss", "sns_loss",
                  "laplace_nll", "perceptual_nll", "smoothness_loss", "view_variance_loss")
+_FD_STEP = 1e-5
 
 
-def _z_and_W_pairs(loss, z, y, W, h):
+def _z_and_W_pairs(loss, z, y, W):
     """The (analytic, finite-difference) gradient pairs in z and in W of
     loss(batch, proxies) on unit proxy rows W, one for each side whose
     analytic gradient is not None; the probes read totals only.  The W
@@ -332,10 +336,10 @@ def _z_and_W_pairs(loss, z, y, W, h):
     pairs = []
     if rep.grad_z is not None:
         pairs.append((rep.grad_z, _central_diff(
-            lambda zz: loss(EmbeddingBatch(zz, y), proxies).total, z, h)))
+            lambda zz: loss(EmbeddingBatch(zz, y), proxies).total, z)))
     if rep.grad_W is not None:
         pairs.append((rep.grad_W, _central_diff(
-            lambda ww: loss(batch, _raw_proxies(ww)).total, W, h)))
+            lambda ww: loss(batch, _raw_proxies(ww)).total, W)))
     return pairs
 
 
@@ -352,8 +356,7 @@ def _similarity_sum(batch: EmbeddingBatch, proxies: ProxyMatrix, n: int) -> Loss
 def _gradcheck_cases(rng: np.random.Generator):
     """One random small instance per differentiable op; each case yields
     (name, [(analytic_grad, fd_grad), ...])."""
-    h = 1e-5
-    margin = 100 * h
+    margin = 100 * _FD_STEP
     cases = []
 
     # vmf similarity of one sample to one unit proxy
@@ -363,8 +366,7 @@ def _gradcheck_cases(rng: np.random.Generator):
     # norms of about 5 to 250
     z = rng.standard_normal(d) * rng.uniform(2.0, 100.0)
     cases.append(("vmf_similarity", _z_and_W_pairs(
-        lambda b, p: _similarity_sum(b, p, n), z[None], np.zeros(1, np.int64),
-        proxy[None], h)))
+        lambda b, p: _similarity_sum(b, p, n), z[None], np.zeros(1, np.int64), proxy[None])))
 
     # margin softmax over similarities.  Wider norm scales saturate the
     # softmax, whose gradients (about 1e-11) then fall under the
@@ -375,8 +377,7 @@ def _gradcheck_cases(rng: np.random.Generator):
     W = rng.standard_normal((C, d))
     W /= np.linalg.norm(W, axis=1, keepdims=True)
     mgn, tau = rng.uniform(0.0, 2.0), rng.uniform(0.5, 2.0)
-    cases.append(("uamf_loss", _z_and_W_pairs(lambda b, p: uamf_loss(b, p, mgn, tau),
-                                              z, y, W, h)))
+    cases.append(("uamf_loss", _z_and_W_pairs(lambda b, p: uamf_loss(b, p, mgn, tau), z, y, W)))
 
     cfg = RunConfig(lambda_sns=150.0)
 
@@ -390,20 +391,20 @@ def _gradcheck_cases(rng: np.random.Generator):
         if _away_from(positive_cosines(EmbeddingBatch(z, y), proxies), [mid], margin):
             break
     cases.append(("pps_loss", _z_and_W_pairs(
-        lambda b, p: pps_loss(b, ProxyMatrix.from_rows(p.W), state, cfg), z, y, W, h)))
+        lambda b, p: pps_loss(b, ProxyMatrix.from_rows(p.W), state, cfg), z, y, W)))
     # pns: smooth everywhere
     cases.append(("pns_loss", _z_and_W_pairs(
-        lambda b, p: pns_loss(b, ProxyMatrix.from_rows(p.W), cfg), z, y, W, h)))
+        lambda b, p: pns_loss(b, ProxyMatrix.from_rows(p.W), cfg), z, y, W)))
 
     # pp: freeze the random selection by reseeding per evaluation
     sel_seed = int(rng.integers(0, 2 ** 31))
     cases.append(("pp_loss", _z_and_W_pairs(
         lambda b, p: pp_loss(y, ProxyMatrix.from_rows(p.W), cfg,
-                             np.random.default_rng(sel_seed)), z, y, W, h)))
+                             np.random.default_rng(sel_seed)), z, y, W)))
 
     # sns: linear in the cosines, smooth
     cases.append(("sns_loss", _z_and_W_pairs(lambda b, p: sns_loss(b, cfg),
-                                             z, np.arange(N) % 2, W, h)))
+                                             z, np.arange(N) % 2, W)))
 
     # reconstruction losses on a small image
     hgt, wid = 4, 5
@@ -417,7 +418,7 @@ def _gradcheck_cases(rng: np.random.Generator):
             break
     val, grad = laplace_nll_grad(img_hat, img, sigma, mask)
     cases.append(("laplace_nll", [
-        (grad, _central_diff(lambda a: laplace_nll(a, img, sigma, mask), img_hat, h)),
+        (grad, _central_diff(lambda a: laplace_nll(a, img, sigma, mask), img_hat)),
     ]))
 
     extractor = PerceptualExtractor.from_seed(int(rng.integers(0, 2 ** 31)),
@@ -430,8 +431,7 @@ def _gradcheck_cases(rng: np.random.Generator):
             break
     val, grad = perceptual_nll_grad(img_hat, img, extractor, fsig)
     cases.append(("perceptual_nll", [
-        (grad, _central_diff(lambda a: perceptual_nll(a, img, extractor, fsig),
-                             img_hat, h)),
+        (grad, _central_diff(lambda a: perceptual_nll(a, img, extractor, fsig), img_hat)),
     ]))
 
     # smoothness: adjacent values kept apart, stored range kept constant
@@ -444,9 +444,7 @@ def _gradcheck_cases(rng: np.random.Generator):
     dm = DepthMap(values=v, min_depth=lo, max_depth=hi)
     val, grad = smoothness_grad(dm)
     cases.append(("smoothness_loss", [
-        (grad, _central_diff(
-            lambda vv: smoothness_loss(DepthMap(values=vv, min_depth=lo,
-                                                max_depth=hi)), v, h)),
+        (grad, _central_diff(lambda vv: smoothness_loss(DepthMap(vv, lo, hi)), v)),
     ]))
 
     # view variance: variances kept away from the hinge thresholds
@@ -457,7 +455,7 @@ def _gradcheck_cases(rng: np.random.Generator):
             break
     val, grad = view_variance_grad(views, thr)
     cases.append(("view_variance_loss", [
-        (grad, _central_diff(lambda a: view_variance_loss(a, thr), views, h)),
+        (grad, _central_diff(lambda a: view_variance_loss(a, thr), views)),
     ]))
     return cases
 

@@ -37,9 +37,11 @@ from .sphere_math import _reciprocals, _row_norms, adjoint_grads
 @dataclasses.dataclass
 class EmbeddingBatch:
     """N unnormalized feature vectors with integer class labels; the row
-    norms and their reciprocals rnorms, which every use reads, are taken at
-    construction, and zhat, gram, the distinct-label mask and the product
-    with a proxy matrix on first use, and kept (z is never changed)."""
+    norms and their reciprocals rnorms, which every use reads, and the largest
+    label max_label are taken at construction, and zhat, gram, the
+    distinct-label mask and the product with a proxy matrix on first use, and
+    kept (z is never changed).  The norms are the features' one check: a row
+    with a nan or inf entry, or whose sum of squares overflows, has none."""
 
     z: np.ndarray
     labels: np.ndarray
@@ -51,15 +53,14 @@ class EmbeddingBatch:
         labels = np.asarray(self.labels, dtype=np.int64)
         if z.ndim != 2 or z.shape[0] < 1:
             raise DomainError(f"z must be a nonempty N x d matrix, got shape {z.shape}")
-        if not np.isfinite(z).all():
-            raise DomainError("z contains non-finite values")
+        self.norms = _row_norms(z)
+        if not np.isfinite(self.norms).all():
+            raise DomainError("z has a row whose norm is not finite or overflows")
         if labels.shape != (z.shape[0],):
             raise DomainError(f"labels shape {labels.shape} does not match N = {z.shape[0]}")
         if labels.min() < 0:
             raise DomainError("labels must be non-negative")
-        self.z = z
-        self.labels = labels
-        self.norms = _row_norms(z)
+        self.z, self.labels, self.max_label = z, labels, int(labels.max())
         self.rnorms = _reciprocals(self.norms)
 
     @functools.cached_property
@@ -78,7 +79,7 @@ class EmbeddingBatch:
     def distinct_labels(self) -> np.ndarray:
         """N x N mask of the sample pairs with different labels (False on
         the diagonal), compared as int32, twice as fast, when they fit."""
-        labels = self.labels.astype(np.int32) if self.labels.max() < 2 ** 31 else self.labels
+        labels = self.labels.astype(np.int32) if self.max_label < 2 ** 31 else self.labels
         return labels[:, None] != labels
 
     def product(self, proxies: "ProxyMatrix") -> "ProxyProduct":
@@ -125,13 +126,13 @@ class ProxyMatrix:
         return rows, gram
 
     @staticmethod
-    def from_rows(rows, norms=None) -> "ProxyMatrix":
-        """Divide rows by their norms (measured, or given as norms) onto the
-        sphere.  A norm that is not finite or below _MIN_NORM raises a
-        DomainError naming the first such row before anything is divided."""
+    def from_rows(rows) -> "ProxyMatrix":
+        """Divide rows, such as the updated proxies, by their norms onto the
+        sphere: their one check.  A norm that is not finite or below _MIN_NORM
+        raises a DomainError naming the first such row before anything is
+        divided."""
         rows = _proxy_rows(rows)
-        if norms is None:
-            norms = _row_norms(rows)
+        norms = _row_norms(rows)
         ok = (norms >= _MIN_NORM) & (norms < np.inf)    # nan fails too
         if not ok.all():
             row = int(np.argmin(ok))
@@ -146,14 +147,17 @@ class ProxyProduct:
     """S = z W^T of one batch against one proxy matrix, with the cosines
     S / ||z|| read from it: the proxies' rows are unit.  Zero rows of z give
     zero cosines.  starts and target hold the flat indices of the entries
-    (i, 0) and (i, label_i) of the N x C arrays."""
+    (i, 0) and (i, label_i) of the N x C arrays; a label of C or more is a
+    DomainError, so that no reader of target reads another row's entry."""
 
     def __init__(self, batch: EmbeddingBatch, proxies: ProxyMatrix):
+        C = proxies.W.shape[0]
+        if batch.max_label >= C:
+            raise DomainError(f"label {batch.max_label} out of range for C = {C}")
         self.proxies = proxies
         # a contiguous W^T gives the same bits a fifth faster at desk sizes
         self.S = batch.z @ np.ascontiguousarray(proxies.W.T)
-        N, C = self.S.shape
-        self.starts = np.arange(0, N * C, C)
+        self.starts = np.arange(0, self.S.size, C)
         self.target = self.starts + batch.labels
         self.rz = batch.rnorms                 # cos and dS are products
         self.cos = self.S * self.rz[:, None]
@@ -252,15 +256,12 @@ def uamf_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, margin: float,
     at or below _EXP_ZERO does the exp skip those lanes: their exp is 0,
     which numpy's exp reaches on a slow path, and at large feature norms
     most lanes are there.  grad_W is taken through the raw W, off the
-    sphere too.
+    sphere too.  The batch checks the norms and the product the labels.
     """
     if tau <= 0.0:
         raise DomainError(f"tau must be positive, got {tau}")
     if margin < 0.0:
         raise DomainError(f"margin must be non-negative, got {margin}")
-    C = proxies.W.shape[0]
-    if batch.labels.max() >= C:
-        raise DomainError(f"label {batch.labels.max()} out of range for C = {C}")
     N = batch.z.shape[0]
     product = batch.product(proxies)
     target = product.target

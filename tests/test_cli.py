@@ -6,6 +6,7 @@ import dataclasses
 import io
 import math
 import os
+import struct
 import tempfile
 import tracemalloc
 import warnings
@@ -608,6 +609,22 @@ def test_render_custom_over_the_work_cap_names_the_depth(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_render_depth_whose_dims_wrap_an_int64_product_is_a_format_error(tmp_path, capsys):
+    # 65536^4 = 2^64 elements: an int64 product wraps to 0, which matches
+    # the empty payload
+    depth_path = tmp_path / "depth.lh2t"
+    depth_path.write_bytes(b"LH2T" + struct.pack("<II", 1, 4) + struct.pack("<4I", *[65536] * 4))
+    albedo_path = tmp_path / "albedo.ppm"
+    write_ppm(np.full((8, 8, 3), 0.5), albedo_path)
+    identity = ["1", "0", "0", "0", "1", "0", "0", "0", "1", "0", "0", "0"]
+    rc = main(["render", "--depth", str(depth_path), "--albedo", str(albedo_path),
+               "--pose", *identity, "--out-dir", str(tmp_path / "out")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == "lh2: error: payload needs 7.379e+19 bytes, got 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_render_albedo_shape_mismatch(tmp_path, capsys):
     depth_path = tmp_path / "depth.lh2t"
     albedo_path = tmp_path / "albedo.ppm"
@@ -774,6 +791,28 @@ def test_hist_names_the_first_proxy_row_without_a_finite_norm(tmp_path, capsys, 
     assert err.startswith("lh2: error: proxy row 5 has norm ")
     assert "RuntimeWarning" not in err and caught == []
     assert not (tmp_path / "hist").exists()
+
+
+@pytest.mark.parametrize("logmean", ["700", "709"])
+def test_hist_features_whose_norms_overflow_are_rejected(tmp_path, capsys, logmean):
+    # samples of norm e^700 (e^709, at the edge of float range) whose
+    # features (half their first 8 coordinates) are finite, but whose sums
+    # of squares overflow: no cosine can be read from them
+    stem = tmp_path / "ckpt"
+    write_tensor(str(stem) + ".embedder.lh2t", 0.5 * np.eye(16, 8))
+    write_tensor(str(stem) + ".proxies.lh2t", np.eye(8))
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(TINY_CONFIG + f"norm_logmean = {logmean}\nnorm_logstd = 0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["hist", "--checkpoint", str(stem), "--config", str(cfg),
+                   "--out-dir", str(tmp_path / "hist")])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.err == "lh2: error: z has a row whose norm is not finite or overflows\n"
+    assert "pad_mean" not in captured.out
+    assert "RuntimeWarning" not in captured.err and caught == []
+    assert not (tmp_path / "hist" / "hist.csv").exists()
 
 
 def test_hist_class_count_mismatch(tiny_config, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -90,6 +91,20 @@ def test_tensor_truncations(tmp_path):
         path.write_bytes(whole[:cut])
         with pytest.raises(FormatError, match=message):
             read_tensor(path)
+
+
+@pytest.mark.parametrize("dim, message", [
+    (65536, "payload needs 7.379e+19 bytes, got 0"),             # 2^64 wraps to 0
+    (2 ** 32 - 1, "payload needs 1.361e+39 bytes, got 12")],     # wraps negative
+    ids=["wraps_to_zero", "wraps_negative"])
+def test_tensor_dims_whose_product_wraps_int64_need_their_exact_payload(tmp_path, dim,
+                                                                        message):
+    path = tmp_path / "t.lh2t"
+    payload = b"" if dim == 65536 else b"\x00" * 12      # a 40-byte file
+    path.write_bytes(b"LH2T" + struct.pack("<II", 1, 4) + struct.pack("<4I", *[dim] * 4)
+                     + payload)
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        read_tensor(path)
 
 
 def test_tensor_trailing_bytes(tmp_path):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lh2 import proxy_losses
-from lh2.errors import ConfigError
+from lh2.errors import ConfigError, DomainError
 from lh2.io_formats import RunConfig
 from lh2.proxy_losses import (EpochMidState, end_epoch, observe_positive_cosines,
                               pns_loss, pp_loss, pp_selection, positive_cosines,
                               pps_loss, proxy_based_total, sns_loss)
-from lh2.uamf import EmbeddingBatch, ProxyMatrix
+from lh2.uamf import EmbeddingBatch, ProxyMatrix, uamf_loss
 
 import oracles
 
@@ -167,6 +167,19 @@ def test_pns_gradients_50_seeds():
             lambda ww: pns_loss(batch, ProxyMatrix.from_rows(ww), CFG).total, proxies.W)
         assert oracles.rel_err(rep.grad_z, fd_z) <= 1e-6
         assert oracles.rel_err(rep.grad_W, fd_W) <= 1e-6
+
+
+@pytest.mark.parametrize("labels", [[0, 3, 1], [0, 1, 3]], ids=["middle_row", "last_row"])
+@pytest.mark.parametrize("read", [
+    lambda b, p: positive_cosines(b, p),
+    lambda b, p: pps_loss(b, p, EpochMidState(mid=0.5), CFG),
+    lambda b, p: pns_loss(b, p, CFG),
+    lambda b, p: uamf_loss(b, p, 0.1, 1.0)], ids=["positive_cosines", "pps", "pns", "uamf"])
+def test_a_label_of_C_is_a_domain_error_for_every_reader_of_the_targets(read, labels):
+    # with C = 3, label 3 on a middle row would read the next row's column 0
+    batch, proxies = _random_instance(0, N=3, C=3)
+    with pytest.raises(DomainError, match="^label 3 out of range for C = 3$"):
+        read(EmbeddingBatch(batch.z, np.array(labels)), proxies)
 
 
 # ---------------------------------------------------------------------------

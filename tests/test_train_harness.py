@@ -330,6 +330,20 @@ def test_train_divergence_restores_last_good_state(tmp_path):
         train_accuracy(X, labels, st.embedder, st.proxies), rel=1e-12)
 
 
+def test_a_zero_norm_proxy_row_after_an_update_is_a_divergence():
+    # the momentum step lands proxy row 0 on exactly 0: no direction to divide onto
+    cfg = RunConfig(**{**TINY, "momentum": 0.5})
+    X, labels = generate_dataset(cfg)
+    state = init_state(cfg)
+    state.vel_W[0] = -2.0 * state.proxies.W[0]
+    embedder, proxies = state.embedder, state.proxies
+    before = embedder.copy(), proxies.W.copy()
+    with pytest.raises(train_harness._Diverged, match="^non-finite update$"):
+        train_harness.train_step(state, X[:32], labels[:32], cfg, 0.0)
+    assert state.embedder is embedder and state.proxies is proxies
+    assert np.array_equal(embedder, before[0]) and np.array_equal(proxies.W, before[1])
+
+
 def test_train_takes_positive_cosines_once_per_step(tmp_path, monkeypatch):
     calls = []
     counted = proxy_losses.positive_cosines
@@ -347,9 +361,20 @@ def test_train_takes_positive_cosines_once_per_step(tmp_path, monkeypatch):
 def _count_step_builds(tmp_path, monkeypatch, cfg, steps):
     """Train on cfg and check that each of its steps builds one product,
     one proxy Gram and one backward, measures row norms twice (the batch's
-    and the updated proxies'; init_state measures its proxies once), and
-    evaluates no Bessel function."""
+    and the updated proxies'; init_state measures its proxies once),
+    evaluates no Bessel function and scans no N x d array for finiteness:
+    the package's one 2-d np.isfinite call of a step is the updated
+    embedder's (d_in x d)."""
     counts = collections.Counter()
+    scanned = []
+    isfinite = np.isfinite
+
+    def scanning(x, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"].startswith("lh2") and np.ndim(x) == 2:
+            scanned.append(np.shape(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", scanning)
 
     def counting(name, fn):
         @functools.wraps(fn)
@@ -379,6 +404,7 @@ def _count_step_builds(tmp_path, monkeypatch, cfg, steps):
     assert counts == {"uamf_loss": steps, "ProxyProduct": steps, "backward": steps,
                       "selection_gram": steps, "_row_norms": 2 * steps + 1}
     assert counts["_log_bessel"] == 0
+    assert scanned == [(cfg["d_in"], cfg["d"])] * steps
 
 
 def test_train_step_builds_one_product_one_backward_and_no_bessel(tmp_path, monkeypatch):

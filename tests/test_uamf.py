@@ -34,6 +34,15 @@ def test_embedding_batch_validation():
         EmbeddingBatch(np.ones((1, 3)), np.array([-1]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "norm_overflow"])
+def test_embedding_batch_rejects_a_row_without_a_finite_norm(bad):
+    # 1e200 is finite, but its square is not: the row's norm reads inf
+    z = np.ones((3, 2))
+    z[1, 0] = bad
+    with pytest.raises(DomainError, match="^z has a row whose norm is not finite or overflows$"):
+        EmbeddingBatch(z, np.zeros(3, dtype=int))
+
+
 def test_proxy_matrix_validation():
     with pytest.raises(DomainError):
         ProxyMatrix(np.array([[2.0, 0.0]]))
@@ -53,10 +62,6 @@ def test_from_rows_rejects_a_row_without_a_finite_normal_norm_by_its_index(bad):
     rows[4] = [bad, 0.0, 0.0]
     with pytest.raises(DomainError, match=r"^proxy row 3 has norm "):
         ProxyMatrix.from_rows(rows)
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(rows, axis=1)
-    with pytest.raises(DomainError, match=r"^proxy row 3 has norm "):
-        ProxyMatrix.from_rows(rows, norms)
 
 
 def test_from_rows_rows_are_unit_by_construction():
