@@ -78,11 +78,11 @@ def _cmd_stats(args) -> int:
 
 def _read_depth(path) -> DepthMap:
     if path.endswith(".pgm"):
-        return DepthMap.from_values(read_pgm(path))
+        return DepthMap(read_pgm(path))
     arr = read_tensor(path)
     if arr.ndim != 2:
         raise FormatError(f"depth tensor must be 2-D, got shape {arr.shape}")
-    return DepthMap.from_values(arr.astype(np.float64))
+    return DepthMap(arr.astype(np.float64))
 
 
 def _write_frame(out_dir, name, image, depth_values):

@@ -62,12 +62,9 @@ _BACKGROUND = np.inf
 
 @dataclasses.dataclass
 class DepthMap:
-    """H x W positive depths plus the stored quantization/normalization
-    range used by smoothness losses and the PGM container."""
+    """H x W depths, finite and positive."""
 
     values: np.ndarray
-    min_depth: float
-    max_depth: float
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -75,16 +72,9 @@ class DepthMap:
             raise DomainError(f"depth must be 2-D, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise DomainError("depth contains non-finite values")
-        if self.min_depth <= 0.0:
-            raise DomainError(f"min_depth must be positive, got {self.min_depth}")
-        if v.min() < self.min_depth - 1e-9 or v.max() > self.max_depth + 1e-9:
-            raise DomainError("values outside [min_depth, max_depth]")
+        if v.min() <= 0.0:
+            raise DomainError(f"depth must be positive, got a minimum of {v.min()}")
         self.values = v
-
-    @staticmethod
-    def from_values(values) -> "DepthMap":
-        v = np.asarray(values, dtype=np.float64)
-        return DepthMap(values=v, min_depth=float(v.min()), max_depth=float(v.max()))
 
     @property
     def shape(self):
@@ -610,7 +600,7 @@ def hemisphere_scene(size: int = 30):
     inside = rr <= rho ** 2
     z = np.full((size, size), z0)
     z[inside] -= np.sqrt(rho ** 2 - rr[inside]) * (bump / rho)
-    depth = DepthMap.from_values(z)
+    depth = DepthMap(z)
 
     albedo = np.full((size, size, 3), 0.75)
     stripe = max(1, size // 10)

@@ -48,10 +48,6 @@ class EpochMidState:
     acc_sum: float = 0.0
     acc_count: int = 0
 
-    @staticmethod
-    def initial(cfg: RunConfig) -> "EpochMidState":
-        return EpochMidState(mid=cfg.cos_min)
-
 
 def positive_cosines(batch: EmbeddingBatch, proxies: ProxyMatrix) -> np.ndarray:
     """cos between each sample and its own class proxy."""
@@ -134,14 +130,16 @@ def pp_selection(batch_labels, C: int, rng: np.random.Generator) -> np.ndarray:
     return np.flatnonzero(chosen)
 
 
-def pp_loss(batch_labels, proxies: ProxyMatrix, cfg: RunConfig,
+def pp_loss(batch: EmbeddingBatch, proxies: ProxyMatrix, cfg: RunConfig,
             rng: np.random.Generator) -> LossReport:
     """lambda_pp * mean over unordered proxy pairs in the selection of
-    cos^2; gradient with respect to the proxies only.  stats["pp_gram"]
-    holds the selection's cosines with the diagonal zeroed."""
+    cos^2; gradient with respect to the proxies only.  The batch's labels
+    pick the selection and must name proxies.  stats["pp_gram"] holds the
+    selection's cosines with the diagonal zeroed."""
     C = proxies.W.shape[0]
+    batch.check_labels(C)
     # one class draws no random proxy; a selection of one has no pair and a zero loss
-    sel = pp_selection(batch_labels, C, rng) if C > 1 else np.arange(C, dtype=np.int64)
+    sel = pp_selection(batch.labels, C, rng) if C > 1 else np.arange(C, dtype=np.int64)
     k = len(sel)
     rows = slice(None) if k == C else sel      # every proxy: views, no gather
     ws, gram = proxies.selection_gram(rows)
@@ -182,5 +180,5 @@ def proxy_based_total(batch: EmbeddingBatch, proxies: ProxyMatrix,
     each value.  The reports add up their gradient parts, so reading a
     gradient runs one backward."""
     rep = (pps_loss(batch, proxies, state, cfg) + pns_loss(batch, proxies, cfg)
-           + pp_loss(batch.labels, proxies, cfg, rng))
+           + pp_loss(batch, proxies, cfg, rng))
     return rep + sns_loss(batch, cfg) if cfg.lambda_sns > 0 else rep

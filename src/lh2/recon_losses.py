@@ -20,11 +20,9 @@ import math
 
 import numpy as np
 
-from .depth_renderer import DepthMap
 from .errors import DomainError
 
 _SQRT2 = math.sqrt(2.0)
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclasses.dataclass
@@ -70,63 +68,63 @@ def laplace_nll(I_hat, I, sigma, mask) -> float:
     return float(np.mean(term[mask]))
 
 
-def laplace_nll_grad(I_hat, I, sigma, mask):
-    """(value, gradient wrt I_hat); the gradient is undefined at exactly
-    zero residual where sign() contributes 0."""
-    value = laplace_nll(I_hat, I, sigma, mask)
+def laplace_nll_grad(I_hat, I, sigma, mask) -> np.ndarray:
+    """The gradient of laplace_nll wrt I_hat; it is undefined at exactly
+    zero residual, where sign() contributes 0."""
     I_hat, I, sigma, mask = _masked_channels(I_hat, I, sigma, mask)
     resid = I_hat - I
     m = int(np.sum(mask)) * I.shape[2]
     grad = np.zeros_like(I_hat)
     grad[mask] = _SQRT2 * np.sign(resid[mask]) / sigma[mask] / m
-    return value, grad
+    return grad
+
+
+def _feature_residual(I_hat, I, extractor: PerceptualExtractor, feature_sigma):
+    """(e(I_hat) - e(I), the feature sigmas broadcast to it), the sigmas
+    checked positive."""
+    de = extractor.extract(I_hat) - extractor.extract(I)
+    sigma = np.broadcast_to(np.asarray(feature_sigma, dtype=np.float64), de.shape)
+    if np.any(sigma <= 0.0):
+        raise DomainError("feature_sigma must be positive")
+    return de, sigma
 
 
 def perceptual_nll(I_hat, I, extractor: PerceptualExtractor, feature_sigma) -> float:
     """Mean over features of 0.5 ln(2 pi sigma^2) + |e(I_hat) - e(I)| /
     (2 sigma^2), with the printed absolute-difference form kept as is."""
-    de = extractor.extract(I_hat) - extractor.extract(I)
-    sigma = np.broadcast_to(np.asarray(feature_sigma, dtype=np.float64), de.shape)
-    if np.any(sigma <= 0.0):
-        raise DomainError("feature_sigma must be positive")
+    de, sigma = _feature_residual(I_hat, I, extractor, feature_sigma)
     return float(np.mean(0.5 * np.log(2.0 * math.pi * sigma ** 2)
                          + np.abs(de) / (2.0 * sigma ** 2)))
 
 
-def perceptual_nll_grad(I_hat, I, extractor: PerceptualExtractor, feature_sigma):
-    """(value, gradient wrt I_hat), exact through the linear extractor."""
-    value = perceptual_nll(I_hat, I, extractor, feature_sigma)
-    I_hat = np.asarray(I_hat, dtype=np.float64)
-    de = extractor.extract(I_hat) - extractor.extract(I)
-    sigma = np.broadcast_to(np.asarray(feature_sigma, dtype=np.float64), de.shape)
+def perceptual_nll_grad(I_hat, I, extractor: PerceptualExtractor,
+                        feature_sigma) -> np.ndarray:
+    """The gradient of perceptual_nll wrt I_hat, exact through the linear
+    extractor."""
+    de, sigma = _feature_residual(I_hat, I, extractor, feature_sigma)
     coeff = np.sign(de) / (2.0 * sigma ** 2) / de.size
-    grad = (extractor.weight.T @ coeff).reshape(I_hat.shape)
-    return value, grad
+    return (extractor.weight.T @ coeff).reshape(np.shape(I_hat))
 
 
-def smoothness_loss(depth: DepthMap) -> float:
+def smoothness_loss(v, rng: float) -> float:
     """(1/N) sum of |vertical differences| plus (1/N) sum of |horizontal
-    differences|, each normalized by the stored depth range; 0 for a
-    constant map."""
-    rng = depth.max_depth - depth.min_depth
+    differences| of the depth values v, each normalized by the depth range
+    rng, a constant of the map such as its own max - min; 0 for a range of
+    0 or less, as a constant map's own."""
     if rng <= 0.0:
         return 0.0
-    v = depth.values
-    n = v.size
+    v = np.asarray(v, dtype=np.float64)
     vert = np.abs(np.diff(v, axis=0)).sum()
     horiz = np.abs(np.diff(v, axis=1)).sum()
-    return float((vert + horiz) / (rng * n))
+    return float((vert + horiz) / (rng * v.size))
 
 
-def smoothness_grad(depth: DepthMap):
-    """(value, gradient wrt the depth values); the stored range is a
-    constant of the map."""
-    value = smoothness_loss(depth)
-    rng = depth.max_depth - depth.min_depth
-    v = depth.values
+def smoothness_grad(v, rng: float) -> np.ndarray:
+    """The gradient of smoothness_loss(v, rng) wrt the depth values v."""
+    v = np.asarray(v, dtype=np.float64)
     grad = np.zeros_like(v)
     if rng <= 0.0:
-        return value, grad
+        return grad
     sv = np.sign(v[1:, :] - v[:-1, :])
     sh = np.sign(v[:, 1:] - v[:, :-1])
     grad[1:, :] += sv
@@ -134,30 +132,29 @@ def smoothness_grad(depth: DepthMap):
     grad[:, 1:] += sh
     grad[:, :-1] -= sh
     grad /= rng * v.size
-    return value, grad
+    return grad
+
+
+def _view_gaps(view_batch, thresholds):
+    """(views, threshold - population variance of the angles, per axis) of
+    a B x 3 view batch, B >= 2."""
+    views = np.asarray(view_batch, dtype=np.float64)
+    if views.ndim != 2 or views.shape[1] != 3 or views.shape[0] < 2:
+        raise DomainError(f"view batch must be B x 3 with B >= 2, got {views.shape}")
+    return views, np.asarray(thresholds, dtype=np.float64).reshape(3) - views.var(axis=0)
 
 
 def view_variance_loss(view_batch, thresholds) -> float:
     """Sum over the three rotation axes of ReLU(threshold - population
     variance of the batch's angles); axis 2 (frontal to profile) carries
     the widest intended range."""
-    views = np.asarray(view_batch, dtype=np.float64)
-    if views.ndim != 2 or views.shape[1] != 3 or views.shape[0] < 2:
-        raise DomainError(f"view batch must be B x 3 with B >= 2, got {views.shape}")
-    var = views.var(axis=0)
-    thr = np.asarray(thresholds, dtype=np.float64).reshape(3)
-    return float(np.sum(np.maximum(thr - var, 0.0)))
+    _, gaps = _view_gaps(view_batch, thresholds)
+    return float(np.sum(np.maximum(gaps, 0.0)))
 
 
-def view_variance_grad(view_batch, thresholds):
-    """(value, gradient wrt the angles), zero on axes whose variance
-    already clears the threshold."""
-    views = np.asarray(view_batch, dtype=np.float64)
-    value = view_variance_loss(views, thresholds)
-    b = views.shape[0]
-    var = views.var(axis=0)
-    thr = np.asarray(thresholds, dtype=np.float64).reshape(3)
-    active = (thr - var) > 0.0
-    grad = np.where(active[None, :], -2.0 * (views - views.mean(axis=0)) / b, 0.0)
-    return value, grad
-
+def view_variance_grad(view_batch, thresholds) -> np.ndarray:
+    """The gradient of view_variance_loss wrt the angles, zero on axes whose
+    variance already clears the threshold."""
+    views, gaps = _view_gaps(view_batch, thresholds)
+    return np.where((gaps > 0.0)[None, :], -2.0 * (views - views.mean(axis=0)) / len(views),
+                    0.0)

@@ -27,7 +27,6 @@ from .proxy_losses import (EpochMidState, end_epoch, observe_positive_cosines,
 from .recon_losses import (PerceptualExtractor, laplace_nll, laplace_nll_grad,
                            perceptual_nll, perceptual_nll_grad, smoothness_grad,
                            smoothness_loss, view_variance_grad, view_variance_loss)
-from .depth_renderer import DepthMap
 from .sphere_math import _similarity_adjoint, vmf_similarity_batch
 from .sphere_stats import proxy_spread_trackers, sns_tracker
 from .uamf import EmbeddingBatch, LossReport, ProxyMatrix, uamf_loss, update_norm_tracker
@@ -82,10 +81,10 @@ class TrainState:
 def init_state(cfg: RunConfig) -> TrainState:
     rng_init = np.random.default_rng([cfg.seed, 1])
     emb = rng_init.standard_normal((cfg.d_in, cfg.d)) / np.sqrt(cfg.d_in)
-    proxies = ProxyMatrix.from_rows(rng_init.standard_normal((cfg.C, cfg.d)))
+    proxies = ProxyMatrix(rng_init.standard_normal((cfg.C, cfg.d)))
     return TrainState(embedder=emb, proxies=proxies, good=(emb, proxies),
                       mu_norm=cfg.mu_norm_init,
-                      mid_state=EpochMidState.initial(cfg),
+                      mid_state=EpochMidState(mid=cfg.cos_min),
                       vel_emb=np.zeros_like(emb),
                       vel_W=np.zeros_like(proxies.W),
                       step=0, rng=np.random.default_rng([cfg.seed, 2]))
@@ -135,7 +134,7 @@ def load_checkpoint(path):
     if emb.ndim != 2 or w.ndim != 2 or emb.shape[1] != w.shape[1]:
         raise FormatError(f"checkpoint embedder {emb.shape} and proxies {w.shape} "
                           f"do not share one feature width")
-    return emb, ProxyMatrix.from_rows(w)
+    return emb, ProxyMatrix(w)
 
 
 @dataclasses.dataclass
@@ -161,7 +160,7 @@ def train_step(state: TrainState, xb, yb, cfg: RunConfig, lr: float) -> dict:
     read the parameters the step starts from; the backward and the update come
     last, so a failed check raises _Diverged with the parameters unchanged:
     "non-finite features" when EmbeddingBatch rejects the features' norms,
-    "non-finite update" when from_rows rejects an updated proxy row or the
+    "non-finite update" when ProxyMatrix rejects an updated proxy row or the
     updated embedder, which the step checks itself, holds a non-finite entry."""
     try:
         batch = EmbeddingBatch(xb @ state.embedder, yb)
@@ -190,7 +189,7 @@ def train_step(state: TrainState, xb, yb, cfg: RunConfig, lr: float) -> dict:
     state.vel_W -= lr * step.grad_W
     _require(np.isfinite(emb).all(), "non-finite update")
     try:
-        proxies = ProxyMatrix.from_rows(state.proxies.W + state.vel_W)
+        proxies = ProxyMatrix(state.proxies.W + state.vel_W)
     except DomainError:
         raise _Diverged("non-finite update") from None
     state.embedder, state.proxies = emb, proxies
@@ -263,15 +262,18 @@ def histogram_dump(embedder, proxies: ProxyMatrix, X, labels):
     edges = np.linspace(-1.0, 1.0, 65)
     counts = np.zeros((2, 64), dtype=np.int64)         # pad, nad
     moments = [(0, 0.0, 0.0), (0, 0.0, 0.0)]
-    for z, y in _scored_blocks(X, labels, embedder, proxies):
-        batch = EmbeddingBatch(z, y)
-        product = batch.product(proxies)
-        neg = np.ones(product.cos.shape, dtype=bool)
-        neg.ravel()[product.target] = False
-        for k, cos in enumerate((positive_cosines(batch, proxies), product.cos[neg])):
-            # clipped for binning only: a cosine at 1 + ulp misses the last bin
-            counts[k] += np.histogram(np.clip(cos, -1.0, 1.0), edges)[0]
-            moments[k] = _merge_moments(moments[k], cos)
+    # features that overflow in a block's product are not finite, and the
+    # batch rejects them with its own message in place of numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for z, y in _scored_blocks(X, labels, embedder, proxies):
+            batch = EmbeddingBatch(z, y)
+            product = batch.product(proxies)
+            neg = np.ones(product.cos.shape, dtype=bool)
+            neg.ravel()[product.target] = False
+            for k, cos in enumerate((positive_cosines(batch, proxies), product.cos[neg])):
+                # clipped for binning only: a cosine at 1 + ulp misses the last bin
+                counts[k] += np.histogram(np.clip(cos, -1.0, 1.0), edges)[0]
+                moments[k] = _merge_moments(moments[k], cos)
     records = [{"bin_lo": lo, "bin_hi": hi, "pad_count": int(p), "nad_count": int(q)}
                for lo, hi, p, q in zip(edges[:-1], edges[1:], *counts)]
     summary = {}
@@ -327,10 +329,10 @@ _FD_STEP = 1e-5
 
 def _z_and_W_pairs(loss, z, y, W):
     """The (analytic, finite-difference) gradient pairs in z and in W of
-    loss(batch, proxies) on unit proxy rows W, one for each side whose
-    analytic gradient is not None; the probes read totals only.  The W
+    loss(batch, proxies) on the rows W put on the sphere, one for each side
+    whose analytic gradient is not None; the probes read totals only.  The W
     probes step off the sphere: a loss of the proxies' cosines puts them
-    back with ProxyMatrix.from_rows, as the training update does."""
+    back with ProxyMatrix, as the training update does."""
     batch, proxies = EmbeddingBatch(z, y), ProxyMatrix(W)
     rep = loss(batch, proxies)
     pairs = []
@@ -339,7 +341,7 @@ def _z_and_W_pairs(loss, z, y, W):
             lambda zz: loss(EmbeddingBatch(zz, y), proxies).total, z)))
     if rep.grad_W is not None:
         pairs.append((rep.grad_W, _central_diff(
-            lambda ww: loss(batch, _raw_proxies(ww)).total, W)))
+            lambda ww: loss(batch, _raw_proxies(ww)).total, proxies.W)))
     return pairs
 
 
@@ -362,7 +364,6 @@ def _gradcheck_cases(rng: np.random.Generator):
     # vmf similarity of one sample to one unit proxy
     d, n = 6, 8
     proxy = rng.standard_normal(d)
-    proxy /= np.linalg.norm(proxy)
     # norms of about 5 to 250
     z = rng.standard_normal(d) * rng.uniform(2.0, 100.0)
     cases.append(("vmf_similarity", _z_and_W_pairs(
@@ -375,7 +376,6 @@ def _gradcheck_cases(rng: np.random.Generator):
     z = rng.standard_normal((N, d)) * rng.uniform(2.0, 20.0, (N, 1))
     y = rng.integers(0, C, N)
     W = rng.standard_normal((C, d))
-    W /= np.linalg.norm(W, axis=1, keepdims=True)
     mgn, tau = rng.uniform(0.0, 2.0), rng.uniform(0.5, 2.0)
     cases.append(("uamf_loss", _z_and_W_pairs(lambda b, p: uamf_loss(b, p, mgn, tau), z, y, W)))
 
@@ -391,15 +391,15 @@ def _gradcheck_cases(rng: np.random.Generator):
         if _away_from(positive_cosines(EmbeddingBatch(z, y), proxies), [mid], margin):
             break
     cases.append(("pps_loss", _z_and_W_pairs(
-        lambda b, p: pps_loss(b, ProxyMatrix.from_rows(p.W), state, cfg), z, y, W)))
+        lambda b, p: pps_loss(b, ProxyMatrix(p.W), state, cfg), z, y, W)))
     # pns: smooth everywhere
     cases.append(("pns_loss", _z_and_W_pairs(
-        lambda b, p: pns_loss(b, ProxyMatrix.from_rows(p.W), cfg), z, y, W)))
+        lambda b, p: pns_loss(b, ProxyMatrix(p.W), cfg), z, y, W)))
 
     # pp: freeze the random selection by reseeding per evaluation
     sel_seed = int(rng.integers(0, 2 ** 31))
     cases.append(("pp_loss", _z_and_W_pairs(
-        lambda b, p: pp_loss(y, ProxyMatrix.from_rows(p.W), cfg,
+        lambda b, p: pp_loss(b, ProxyMatrix(p.W), cfg,
                              np.random.default_rng(sel_seed)), z, y, W)))
 
     # sns: linear in the cosines, smooth
@@ -416,9 +416,9 @@ def _gradcheck_cases(rng: np.random.Generator):
         img_hat = img + rng.uniform(-0.4, 0.4, img.shape)
         if np.all(np.abs(img_hat - img) > margin):
             break
-    val, grad = laplace_nll_grad(img_hat, img, sigma, mask)
     cases.append(("laplace_nll", [
-        (grad, _central_diff(lambda a: laplace_nll(a, img, sigma, mask), img_hat)),
+        (laplace_nll_grad(img_hat, img, sigma, mask),
+         _central_diff(lambda a: laplace_nll(a, img, sigma, mask), img_hat)),
     ]))
 
     extractor = PerceptualExtractor.from_seed(int(rng.integers(0, 2 ** 31)),
@@ -429,22 +429,19 @@ def _gradcheck_cases(rng: np.random.Generator):
         de = extractor.extract(img_hat) - extractor.extract(img)
         if np.all(np.abs(de) > margin):
             break
-    val, grad = perceptual_nll_grad(img_hat, img, extractor, fsig)
     cases.append(("perceptual_nll", [
-        (grad, _central_diff(lambda a: perceptual_nll(a, img, extractor, fsig), img_hat)),
+        (perceptual_nll_grad(img_hat, img, extractor, fsig),
+         _central_diff(lambda a: perceptual_nll(a, img, extractor, fsig), img_hat)),
     ]))
 
-    # smoothness: adjacent values kept apart, stored range kept constant
+    # smoothness: adjacent values kept apart, the depth range a constant
     while True:
         v = rng.uniform(1.0, 3.0, (hgt, wid))
         if np.all(np.abs(np.diff(v, axis=0)) > margin) \
                 and np.all(np.abs(np.diff(v, axis=1)) > margin):
             break
-    lo, hi = 0.5, 3.5
-    dm = DepthMap(values=v, min_depth=lo, max_depth=hi)
-    val, grad = smoothness_grad(dm)
     cases.append(("smoothness_loss", [
-        (grad, _central_diff(lambda vv: smoothness_loss(DepthMap(vv, lo, hi)), v)),
+        (smoothness_grad(v, 3.0), _central_diff(lambda vv: smoothness_loss(vv, 3.0), v)),
     ]))
 
     # view variance: variances kept away from the hinge thresholds
@@ -453,17 +450,18 @@ def _gradcheck_cases(rng: np.random.Generator):
         views = rng.normal(0.0, 0.15, (5, 3))
         if _away_from(views.var(axis=0), thr, 10 * margin):
             break
-    val, grad = view_variance_grad(views, thr)
     cases.append(("view_variance_loss", [
-        (grad, _central_diff(lambda a: view_variance_loss(a, thr), views)),
+        (view_variance_grad(views, thr),
+         _central_diff(lambda a: view_variance_loss(a, thr), views)),
     ]))
     return cases
 
 
 def _raw_proxies(w):
-    """Proxies with rows off the sphere, unchecked, for the W probes:
-    uamf_loss and the vMF similarity read S alone and probe them as they
-    are; the cosine losses first put them back on the sphere."""
+    """Proxies with rows off the sphere, unchecked, for the W probes: the
+    package's one object built without its constructor.  uamf_loss and the
+    vMF similarity read S alone and probe them as they are; the cosine
+    losses first put them back on the sphere."""
     p = ProxyMatrix.__new__(ProxyMatrix)
     p.W = np.asarray(w, dtype=np.float64)
     return p

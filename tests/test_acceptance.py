@@ -111,7 +111,7 @@ def test_renderer_equivalence_and_warp_quality():
         W = int(rng.integers(8, 33))
         H = int(rng.integers(8, 33))
         K = intrinsics_from_fov(W, H, float(rng.uniform(30.0, 90.0)))
-        d = DepthMap.from_values(rng.uniform(1.5, 4.0, (H, W)))
+        d = DepthMap(rng.uniform(1.5, 4.0, (H, W)))
         pose = Pose(rotation_about_axis(int(rng.integers(3)),
                                         float(rng.uniform(-25.0, 25.0))),
                     rng.normal(0.0, 0.3, 3), depth_centroid(d, K))
@@ -130,7 +130,7 @@ def test_renderer_equivalence_and_warp_quality():
     assert oracles.psnr(img, canonical, mask) >= 40.0
 
     unit = make_canvas([Pose(np.eye(3), np.zeros(3), np.zeros(3))],
-                       DepthMap.from_values(np.full((5, 5), 2.0)),
+                       DepthMap(np.full((5, 5), 2.0)),
                        intrinsics_from_fov(5, 5, 60.0))
     for lo, hi in ((1.0, 2.0), (2.0, 1.0), (0.5, 3.0)):
         occl = scatter_min_render((np.array([2.0, 2.0]), np.array([2.0, 2.0]),
@@ -156,7 +156,7 @@ def test_canvas_contract_holds_on_random_scenes():
         W = int(rng.integers(8, 41))
         H = int(rng.integers(8, 41))
         K = intrinsics_from_fov(W, H, float(rng.uniform(25.0, 80.0)))
-        d = DepthMap.from_values(rng.uniform(1.5, 5.0, (H, W)))
+        d = DepthMap(rng.uniform(1.5, 5.0, (H, W)))
         piv = depth_centroid(d, K)
         poses = [Pose(rotation_about_axis(int(rng.integers(3)),
                                           float(rng.uniform(-30.0, 30.0))),
@@ -244,7 +244,8 @@ def test_trivial_identities():
     assert laplace_nll(image, image, 1.0 / math.sqrt(2.0), mask) == \
         pytest.approx(0.0, abs=1e-12)
 
-    assert smoothness_loss(DepthMap.from_values(np.full((6, 6), 3.0))) == 0.0
+    flat = np.full((6, 6), 3.0)
+    assert smoothness_loss(flat, np.ptp(flat)) == 0.0
 
     d, _, K, _ = hemisphere_scene(16)
     pts = transform_pointcloud(oracles.planes(oracles.depth_to_pointcloud(d, K)),

@@ -19,7 +19,7 @@ from lh2 import cli, depth_renderer, train_harness
 from lh2.cli import MAX_REPEATS, main
 from lh2.depth_renderer import scatter_min_render
 from lh2.errors import ConfigError
-from lh2.io_formats import RunConfig, read_pgm, read_ppm, write_ppm, write_tensor
+from lh2.io_formats import RunConfig, parse_config, read_pgm, read_ppm, write_ppm, write_tensor
 from lh2.sphere_stats import evt_estimate
 from lh2.train_harness import GRADCHECK_OPS, load_checkpoint
 
@@ -813,6 +813,33 @@ def test_hist_features_whose_norms_overflow_are_rejected(tmp_path, capsys, logme
     assert "pad_mean" not in captured.out
     assert "RuntimeWarning" not in captured.err and caught == []
     assert not (tmp_path / "hist" / "hist.csv").exists()
+
+
+def test_hist_features_that_overflow_in_the_product_exit_with_the_batch_message(
+        tmp_path, capsys):
+    # inputs of norm e^709 through a standard-normal embedder: X @ embedder
+    # itself overflows.  Run under the suite's error::RuntimeWarning filter,
+    # numpy's overflow warning would stop the command before the batch's check.
+    rng = np.random.default_rng(0)
+    stem = tmp_path / "ckpt"
+    embedder = rng.standard_normal((16, 8))
+    write_tensor(str(stem) + ".embedder.lh2t", embedder)
+    write_tensor(str(stem) + ".proxies.lh2t", np.eye(8))
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(TINY_CONFIG + "norm_logmean = 709\nnorm_logstd = 0\n")
+    rc = main(["hist", "--checkpoint", str(stem), "--config", str(cfg),
+               "--out-dir", str(tmp_path / "hist")])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.err == "lh2: error: z has a row whose norm is not finite or overflows\n"
+    assert not (tmp_path / "hist" / "hist.csv").exists()
+    # the histogram's block loop alone ignores the overflow: the accuracy
+    # pass over the same blocks keeps numpy's defaults
+    X, labels = train_harness.generate_dataset(parse_config(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow encountered in matmul"):
+            train_harness.train_accuracy(X, labels, embedder, load_checkpoint(str(stem))[1])
 
 
 def test_hist_class_count_mismatch(tiny_config, tmp_path, capsys):

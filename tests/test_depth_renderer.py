@@ -27,7 +27,7 @@ _IDENTITY = Pose(np.eye(3), np.zeros(3), np.zeros(3))
 
 
 def _plane(size, z0):
-    return DepthMap(np.full((size, size), z0), z0, z0)
+    return DepthMap(np.full((size, size), z0))
 
 
 # ---------------------------------------------------------------------------
@@ -58,15 +58,15 @@ def test_intrinsics_validation():
 
 def test_depth_map_validation():
     with pytest.raises(DomainError):
-        DepthMap(np.ones(4), 1.0, 2.0)
+        DepthMap(np.ones(4))
     with pytest.raises(DomainError):
-        DepthMap(np.array([[1.0, np.nan]]), 1.0, 2.0)
+        DepthMap(np.array([[1.0, np.nan]]))
     with pytest.raises(DomainError):
-        DepthMap(np.ones((2, 2)), 0.0, 2.0)
+        DepthMap(np.array([[1.0, 0.0]]))
     with pytest.raises(DomainError):
-        DepthMap(np.array([[1.0, 5.0]]), 2.0, 5.0)
-    d = DepthMap.from_values([[2.0, 3.0], [4.0, 5.0]])
-    assert (d.min_depth, d.max_depth) == (2.0, 5.0)
+        DepthMap(np.array([[-1.0, 2.0]]))
+    d = DepthMap([[2.0, 3.0], [4.0, 5.0]])
+    assert d.values.dtype == np.float64
     assert d.shape == (2, 2)
 
 
@@ -110,13 +110,13 @@ def _point_cloud(depth, K):
 
 def test_pointcloud_center_pixel():
     K = intrinsics_from_fov(3, 3, 90.0)
-    pts = _point_cloud(DepthMap(np.full((3, 3), 2.0), 2.0, 2.0), K)
+    pts = _point_cloud(DepthMap(np.full((3, 3), 2.0)), K)
     np.testing.assert_array_equal(pts[:, 1, 1], [0.0, 0.0, 2.0])
 
 
 def test_pointcloud_z_is_depth_exactly(monkeypatch):
     K = intrinsics_from_fov(7, 5, 60.0)
-    d = DepthMap.from_values(np.random.default_rng(0).uniform(1.0, 3.0, (5, 7)))
+    d = DepthMap(np.random.default_rng(0).uniform(1.0, 3.0, (5, 7)))
     np.testing.assert_array_equal(_point_cloud(d, K)[2], d.values)
     # blocks of two rows stack up to the whole-image back-projection
     monkeypatch.setattr(io_formats, "_BLOCK", 2 * 3 * 7)
@@ -153,7 +153,7 @@ def test_point_passes_reject_points_not_coordinate_first():
 
 def test_project_pointcloud_round_trip():
     K = intrinsics_from_fov(7, 5, 55.0)
-    d = DepthMap.from_values(np.random.default_rng(1).uniform(1.0, 4.0, (5, 7)))
+    d = DepthMap(np.random.default_rng(1).uniform(1.0, 4.0, (5, 7)))
     u, v, dep, valid = project_points(oracles.planes(oracles.depth_to_pointcloud(d, K)), K)
     assert np.all(valid)
     np.testing.assert_allclose(u, np.broadcast_to(np.arange(7), (5, 7)), atol=1e-9)
@@ -175,7 +175,7 @@ def test_planar_point_passes_match_the_interleaved_forms_bit_for_bit(monkeypatch
     for _ in range(40):
         W, H = (int(n) for n in rng.integers(8, 33, 2))
         K = intrinsics_from_fov(W, H, float(rng.uniform(30.0, 90.0)))
-        d = DepthMap.from_values(rng.uniform(1.5, 4.0, (H, W)))
+        d = DepthMap(rng.uniform(1.5, 4.0, (H, W)))
         pose = Pose(Rotation.from_rotvec(rng.normal(0.0, 1.0, 3)).as_matrix(),
                     rng.normal(0.0, 1.0, 3), rng.normal(0.0, 2.0, 3))
         monkeypatch.setattr(io_formats, "_BLOCK", 3 * W * 3)
@@ -287,7 +287,7 @@ def test_canvas_equations_non_square():
     W, H = 20, 14
     K = intrinsics_from_fov(W, H, 55.0)
     rng = np.random.default_rng(0)
-    d = DepthMap.from_values(rng.uniform(2.0, 4.0, (H, W)))
+    d = DepthMap(rng.uniform(2.0, 4.0, (H, W)))
     piv = depth_centroid(d, K)
     poses = [Pose(rotation_about_axis(a, ang), rng.normal(0, 0.2, 3), piv)
              for a, ang in [(0, 8.0), (1, -12.0), (2, 20.0)]]
@@ -348,7 +348,7 @@ def _random_canvas_case(rng):
     W, H = (int(n) for n in rng.integers(8, 41, 2))
     K = intrinsics_from_fov(W, H, float(rng.uniform(20.0, 100.0)))
     near = float(rng.uniform(0.5, 50.0))
-    d = DepthMap.from_values(rng.uniform(near, near * rng.uniform(1.0, 2.0), (H, W)))
+    d = DepthMap(rng.uniform(near, near * rng.uniform(1.0, 2.0), (H, W)))
     pivot = depth_centroid(d, K)
     wild = rng.uniform() ** 2
     poses = []
@@ -402,9 +402,9 @@ def _auxiliary_poses(canvas: CanvasSpec, template: DepthMap, K):
     the template's min depth under pure translations placing its extreme
     corners exactly on the canvas bounds.  Returns (probe_depth, [pose_lo,
     pose_hi])."""
-    z0 = template.min_depth
+    z0 = template.values.min()
     f = K.f
-    probe = DepthMap(values=np.full(template.shape, z0), min_depth=z0, max_depth=z0)
+    probe = DepthMap(np.full(template.shape, z0))
     x_max, y_max = _far_corner(canvas)
     t_lo = np.array([canvas.x_min_g * z0 / f, canvas.y_min_g * z0 / f, 0.0])
     t_hi = np.array([(x_max - (K.W - 1)) * z0 / f, (y_max - (K.H - 1)) * z0 / f, 0.0])
@@ -530,7 +530,7 @@ def test_scatter_matches_reference_on_random_scenes():
         W = int(rng.integers(8, 33))
         H = int(rng.integers(8, 33))
         K = intrinsics_from_fov(W, H, float(rng.uniform(30.0, 90.0)))
-        d = DepthMap.from_values(rng.uniform(1.5, 4.0, (H, W)))
+        d = DepthMap(rng.uniform(1.5, 4.0, (H, W)))
         pose = Pose(rotation_about_axis(int(rng.integers(3)),
                                         float(rng.uniform(-25.0, 25.0))),
                     rng.normal(0.0, 0.3, 3), depth_centroid(d, K))
@@ -747,7 +747,7 @@ def test_shade_ambient_only():
 
 def _random_scene(seed, size=9):
     rng = np.random.default_rng(seed)
-    d = DepthMap.from_values(rng.uniform(2.0, 6.0, (size, size)))
+    d = DepthMap(rng.uniform(2.0, 6.0, (size, size)))
     albedo = rng.uniform(0.0, 1.0, (size, size, 3))
     return d, albedo, intrinsics_from_fov(size, size, 50.0)
 
@@ -772,7 +772,7 @@ def test_shade_and_centroid_in_one_row_blocks_match_the_whole_image(monkeypatch)
         if rng.uniform() < 0.3:
             values = np.round(values)       # flat patches and steps
         light = LightingParams(*rng.uniform(0.0, 1.0, 2), *rng.normal(0.0, 1.0, 2))
-        scenes.append((DepthMap.from_values(values), rng.uniform(0.0, 1.0, (H, W, 3)),
+        scenes.append((DepthMap(values), rng.uniform(0.0, 1.0, (H, W, 3)),
                        intrinsics_from_fov(W, H, float(rng.uniform(20.0, 100.0))), light))
     for d, albedo, K, light in scenes:
         assert next(io_formats._row_blocks(d.shape[0], 3 * d.shape[1])) == slice(0, 1)

@@ -10,7 +10,9 @@ other than grad-check, save three named groups.  In the same way, every
 RunConfig field but n is read somewhere besides io_formats,
 which parses and checks it, every parameter of a function, method or
 lambda is read in its body, and every key a LossReport's stats dict is
-built with is read by a subscript."""
+built with is read by a subscript.  And one definition alone makes an
+object without its constructor: train_harness._raw_proxies, whose W probes
+step the proxies off the sphere."""
 
 import ast
 import dataclasses
@@ -77,6 +79,31 @@ def test_scan_ignores_imports_and_self_reference(tmp_path):
     assert unreached_definitions(tmp_path) == ["a.Node", "a._orphan", "a.only_imported"]
 
 
+def constructor_bypasses(package=PACKAGE):
+    """Sorted "module.definition" of the top-level definition around each
+    call of some X.__new__, which makes an object without running its
+    constructor's checks; a definition appears once per such call."""
+    return sorted(f"{module}.{getattr(top, 'name', '<module>')}"
+                  for module, tree in _trees(package).items() for top in tree.body
+                  for node in ast.walk(top)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "__new__")
+
+
+def test_only_the_raw_proxies_bypass_a_constructor():
+    assert constructor_bypasses() == ["train_harness._raw_proxies"]
+
+
+def test_bypass_scan_flags_every_new_call(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class K:\n    @staticmethod\n    def make():\n        return K.__new__(K)\n\n\n"
+        "def _raw():\n    k = K.__new__(K)\n    return k, object.__new__(K)\n\n\n"
+        "def named():\n    return K.__new__\n\n\n"
+        "CACHED = K.__new__(K)\n")
+    (tmp_path / "b.py").write_text("from .a import K\n\nvalue = K()\n")
+    assert constructor_bypasses(tmp_path) == ["a.<module>", "a.K", "a._raw", "a._raw"]
+
+
 # the grad-check's entry points: neither a root nor followed
 _GRAD_CHECK_ENTRIES = {"_cmd_grad_check", "grad_check"}
 
@@ -108,8 +135,8 @@ def test_the_commands_reach_every_definition_but_three_groups():
     # the gradcheck benchmark workload runs the four recon ops
     recon = {f"recon_losses.{name}" for name in (
         "PerceptualExtractor", "_masked_channels", "laplace_nll", "laplace_nll_grad",
-        "perceptual_nll", "perceptual_nll_grad", "smoothness_grad", "smoothness_loss",
-        "view_variance_grad", "view_variance_loss")}
+        "_feature_residual", "perceptual_nll", "perceptual_nll_grad", "smoothness_grad",
+        "smoothness_loss", "_view_gaps", "view_variance_grad", "view_variance_loss")}
     # the vMF similarity, which the margin softmax cancels to S; the choice
     # of margin decides whether training reads it
     vmf = {"sphere_math.vmf_similarity_batch", "sphere_math._log_normalizer",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lh2 import proxy_losses
+from lh2 import proxy_losses, train_harness
 from lh2.errors import ConfigError, DomainError
 from lh2.io_formats import RunConfig
 from lh2.proxy_losses import (EpochMidState, end_epoch, observe_positive_cosines,
@@ -31,6 +31,11 @@ def _random_instance(seed, N=4, C=5, d=4):
     return EmbeddingBatch(z, y), ProxyMatrix(W)
 
 
+def _labelled(labels, d=2):
+    """A batch with these labels, as pp reads only the labels."""
+    return EmbeddingBatch(np.ones((len(labels), d)), np.asarray(labels))
+
+
 # ---------------------------------------------------------------------------
 # config and mid state
 
@@ -51,8 +56,8 @@ def test_config_validation():
 
 
 def test_initial_mid_is_cos_min():
-    assert EpochMidState.initial(CFG).mid == 0.5
-    assert EpochMidState.initial(RunConfig(cos_min=0.6)).mid == 0.6
+    assert train_harness.init_state(CFG).mid_state == EpochMidState(mid=0.5)
+    assert train_harness.init_state(RunConfig(cos_min=0.6)).mid_state.mid == 0.6
 
 
 def test_end_epoch_clipping():
@@ -78,7 +83,7 @@ def test_end_epoch_always_in_band(mean, count):
 
 def test_observe_modes():
     batch, proxies = _random_instance(0)
-    state = EpochMidState.initial(CFG)
+    state = EpochMidState(mid=CFG.cos_min)
     cos = pps_loss(batch, proxies, state, CFG).stats["positive_cos"]
     np.testing.assert_array_equal(cos, positive_cosines(batch, proxies))
     full = observe_positive_cosines(state, cos)
@@ -164,7 +169,7 @@ def test_pns_gradients_50_seeds():
             lambda zz: pns_loss(EmbeddingBatch(zz, batch.labels), proxies,
                                 CFG).total, batch.z)
         fd_W = oracles.fd_grad(
-            lambda ww: pns_loss(batch, ProxyMatrix.from_rows(ww), CFG).total, proxies.W)
+            lambda ww: pns_loss(batch, ProxyMatrix(ww), CFG).total, proxies.W)
         assert oracles.rel_err(rep.grad_z, fd_z) <= 1e-6
         assert oracles.rel_err(rep.grad_W, fd_W) <= 1e-6
 
@@ -182,11 +187,21 @@ def test_a_label_of_C_is_a_domain_error_for_every_reader_of_the_targets(read, la
         read(EmbeddingBatch(batch.z, np.array(labels)), proxies)
 
 
+@pytest.mark.parametrize("labels, C", [([0, 1, 9], 8), ([0, 1, 2, 9], 3)],
+                         ids=["fewer_samples_than_C", "at_least_C_samples"])
+def test_pp_rejects_a_label_of_C_or_more(labels, C):
+    # below C samples the label would index the selection mask out of
+    # bounds; from C samples on the selection is every proxy, which hid it
+    proxies = ProxyMatrix(_unit_rows(np.random.default_rng(1), C, 4))
+    with pytest.raises(DomainError, match=f"^label 9 out of range for C = {C}$"):
+        pp_loss(_labelled(labels), proxies, CFG, np.random.default_rng(0))
+
+
 # ---------------------------------------------------------------------------
 # pp
 
 def test_pp_orthogonal_pair_zero():
-    rep = pp_loss(np.array([0, 1]), ProxyMatrix(np.eye(2)), CFG,
+    rep = pp_loss(_labelled([0, 1]), ProxyMatrix(np.eye(2)), CFG,
                   np.random.default_rng(0))
     assert rep.total == 0.0
     assert rep.grad_z is None
@@ -194,7 +209,7 @@ def test_pp_orthogonal_pair_zero():
 
 def test_pp_identical_direction_pair():
     w = np.array([[0.6, 0.8], [0.6, 0.8]])             # distinct rows, same axis
-    rep = pp_loss(np.array([0, 1]), ProxyMatrix(w), CFG,
+    rep = pp_loss(_labelled([0, 1]), ProxyMatrix(w), CFG,
                   np.random.default_rng(0))
     assert rep.total == pytest.approx(CFG.lambda_pp, rel=1e-12)
 
@@ -230,7 +245,7 @@ def test_pp_pair_count_disjoint_sets():
     for seed in range(100):
         probe = pp_selection(labels, C, np.random.default_rng(seed))
         if len(probe) == 5:
-            rep = pp_loss(labels, proxies, CFG, np.random.default_rng(seed))
+            rep = pp_loss(_labelled(labels), proxies, CFG, np.random.default_rng(seed))
             assert len(rep.stats["pp_gram"]) == 5
             rows = proxies.W[probe]
             cos = (rows @ rows.T)[np.triu_indices(5, 1)]
@@ -242,14 +257,14 @@ def test_pp_pair_count_disjoint_sets():
 
 
 def test_pp_degenerate_cases():
-    rep = pp_loss(np.array([0]), ProxyMatrix(np.eye(1)), CFG,
+    rep = pp_loss(_labelled([0]), ProxyMatrix(np.eye(1)), CFG,
                   np.random.default_rng(0))
     assert rep.total == 0.0
     assert len(rep.stats["pp_gram"]) == 1
     # C = 2 with a single label can sample that same proxy: selection of 1
     for seed in range(50):
         if len(pp_selection(np.array([0]), 2, np.random.default_rng(seed))) == 1:
-            rep = pp_loss(np.array([0]), ProxyMatrix(np.eye(2)), CFG,
+            rep = pp_loss(_labelled([0]), ProxyMatrix(np.eye(2)), CFG,
                           np.random.default_rng(seed))
             assert rep.total == 0.0
             assert len(rep.stats["pp_gram"]) == 1
@@ -264,12 +279,12 @@ def test_pp_matches_scalar_oracle_and_grad():
         C, d = 6, 4
         labels = rng.integers(0, C, 3)
         proxies = ProxyMatrix(_unit_rows(rng, C, d))
-        rep = pp_loss(labels, proxies, CFG, np.random.default_rng(seed))
+        rep = pp_loss(_labelled(labels), proxies, CFG, np.random.default_rng(seed))
         sel = pp_selection(labels, C, np.random.default_rng(seed))
         want = oracles.scalar_pp(proxies.W, sel, CFG.lambda_pp)
         assert rep.total == pytest.approx(want, rel=1e-12, abs=1e-15)
         fd_W = oracles.fd_grad(
-            lambda ww: pp_loss(labels, ProxyMatrix.from_rows(ww), CFG,
+            lambda ww: pp_loss(_labelled(labels), ProxyMatrix(ww), CFG,
                                np.random.default_rng(seed)).total, proxies.W)
         assert oracles.rel_err(rep.grad_W, fd_W) <= 1e-6
 
@@ -358,7 +373,7 @@ def test_total_additivity_and_sns_toggle():
                             np.random.default_rng(11))
     parts = [pps_loss(batch, proxies, state, SNS_CFG),
              pns_loss(batch, proxies, SNS_CFG),
-             pp_loss(batch.labels, proxies, SNS_CFG, np.random.default_rng(11)),
+             pp_loss(batch, proxies, SNS_CFG, np.random.default_rng(11)),
              sns_loss(batch, SNS_CFG)]
     assert rep.total == pytest.approx(sum(p.total for p in parts), rel=1e-14)
     assert rep.terms["sns"] == parts[3].total

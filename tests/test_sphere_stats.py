@@ -265,7 +265,7 @@ def test_trackers_small_selection():
 def test_trackers_uniform_high_dim_std():
     rng = np.random.default_rng(2)
     w = rng.standard_normal((1000, 512))
-    out = _spread(ProxyMatrix.from_rows(w), np.arange(1000))
+    out = _spread(ProxyMatrix(w), np.arange(1000))
     assert abs(out["std"] - math.sqrt(1.0 / 512)) <= 0.005
     assert 0.0 <= out["std_mean"] <= 0.01
 
@@ -317,6 +317,6 @@ def test_proxy_spread_trackers_match_direct_loop():
                 sq += cos ** 2
                 ex += max(cos - thr, 0.0) ** 2
                 n += 1
-        out = _spread(ProxyMatrix.from_rows(w), sel)
+        out = _spread(ProxyMatrix(w), sel)
         assert out["std"] == pytest.approx(math.sqrt(sq / n), rel=1e-12)
         assert out["std_mean"] == pytest.approx(math.sqrt(ex / n), rel=1e-12, abs=1e-15)

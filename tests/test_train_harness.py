@@ -190,7 +190,7 @@ def test_train_accuracy_scores_in_blocks_under_the_work_cap(monkeypatch):
     rng = np.random.default_rng(0)
     X = rng.standard_normal((8000, 4))
     embedder = rng.standard_normal((4, 3))
-    proxies = ProxyMatrix.from_rows(rng.standard_normal((128, 3)))
+    proxies = ProxyMatrix(rng.standard_normal((128, 3)))
     one_shot = np.argmax((X @ embedder) @ proxies.W.T, axis=1)
     # blocks of 60 rows, the last one partial; the one-shot scores take 8 MB
     cap = 128 * 60
@@ -213,7 +213,7 @@ def test_train_accuracy_scores_in_blocks_under_the_work_cap(monkeypatch):
 def test_train_accuracy_extra_memory_does_not_grow_with_the_dataset():
     rng = np.random.default_rng(0)
     embedder = rng.standard_normal((16, 32))
-    proxies = ProxyMatrix.from_rows(rng.standard_normal((64, 32)))
+    proxies = ProxyMatrix(rng.standard_normal((64, 32)))
     extra = []
     for m in (4096, 65536):
         X = rng.standard_normal((m, 16))
@@ -459,7 +459,7 @@ def _check_step_matches_standalone(z, labels, W, mid, plcfg, rng_seed, raw=False
     parts = {"uamf": uamf_loss(*fresh(), margin, tau),
              "pps": pps_loss(*fresh(), state, plcfg),
              "pns": pns_loss(*fresh(), plcfg),
-             "pp": pp_loss(labels, make(W), plcfg, np.random.default_rng(rng_seed))}
+             "pp": pp_loss(*fresh(), plcfg, np.random.default_rng(rng_seed))}
     if plcfg.lambda_sns > 0:
         parts["sns"] = sns_loss(fresh()[0], plcfg)
     assert {**rep_u.terms, **rep_p.terms} == {k: p.total for k, p in parts.items()}
@@ -650,7 +650,7 @@ def test_grad_check_detects_a_corrupted_similarity_gradient():
 
 
 # --corrupt biases an op's first pair, its z gradient; these drop a part of
-# the W gradient that only the W probes through from_rows can miss
+# the W gradient that only the W probes through ProxyMatrix can miss
 
 def test_grad_check_catches_cosine_adjoints_without_their_proxy_norm_part(monkeypatch):
     cos_adjoint = uamf.ProxyProduct.cos_adjoint

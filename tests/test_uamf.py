@@ -45,12 +45,12 @@ def test_embedding_batch_rejects_a_row_without_a_finite_norm(bad):
 
 def test_proxy_matrix_validation():
     with pytest.raises(DomainError):
-        ProxyMatrix(np.array([[2.0, 0.0]]))
-    with pytest.raises(DomainError):
         ProxyMatrix(np.array([[np.nan, 0.0]]))
     with pytest.raises(DomainError):
-        ProxyMatrix.from_rows(np.array([[0.0, 0.0]]))
-    w = ProxyMatrix.from_rows(np.array([[3.0, 4.0]]))
+        ProxyMatrix(np.array([[0.0, 0.0]]))
+    with pytest.raises(DomainError, match="nonempty C x d"):
+        ProxyMatrix(np.ones(3))
+    w = ProxyMatrix(np.array([[3.0, 4.0]]))
     np.testing.assert_allclose(w.W, [[0.6, 0.8]])
 
 
@@ -60,16 +60,17 @@ def test_from_rows_rejects_a_row_without_a_finite_normal_norm_by_its_index(bad):
     rows = np.random.default_rng(2).standard_normal((5, 3))
     rows[3] = [bad, 0.0, 0.0]
     rows[4] = [bad, 0.0, 0.0]
-    with pytest.raises(DomainError, match=r"^proxy row 3 has norm "):
-        ProxyMatrix.from_rows(rows)
+    # from_rows is the constructor under its older name
+    for make in (ProxyMatrix, ProxyMatrix.from_rows):
+        with pytest.raises(DomainError, match=r"^proxy row 3 has norm "):
+            make(rows)
 
 
 def test_from_rows_rows_are_unit_by_construction():
     rows = np.random.default_rng(3).standard_normal((40, 16)) * np.logspace(-150, 150, 40)[:, None]
-    proxies = ProxyMatrix.from_rows(rows)
+    proxies = ProxyMatrix(rows)
     np.testing.assert_allclose(np.linalg.norm(proxies.W, axis=1), 1.0, rtol=0.0, atol=4e-16)
-    # the quotients pass the measured matrix's check
-    ProxyMatrix(proxies.W)
+    assert np.array_equal(ProxyMatrix.from_rows(rows).W, proxies.W)
 
 
 @pytest.mark.parametrize("N, C, d", [(128, 64, 32), (1024, 64, 32), (3, 5, 6), (127, 63, 31),
@@ -100,8 +101,10 @@ def test_uamf_row_maximum_is_the_max_along_rows_bitwise():
         margin, tau = float(rng.uniform(0.0, 20.0)), float(rng.uniform(0.5, 2.0))
         logits = z @ W.T / tau
         assert (logits - logits.max(axis=1, keepdims=True)).min() > uamf._EXP_ZERO
-        rep = uamf_loss(EmbeddingBatch(z, y), ProxyMatrix(W), margin, tau)
-        loss, grad_z, grad_W = oracles.plain_exp_margin_softmax(z, y, W, margin, tau)
+        proxies = ProxyMatrix(W)     # the oracle reads the normalized rows
+        rep = uamf_loss(EmbeddingBatch(z, y), proxies, margin, tau)
+        loss, grad_z, grad_W = oracles.plain_exp_margin_softmax(z, y, proxies.W,
+                                                                  margin, tau)
         assert rep.total == loss
         assert np.array_equal(rep.grad_z, grad_z)
         assert np.array_equal(rep.grad_W, grad_W)
@@ -124,8 +127,10 @@ def test_plain_and_masked_exp_agree_bitwise_at_desk_norms():
         z[0] *= 1e4 / np.linalg.norm(z[0])
         logits = z @ W.T
         assert (logits - logits.max(axis=1, keepdims=True)).min() <= uamf._EXP_ZERO
-        rep = uamf_loss(EmbeddingBatch(z, y), ProxyMatrix(W), 3.0, 1.0)
-        loss, grad_z, grad_W = oracles.plain_exp_margin_softmax(z, y, W, 3.0, 1.0)
+        proxies = ProxyMatrix(W)     # the oracle reads the normalized rows
+        rep = uamf_loss(EmbeddingBatch(z, y), proxies, 3.0, 1.0)
+        loss, grad_z, grad_W = oracles.plain_exp_margin_softmax(z, y, proxies.W,
+                                                                  3.0, 1.0)
         assert rep.total == loss
         assert np.array_equal(rep.grad_z, grad_z)
         assert np.array_equal(rep.grad_W, grad_W)
@@ -242,8 +247,10 @@ def test_loss_matches_plain_exp_bitwise_where_most_lanes_underflow():
         tau = float(rng.uniform(0.5, 2.0))
         S = z @ W.T / tau
         assert np.mean(S - S.max(axis=1, keepdims=True) <= uamf._EXP_ZERO) > 0.5
-        rep = uamf_loss(EmbeddingBatch(z, y), ProxyMatrix(W), margin, tau)
-        loss, grad_z, grad_W = oracles.plain_exp_margin_softmax(z, y, W, margin, tau)
+        proxies = ProxyMatrix(W)     # the oracle reads the normalized rows
+        rep = uamf_loss(EmbeddingBatch(z, y), proxies, margin, tau)
+        loss, grad_z, grad_W = oracles.plain_exp_margin_softmax(z, y, proxies.W,
+                                                                  margin, tau)
         assert rep.total == loss
         assert np.array_equal(rep.grad_z, grad_z)
         assert np.array_equal(rep.grad_W, grad_W)
@@ -430,7 +437,7 @@ def test_gradients_take_one_backward_per_report_and_none_for_the_total(monkeypat
         "similarity_sum": lambda: _similarity_sum(batch, proxies, 8),
         "pps": lambda: proxy_losses.pps_loss(batch, proxies, state, cfg),
         "pns": lambda: proxy_losses.pns_loss(batch, proxies, cfg),
-        "pp": lambda: proxy_losses.pp_loss(batch.labels, proxies, cfg, rng),
+        "pp": lambda: proxy_losses.pp_loss(batch, proxies, cfg, rng),
         "sns": lambda: proxy_losses.sns_loss(batch, cfg),
         "proxy_based_total": lambda: proxy_losses.proxy_based_total(batch, proxies, state,
                                                                     cfg, rng),
@@ -471,7 +478,8 @@ def test_reports_of_different_batches_or_proxies_do_not_add():
     with pytest.raises(DomainError):
         rep + proxy_losses.sns_loss(EmbeddingBatch(z, y), cfg)
     with pytest.raises(DomainError):
-        rep + proxy_losses.pp_loss(y, ProxyMatrix(proxies.W.copy()), cfg, rng)
-    # pp reads no batch and sns no proxies, so each adds to either side
-    total = rep + proxy_losses.pp_loss(y, proxies, cfg, rng) + proxy_losses.sns_loss(batch, cfg)
+        rep + proxy_losses.pp_loss(batch, ProxyMatrix(proxies.W.copy()), cfg, rng)
+    # pp reads only the labels and sns no proxies, so each adds to either side
+    total = (rep + proxy_losses.pp_loss(EmbeddingBatch(z, y), proxies, cfg, rng)
+             + proxy_losses.sns_loss(batch, cfg))
     assert set(total.terms) == {"uamf", "pp", "sns"}
