@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import CanvasError, ConfigError, DomainError, FormatError, _shown
+from .errors import ConfigError, DomainError, FormatError, _shown
 from .io_formats import (MAX_WORK, RunConfig, emit_metrics, parse_config, read_pgm,
                          read_ppm, read_tensor, write_pgm, write_ppm)
 from .depth_renderer import (DEFAULT_LIGHT, MIN_SIZE, DepthMap, Pose, depth_centroid,
@@ -104,11 +104,23 @@ def _check_render_work(pixels: int, radius: int, pixel_flag: str) -> None:
                           f"dilation cells exceeds the cap of {MAX_WORK}")
 
 
+# the flags that shape the demo alone and those of a custom render alone,
+# with the values they take when not given
+_DEMO_FLAGS = {"size": 30, "frames": 5, "rotations": (10.0, 10.0, 10.0)}
+_CUSTOM_FLAGS = {"depth": None, "albedo": None, "pose": None, "fov": 40.0}
+
+
 def _cmd_render(args) -> int:
+    demo = args.demo is not None
+    for name in _CUSTOM_FLAGS if demo else _DEMO_FLAGS:
+        if getattr(args, name) is not None:
+            raise ConfigError(f"--{name} has no effect {'with' if demo else 'without'} --demo")
+    for name, value in (_DEMO_FLAGS if demo else _CUSTOM_FLAGS).items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     if args.radius < 0:
         raise ConfigError(f"--radius must be >= 0, got {_shown(args.radius)}")
-    if args.demo is not None:
-        # --frames, --rotations and --size shape the demo alone
+    if demo:
         if args.frames < 1:
             raise ConfigError(f"--frames must be at least 1, got {_shown(args.frames)}")
         if not np.all(np.abs(args.rotations) <= 360.0):      # nan fails too
@@ -151,12 +163,8 @@ def _cmd_render(args) -> int:
     pose = Pose(R=np.array(vals[:9]).reshape(3, 3), t=np.array(vals[9:]),
                 pivot=depth_centroid(depth, K))
     source = shade(depth, albedo, DEFAULT_LIGHT, K)
-    try:
-        canvas = make_canvas([pose], depth, K)
-    except CanvasError as exc:
-        raise ConfigError(f"--pose puts the scene too near the camera or behind it, "
-                          f"or --fov is too narrow for it: {exc}") from exc
-    image, _, frame_depth = warp_image(source, depth, pose, K, canvas, args.radius)
+    image, _, frame_depth = warp_image(source, depth, pose, K, make_canvas([pose], depth, K),
+                                       args.radius)
     os.makedirs(args.out_dir, exist_ok=True)
     write_ppm(source, os.path.join(args.out_dir, "canonical.ppm"))
     _write_frame(args.out_dir, "frame", image, frame_depth)
@@ -224,15 +232,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="depth-map rotation renderer")
     p.add_argument("--demo", choices=["hemisphere"],
                    help="render the built-in demo scene")
-    p.add_argument("--size", type=int, default=30, help="demo grid size")
-    p.add_argument("--frames", type=int, default=5, help="demo frames per axis")
-    p.add_argument("--rotations", type=float, nargs=3, default=(10.0, 10.0, 10.0),
-                   metavar=("AX", "AY", "AZ"), help="demo max angles, degrees")
+    p.add_argument("--size", type=int, help="demo grid size (default 30)")
+    p.add_argument("--frames", type=int, help="demo frames per axis (default 5)")
+    p.add_argument("--rotations", type=float, nargs=3, metavar=("AX", "AY", "AZ"),
+                   help="demo max angles, degrees (default 10 10 10)")
     p.add_argument("--depth", help="depth map (.lh2t tensor or 16-bit .pgm)")
     p.add_argument("--albedo", help="albedo image (.ppm)")
     p.add_argument("--pose", type=float, nargs=12,
                    help="row-major 3x3 rotation then translation x y z")
-    p.add_argument("--fov", type=float, default=40.0, help="field of view, degrees")
+    p.add_argument("--fov", type=float, help="field of view, degrees (default 40)")
     p.add_argument("--radius", type=int, default=1, help="scatter dilation radius")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_render)

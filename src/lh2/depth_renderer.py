@@ -1,7 +1,6 @@
 """Depth-map rotation rendering: back-projection to a point cloud, rigid
 transform about a pivot, perspective reprojection with vectorized
-scatter-min occlusion, unified-canvas sizing, diffuse shading, and the
-image warp built on top.
+scatter-min occlusion, diffuse shading, and the image warp built on top.
 
 Geometry conventions: pixel (u, v) = (column, row), camera looks down +z,
 all depths positive.  Points are coordinate-first: a 3 x ... array holds
@@ -12,31 +11,24 @@ returns its input's z plane as the depth, a view; its u and v mean
 nothing where z <= 0, and every caller drops those points.  shade and
 depth_centroid read their blocks as rows x W x 3 views.
 
-The unified canvas is sized once for a whole set of poses: W_new >= 2.5 W
-columns at the source aspect ratio, centred on (W/2, H/2).  It fixes two
-things, the origin (x_min_g, y_min_g) shared by every frame and the
-MAX_WORK cap on its size; its pixel (i, j) sits at image coordinate
-(x_min_g + j, y_min_g + i), one canvas pixel per source pixel, so placing
-points on it introduces no resampling of its own.  A frame rasterizes only
-its central H x W window of the canvas.
-
-Where the 2.5 W floor dominates, as in the demo's rotation sweeps, the
-corners of the template's back-projected bounding box prove it and decide
-the canvas without projecting a point.  The exact per-point pass still
-runs where that bound reaches the floor or a corner may fall behind the
-camera: wide shifts, scenes near the camera, large rotations of deep
-scenes.
+The canvas fixes the origin (x_min_g, y_min_g) that every frame's window
+is placed by: W_new >= 2.5 W columns at the source aspect ratio, centred on
+(W/2, H/2), computed from the image size alone; its pixel (i, j) sits at
+image coordinate (x_min_g + j, y_min_g + i), one canvas pixel per source
+pixel, so placing points on it introduces no resampling of its own.  No
+frame allocates it: a frame rasterizes only its central H x W window, and
+a point whose projection falls far outside, or overflows, lands nowhere.
 
 Memory is bounded by the output, not by the scene: every pass over the
-points (make_canvas, warp_image, shade and depth_centroid) works in blocks
-of pixel rows (io_formats._row_blocks, the walker the training data path
-uses), so no per-point array outgrows one block, shade's differences
-across rows reading one halo row on each side of its block; and the demo
-hands out the poses of its frames, so that each frame is warped and
-written before the next one is rendered.  Beyond its result, shade peaks
-at about 4.3 MB of traced allocations and depth_centroid at 1.4 MB at
-sizes 256 and 1024 alike, and warp_image at 1.5 MB at size 128 and 1.8 MB
-at 256, where a block of rows is 4/3 the size.
+points (warp_image, shade and depth_centroid) works in blocks of pixel
+rows (io_formats._row_blocks, the walker the training data path uses), so
+no per-point array outgrows one block, shade's differences across rows
+reading one halo row on each side of its block; and the demo hands out the
+poses of its frames, so that each frame is warped and written before the
+next one is rendered.  Beyond its result, shade peaks at about 4.3 MB of
+traced allocations and depth_centroid at 1.4 MB at sizes 256 and 1024
+alike, and warp_image at 1.5 MB at size 128 and 1.8 MB at 256, where a
+block of rows is 4/3 the size.
 
 The z-buffer writes each point once: scatter_min_render keeps the points
 whose footprint reaches the canvas, min-writes each depth at its nearest
@@ -54,8 +46,8 @@ import math
 
 import numpy as np
 
-from .errors import CanvasError, DomainError
-from .io_formats import MAX_WORK, _row_blocks
+from .errors import DomainError
+from .io_formats import _row_blocks
 
 _BACKGROUND = np.inf
 
@@ -247,106 +239,29 @@ def depth_centroid(depth: DepthMap, K: CameraIntrinsics) -> np.ndarray:
     return total / depth.values.size
 
 
-def _corner_reach(poses, template: DepthMap, K: CameraIntrinsics):
-    """Upper bounds (ex, ey) on every pose's projected extent about
-    (W/2, H/2) from the 8 corners of the template's back-projected bounding
-    box, or None unless every pose keeps the box in front of the camera and
-    the bounds stay under the 2.5 W floor in both axes.
-
-    x = (u - cx)/f * d is bilinear in (u, d), so over the depth map its
-    extremes sit at the box's corners, and y and z likewise; a rigid motion
-    keeps every point inside the hull of the moved corners.  The moved
-    corners thus bound z' below and |x'| and |y'| above, and
-    |u - cx| <= f max|x'| / min z'.  The corners may round unlike the
-    points, so each moved coordinate is widened by a few ulps of the terms
-    that sum to it, and the extents by one pixel.
-    """
-    W, H = K.W, K.H
-    cols, rows, deps = (g.ravel() for g in np.meshgrid(
-        [0.0, W - 1.0], [0.0, H - 1.0], [template.values.min(), template.values.max()]))
-    corners = _back_project(cols, rows, deps, K)                      # 3 x 8
-    R = np.stack([pose.R for pose in poses])
-    pivot = np.stack([pose.pivot for pose in poses])[:, :, None]
-    t = np.stack([pose.t for pose in poses])[:, :, None]
-    moved = R @ (corners - pivot) + pivot + t                          # poses x 3 x 8
-    terms = np.abs(R) @ np.abs(corners - pivot) + np.abs(pivot) + np.abs(t)
-    slack = 16.0 * np.finfo(np.float64).eps * terms.max(axis=2)      # poses x 3
-    z_lo = moved[:, 2].min(axis=1) - slack[:, 2]
-    x_hi = np.abs(moved[:, 0]).max(axis=1) + slack[:, 0]
-    y_hi = np.abs(moved[:, 1]).max(axis=1) + slack[:, 1]
-    if not np.all(z_lo > 0.0):                  # nan fails too
-        return None
-    ex = float((K.f * x_hi / z_lo).max()) + abs(K.cx - W / 2.0) + 1.0
-    ey = float((K.f * y_hi / z_lo).max()) + abs(K.cy - H / 2.0) + 1.0
-    floor = 2.5 * W
-    if not (2.0 * ex + 1.0 < floor and (2.0 * ey + 1.0) * W / H < floor):
-        return None
-    return ex, ey
-
-
-def _point_reach(poses, template: DepthMap, K: CameraIntrinsics):
-    """Every pose's exact projected extent (ex, ey) about (W/2, H/2): the
-    template is back-projected one block of rows at a time, and each block
-    is projected under every pose, keeping the running largest |u - W/2|
-    and |v - H/2| over the valid points."""
-    cx, cy = K.W / 2.0, K.H / 2.0
-    seen = False
-    ex = ey = 0.0
-    for points in _point_blocks(template, K):
-        for pose in poses:
-            with np.errstate(over="ignore", invalid="ignore"):     # the width test rejects these
-                u, v, _, valid = project_points(transform_pointcloud(points, pose), K)
-            if not np.any(valid):
-                continue
-            seen = True
-            u, v = u[valid], v[valid]
-            # with ex first, Python's max skips a nan extent
-            ex = max(ex, cx - u.min(), u.max() - cx)
-            ey = max(ey, cy - v.min(), v.max() - cy)
-    if not seen:
-        raise CanvasError("no pose projects any point in front of the camera")
-    return float(ex), float(ey)
+def _check_depth_size(depth: DepthMap, K: CameraIntrinsics) -> None:
+    if depth.shape != (K.H, K.W):
+        raise DomainError(f"depth of shape {depth.shape} does not match the "
+                          f"{K.H} x {K.W} image of K")
 
 
 def make_canvas(poses, template: DepthMap, K: CameraIntrinsics) -> CanvasSpec:
-    """Shared output geometry for a set of poses: the origin every frame's
-    window is placed by, and the cap on the scene's projected extent.
-
-    Each pose's projected u/v extent about the source center is padded out
-    to exact symmetry, preserving aspect and enforcing W_new >= 2.5 W.
-    When the corners of the template's bounding box already bound every
-    extent under that floor (_corner_reach), the floor decides and no point
-    is projected: so it is for the demo's rotation sweeps.  Otherwise the
-    exact per-point pass runs (_point_reach): for poses that shift the
-    scene wide or bring a corner near or behind the camera, and for large
-    rotations of a deep scene.  Both give the same canvas.  A canvas of
-    more than MAX_WORK pixels is a CanvasError: a point just in front of
-    the camera projects arbitrarily far out.  No frame allocates the whole
-    canvas; warp_image rasterizes only its central window.
-    """
-    poses = list(poses)
-    if not poses:
-        raise CanvasError("need at least one pose")
-
+    """The canvas whose origin places every frame's window: 2.5 W columns,
+    rounded up until H_new is integral at the source aspect ratio, centred
+    on (W/2, H/2).  It depends on the image size alone; the poses and the
+    template are only checked, for a pose and for K's size.  No frame
+    allocates the canvas: warp_image rasterizes only its central window,
+    so the window and the caller's work cap bound every frame."""
+    if not list(poses):
+        raise DomainError("need at least one pose")
+    _check_depth_size(template, K)
     W, H = K.W, K.H
-    with np.errstate(over="ignore", invalid="ignore"):     # overflow leaves it undecided
-        reach = _corner_reach(poses, template, K)
-    ex, ey = reach if reach is not None else _point_reach(poses, template, K)
-
-    # Python floats overflow to inf without a warning, and inf fails the test
-    width = max(2.5 * W, 2.0 * ex + 1.0, (2.0 * ey + 1.0) * W / H)
-    if not width <= MAX_WORK:
-        raise CanvasError(f"a canvas {width:.3g} pixels wide exceeds the cap of {MAX_WORK}")
-    W_new = math.ceil(width)
+    W_new = math.ceil(2.5 * W)
     while (W_new * H) % W != 0:        # keep H_new integral at the same aspect
         W_new += 1
     H_new = W_new * H // W
-    if H_new * W_new > MAX_WORK:
-        raise CanvasError(f"a canvas of {H_new} x {W_new} pixels exceeds the cap of "
-                          f"{MAX_WORK}")
-
     # unit pixel spacing, the W_new - 1 extent centred on W/2
-    return CanvasSpec(H_new=int(H_new), W_new=int(W_new),
+    return CanvasSpec(H_new=H_new, W_new=W_new,
                       x_min_g=(W - (W_new - 1)) / 2.0, y_min_g=(H - (H_new - 1)) / 2.0)
 
 
@@ -489,7 +404,10 @@ def warp_image(source: np.ndarray, depth: DepthMap, pose: Pose,
     non-background depth, bilinearly sample the source at the
     inverse-mapped coordinate.  Background pixels are black with mask 0.
     Returns (image H x W x 3, mask H x W, depth H x W) with +inf depth on
-    the background.
+    the background.  The source and the depth must both be K's size.  A
+    projection that overflows, as under a far shift or a narrow field of
+    view, is dropped by the window test going forward and by the bounds
+    test coming back, so the frame may be empty.
 
     Both passes take the rows a block at a time: the forward pass scatters
     each block of source rows into the one window, and the inverse map
@@ -501,6 +419,7 @@ def warp_image(source: np.ndarray, depth: DepthMap, pose: Pose,
     source = np.asarray(source, dtype=np.float64)
     if source.shape != (K.H, K.W, 3):
         raise DomainError(f"source must be {K.H} x {K.W} x 3, got shape {source.shape}")
+    _check_depth_size(depth, K)
     # the central window starts at canvas pixel (oy, ox); its image origin
     # lands at 0.5 px, not 0, when W_new - W is even, as make_canvas centres
     # on W/2
@@ -513,9 +432,10 @@ def warp_image(source: np.ndarray, depth: DepthMap, pose: Pose,
     window = np.full((K.H, K.W), _BACKGROUND)
     on_window = CanvasSpec(K.H, K.W, float(ox), float(oy))
     for points in _point_blocks(depth, K):
-        moved = transform_pointcloud(points, pose)
-        del points
-        u, v, d, in_view = project_points(moved, K)
+        with np.errstate(over="ignore", invalid="ignore"):     # the window test drops these
+            moved = transform_pointcloud(points, pose)
+            del points
+            u, v, d, in_view = project_points(moved, K)
         scatter_min_render((u - canvas.x_min_g, v - canvas.y_min_g, d, in_view),
                            on_window, radius, out=window)
         del moved, u, v, d, in_view
@@ -533,7 +453,9 @@ def warp_image(source: np.ndarray, depth: DepthMap, pose: Pose,
     buffers = np.empty((3, (blocks[0].stop - blocks[0].start) * K.W))
     for rows in blocks:
         ok = valid[rows]                  # a view: narrowed in place below
-        u0, v0, in_front = _inverse_map(x, y[rows], np.where(ok, window[rows], 1.0), pose, K)
+        with np.errstate(over="ignore", invalid="ignore"):     # the bounds test drops these
+            u0, v0, in_front = _inverse_map(x, y[rows], np.where(ok, window[rows], 1.0),
+                                            pose, K)
         ok &= in_front & (u0 >= 0.0) & (u0 <= K.W - 1) & (v0 >= 0.0) & (v0 <= K.H - 1)
         del in_front
         if not np.any(ok):

@@ -22,10 +22,6 @@ class DomainError(ValueError):
     form past its validity range, mismatched metric records, an empty mask."""
 
 
-class CanvasError(ValueError):
-    """Canvas bounds cannot be formed (no valid projected points or degenerate geometry)."""
-
-
 def _shown(n):
     """An integer beyond 2**53 in scientific notation, anything else as it
     is, so that no message prints dozens of digits."""

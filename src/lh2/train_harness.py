@@ -327,12 +327,13 @@ GRADCHECK_OPS = ("vmf_similarity", "uamf_loss", "pps_loss", "pns_loss", "pp_loss
 _FD_STEP = 1e-5
 
 
-def _z_and_W_pairs(loss, z, y, W):
+def _z_and_W_pairs(loss, z, y, W, proxies_of):
     """The (analytic, finite-difference) gradient pairs in z and in W of
     loss(batch, proxies) on the rows W put on the sphere, one for each side
     whose analytic gradient is not None; the probes read totals only.  The W
-    probes step off the sphere: a loss of the proxies' cosines puts them
-    back with ProxyMatrix, as the training update does."""
+    probes step off the sphere and hand their rows to proxies_of: a loss of
+    the proxies' cosines takes ProxyMatrix, which puts them back as the
+    training update does, and a loss of S alone takes _raw_proxies."""
     batch, proxies = EmbeddingBatch(z, y), ProxyMatrix(W)
     rep = loss(batch, proxies)
     pairs = []
@@ -341,7 +342,7 @@ def _z_and_W_pairs(loss, z, y, W):
             lambda zz: loss(EmbeddingBatch(zz, y), proxies).total, z)))
     if rep.grad_W is not None:
         pairs.append((rep.grad_W, _central_diff(
-            lambda ww: loss(batch, _raw_proxies(ww)).total, proxies.W)))
+            lambda ww: loss(batch, proxies_of(ww)).total, proxies.W)))
     return pairs
 
 
@@ -367,7 +368,8 @@ def _gradcheck_cases(rng: np.random.Generator):
     # norms of about 5 to 250
     z = rng.standard_normal(d) * rng.uniform(2.0, 100.0)
     cases.append(("vmf_similarity", _z_and_W_pairs(
-        lambda b, p: _similarity_sum(b, p, n), z[None], np.zeros(1, np.int64), proxy[None])))
+        lambda b, p: _similarity_sum(b, p, n), z[None], np.zeros(1, np.int64), proxy[None],
+        _raw_proxies)))
 
     # margin softmax over similarities.  Wider norm scales saturate the
     # softmax, whose gradients (about 1e-11) then fall under the
@@ -377,7 +379,8 @@ def _gradcheck_cases(rng: np.random.Generator):
     y = rng.integers(0, C, N)
     W = rng.standard_normal((C, d))
     mgn, tau = rng.uniform(0.0, 2.0), rng.uniform(0.5, 2.0)
-    cases.append(("uamf_loss", _z_and_W_pairs(lambda b, p: uamf_loss(b, p, mgn, tau), z, y, W)))
+    cases.append(("uamf_loss", _z_and_W_pairs(lambda b, p: uamf_loss(b, p, mgn, tau), z, y, W,
+                                              _raw_proxies)))
 
     cfg = RunConfig(lambda_sns=150.0)
 
@@ -391,20 +394,20 @@ def _gradcheck_cases(rng: np.random.Generator):
         if _away_from(positive_cosines(EmbeddingBatch(z, y), proxies), [mid], margin):
             break
     cases.append(("pps_loss", _z_and_W_pairs(
-        lambda b, p: pps_loss(b, ProxyMatrix(p.W), state, cfg), z, y, W)))
+        lambda b, p: pps_loss(b, p, state, cfg), z, y, W, ProxyMatrix)))
     # pns: smooth everywhere
     cases.append(("pns_loss", _z_and_W_pairs(
-        lambda b, p: pns_loss(b, ProxyMatrix(p.W), cfg), z, y, W)))
+        lambda b, p: pns_loss(b, p, cfg), z, y, W, ProxyMatrix)))
 
     # pp: freeze the random selection by reseeding per evaluation
     sel_seed = int(rng.integers(0, 2 ** 31))
     cases.append(("pp_loss", _z_and_W_pairs(
-        lambda b, p: pp_loss(b, ProxyMatrix(p.W), cfg,
-                             np.random.default_rng(sel_seed)), z, y, W)))
+        lambda b, p: pp_loss(b, p, cfg, np.random.default_rng(sel_seed)),
+        z, y, W, ProxyMatrix)))
 
     # sns: linear in the cosines, smooth
     cases.append(("sns_loss", _z_and_W_pairs(lambda b, p: sns_loss(b, cfg),
-                                             z, np.arange(N) % 2, W)))
+                                             z, np.arange(N) % 2, W, ProxyMatrix)))
 
     # reconstruction losses on a small image
     hgt, wid = 4, 5
@@ -458,10 +461,9 @@ def _gradcheck_cases(rng: np.random.Generator):
 
 
 def _raw_proxies(w):
-    """Proxies with rows off the sphere, unchecked, for the W probes: the
-    package's one object built without its constructor.  uamf_loss and the
-    vMF similarity read S alone and probe them as they are; the cosine
-    losses first put them back on the sphere."""
+    """Proxies with rows off the sphere, unchecked, for the W probes of
+    uamf_loss and the vMF similarity, which read S alone and probe the rows
+    as they are: the package's one object built without its constructor."""
     p = ProxyMatrix.__new__(ProxyMatrix)
     p.W = np.asarray(w, dtype=np.float64)
     return p

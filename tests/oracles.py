@@ -569,3 +569,28 @@ def whole_canvas_warp(source, depth, pose, K, canvas, radius: int):
                   + fv * ((1 - fu) * source[v_lo + 1, u_lo]
                           + fu * source[v_lo + 1, u_lo + 1]))
     return out, valid, window
+
+
+def pose_canvas(poses, template, K):
+    """The canvas sized by the poses, as depth_renderer.make_canvas once
+    sized it: every pose's exact projected extent (ex, ey) about (W/2, H/2)
+    over the whole point cloud, padded out to symmetry and to the source
+    aspect ratio, and to at least 2.5 W columns; None when no pose puts a
+    point in front of the camera."""
+    from lh2.depth_renderer import CanvasSpec
+    W, H = K.W, K.H
+    cloud = depth_to_pointcloud(template, K)
+    extents = []
+    for pose in poses:
+        u, v, _, valid = project(rigid_motion(cloud, pose), K)
+        if valid.any():
+            extents.append((np.abs(u[valid] - W / 2.0).max(), np.abs(v[valid] - H / 2.0).max()))
+    if not extents:
+        return None
+    ex, ey = (float(e) for e in np.max(extents, axis=0))
+    W_new = math.ceil(max(2.5 * W, 2.0 * ex + 1.0, (2.0 * ey + 1.0) * W / H))
+    while (W_new * H) % W != 0:
+        W_new += 1
+    H_new = W_new * H // W
+    return CanvasSpec(H_new=H_new, W_new=W_new,
+                      x_min_g=(W - (W_new - 1)) / 2.0, y_min_g=(H - (H_new - 1)) / 2.0)

@@ -18,7 +18,7 @@ from lh2.depth_renderer import (DEFAULT_LIGHT, CanvasSpec, DepthMap, LightingPar
                                 make_canvas, neighborhood_offsets, project_points,
                                 rotation_about_axis, scatter_min_render, shade,
                                 transform_pointcloud, warp_image)
-from lh2.errors import CanvasError, DomainError
+from lh2.errors import DomainError
 
 import oracles
 
@@ -211,9 +211,9 @@ def test_planar_point_passes_match_the_interleaved_forms_bit_for_bit(monkeypatch
 
 def _contract_renders():
     """The canvases and warp arrays of a size-30 demo sweep; of a wide
-    shift, which takes the per-point pass, and a move away from the camera,
-    whose inverse map sends the background behind it; and of a plane
-    turned edge-on with every other column behind the camera."""
+    shift and a move away from the camera, whose inverse map sends the
+    background behind it; and of a plane turned edge-on with every other
+    column behind the camera."""
     demo = hemisphere_demo(30)
     out = [demo["canvas"]]
     for _, pose in demo["poses"]:
@@ -226,8 +226,6 @@ def _contract_renders():
                         Pose(np.eye(3), [0.0, 0.0, 10.0], pivot)]),
             (plane, K12, [Pose(rotation_about_axis(1, 90.0), [0.0, 0.0, -5.0],
                                depth_centroid(plane, K12))])]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert depth_renderer._corner_reach(poses, d, k) is None
         canvas = make_canvas(poses, d, k)
         out.append(canvas)
         for pose in poses:
@@ -309,34 +307,35 @@ def test_canvas_order_invariance():
     assert make_canvas(poses, d, K) == make_canvas(poses[::-1], d, K)
 
 
-def test_canvas_grows_with_rotation():
-    d, _, K, _ = hemisphere_scene(16)
+def test_canvas_depends_on_the_image_size_alone():
+    # shifted 6 units sideways, the size-30 scene reaches past the 2.5 W
+    # floor, where a canvas sized by the poses grows and moves the window's
+    # origin; the canvas, and so the frame's origin, stays that of a shift
+    # of 4, which stays within the floor
+    d, albedo, K, light = hemisphere_scene(30)
+    source = shade(d, albedo, light, K)
     piv = depth_centroid(d, K)
-    small = make_canvas([Pose(rotation_about_axis(1, 5.0), np.zeros(3), piv)], d, K)
-    # a big lateral translation pushes the bounds past the 2.5 W floor
-    big = make_canvas([Pose(np.eye(3), np.array([6.0, 0.0, 0.0]), piv)], d, K)
-    assert big.W_new > small.W_new
-    assert big.W_new > 2.5 * K.W
+    near, wide = (Pose(np.eye(3), np.array([x, 0.0, 0.0]), piv) for x in (4.0, 6.0))
+    canvas = make_canvas([near], d, K)
+    assert oracles.pose_canvas([near], d, K) == canvas
+    assert oracles.pose_canvas([wide], d, K).W_new > canvas.W_new
+    assert make_canvas([wide], d, K) == canvas == make_canvas([near, wide], d, K)
+    for got, want in zip(warp_image(source, d, wide, K, make_canvas([wide], d, K)),
+                         oracles.whole_canvas_warp(source, d, wide, K, canvas, 1)):
+        _same_bits(got, want)
 
 
 def test_canvas_errors():
     d, _, K, _ = hemisphere_scene(8)
-    with pytest.raises(CanvasError):
+    with pytest.raises(DomainError, match="need at least one pose"):
         make_canvas([], d, K)
+    with pytest.raises(DomainError, match=r"depth of shape \(8, 8\) does not match the "
+                                          r"9 x 8 image of K"):
+        make_canvas([_IDENTITY], d, intrinsics_from_fov(8, 9, 40.0))
+    # a pose that puts every point behind the camera still takes the canvas
     behind = Pose(np.eye(3), np.array([0.0, 0.0, -20.0]), np.zeros(3))
-    with pytest.raises(CanvasError):
-        make_canvas([behind], d, K)
-
-
-def _per_point_canvas(monkeypatch, poses, d, K):
-    """make_canvas with the corner bound undecided, so that the per-point
-    pass sizes the canvas; a CanvasError comes back as its message."""
-    with monkeypatch.context() as m:
-        m.setattr(depth_renderer, "_corner_reach", lambda *args: None)
-        try:
-            return make_canvas(poses, d, K)
-        except CanvasError as exc:
-            return str(exc)
+    assert oracles.pose_canvas([behind], d, K) is None
+    assert make_canvas([behind], d, K) == make_canvas([_IDENTITY], d, K)
 
 
 def _random_canvas_case(rng):
@@ -362,25 +361,23 @@ def _random_canvas_case(rng):
     return poses, d, K
 
 
-def test_make_canvas_matches_the_per_point_pass_on_random_scenes(monkeypatch):
+def test_make_canvas_matches_the_per_point_pass_on_random_scenes():
+    # where every pose's exact extent stays under the 2.5 W floor, the
+    # canvas sized by the poses is the floor canvas; beyond it that canvas
+    # grows, and make_canvas keeps the floor canvas of the identity
     rng = np.random.default_rng(11)
-    decided = 0
+    under = 0
     for _ in range(300):
         poses, d, K = _random_canvas_case(rng)
-        with np.errstate(over="ignore", invalid="ignore"):
-            reach = depth_renderer._corner_reach(poses, d, K)
-        if reach is not None:
-            # a decided bound bounds the exact extents, not only the canvas
-            ex, ey = depth_renderer._point_reach(poses, d, K)
-            assert ex <= reach[0] and ey <= reach[1]
-            decided += 1
-        try:
-            canvas = make_canvas(poses, d, K)
-        except CanvasError as exc:
-            canvas = str(exc)
-        assert canvas == _per_point_canvas(monkeypatch, poses, d, K)
-    # both paths ran, the bound deciding in neither almost all nor almost none
-    assert 60 <= decided <= 240
+        canvas = make_canvas(poses, d, K)
+        assert canvas == make_canvas([_IDENTITY], d, K)
+        sized = oracles.pose_canvas(poses, d, K)
+        assert sized.W_new >= canvas.W_new
+        if sized.W_new == canvas.W_new:
+            assert sized == canvas
+            under += 1
+    # both kinds of scene ran, neither almost all nor almost none
+    assert 60 <= under <= 240
 
 
 @pytest.mark.parametrize("size", [30, 128, 256])
@@ -393,8 +390,8 @@ def test_demo_canvas_projects_no_point(monkeypatch, size, rotations):
     demo = hemisphere_demo(size, rotations, frames_per_axis=4)
     assert calls == []
     assert demo["canvas"].W_new == math.ceil(2.5 * size)
-    assert demo["canvas"] == _per_point_canvas(
-        monkeypatch, [pose for _, pose in demo["poses"]], demo["depth"], demo["K"])
+    assert demo["canvas"] == oracles.pose_canvas(
+        [pose for _, pose in demo["poses"]], demo["depth"], demo["K"])
 
 
 def _auxiliary_poses(canvas: CanvasSpec, template: DepthMap, K):
@@ -534,12 +531,8 @@ def test_scatter_matches_reference_on_random_scenes():
         pose = Pose(rotation_about_axis(int(rng.integers(3)),
                                         float(rng.uniform(-25.0, 25.0))),
                     rng.normal(0.0, 0.3, 3), depth_centroid(d, K))
-        if case == 5:
-            # a 9 x 31 map under a 25 degree turn: its 16678 x 4842 canvas
-            # (650 MB of float64) is over the cap
-            with pytest.raises(CanvasError, match="exceeds the cap"):
-                make_canvas([pose], d, K)
-            continue
+        # case 5, a 9 x 31 map under a 25 degree turn, reaches far past the
+        # canvas, whose edges drop those points
         canvas = make_canvas([pose], d, K)
         projected = project_points(
             transform_pointcloud(oracles.planes(oracles.depth_to_pointcloud(d, K)), pose), K)
@@ -692,6 +685,18 @@ def test_warp_rejects_a_source_of_another_shape():
     for shape in ((29, 30, 3), (30, 31, 3), (30, 30, 4), (30, 30)):
         with pytest.raises(DomainError, match="source must be 30 x 30 x 3"):
             warp_image(np.zeros(shape), d, _IDENTITY, K, canvas)
+
+
+def test_warp_rejects_a_depth_of_another_size():
+    # a 20 x 20 depth under the intrinsics of a 30 x 30 image would be
+    # back-projected about the wrong principal point and warped into a mask
+    # of 440 pixels
+    d, albedo, K, light = hemisphere_scene(30)
+    small = hemisphere_scene(20)[0]
+    canvas = make_canvas([_IDENTITY], d, K)
+    with pytest.raises(DomainError, match=r"depth of shape \(20, 20\) does not match the "
+                                          r"30 x 30 image of K"):
+        warp_image(shade(d, albedo, light, K), small, _IDENTITY, K, canvas)
 
 
 def test_warp_reads_a_fortran_ordered_source_like_a_c_ordered_one():
@@ -904,21 +909,6 @@ def test_warp_across_row_blocks_matches_whole_canvas_crop(monkeypatch, size, row
     # points stamp window rows that the next block's points stamp too
     _use_row_blocks(monkeypatch, size, rows)
     _assert_warp_matches_whole_canvas_crop(size, radius, angle)
-
-
-@pytest.mark.parametrize("size, rows", [(30, 7), (64, 5)])
-def test_make_canvas_across_row_blocks_matches_one_block(monkeypatch, size, rows):
-    d, _, K, _ = hemisphere_scene(size)
-    pivot = depth_centroid(d, K)
-    poses = [Pose(rotation_about_axis(axis, a), np.zeros(3), pivot)
-             for axis in range(3) for a in (-25.0, 0.0, 25.0)]
-    # tilted 45 degrees about x and moved 5 units nearer, the bottom rows,
-    # in the last, partial block, set a canvas wider than the 2.5 W floor
-    poses.append(Pose(rotation_about_axis(0, -45.0), np.array([0.0, 0.0, -5.0]), pivot))
-    one_block = make_canvas(poses, d, K)
-    assert one_block.W_new > 3 * size
-    _use_row_blocks(monkeypatch, size, rows)
-    assert make_canvas(poses, d, K) == one_block
 
 
 def _extra_bytes(call):

@@ -622,6 +622,20 @@ def test_grad_check_all_ops_pass():
         assert r["max_rel_err"] <= 1e-4
 
 
+def test_grad_check_builds_proxies_only_where_the_rows_change(monkeypatch):
+    # each repeat builds one ProxyMatrix in each of the six ops that take
+    # proxies, one for the pps draw, and one in each W probe of the three
+    # cosine losses that have a W gradient, pps, pns and pp: 2 C d = 60
+    # each.  The z probes and the analytic gradients read the unit proxies
+    # as they are.
+    built = []
+    post_init = ProxyMatrix.__post_init__
+    monkeypatch.setattr(ProxyMatrix, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    grad_check(repeats=2, seed=0)
+    assert len(built) == 2 * (6 + 1 + 3 * 2 * 5 * 6)
+
+
 def test_grad_check_rejects_an_unknown_op_before_drawing_a_case(monkeypatch):
     def no_cases(rng):
         raise AssertionError("a case was drawn")
